@@ -10,16 +10,12 @@ from .backends import (
     ScheduleRule,
     ScriptedBackend,
     SlowQuery,
-    SlowReply,
     load_prompt,
     query_fast,
-    query_slow,
 )
 from .baseline import WindowPlan, build_windows, emit_overlay_labels, run_baseline_case
 from .coordinator import (
     CoordinatorConfig,
-    SamplingController,
-    next_sample_interval,
     run_case,
     summarize_latency,
 )

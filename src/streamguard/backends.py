@@ -1,7 +1,8 @@
 """Model backends: deterministic scripted stand-ins and a remote VLM client.
 
-Both backend kinds expose the same raw-text surface; ``query_fast`` and
-``query_slow`` run the matching grammar parser on top and attach latency.
+Both backend kinds expose the same raw-text surface, ``*_raw`` returning
+the model's text and its latency; ``query_fast`` runs the FastBrain grammar
+parser on top.  SlowBrain output is parsed by the coordinator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import requests
 
 from .model import Frame, SafetyState, SchemaError
-from .parsing import FormatError, parse_fast_output, parse_slow_output
+from .parsing import parse_fast_output
 
 
 class BackendError(Exception):
@@ -93,14 +94,6 @@ class SlowQuery:
 
 
 @dataclass(frozen=True)
-class SlowReply:
-    verdict: int
-    analysis: str
-    latency: float
-    raw: str
-
-
-@dataclass(frozen=True)
 class ScheduleRule:
     """One scripted reply, valid on the half-open interval [t_start, t_end)."""
 
@@ -112,7 +105,12 @@ class ScheduleRule:
         return self.t_start <= t < self.t_end
 
 
-def _check_non_overlapping(rules: Sequence[ScheduleRule], label: str) -> None:
+def _check_rules(rules: Sequence[ScheduleRule], label: str) -> None:
+    for r in rules:
+        latency = float(r.payload.get("latency", 0.0))
+        if not latency >= 0:  # also rejects NaN
+            raise SchemaError(f"{label} rule [{r.t_start}, {r.t_end}): latency must be "
+                              f"non-negative, got {latency}")
     ordered = sorted(rules, key=lambda r: r.t_start)
     for a, b in zip(ordered, ordered[1:]):
         if b.t_start < a.t_end:
@@ -139,9 +137,9 @@ class ScriptedBackend:
         self.baseline_responses = tuple(baseline_responses)
         self.malformed = tuple(tuple(iv) for iv in malformed)
         self.timeout = tuple(tuple(iv) for iv in timeout)
-        _check_non_overlapping(self.fast_schedule, "fast_schedule")
-        _check_non_overlapping(self.slow_responses, "slow_responses")
-        _check_non_overlapping(self.baseline_responses, "baseline_responses")
+        _check_rules(self.fast_schedule, "fast_schedule")
+        _check_rules(self.slow_responses, "slow_responses")
+        _check_rules(self.baseline_responses, "baseline_responses")
 
     # -- construction ---------------------------------------------------------
 
@@ -326,10 +324,3 @@ def query_fast(backend, query: FastQuery) -> FastReply:
     raw, latency = backend.fast_raw(query)
     state, reason = parse_fast_output(raw)
     return FastReply(state=state, reason=reason, latency=latency, raw=raw)
-
-
-def query_slow(backend, query: SlowQuery) -> SlowReply:
-    """Run a SlowBrain query and parse the VERDICT grammar."""
-    raw, latency = backend.slow_raw(query)
-    verdict = parse_slow_output(raw)
-    return SlowReply(verdict=verdict, analysis=raw, latency=latency, raw=raw)

@@ -12,13 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backends import BackendError, PromptTemplate, load_prompt
-from .model import Frame, FrameManifest, PredictionRecord, format_stream_time
+from .backends import PromptTemplate, load_prompt
+from .model import _EPS, Frame, FrameManifest, PredictionRecord, format_stream_time
 from .parsing import FormatError, parse_baseline_verdict, parse_severity_verdict
 
 log = logging.getLogger(__name__)
-
-_EPS = 1e-9
 
 DEFAULT_FPS = 10.0
 DEFAULT_WINDOW_LENGTH = 2.0
@@ -89,10 +87,7 @@ def run_baseline_case(manifest: FrameManifest, backend,
     for window in plan.windows:
         frames = [manifest.latest_frame_at(t) for t in window.frame_times]
         text = prompt.render(start=window.start, end=window.end)
-        try:
-            raw, _latency = backend.baseline_raw(window.start, window.end, frames, text)
-        except BackendError:
-            raise
+        raw, _latency = backend.baseline_raw(window.start, window.end, frames, text)
         raws.append(raw)
         try:
             verdict = parse_baseline_verdict(raw, window.start, window.end)

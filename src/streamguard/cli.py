@@ -196,12 +196,6 @@ def cmd_eval_baseline(args) -> int:
     return EXIT_OK
 
 
-def _report_fieldnames() -> list:
-    return (["model", "n_total", "hdr", "ewp", "p_premature", "p_optimal",
-             "p_suboptimal", "p_irreversible", "p_missed", "wss"]
-            + [f"err_{e.value}" for e in ErrorType])
-
-
 def cmd_metrics(args) -> int:
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
@@ -209,12 +203,12 @@ def cmd_metrics(args) -> int:
     if args.scores:
         scores = PhaseScoreTable.from_dict(_load_json(args.scores))
     try:
-        report = build_report(preds, anns, scores=scores, with_strata=True)
+        report = build_report(preds, anns, scores=scores)
     except MetricsError as exc:
         print(f"metric_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     row = report.row(model=args.model)
-    _write_csv(args.out, _report_fieldnames(), [row])
+    _write_csv(args.out, list(row), [row])
     print("  ".join(f"{k}={_fmt(v)}" for k, v in row.items() if not k.startswith("err_")))
     return EXIT_OK
 

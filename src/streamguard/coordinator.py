@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .backends import (
@@ -35,38 +35,17 @@ from .model import (
     SafetyState,
     SlowDispatched,
     SlowVerdict,
+    _EPS,
 )
 from .parsing import FormatError, parse_slow_output
 
 log = logging.getLogger(__name__)
 
-_EPS = 1e-9
 _US = 1_000_000
 
 
 class NoAlert(Exception):
     """The trace contains no alert; the case is excluded from latency means."""
-
-
-@dataclass
-class SamplingController:
-    """Two-rate camera controller driven by the last observed safety state."""
-
-    gamma_low: float = 1.0
-    gamma_high: float = 5.0
-    current: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.gamma_low <= 0 or self.gamma_high <= 0:
-            raise ValueError("sampling rates must be positive")
-        if self.current == 0.0:
-            self.current = self.gamma_low
-
-
-def next_sample_interval(state: SafetyState, ctl: SamplingController) -> float:
-    """Interval until the next sample, per the two-rate rule."""
-    ctl.current = ctl.gamma_low if state == SafetyState.GREEN else ctl.gamma_high
-    return 1.0 / ctl.current
 
 
 @dataclass(frozen=True)
@@ -84,6 +63,8 @@ class CoordinatorConfig:
             raise ValueError("window_size must be >= 1")
         if self.clock not in ("sim", "real"):
             raise ValueError(f"unknown clock {self.clock!r}")
+        if self.gamma_low <= 0 or self.gamma_high <= 0:
+            raise ValueError("sampling rates must be positive")
 
 
 class SimulatedClock:
@@ -116,28 +97,35 @@ class WallClock:
             self._time.sleep(delta)
 
 
+def _completed(fn, *args) -> Future:
+    """``executor.submit`` for the sim clock: call ``fn`` now, return a finished
+    future.  An exception from ``fn`` raises here, at dispatch, not in the future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 @dataclass
 class _PendingSlow:
     trigger_t: float
-    arrival_t: Optional[float] = None  # known immediately under the sim clock
+    future: Future
+    arrival_t: Optional[float] = None
     verdict: Optional[int] = None
-    future: Optional[Future] = None
 
     def resolve(self, now: float) -> bool:
-        """Try to fix arrival/verdict from the background future (real clock)."""
+        """Fix arrival and verdict once the slow reply is in; False while it is not."""
         if self.arrival_t is not None:
             return True
-        if self.future is not None and self.future.done():
-            try:
-                raw, latency = self.future.result()
-                self.verdict = parse_slow_output(raw)
-            except FormatError as exc:
-                log.warning("slow output unparseable (%s); treating as no-danger", exc)
-                self.verdict = 0
-                latency = 0.0
-            self.arrival_t = max(now, self.trigger_t + latency)
-            return True
-        return False
+        if not self.future.done():
+            return False
+        raw, latency = self.future.result()
+        try:
+            self.verdict = parse_slow_output(raw)
+        except FormatError as exc:
+            log.warning("slow output unparseable (%s); treating as no-danger", exc)
+            self.verdict = 0
+        self.arrival_t = max(now, self.trigger_t + latency)
+        return True
 
 
 def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
@@ -151,9 +139,9 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
     """
     fast_prompt = fast_prompt or load_prompt("fast")
     slow_prompt = slow_prompt or load_prompt("slow")
-    controller = SamplingController(cfg.gamma_low, cfg.gamma_high)
     clock = SimulatedClock() if cfg.clock == "sim" else WallClock()
     executor = ThreadPoolExecutor(max_workers=1) if cfg.clock == "real" else None
+    submit = _completed if executor is None else executor.submit
 
     events: list = []
     sampled_frames: list = []
@@ -163,8 +151,8 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
     aborted = False
     duration = manifest.duration
 
+    rate = cfg.gamma_low
     t_next_us = 0
-    interval_us = round(_US / controller.gamma_low)
 
     def deliver_verdict(p: _PendingSlow) -> bool:
         """Record an arrived slow verdict; returns True when the run stops."""
@@ -192,16 +180,14 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
                     continue
             if past_end:
                 if pending is not None:
-                    if pending.future is not None:
-                        # Block for the in-flight result once the stream ends.
-                        pending.future.result()
-                        continue
+                    # Block for the in-flight result once the stream ends.
+                    pending.future.result()
                     continue
                 break
 
             clock.wait_until(t_next)
             frame = manifest.latest_frame_at(t_next)
-            events.append(FrameSampled(t=t_next, rate=controller.current))
+            events.append(FrameSampled(t=t_next, rate=rate))
             try:
                 reply = query_fast(fast, FastQuery(frame=frame, prompt=fast_prompt))
                 state, latency = reply.state, reply.latency
@@ -217,8 +203,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
             if state == SafetyState.RED:
                 if pending is not None:
                     events.append(Override(t=t_next))
-                    if pending.future is not None:
-                        pending.future.cancel()
+                    pending.future.cancel()
                     pending = None  # a Red decision makes the verdict moot
                 if alert is None:
                     alert = Alert(t_alert=frame.t, source=AlertSource.FAST)
@@ -232,30 +217,18 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
                     events.append(SlowDispatched(
                         trigger_t=t_next, window_frame_times=tuple(f.t for f in window)))
                     query = SlowQuery(window=window, prompt=slow_prompt)
-                    if executor is None:
-                        raw, slow_latency = slow.slow_raw(query)
-                        try:
-                            verdict = parse_slow_output(raw)
-                        except FormatError as exc:
-                            log.warning("slow output unparseable (%s); treating as no-danger", exc)
-                            verdict = 0
-                        pending = _PendingSlow(trigger_t=t_next,
-                                               arrival_t=t_next + slow_latency,
-                                               verdict=verdict)
-                    else:
-                        pending = _PendingSlow(trigger_t=t_next,
-                                               future=executor.submit(slow.slow_raw, query))
+                    pending = _PendingSlow(trigger_t=t_next, future=submit(slow.slow_raw, query))
             elif pending is not None:
                 # A Green does not cancel an in-flight query; a later DANGER
                 # verdict still alerts.
                 log.debug("green at t=%s with slow query pending (trigger %s)",
                           t_next, pending.trigger_t)
 
-            previous_rate = controller.current
-            interval_us = round(_US * next_sample_interval(state, controller))
-            if controller.current != previous_rate:
-                events.append(RateChange(t=t_next, new_rate=controller.current))
-            t_next_us += interval_us
+            new_rate = cfg.gamma_low if state == SafetyState.GREEN else cfg.gamma_high
+            if new_rate != rate:
+                rate = new_rate
+                events.append(RateChange(t=t_next, new_rate=rate))
+            t_next_us += round(_US * (1.0 / rate))
     except BackendError as exc:
         log.error("case %s aborted: %s", manifest.case_id, exc)
         aborted = True

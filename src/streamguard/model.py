@@ -8,9 +8,10 @@ encoding (snake_case field names).  The JSON dicts produced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Optional, Sequence
+from operator import attrgetter
+from typing import Optional, get_args, get_origin, get_type_hints
 
 # Annotated timestamps are displayed at 0.1 s resolution; the deadline is
 # defined as PNR - 200 ms but may be off by up to half a display tick.
@@ -431,57 +432,51 @@ class RateChange:
 
 TraceEvent = FrameSampled | FastState | SlowDispatched | SlowVerdict | Override | Alert | RateChange
 
-_EVENT_TYPES = {
-    "frame_sampled": FrameSampled,
-    "fast_state": FastState,
-    "slow_dispatched": SlowDispatched,
-    "slow_verdict": SlowVerdict,
-    "override": Override,
-    "alert": Alert,
-    "rate_change": RateChange,
-}
+
+def _field_codec(tp) -> tuple:
+    """(encode, decode) for one declared event field type; None encodes as-is."""
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return attrgetter("value"), tp
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        return list, lambda xs: tuple(map(item, xs))
+    return None, tp
+
+
+def _event_plan(cls) -> tuple:
+    """One event kind's (encode, decode): ``kind`` first, then the fields in order."""
+    hints = get_type_hints(cls)
+    codecs = [(f.name, *_field_codec(hints[f.name])) for f in fields(cls) if f.init]
+    kind = cls.kind
+
+    def encode(ev) -> dict:
+        d = {"kind": kind}
+        for name, enc, _ in codecs:
+            value = getattr(ev, name)
+            d[name] = value if enc is None else enc(value)
+        return d
+
+    def decode(d: dict):
+        return cls(**{name: dec(d[name]) for name, _, dec in codecs})
+
+    return encode, decode
+
+
+_EVENT_TYPES = {cls.kind: _event_plan(cls) for cls in get_args(TraceEvent)}
 
 
 def event_to_dict(ev: TraceEvent) -> dict:
-    if isinstance(ev, FrameSampled):
-        return {"kind": ev.kind, "t": ev.t, "rate": ev.rate}
-    if isinstance(ev, FastState):
-        return {"kind": ev.kind, "t": ev.t, "state": ev.state.value, "fast_latency": ev.fast_latency}
-    if isinstance(ev, SlowDispatched):
-        return {"kind": ev.kind, "trigger_t": ev.trigger_t,
-                "window_frame_times": list(ev.window_frame_times)}
-    if isinstance(ev, SlowVerdict):
-        return {"kind": ev.kind, "trigger_t": ev.trigger_t, "arrival_t": ev.arrival_t,
-                "verdict": ev.verdict}
-    if isinstance(ev, Override):
-        return {"kind": ev.kind, "t": ev.t}
-    if isinstance(ev, Alert):
-        return {"kind": ev.kind, "t_alert": ev.t_alert, "source": ev.source.value}
-    if isinstance(ev, RateChange):
-        return {"kind": ev.kind, "t": ev.t, "new_rate": ev.new_rate}
-    raise TypeError(f"unknown event {ev!r}")
+    kind = getattr(ev, "kind", None)
+    if kind not in _EVENT_TYPES:
+        raise TypeError(f"unknown event {ev!r}")
+    return _EVENT_TYPES[kind][0](ev)
 
 
 def event_from_dict(d: dict) -> TraceEvent:
     kind = d.get("kind")
-    if kind == "frame_sampled":
-        return FrameSampled(t=float(d["t"]), rate=float(d["rate"]))
-    if kind == "fast_state":
-        return FastState(t=float(d["t"]), state=SafetyState(d["state"]),
-                         fast_latency=float(d["fast_latency"]))
-    if kind == "slow_dispatched":
-        return SlowDispatched(trigger_t=float(d["trigger_t"]),
-                              window_frame_times=tuple(float(x) for x in d["window_frame_times"]))
-    if kind == "slow_verdict":
-        return SlowVerdict(trigger_t=float(d["trigger_t"]), arrival_t=float(d["arrival_t"]),
-                           verdict=int(d["verdict"]))
-    if kind == "override":
-        return Override(t=float(d["t"]))
-    if kind == "alert":
-        return Alert(t_alert=float(d["t_alert"]), source=AlertSource(d["source"]))
-    if kind == "rate_change":
-        return RateChange(t=float(d["t"]), new_rate=float(d["new_rate"]))
-    raise SchemaError(f"unknown event kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _EVENT_TYPES:
+        raise SchemaError(f"unknown event kind {kind!r}")
+    return _EVENT_TYPES[kind][1](d)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from streamguard.backends import (
     SlowQuery,
     load_prompt,
     query_fast,
-    query_slow,
 )
 from streamguard.model import Frame, SafetyState, SchemaError
-from streamguard.parsing import FormatError
+from streamguard.parsing import FormatError, parse_slow_output
 
 from helpers import fast_script
 
@@ -86,12 +85,21 @@ def test_scripted_slow_keyed_on_trigger_time():
     backend = ScriptedBackend(slow_responses=[
         ScheduleRule(1.0, 2.0, {"verdict": 1, "latency": 2.2})])
     window = (Frame(t=0.6), Frame(t=0.8), Frame(t=1.0))
-    reply = query_slow(backend, SlowQuery(window=window, prompt=load_prompt("slow")))
-    assert reply.verdict == 1 and reply.latency == pytest.approx(2.2)
+    raw, latency = backend.slow_raw(SlowQuery(window=window, prompt=load_prompt("slow")))
+    assert parse_slow_output(raw) == 1 and latency == pytest.approx(2.2)
     # outside every rule the scripted expert stays calm
     window = (Frame(t=4.0),)
-    reply = query_slow(backend, SlowQuery(window=window, prompt=load_prompt("slow")))
-    assert reply.verdict == 0
+    raw, _ = backend.slow_raw(SlowQuery(window=window, prompt=load_prompt("slow")))
+    assert parse_slow_output(raw) == 0
+
+
+@pytest.mark.parametrize("key", ["fast_schedule", "slow_responses", "baseline_responses"])
+def test_scripted_negative_latency_rejected(key):
+    rule = {"t_start": 0.0, "t_end": 1.0, "latency": -0.5}
+    with pytest.raises(SchemaError):
+        ScriptedBackend.from_dict({key: [rule]})
+    with pytest.raises(SchemaError):
+        ScriptedBackend.from_dict({key: [{**rule, "latency": float("nan")}]})
 
 
 def test_scripted_faults():

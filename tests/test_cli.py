@@ -208,3 +208,24 @@ def test_ablate_bad_fps_list(workdir, capsys):
                  "--slow", f"scripted:{workdir / 'slow.json'}",
                  "--fps", "1,banana", "--out", str(workdir / "s.csv")])
     assert code == EXIT_IO
+
+
+def test_run_negative_scripted_latency_is_backend_error(workdir, capsys):
+    bad = {"slow_responses": [{"t_start": 0.0, "t_end": 99.0, "verdict": 1,
+                               "latency": -0.5}]}
+    (workdir / "bad_slow.json").write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["run", "--manifest", str(workdir / "manifests.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'bad_slow.json'}",
+                 "--out", str(workdir / "x.jsonl")])
+    assert code == EXIT_IO
+    assert "backend_error" in capsys.readouterr().err
+
+
+def test_run_zero_rate_is_config_error(workdir, capsys):
+    code = main(["run", "--manifest", str(workdir / "manifests.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--fps-low", "0", "--out", str(workdir / "x.jsonl")])
+    assert code == EXIT_IO
+    assert "config_error" in capsys.readouterr().err

@@ -10,8 +10,6 @@ from streamguard.backends import BackendError, ScheduleRule, ScriptedBackend
 from streamguard.coordinator import (
     CoordinatorConfig,
     NoAlert,
-    SamplingController,
-    next_sample_interval,
     run_case,
     summarize_latency,
 )
@@ -46,23 +44,13 @@ def sample_times(trace):
     return [round(ev.t * _US) for ev in trace.events_of(FrameSampled)]
 
 
-# --- sampling controller -----------------------------------------------------
+# --- configuration -----------------------------------------------------------
 
-def test_next_sample_interval():
-    ctl = SamplingController(gamma_low=1.0, gamma_high=5.0)
-    assert next_sample_interval(SafetyState.GREEN, ctl) == pytest.approx(1.0)
-    assert ctl.current == 1.0
-    assert next_sample_interval(SafetyState.YELLOW, ctl) == pytest.approx(0.2)
-    assert ctl.current == 5.0
-    assert next_sample_interval(SafetyState.RED, ctl) == pytest.approx(0.2)
-    assert next_sample_interval(SafetyState.GREEN, ctl) == pytest.approx(1.0)
-
-
-def test_controller_rejects_bad_rates():
+def test_config_rejects_bad_rates():
     with pytest.raises(ValueError):
-        SamplingController(gamma_low=0.0)
+        CoordinatorConfig(gamma_low=0.0)
     with pytest.raises(ValueError):
-        SamplingController(gamma_high=-1.0)
+        CoordinatorConfig(gamma_high=-1.0)
 
 
 def test_config_validation():
@@ -260,17 +248,29 @@ def test_backend_timeout_aborts_with_partial_trace():
     assert len(trace.events_of(FastState)) == 3  # 0.0, 1.0, 2.0 succeeded
 
 
-def test_unparseable_slow_output_counts_as_no_danger():
-    class GarbageSlow:
-        def slow_raw(self, query):
-            return "total nonsense with no marker", 0.5
+class GarbageSlow:
+    def slow_raw(self, query):
+        return "total nonsense with no marker", 0.5
 
+
+def test_unparseable_slow_output_counts_as_no_danger():
     manifest = grid_manifest(duration=3.0)
     fast, _ = merged([(0.0, 0.1, "yellow")])
     trace = run_case(manifest, fast, GarbageSlow(), CFG)
     verdicts = trace.events_of(SlowVerdict)
     assert verdicts and verdicts[0].verdict == 0
+    assert verdicts[0].arrival_t == pytest.approx(0.5)  # the backend's latency stands
     assert trace.alert_stream_time is None
+
+
+def test_unparseable_slow_output_keeps_latency_real_clock():
+    """The wall clock keeps the reported latency of a garbage reply too."""
+    manifest = grid_manifest(duration=1.0)
+    fast, _ = merged([(0.0, 0.1, "yellow")])
+    trace = run_case(manifest, fast, GarbageSlow(), CoordinatorConfig(clock="real"))
+    [verdict] = trace.events_of(SlowVerdict)
+    assert verdict.verdict == 0
+    assert verdict.arrival_t - verdict.trigger_t >= 0.5
 
 
 # --- randomized protocol properties ------------------------------------------

@@ -1,10 +1,12 @@
 """Value-object invariants and JSON round-trips for the core types."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
     Alert,
     AlertSource,
@@ -32,7 +34,7 @@ from streamguard.model import (
     format_stream_time,
 )
 
-from helpers import make_ann
+from helpers import fast_script, grid_manifest, make_ann, slow_script
 
 
 # --- KeyFrames ---------------------------------------------------------------
@@ -249,9 +251,19 @@ EVENTS = [
 ]
 
 
-@pytest.mark.parametrize("event", EVENTS, ids=lambda e: e.kind)
-def test_event_roundtrip(event):
-    assert event_from_dict(event_to_dict(event)) == event
+# Hand-written JSON may hold integers where the field is a float; decoding
+# coerces them, so the dict re-encodes as the float-valued event would.
+INT_VALUED = ({"kind": "rate_change", "t": 1, "new_rate": 5},
+              RateChange(t=1.0, new_rate=5.0))
+
+
+@pytest.mark.parametrize("encoded, event",
+                         [(event_to_dict(ev), ev) for ev in EVENTS] + [INT_VALUED],
+                         ids=[ev.kind for ev in EVENTS] + ["int_valued"])
+def test_event_roundtrip(encoded, event):
+    decoded = event_from_dict(encoded)
+    assert decoded == event
+    assert json.dumps(event_to_dict(decoded)) == json.dumps(event_to_dict(event))
 
 
 def test_slow_verdict_cannot_precede_trigger():
@@ -277,3 +289,42 @@ def test_trace_to_prediction():
     pred = trace.to_prediction()
     assert pred.verdict == "hazard" and pred.timestamp == 2.1
     assert DecisionTrace(case_id="c", events=()).to_prediction().verdict == "safe"
+
+
+# Timeline (a) of the golden decision timelines, exactly as written to --out:
+# the codec's key order and number formatting are part of the file format.
+GOLDEN_A_JSON = (
+    '{"case_id": "case-1", "events": ['
+    '{"kind": "frame_sampled", "t": 0.0, "rate": 1.0}, '
+    '{"kind": "fast_state", "t": 0.0, "state": "green", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 1.0, "rate": 1.0}, '
+    '{"kind": "fast_state", "t": 1.0, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "slow_dispatched", "trigger_t": 1.0, "window_frame_times": [0.0, 1.0]}, '
+    '{"kind": "rate_change", "t": 1.0, "new_rate": 5.0}, '
+    '{"kind": "frame_sampled", "t": 1.2, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 1.2, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 1.4, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 1.4, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 1.6, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 1.6, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 1.8, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 1.8, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 2.0, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 2.0, "state": "yellow", "fast_latency": 0.05}, '
+    '{"kind": "frame_sampled", "t": 2.2, "rate": 5.0}, '
+    '{"kind": "fast_state", "t": 2.2, "state": "red", "fast_latency": 0.05}, '
+    '{"kind": "override", "t": 2.2}, '
+    '{"kind": "alert", "t_alert": 2.1, "source": "fast"}], '
+    '"summary": {"end_to_end_latency": 0.15000000000000008, "alert_stream_time": 2.1, '
+    '"alert_source": "fast", "physical_stop_time": 2.1, "aborted": false}}'
+)
+
+
+def test_golden_trace_bytes():
+    manifest = grid_manifest(
+        times=[0.0, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.1, 2.4, 3.0, 5.0])
+    fast = fast_script([(0.0, 1.0, "green"), (1.0, 2.1, "yellow"),
+                        (2.1, 99.0, "red")])
+    slow = slow_script([(0.9, 1.1, 0, 5.0)])
+    trace = run_case(manifest, fast, slow, CoordinatorConfig())
+    assert json.dumps(trace.to_dict()) == GOLDEN_A_JSON
