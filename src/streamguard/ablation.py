@@ -31,10 +31,7 @@ def _run_suite(cases: Sequence[CasePair], anns: AnnotationSet,
         if trace.end_to_end_latency is not None:
             latencies.append(trace.end_to_end_latency)
     mean_latency = sum(latencies) / len(latencies) if latencies else None
-    report = build_report(preds, anns, scores=scores,
-                          latency_summary=None if mean_latency is None
-                          else {"mean_end_to_end": mean_latency})
-    return report, mean_latency
+    return build_report(preds, anns, scores=scores), mean_latency
 
 
 def sweep_fps(cases: Sequence[CasePair], anns: AnnotationSet,
@@ -47,17 +44,16 @@ def sweep_fps(cases: Sequence[CasePair], anns: AnnotationSet,
     """
     if not fps_list:
         raise ValueError("fps_list must be non-empty")
-    if any(f <= 0 for f in fps_list):
-        raise ValueError("all rates must be positive")
+    # Every rate is validated by its config before any suite runs.
+    configs = [replace(cfg, gamma_high=float(fps)) for fps in fps_list]
     if not cases:
         raise EmptyDataset("no cases to sweep")
 
     rows = []
-    for fps in fps_list:
-        report, mean_latency = _run_suite(cases, anns, replace(cfg, gamma_high=float(fps)),
-                                          scores)
+    for run_cfg in configs:
+        report, mean_latency = _run_suite(cases, anns, run_cfg, scores)
         rows.append({
-            "fps": float(fps),
+            "fps": run_cfg.gamma_high,
             "hdr": report.hdr,
             "ewp": report.ewp,
             "wss": report.wss,

@@ -22,7 +22,6 @@ class AnnotationSet:
     """All validated case annotations from one file."""
 
     cases: dict  # case_id -> CaseAnnotation
-    source_path: str = ""
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -60,7 +59,7 @@ def load_annotations(path: str) -> AnnotationSet:
         if ann.case_id in cases:
             raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
         cases[ann.case_id] = ann
-    return AnnotationSet(cases=cases, source_path=str(path))
+    return AnnotationSet(cases=cases)
 
 
 def classify_phase(prediction: Optional[float], ann: CaseAnnotation) -> Phase:

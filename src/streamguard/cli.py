@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from . import ablation as ablation_mod
@@ -24,14 +25,7 @@ from .backends import (
 )
 from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
-from .metrics import (
-    ErrorType,
-    MetricsError,
-    build_report,
-    classify_error,
-    error_rates,
-    _pred_map,
-)
+from .metrics import ErrorType, MetricsError, build_report, case_errors
 from .model import (
     DecisionTrace,
     FrameManifest,
@@ -166,7 +160,7 @@ def cmd_run(args) -> int:
     latencies = [t.end_to_end_latency for t in traces if t.end_to_end_latency is not None]
     alerts = sum(1 for t in traces if t.alert_stream_time is not None)
     try:
-        with open(args.out, "a", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             for trace in traces:
                 fh.write(json.dumps(trace.to_dict()) + "\n")
     except OSError as exc:
@@ -201,7 +195,10 @@ def cmd_metrics(args) -> int:
     anns = _load_annotation_set(args.annotations)
     scores = PhaseScoreTable.default()
     if args.scores:
-        scores = PhaseScoreTable.from_dict(_load_json(args.scores))
+        try:
+            scores = PhaseScoreTable.from_dict(_load_json(args.scores))
+        except ModelError as exc:
+            raise CliError(EXIT_IO, f"config_error: {args.scores}: {exc}")
     try:
         report = build_report(preds, anns, scores=scores)
     except MetricsError as exc:
@@ -221,16 +218,14 @@ def cmd_errors(args) -> int:
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
     try:
-        by_case = _pred_map(preds)
-        rates = error_rates(preds, anns)
+        errors = case_errors(preds, anns)
     except MetricsError as exc:
         print(f"metric_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    rows = [{"case_id": ann.case_id,
-             "error_type": classify_error(by_case.get(ann.case_id), ann).value}
-            for ann in anns]
+    rows = [{"case_id": case_id, "error_type": err.value} for case_id, err in errors.items()]
     _write_csv(args.out, ["case_id", "error_type"], rows)
-    print("  ".join(f"{e.value}={rates[e]:.4f}" for e in ErrorType))
+    counts = Counter(errors.values())
+    print("  ".join(f"{e.value}={counts[e] / len(errors):.4f}" for e in ErrorType))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ runs in a background thread while sampling continues.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -63,8 +64,11 @@ class CoordinatorConfig:
             raise ValueError("window_size must be >= 1")
         if self.clock not in ("sim", "real"):
             raise ValueError(f"unknown clock {self.clock!r}")
-        if self.gamma_low <= 0 or self.gamma_high <= 0:
-            raise ValueError("sampling rates must be positive")
+        for rate in (self.gamma_low, self.gamma_high):
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"sampling rates must be positive and finite, got {rate}")
+            if round(_US * (1.0 / rate)) < 1:
+                raise ValueError(f"sampling rate {rate} gives an interval under 1 us")
 
 
 class SimulatedClock:

@@ -54,10 +54,16 @@ def _pred_map(preds: Sequence[PredictionRecord]) -> dict:
     return out
 
 
-def _check_covered(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> None:
-    for p in preds:
-        if p.case_id not in anns:
-            raise MissingAnnotation(p.case_id)
+def _join(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> list:
+    """(annotation, record or None) per annotated case, in annotation order.
+
+    Rejects a duplicate record and a record with no annotation.
+    """
+    by_case = _pred_map(preds)
+    for case_id in by_case:
+        if case_id not in anns:
+            raise MissingAnnotation(case_id)
+    return [(ann, by_case.get(ann.case_id)) for ann in anns]
 
 
 def compute_hdr(preds: Sequence[PredictionRecord], n_total: int) -> float:
@@ -73,16 +79,7 @@ def compute_ewp(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> Optio
 
     Undefined (None) when there are no hazard predictions.
     """
-    _check_covered(preds, anns)
-    hazards = [p for p in preds if p.is_hazard]
-    if not hazards:
-        return None
-    in_window = 0
-    for p in hazards:
-        kf = anns[p.case_id].key_frames
-        if kf.intent_onset <= p.timestamp <= kf.impact:
-            in_window += 1
-    return in_window / len(hazards)
+    return build_report(preds, anns).ewp
 
 
 def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
@@ -91,34 +88,21 @@ def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict
     Every annotated case lands in exactly one phase; cases without a
     hazard prediction (including format errors) are Missed.
     """
-    by_case = _pred_map(preds)
-    _check_covered(preds, anns)
     counts = {phase: 0 for phase in Phase}
-    for ann in anns:
-        pred = by_case.get(ann.case_id)
-        t = None if pred is None else pred.effective_timestamp
-        counts[classify_phase(t, ann)] += 1
+    for ann, pred in _join(preds, anns):
+        counts[classify_phase(None if pred is None else pred.effective_timestamp, ann)] += 1
     return counts
 
 
 def compute_pda(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
     """Phase fractions over the annotation set; fractions sum to 1."""
-    n_total = len(anns)
-    if n_total < 1:
-        raise EmptyDataset("annotation set is empty")
-    counts = phase_counts(preds, anns)
-    return {phase: counts[phase] / n_total for phase in Phase}
+    return build_report(preds, anns).phase_fractions
 
 
 def compute_wss(preds: Sequence[PredictionRecord], anns: AnnotationSet,
                 scores: Optional[PhaseScoreTable] = None) -> float:
     """Mean phase score over all cases."""
-    scores = scores or PhaseScoreTable.default()
-    n_total = len(anns)
-    if n_total < 1:
-        raise EmptyDataset("annotation set is empty")
-    counts = phase_counts(preds, anns)
-    return sum(scores[phase] * n for phase, n in counts.items()) / n_total
+    return build_report(preds, anns, scores).wss
 
 
 def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> ErrorType:
@@ -162,14 +146,14 @@ def mentioned_entities(text: str, entities: Sequence[str]) -> list:
 
 def error_rates(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
     """Error-type fractions over the full annotation set."""
+    return build_report(preds, anns).error_fractions
+
+
+def case_errors(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
+    """Each annotated case's error type, keyed by case_id in annotation order."""
     if len(anns) < 1:
         raise EmptyDataset("annotation set is empty")
-    by_case = _pred_map(preds)
-    _check_covered(preds, anns)
-    counts = {e: 0 for e in ErrorType}
-    for ann in anns:
-        counts[classify_error(by_case.get(ann.case_id), ann)] += 1
-    return {e: n / len(anns) for e, n in counts.items()}
+    return {ann.case_id: classify_error(pred, ann) for ann, pred in _join(preds, anns)}
 
 
 SEVERITY_CLAIMS = ("none",) + SEVERITY_LEVELS
@@ -188,12 +172,9 @@ class SeverityConfusion:
 
 def severity_confusion(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> SeverityConfusion:
     """5x4 confusion of severity claims (None/L1..L4) against truth (L1..L4)."""
-    by_case = _pred_map(preds)
-    _check_covered(preds, anns)
     counts = {(c, t): 0 for c in SEVERITY_CLAIMS for t in SEVERITY_LEVELS}
     over = under = exact = n = 0
-    for ann in anns:
-        pred = by_case.get(ann.case_id)
+    for ann, pred in _join(preds, anns):
         if pred is None or pred.severity_claim is None:
             continue
         claim, truth = pred.severity_claim, ann.severity
@@ -218,14 +199,12 @@ class MetricsReport:
     """Everything one evaluated model produces for the summary table."""
 
     n_total: int
-    n_pred_hazard: int
     hdr: float
     ewp: Optional[float]
     phase_fractions: dict  # Phase -> float
     wss: float
     error_fractions: dict = field(default_factory=dict)  # ErrorType -> float
     strata: dict = field(default_factory=dict)  # dim -> value -> sub-report dict
-    latency_summary: Optional[dict] = None
 
     def row(self, model: str = "") -> dict:
         """The flat CSV/stdout row mirroring the main results table layout."""
@@ -254,42 +233,55 @@ _STRATA_DIMS = {
 }
 
 
+def _tally(rows: Sequence[tuple], scores: PhaseScoreTable) -> tuple:
+    """(hazard count, phase counts, WSS) over non-empty (annotation, hazard, phase) rows."""
+    counts = {phase: 0 for phase in Phase}
+    for _, _, phase in rows:
+        counts[phase] += 1
+    wss = sum(scores[phase] * n for phase, n in counts.items()) / len(rows)
+    return sum(hazard for _, hazard, _ in rows), counts, wss
+
+
 def build_report(preds: Sequence[PredictionRecord], anns: AnnotationSet,
                  scores: Optional[PhaseScoreTable] = None,
-                 with_strata: bool = False,
-                 latency_summary: Optional[dict] = None) -> MetricsReport:
-    """Compute the full metric suite for one prediction set."""
+                 with_strata: bool = False) -> MetricsReport:
+    """Compute the full metric suite for one prediction set in one pass.
+
+    Each case is joined, phased, window-tested and error-classified once;
+    the whole-set figures and every stratum are counts over those results.
+    """
     scores = scores or PhaseScoreTable.default()
     n_total = len(anns)
     if n_total < 1:
         raise EmptyDataset("annotation set is empty")
-    counts = phase_counts(preds, anns)
+    rows = []  # (annotation, hazard flag, phase) per case
+    in_window = 0
+    errors = {e: 0 for e in ErrorType}
+    for ann, pred in _join(preds, anns):
+        hazard = pred is not None and pred.is_hazard
+        kf = ann.key_frames
+        in_window += hazard and kf.intent_onset <= pred.timestamp <= kf.impact
+        errors[classify_error(pred, ann)] += 1
+        rows.append((ann, hazard, classify_phase(pred.timestamp if hazard else None, ann)))
+    n_hazard, counts, wss = _tally(rows, scores)
 
     strata: dict = {}
     if with_strata:
-        by_case = _pred_map(preds)
         for dim, values in _STRATA_DIMS.items():
             strata[dim] = {}
             for value in values:
-                sub_cases = {a.case_id: a for a in anns if getattr(a, dim) == value}
-                if not sub_cases:
-                    continue
-                sub_anns = AnnotationSet(cases=sub_cases, source_path=anns.source_path)
-                sub_preds = [by_case[c] for c in sub_cases if c in by_case]
-                strata[dim][value] = {
-                    "n": len(sub_cases),
-                    "hdr": compute_hdr(sub_preds, len(sub_cases)),
-                    "wss": compute_wss(sub_preds, sub_anns, scores),
-                }
+                sub = [row for row in rows if getattr(row[0], dim) == value]
+                if sub:
+                    sub_hazard, _, sub_wss = _tally(sub, scores)
+                    strata[dim][value] = {"n": len(sub), "hdr": sub_hazard / len(sub),
+                                          "wss": sub_wss}
 
     return MetricsReport(
         n_total=n_total,
-        n_pred_hazard=sum(1 for p in preds if p.is_hazard),
-        hdr=compute_hdr(list(preds), n_total),
-        ewp=compute_ewp(preds, anns),
+        hdr=n_hazard / n_total,
+        ewp=in_window / n_hazard if n_hazard else None,
         phase_fractions={phase: counts[phase] / n_total for phase in Phase},
-        wss=sum(scores[phase] * n for phase, n in counts.items()) / n_total,
-        error_fractions=error_rates(preds, anns),
+        wss=wss,
+        error_fractions={e: n / n_total for e, n in errors.items()},
         strata=strata,
-        latency_summary=latency_summary,
     )

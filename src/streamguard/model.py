@@ -234,7 +234,13 @@ class PhaseScoreTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseScoreTable":
-        return cls({Phase(k): float(v) for k, v in d.items()})
+        if not isinstance(d, dict):
+            raise SchemaError(f"score table must be an object, got {type(d).__name__}")
+        try:
+            scores = {Phase(k): float(v) for k, v in d.items()}
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad score table entry: {exc}") from exc
+        return cls(scores)
 
 
 @dataclass(frozen=True)

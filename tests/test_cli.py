@@ -229,3 +229,109 @@ def test_run_zero_rate_is_config_error(workdir, capsys):
                  "--fps-low", "0", "--out", str(workdir / "x.jsonl")])
     assert code == EXIT_IO
     assert "config_error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    {"premature": 0, "optimal": 100, "suboptimal": 50, "irreversible": 25},
+    {"premature": 0, "optimal": 100, "suboptimal": 50, "irreversible": 25, "missed": 0,
+     "bogus": 1},
+    [0, 100, 50, 25, 0],
+    {"premature": "x", "optimal": 100, "suboptimal": 50, "irreversible": 25, "missed": 0},
+], ids=["missing_phase", "unknown_phase", "list", "non_numeric"])
+def test_metrics_malformed_score_table_is_config_error(workdir, capsys, table):
+    preds = workdir / "preds.jsonl"
+    preds.write_text(json.dumps({"case_id": "c0", "verdict": "safe"}) + "\n",
+                     encoding="utf-8")
+    scores = workdir / "scores.json"
+    scores.write_text(json.dumps(table), encoding="utf-8")
+    code = main(["metrics", "--preds", str(preds),
+                 "--annotations", str(workdir / "anns.json"),
+                 "--scores", str(scores), "--out", str(workdir / "m.csv")])
+    assert code == EXIT_IO
+    assert "config_error" in capsys.readouterr().err
+
+
+def test_unsamplable_rate_is_rejected(workdir, capsys):
+    scripts = ["--fast", f"scripted:{workdir / 'fast.json'}",
+               "--slow", f"scripted:{workdir / 'slow.json'}"]
+    code = main(["run", "--manifest", str(workdir / "manifests.json"), *scripts,
+                 "--fps-high", "inf", "--out", str(workdir / "x.jsonl")])
+    assert code == EXIT_IO
+    assert "config_error" in capsys.readouterr().err
+    code = main(["ablate", "--manifest", str(workdir / "manifests.json"),
+                 "--annotations", str(workdir / "anns.json"), *scripts,
+                 "--fps", "1,inf", "--out", str(workdir / "s.csv")])
+    assert code == EXIT_DOMAIN
+    assert "sweep_error" in capsys.readouterr().err
+
+
+def test_run_overwrites_out(workdir):
+    out = workdir / "traces.jsonl"
+    argv = ["run", "--manifest", str(workdir / "manifests.json"),
+            "--fast", f"scripted:{workdir / 'fast.json'}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.fixture()
+def scored_dir(tmp_path):
+    """Nine cases covering every phase and every error type, one without a
+    record, scored with a non-integer phase table."""
+    kf = dict(intent=1.0, deadline=1.5, pnr=1.7, impact=2.0, end=2.5, duration=5.0)
+    difficulty = ["D1", "D2", "D1", "D3", "D1", "D3", "D2", "D2", "D1"]
+    anns = [make_ann(case_id=f"c{i}", difficulty=d, **kf).to_dict()
+            for i, d in enumerate(difficulty)]
+    (tmp_path / "anns.json").write_text(json.dumps(anns), encoding="utf-8")
+    records = [
+        {"case_id": "c0", "verdict": "hazard", "timestamp": 0.2},   # premature
+        {"case_id": "c1", "verdict": "hazard", "timestamp": 1.2},   # optimal
+        {"case_id": "c2", "verdict": "hazard", "timestamp": 1.6},   # suboptimal
+        {"case_id": "c3", "verdict": "hazard", "timestamp": 1.9},   # irreversible
+        {"case_id": "c4", "verdict": "safe", "reasoning_text": "all clear"},
+        {"case_id": "c5", "verdict": "safe", "reasoning_text": "the kettle is fine"},
+        {"case_id": "c6", "verdict": "hazard", "timestamp": 1.2,
+         "parse_status": "format_error"},
+        {"case_id": "c8", "verdict": "hazard", "timestamp": 3.0},   # after impact
+    ]  # c7 has no record
+    (tmp_path / "preds.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (tmp_path / "scores.json").write_text(json.dumps(
+        {"premature": 7.3, "optimal": 97.1, "suboptimal": 41.7, "irreversible": 13.3,
+         "missed": 0.1}), encoding="utf-8")
+    return tmp_path
+
+
+def test_metrics_output_pinned(scored_dir, capsys):
+    out = scored_dir / "m.csv"
+    assert main(["metrics", "--preds", str(scored_dir / "preds.jsonl"),
+                 "--annotations", str(scored_dir / "anns.json"),
+                 "--scores", str(scored_dir / "scores.json"),
+                 "--model", "m", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (
+        b"model,n_total,hdr,ewp,p_premature,p_optimal,p_suboptimal,p_irreversible,"
+        b"p_missed,wss,err_format_error,err_over_reaction,err_response_lag,"
+        b"err_visual_omission,err_reasoning_deficit,err_no_error\r\n"
+        b"m,9,0.5555555555555556,0.6,0.1111111111111111,0.1111111111111111,"
+        b"0.1111111111111111,0.1111111111111111,0.5555555555555556,17.766666666666666,"
+        b"0.1111111111111111,0.1111111111111111,0.2222222222222222,0.2222222222222222,"
+        b"0.1111111111111111,0.2222222222222222\r\n")
+    assert capsys.readouterr().out == (
+        "model=m  n_total=9  hdr=0.5556  ewp=0.6000  p_premature=0.1111  "
+        "p_optimal=0.1111  p_suboptimal=0.1111  p_irreversible=0.1111  "
+        "p_missed=0.5556  wss=17.7667\n")
+
+
+def test_errors_output_pinned(scored_dir, capsys):
+    out = scored_dir / "e.csv"
+    assert main(["errors", "--preds", str(scored_dir / "preds.jsonl"),
+                 "--annotations", str(scored_dir / "anns.json"),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (
+        b"case_id,error_type\r\nc0,over_reaction\r\nc1,no_error\r\nc2,no_error\r\n"
+        b"c3,response_lag\r\nc4,visual_omission\r\nc5,reasoning_deficit\r\n"
+        b"c6,format_error\r\nc7,visual_omission\r\nc8,response_lag\r\n")
+    assert capsys.readouterr().out == (
+        "format_error=0.1111  over_reaction=0.1111  response_lag=0.2222  "
+        "visual_omission=0.2222  reasoning_deficit=0.1111  no_error=0.2222\n")

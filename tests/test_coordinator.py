@@ -2,6 +2,7 @@
 rates, single-flight dispatch, determinism, and failure handling."""
 
 import json
+import math
 import random
 
 import pytest
@@ -47,10 +48,11 @@ def sample_times(trace):
 # --- configuration -----------------------------------------------------------
 
 def test_config_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        CoordinatorConfig(gamma_low=0.0)
-    with pytest.raises(ValueError):
-        CoordinatorConfig(gamma_high=-1.0)
+    # inf and 1e7 round to a 0 us interval, which would never advance the clock
+    for kw in ({"gamma_low": 0.0}, {"gamma_high": -1.0}, {"gamma_high": math.inf},
+               {"gamma_high": math.nan}, {"gamma_high": 1e7}):
+        with pytest.raises(ValueError):
+            CoordinatorConfig(**kw)
 
 
 def test_config_validation():

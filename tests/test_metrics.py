@@ -12,6 +12,7 @@ from streamguard.metrics import (
     MissingAnnotation,
     SeverityConfusion,
     build_report,
+    case_errors,
     classify_error,
     compute_ewp,
     compute_hdr,
@@ -22,8 +23,16 @@ from streamguard.metrics import (
     phase_counts,
     severity_confusion,
 )
-from streamguard.annotations import classify_phase
-from streamguard.model import Phase, PhaseScoreTable, PredictionRecord
+from streamguard.annotations import AnnotationSet, classify_phase
+from streamguard.model import (
+    DANGER_CATEGORIES,
+    DIFFICULTY_LEVELS,
+    LOCATIONS,
+    SEVERITY_LEVELS,
+    Phase,
+    PhaseScoreTable,
+    PredictionRecord,
+)
 
 from helpers import ann_set, invert_row, make_ann
 
@@ -57,6 +66,14 @@ def test_ewp_window_is_intent_to_impact():
     assert compute_ewp([safe("a")], anns) is None  # undefined without hazards
     with pytest.raises(MissingAnnotation):
         compute_ewp([hz("zz", 1.0)], anns)
+
+
+def test_ewp_rejects_duplicate_records():
+    anns = ann_set(make_ann(case_id="a"))
+    with pytest.raises(MetricsError):
+        compute_ewp([hz("a", 3.7), hz("a", 4.6)], anns)
+    with pytest.raises(EmptyDataset):
+        compute_ewp([], ann_set())
 
 
 def test_phase_counts_and_pda():
@@ -165,6 +182,45 @@ def test_identities_hold_on_random_datasets():
         assert hdr == pytest.approx(n_hazard / len(anns))
 
 
+STRATA_DIMS = {"danger_category": DANGER_CATEGORIES, "severity": SEVERITY_LEVELS,
+               "difficulty": DIFFICULTY_LEVELS, "location": LOCATIONS}
+
+
+def test_strata_match_per_subset_reference():
+    """Each stratum equals the same figures computed on its own sub-set."""
+    rng = random.Random(17)
+    table = PhaseScoreTable({Phase.PREMATURE: 7.3, Phase.OPTIMAL: 97.1,
+                             Phase.SUBOPTIMAL: 41.7, Phase.IRREVERSIBLE: 13.3,
+                             Phase.MISSED: 0.1})
+    for _ in range(100):
+        preds, base = random_dataset(rng)
+        anns = ann_set(*[
+            make_ann(case_id=a.case_id, category=rng.choice(DANGER_CATEGORIES),
+                     severity=rng.choice(SEVERITY_LEVELS),
+                     difficulty=rng.choice(DIFFICULTY_LEVELS),
+                     location=rng.choice(LOCATIONS))
+            for a in base])
+        by_case = {p.case_id: p for p in preds}
+        report = build_report(preds, anns, scores=table, with_strata=True)
+        assert set(report.strata) == set(STRATA_DIMS)
+        for dim, values in STRATA_DIMS.items():
+            expected = {}
+            for value in values:
+                sub = AnnotationSet(cases={a.case_id: a for a in anns
+                                           if getattr(a, dim) == value})
+                if not len(sub):
+                    continue
+                sub_preds = [by_case[c] for c in sub.cases if c in by_case]
+                counts = phase_counts(sub_preds, sub)
+                n = len(sub)
+                expected[value] = {
+                    "n": n,
+                    "hdr": sum(1 for p in sub_preds if p.is_hazard) / n,
+                    "wss": sum(table[ph] * k for ph, k in counts.items()) / n,
+                }
+            assert report.strata[dim] == expected
+
+
 # --- error taxonomy ----------------------------------------------------------
 
 def test_classify_error_precedence():
@@ -258,3 +314,5 @@ def test_build_report_row_shape():
 def test_build_report_empty_annotations():
     with pytest.raises(EmptyDataset):
         build_report([], ann_set())
+    with pytest.raises(EmptyDataset):
+        case_errors([], ann_set())
