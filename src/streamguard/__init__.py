@@ -3,15 +3,11 @@
 from .annotations import AnnotationSet, classify_phase, load_annotations
 from .backends import (
     EndpointConfig,
-    FastQuery,
-    FastReply,
     PromptTemplate,
     RemoteBackend,
     ScheduleRule,
     ScriptedBackend,
-    SlowQuery,
     load_prompt,
-    query_fast,
 )
 from .baseline import WindowPlan, build_windows, emit_overlay_labels, run_baseline_case
 from .coordinator import (

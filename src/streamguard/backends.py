@@ -1,8 +1,10 @@
 """Model backends: deterministic scripted stand-ins and a remote VLM client.
 
-Both backend kinds expose the same raw-text surface, ``*_raw`` returning
-the model's text and its latency; ``query_fast`` runs the FastBrain grammar
-parser on top.  SlowBrain output is parsed by the coordinator.
+Both backend kinds expose the same raw-text surface: ``fast_raw(prompt_text,
+frame)``, ``slow_raw(prompt_text, window)`` and ``baseline_raw(window_start,
+window_end, frames, prompt_text)``, each returning the model's text and its
+latency.  The caller renders the prompt text from the manifest with
+``PromptTemplate.render`` and parses the reply.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Optional, Sequence
 
 import requests
 
-from .model import Frame, SafetyState, SchemaError
-from .parsing import parse_fast_output
+from .model import Frame, SchemaError
 
 
 class BackendError(Exception):
@@ -34,13 +35,15 @@ class BackendTimeoutError(BackendError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named prompt with <Start>/<End>/<Timestamps> placeholders."""
+    """A named prompt with optional <Start>/<End> placeholders."""
 
     name: str
     text: str
 
-    def render(self, start: Optional[float] = None, end: Optional[float] = None,
-               timestamps: Optional[Sequence[float]] = None) -> str:
+    def render(self, frames: Sequence[Frame], pre_overlaid: bool,
+               start: Optional[float] = None, end: Optional[float] = None) -> str:
+        """The prompt for ``frames``; clean frames (not ``pre_overlaid``) carry
+        no burned-in timestamps, so their times are listed after the text."""
         out = self.text
         if "<Start>" in out:
             if start is None:
@@ -50,8 +53,8 @@ class PromptTemplate:
             if end is None:
                 raise ValueError(f"prompt {self.name} needs an end time")
             out = out.replace("<End>", f"{end:.1f}")
-        if timestamps is not None:
-            listing = ", ".join(f"{t:.1f}s" for t in timestamps)
+        if not pre_overlaid:
+            listing = ", ".join(f"{f.t:.1f}s" for f in frames)
             out = out + f"\n\nFrame timestamps (in order): {listing}\n"
         return out
 
@@ -60,37 +63,6 @@ def load_prompt(name: str) -> PromptTemplate:
     """Load one of the bundled templates: fast, slow, baseline_detect, severity."""
     text = resources.files("streamguard.prompts").joinpath(f"{name}.txt").read_text(encoding="utf-8")
     return PromptTemplate(name=name, text=text)
-
-
-@dataclass(frozen=True)
-class FastQuery:
-    frame: Frame
-    prompt: PromptTemplate
-
-
-@dataclass(frozen=True)
-class FastReply:
-    state: SafetyState
-    reason: str
-    latency: float
-    raw: str
-
-
-@dataclass(frozen=True)
-class SlowQuery:
-    window: tuple[Frame, ...]
-    prompt: PromptTemplate
-
-    def __post_init__(self):
-        if not self.window:
-            raise SchemaError("slow query window must contain at least one frame")
-        times = [f.t for f in self.window]
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise SchemaError("slow query window frames must be time-ordered")
-
-    @property
-    def trigger_time(self) -> float:
-        return self.window[-1].t
 
 
 @dataclass(frozen=True)
@@ -183,8 +155,8 @@ class ScriptedBackend:
     def _in_fault(self, intervals, t: float) -> bool:
         return any(a <= t < b for a, b in intervals)
 
-    def fast_raw(self, query: FastQuery) -> tuple[str, float]:
-        t = query.frame.t
+    def fast_raw(self, prompt_text: str, frame: Frame) -> tuple[str, float]:
+        t = frame.t
         if self._in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
         if self._in_fault(self.malformed, t):
@@ -197,8 +169,8 @@ class ScriptedBackend:
         # Outside every rule the world is nominal.
         return json.dumps({"category": "green", "reason": ""}), self.DEFAULT_FAST_LATENCY
 
-    def slow_raw(self, query: SlowQuery) -> tuple[str, float]:
-        t = query.trigger_time
+    def slow_raw(self, prompt_text: str, window: Sequence[Frame]) -> tuple[str, float]:
+        t = window[-1].t
         if self._in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
         for rule in self.slow_responses:
@@ -255,11 +227,9 @@ class RemoteBackend:
     config, never from files.
     """
 
-    def __init__(self, config: EndpointConfig, session: Optional[requests.Session] = None,
-                 frames_pre_overlaid: bool = True):
+    def __init__(self, config: EndpointConfig, session: Optional[requests.Session] = None):
         self.config = config
         self.session = session or requests.Session()
-        self.frames_pre_overlaid = frames_pre_overlaid
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -272,8 +242,11 @@ class RemoteBackend:
     def _image_part(self, frame: Frame) -> dict:
         if self.config.image_mode == "path":
             return {"type": "image_url", "image_url": {"url": frame.image_path}}
-        with open(frame.image_path, "rb") as fh:
-            payload = base64.b64encode(fh.read()).decode("ascii")
+        try:
+            with open(frame.image_path, "rb") as fh:
+                payload = base64.b64encode(fh.read()).decode("ascii")
+        except OSError as exc:
+            raise TransportError(f"cannot read image {frame.image_path!r}: {exc}") from exc
         return {"type": "image_url",
                 "image_url": {"url": f"data:image/jpeg;base64,{payload}"}}
 
@@ -302,25 +275,12 @@ class RemoteBackend:
                 last_exc = TransportError(str(exc))
         raise last_exc
 
-    def _prompt_text(self, prompt: PromptTemplate, frames: Sequence[Frame]) -> str:
-        # Clean frames carry no burned-in timestamps, so list them in text.
-        if self.frames_pre_overlaid:
-            return prompt.render()
-        return prompt.render(timestamps=[f.t for f in frames])
+    def fast_raw(self, prompt_text: str, frame: Frame) -> tuple[str, float]:
+        return self._chat(prompt_text, (frame,))
 
-    def fast_raw(self, query: FastQuery) -> tuple[str, float]:
-        return self._chat(self._prompt_text(query.prompt, [query.frame]), [query.frame])
-
-    def slow_raw(self, query: SlowQuery) -> tuple[str, float]:
-        return self._chat(self._prompt_text(query.prompt, query.window), query.window)
+    def slow_raw(self, prompt_text: str, window: Sequence[Frame]) -> tuple[str, float]:
+        return self._chat(prompt_text, window)
 
     def baseline_raw(self, window_start: float, window_end: float,
                      frames: Sequence[Frame], prompt_text: str) -> tuple[str, float]:
         return self._chat(prompt_text, frames)
-
-
-def query_fast(backend, query: FastQuery) -> FastReply:
-    """Run a FastBrain query and parse the traffic-light grammar."""
-    raw, latency = backend.fast_raw(query)
-    state, reason = parse_fast_output(raw)
-    return FastReply(state=state, reason=reason, latency=latency, raw=raw)

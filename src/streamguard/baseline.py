@@ -86,7 +86,7 @@ def run_baseline_case(manifest: FrameManifest, backend,
     n_parsed = 0
     for window in plan.windows:
         frames = [manifest.latest_frame_at(t) for t in window.frame_times]
-        text = prompt.render(start=window.start, end=window.end)
+        text = prompt.render(frames, manifest.pre_overlaid, start=window.start, end=window.end)
         raw, _latency = backend.baseline_raw(window.start, window.end, frames, text)
         raws.append(raw)
         try:

@@ -18,6 +18,7 @@ from . import ablation as ablation_mod
 from .agreement import AgreementError, agreement_table
 from .annotations import AnnotationSet, IoError, load_annotations
 from .backends import (
+    BackendError,
     EndpointConfig,
     RemoteBackend,
     ScriptedBackend,
@@ -180,8 +181,11 @@ def cmd_eval_baseline(args) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             for manifest in manifests:
-                pred = run_baseline_case(manifest, backend, prompt=prompt,
-                                         with_severity=with_severity)
+                try:
+                    pred = run_baseline_case(manifest, backend, prompt=prompt,
+                                             with_severity=with_severity)
+                except BackendError as exc:
+                    raise CliError(EXIT_IO, f"backend_error: case {manifest.case_id}: {exc}")
                 fh.write(json.dumps(pred.to_dict()) + "\n")
     except OSError as exc:
         print(f"io_error: {exc}", file=sys.stderr)

@@ -15,14 +15,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .backends import (
-    BackendError,
-    FastQuery,
-    PromptTemplate,
-    SlowQuery,
-    load_prompt,
-    query_fast,
-)
+from .backends import BackendError, load_prompt
 from .model import (
     Alert,
     AlertSource,
@@ -38,7 +31,7 @@ from .model import (
     SlowVerdict,
     _EPS,
 )
-from .parsing import FormatError, parse_slow_output
+from .parsing import FormatError, parse_fast_output, parse_slow_output
 
 log = logging.getLogger(__name__)
 
@@ -132,17 +125,16 @@ class _PendingSlow:
         return True
 
 
-def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
-             fast_prompt: Optional[PromptTemplate] = None,
-             slow_prompt: Optional[PromptTemplate] = None) -> DecisionTrace:
+def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> DecisionTrace:
     """Run the dual-brain protocol over one frame stream.
 
     Returns the full event trace.  Backend failures abort the case with a
     partial trace flagged ``aborted``; unparseable FastBrain output is
-    treated as Yellow when ``fail_toward_caution`` is set.
+    treated as Yellow when ``fail_toward_caution`` is set.  Each prompt is
+    rendered here, from the manifest, for the frames it is sent with.
     """
-    fast_prompt = fast_prompt or load_prompt("fast")
-    slow_prompt = slow_prompt or load_prompt("slow")
+    fast_template = load_prompt("fast")
+    slow_template = load_prompt("slow")
     clock = SimulatedClock() if cfg.clock == "sim" else WallClock()
     executor = ThreadPoolExecutor(max_workers=1) if cfg.clock == "real" else None
     submit = _completed if executor is None else executor.submit
@@ -193,8 +185,9 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
             frame = manifest.latest_frame_at(t_next)
             events.append(FrameSampled(t=t_next, rate=rate))
             try:
-                reply = query_fast(fast, FastQuery(frame=frame, prompt=fast_prompt))
-                state, latency = reply.state, reply.latency
+                raw, latency = fast.fast_raw(
+                    fast_template.render((frame,), manifest.pre_overlaid), frame)
+                state, _reason = parse_fast_output(raw)
             except FormatError as exc:
                 if not cfg.fail_toward_caution:
                     raise BackendError(f"unparseable fast output at t={t_next}: {exc}")
@@ -220,8 +213,9 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig,
                     window = tuple(sampled_frames[-cfg.window_size:])
                     events.append(SlowDispatched(
                         trigger_t=t_next, window_frame_times=tuple(f.t for f in window)))
-                    query = SlowQuery(window=window, prompt=slow_prompt)
-                    pending = _PendingSlow(trigger_t=t_next, future=submit(slow.slow_raw, query))
+                    text = slow_template.render(window, manifest.pre_overlaid)
+                    pending = _PendingSlow(trigger_t=t_next,
+                                           future=submit(slow.slow_raw, text, window))
             elif pending is not None:
                 # A Green does not cancel an in-flight query; a later DANGER
                 # verdict still alerts.

@@ -146,7 +146,7 @@ def test_criterion_3_protocol_properties():
         manifest, fast, slow = coord._random_case(rng)
         trace = run_case(manifest, fast, slow, cfg)
         assert not trace.aborted
-        coord._check_protocol(trace, cfg)
+        coord._check_protocol(trace, cfg, manifest)
         rerun = run_case(manifest, fast, slow, cfg)
         assert json.dumps(trace.to_dict(), sort_keys=True) == \
             json.dumps(rerun.to_dict(), sort_keys=True)
@@ -286,7 +286,8 @@ def test_criterion_5_agreement(tmp_path):
                          "--out", str(out)]) == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    rows = list(csv.DictReader((tmp_path / "t1.csv").open()))
+    with (tmp_path / "t1.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["field"] for r in rows] == [
         "intent_onset", "pnr", "intervention_deadline", "impact", "action_end"]
     assert all(set(r) == {"field", "ccc", "icc_a1", "mae_s"} for r in rows)

@@ -1,6 +1,7 @@
 """Scripted backend semantics, prompt templates, endpoint config, and a
 round-trip against a local stub HTTP endpoint."""
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -10,19 +11,22 @@ import pytest
 from streamguard.backends import (
     BackendTimeoutError,
     EndpointConfig,
-    FastQuery,
     PromptTemplate,
     RemoteBackend,
     ScheduleRule,
     ScriptedBackend,
-    SlowQuery,
+    TransportError,
     load_prompt,
-    query_fast,
 )
-from streamguard.model import Frame, SafetyState, SchemaError
-from streamguard.parsing import FormatError, parse_slow_output
+from streamguard.baseline import build_windows, run_baseline_case
+from streamguard.coordinator import CoordinatorConfig, run_case
+from streamguard.model import Frame, FrameManifest, SafetyState, SchemaError
+from streamguard.parsing import FormatError, parse_fast_output, parse_slow_output
 
-from helpers import fast_script
+from helpers import fast_script, grid_manifest
+
+FAST_TEXT = load_prompt("fast").text
+SLOW_TEXT = load_prompt("slow").text
 
 
 # --- prompt templates --------------------------------------------------------
@@ -35,7 +39,7 @@ def test_load_bundled_prompts():
 
 def test_render_substitutes_window():
     prompt = load_prompt("baseline_detect")
-    text = prompt.render(start=1.5, end=3.5)
+    text = prompt.render((), True, start=1.5, end=3.5)
     assert "1.5s to 3.5s" in text
     assert "<Start>" not in text and "<End>" not in text
 
@@ -43,13 +47,15 @@ def test_render_substitutes_window():
 def test_render_requires_window_times():
     prompt = load_prompt("baseline_detect")
     with pytest.raises(ValueError):
-        prompt.render(start=1.5)
+        prompt.render((), True, start=1.5)
 
 
 def test_render_timestamp_listing():
     prompt = PromptTemplate(name="t", text="Judge the frames.")
-    text = prompt.render(timestamps=[0.0, 0.2, 0.4])
+    frames = [Frame(t=0.0), Frame(t=0.2), Frame(t=0.4)]
+    text = prompt.render(frames, False)
     assert "0.0s, 0.2s, 0.4s" in text
+    assert prompt.render(frames, True) == "Judge the frames."  # times burned in
 
 
 # --- scripted backend --------------------------------------------------------
@@ -57,18 +63,17 @@ def test_render_timestamp_listing():
 def test_scripted_fast_schedule_and_default():
     backend = fast_script([(1.0, 2.0, "red")])
     frame = Frame(t=1.5)
-    reply = query_fast(backend, FastQuery(frame=frame, prompt=load_prompt("fast")))
-    assert reply.state == SafetyState.RED
-    assert reply.latency == pytest.approx(ScriptedBackend.DEFAULT_FAST_LATENCY)
+    raw, latency = backend.fast_raw(FAST_TEXT, frame)
+    assert parse_fast_output(raw)[0] == SafetyState.RED
+    assert latency == pytest.approx(ScriptedBackend.DEFAULT_FAST_LATENCY)
     # outside every rule: nominal
-    reply = query_fast(backend, FastQuery(frame=Frame(t=5.0), prompt=load_prompt("fast")))
-    assert reply.state == SafetyState.GREEN
+    raw, _ = backend.fast_raw(FAST_TEXT, Frame(t=5.0))
+    assert parse_fast_output(raw)[0] == SafetyState.GREEN
 
 
 def test_scripted_rules_half_open():
     backend = fast_script([(1.0, 2.0, "red")])
-    at = lambda t: query_fast(backend, FastQuery(frame=Frame(t=t),
-                                                 prompt=load_prompt("fast"))).state
+    at = lambda t: parse_fast_output(backend.fast_raw(FAST_TEXT, Frame(t=t))[0])[0]
     assert at(1.0) == SafetyState.RED
     assert at(2.0) == SafetyState.GREEN  # end is exclusive
 
@@ -85,11 +90,11 @@ def test_scripted_slow_keyed_on_trigger_time():
     backend = ScriptedBackend(slow_responses=[
         ScheduleRule(1.0, 2.0, {"verdict": 1, "latency": 2.2})])
     window = (Frame(t=0.6), Frame(t=0.8), Frame(t=1.0))
-    raw, latency = backend.slow_raw(SlowQuery(window=window, prompt=load_prompt("slow")))
+    raw, latency = backend.slow_raw(SLOW_TEXT, window)
     assert parse_slow_output(raw) == 1 and latency == pytest.approx(2.2)
     # outside every rule the scripted expert stays calm
     window = (Frame(t=4.0),)
-    raw, _ = backend.slow_raw(SlowQuery(window=window, prompt=load_prompt("slow")))
+    raw, _ = backend.slow_raw(SLOW_TEXT, window)
     assert parse_slow_output(raw) == 0
 
 
@@ -104,11 +109,11 @@ def test_scripted_negative_latency_rejected(key):
 
 def test_scripted_faults():
     backend = ScriptedBackend(malformed=[(0.0, 1.0)], timeout=[(2.0, 3.0)])
-    raw, _ = backend.fast_raw(FastQuery(frame=Frame(t=0.5), prompt=load_prompt("fast")))
+    raw, _ = backend.fast_raw(FAST_TEXT, Frame(t=0.5))
     with pytest.raises(FormatError):
-        query_fast(backend, FastQuery(frame=Frame(t=0.5), prompt=load_prompt("fast")))
+        parse_fast_output(raw)
     with pytest.raises(BackendTimeoutError):
-        backend.fast_raw(FastQuery(frame=Frame(t=2.5), prompt=load_prompt("fast")))
+        backend.fast_raw(FAST_TEXT, Frame(t=2.5))
 
 
 def test_scripted_dict_roundtrip(tmp_path):
@@ -121,15 +126,6 @@ def test_scripted_dict_roundtrip(tmp_path):
     path.write_text(json.dumps(backend.to_dict()), encoding="utf-8")
     loaded = ScriptedBackend.from_file(str(path))
     assert loaded.to_dict() == backend.to_dict()
-
-
-def test_slow_query_validation():
-    with pytest.raises(SchemaError):
-        SlowQuery(window=(), prompt=load_prompt("slow"))
-    with pytest.raises(SchemaError):
-        SlowQuery(window=(Frame(t=1.0), Frame(t=0.5)), prompt=load_prompt("slow"))
-    q = SlowQuery(window=(Frame(t=0.5), Frame(t=1.0)), prompt=load_prompt("slow"))
-    assert q.trigger_time == 1.0
 
 
 # --- endpoint config ---------------------------------------------------------
@@ -186,6 +182,7 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_remote_fast_roundtrip(stub_server, monkeypatch):
@@ -194,10 +191,9 @@ def test_remote_fast_roundtrip(stub_server, monkeypatch):
                          auth_token_env_var_name="STUB_TOKEN", timeout=5,
                          image_mode="path")
     backend = RemoteBackend(cfg)
-    reply = query_fast(backend, FastQuery(frame=Frame(t=1.0, image_path="f.jpg"),
-                                          prompt=load_prompt("fast")))
-    assert reply.state == SafetyState.YELLOW
-    assert reply.raw.startswith("{")
+    raw, _ = backend.fast_raw(FAST_TEXT, Frame(t=1.0, image_path="f.jpg"))
+    assert parse_fast_output(raw)[0] == SafetyState.YELLOW
+    assert raw.startswith("{")
 
     call = _StubHandler.captured[0]
     assert call["path"].endswith("/chat/completions")
@@ -211,10 +207,77 @@ def test_remote_fast_roundtrip(stub_server, monkeypatch):
 def test_remote_clean_frames_lists_timestamps(stub_server):
     cfg = EndpointConfig(base_url=stub_server, model_name="stub-model",
                          timeout=5, image_mode="path")
-    backend = RemoteBackend(cfg, frames_pre_overlaid=False)
-    query_fast(backend, FastQuery(frame=Frame(t=2.4, image_path="f.jpg"),
-                                  prompt=load_prompt("fast")))
+    backend = RemoteBackend(cfg)
+    frame = Frame(t=2.4, image_path="f.jpg")
+    backend.fast_raw(load_prompt("fast").render((frame,), False), frame)
     text = _StubHandler.captured[-1]["body"]["messages"][0]["content"][0]["text"]
     assert "2.4s" in text
     # without a token env var no Authorization header is sent
     assert _StubHandler.captured[-1]["auth"] is None
+
+
+_LISTING = "\n\nFrame timestamps (in order): "
+
+
+def _run_all_stages(stub_server, manifest):
+    """Run the coordinator, then the baseline, against the stub.  Returns the
+    (text, times of the frames carried) of each stage's requests."""
+    cfg = EndpointConfig(base_url=stub_server, model_name="stub-model",
+                         timeout=5, image_mode="path")
+    backend = RemoteBackend(cfg)
+    trace = run_case(manifest, backend, backend, CoordinatorConfig())
+    assert not trace.aborted
+    n_coordinator = len(_StubHandler.captured)
+    run_baseline_case(manifest, backend)
+    time_of = {f.image_path: f.t for f in manifest.frames}
+    sent = []
+    for call in _StubHandler.captured:
+        text_part, *image_parts = call["body"]["messages"][0]["content"]
+        sent.append((text_part["text"], [time_of[p["image_url"]["url"]] for p in image_parts]))
+    return sent[:n_coordinator], sent[n_coordinator:]
+
+
+def _baseline_texts(manifest):
+    baseline = load_prompt("baseline_detect")
+    return [baseline.render((), True, start=w.start, end=w.end)
+            for w in build_windows(manifest.duration).windows]
+
+
+def test_clean_frame_prompts_list_carried_times(stub_server):
+    """Every fast, slow and baseline request on a clean-frame manifest lists
+    exactly the times of the frames it carries."""
+    manifest = dataclasses.replace(grid_manifest(duration=3.0), pre_overlaid=False)
+    coordinator, baseline = _run_all_stages(stub_server, manifest)
+    heads = []
+    for text, times in coordinator + baseline:
+        head, sep, listing = text.rpartition(_LISTING)
+        assert sep and times
+        assert listing == ", ".join(f"{t:.1f}s" for t in times) + "\n"
+        heads.append(head)
+    assert set(heads[:len(coordinator)]) == {FAST_TEXT, SLOW_TEXT}
+    assert heads[len(coordinator):] == _baseline_texts(manifest)
+
+
+def test_overlaid_frame_prompts_are_template_text(stub_server):
+    """With burned-in timestamps the prompts carry no listing: fast and slow
+    send the template text, the baseline its rendered window."""
+    manifest = grid_manifest(duration=3.0)
+    coordinator, baseline = _run_all_stages(stub_server, manifest)
+    assert {text for text, _ in coordinator} == {FAST_TEXT, SLOW_TEXT}
+    assert [text for text, _ in baseline] == _baseline_texts(manifest)
+
+
+def test_missing_image_aborts_case(stub_server, tmp_path):
+    """An unreadable frame image ends the case as an aborted trace before any
+    request is sent."""
+    cfg = EndpointConfig(base_url=stub_server, model_name="stub-model", timeout=5)
+    backend = RemoteBackend(cfg)  # base64 mode reads the image
+    missing = str(tmp_path / "missing.jpg")
+    manifest = FrameManifest(case_id="gone", fps_native=10.0,
+                             frames=(Frame(t=0.0, image_path=missing),
+                                     Frame(t=1.0, image_path=missing)))
+    trace = run_case(manifest, backend, backend, CoordinatorConfig())
+    assert trace.aborted
+    assert _StubHandler.captured == []
+    with pytest.raises(TransportError, match="missing.jpg"):
+        backend.fast_raw(FAST_TEXT, manifest.frames[0])

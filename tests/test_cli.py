@@ -3,6 +3,7 @@ output-file stability."""
 
 import csv
 import json
+import socket
 
 import pytest
 
@@ -10,6 +11,11 @@ from streamguard.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 from streamguard.model import DecisionTrace
 
 from helpers import ann_set, grid_manifest, make_ann
+
+
+def read_csv(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture()
@@ -108,7 +114,7 @@ def test_eval_baseline_and_metrics_pipeline(workdir, capsys):
                  "--annotations", str(workdir / "anns.json"),
                  "--model", "baseline", "--out", str(report_csv)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(report_csv.open()))
+    rows = read_csv(report_csv)
     assert len(rows) == 1
     assert rows[0]["model"] == "baseline"
     assert float(rows[0]["hdr"]) == pytest.approx(1.0)
@@ -131,7 +137,7 @@ def test_metrics_custom_score_table(workdir):
     assert main(["metrics", "--preds", str(preds),
                  "--annotations", str(workdir / "anns.json"),
                  "--scores", str(scores), "--out", str(out)]) == EXIT_OK
-    row = next(csv.DictReader(out.open()))
+    [row] = read_csv(out)
     assert float(row["wss"]) == pytest.approx(80.0)
 
 
@@ -157,7 +163,7 @@ def test_errors_command(workdir, capsys):
     assert main(["errors", "--preds", str(preds),
                  "--annotations", str(workdir / "anns.json"),
                  "--out", str(out)]) == EXIT_OK
-    rows = {r["case_id"]: r["error_type"] for r in csv.DictReader(out.open())}
+    rows = {r["case_id"]: r["error_type"] for r in read_csv(out)}
     assert rows == {"c0": "over_reaction", "c1": "visual_omission"}
     assert "over_reaction=0.5000" in capsys.readouterr().out
 
@@ -178,7 +184,7 @@ def test_agreement_command_byte_stable(workdir, capsys):
                      "--b", str(workdir / "b.json"), "--out", str(out)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
 
-    rows = list(csv.DictReader(out1.open()))
+    rows = read_csv(out1)
     assert [r["field"] for r in rows] == [
         "intent_onset", "pnr", "intervention_deadline", "impact", "action_end"]
     pnr_row = rows[1]
@@ -194,7 +200,7 @@ def test_ablate_command(workdir, capsys):
                  "--slow", f"scripted:{workdir / 'slow.json'}",
                  "--fps", "1,5", "--out", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert [r["fps"] for r in rows] == ["1.0", "5.0"]
     wss = {r["fps"]: float(r["wss"]) for r in rows}
     assert wss["5.0"] > wss["1.0"]
@@ -208,6 +214,22 @@ def test_ablate_bad_fps_list(workdir, capsys):
                  "--slow", f"scripted:{workdir / 'slow.json'}",
                  "--fps", "1,banana", "--out", str(workdir / "s.csv")])
     assert code == EXIT_IO
+
+
+def test_eval_baseline_unreachable_endpoint_is_backend_error(workdir, capsys):
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    endpoint = {"base_url": f"http://127.0.0.1:{port}", "model_name": "m",
+                "timeout": 5, "max_retries": 0, "image_mode": "path"}
+    (workdir / "endpoint.json").write_text(json.dumps(endpoint), encoding="utf-8")
+    preds = workdir / "preds.jsonl"
+    code = main(["eval-baseline", "--manifest", str(workdir / "manifests.json"),
+                 "--backend", f"remote:{workdir / 'endpoint.json'}",
+                 "--out", str(preds)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("backend_error: case c0: ")
+    assert preds.read_text() == ""  # the failed case is not scored as safe
 
 
 def test_run_negative_scripted_latency_is_backend_error(workdir, capsys):

@@ -251,7 +251,7 @@ def test_backend_timeout_aborts_with_partial_trace():
 
 
 class GarbageSlow:
-    def slow_raw(self, query):
+    def slow_raw(self, prompt_text, window):
         return "total nonsense with no marker", 0.5
 
 
@@ -296,7 +296,7 @@ def _random_case(rng):
     return manifest, fast, slow_script(slow_rules)
 
 
-def _check_protocol(trace, cfg):
+def _check_protocol(trace, cfg, manifest):
     # (a) rate correctness: each inter-sample gap matches the prior state
     samples = trace.events_of(FrameSampled)
     states = {round(s.t * _US): s.state for s in trace.events_of(FastState)}
@@ -329,6 +329,13 @@ def _check_protocol(trace, cfg):
     times = [ev.t for ev in trace.events]
     assert all(a <= b + 1e-9 for a, b in zip(times, times[1:]))
 
+    # (e) each slow window is 1..k time-ordered frames ending at the trigger frame
+    for d in trace.events_of(SlowDispatched):
+        window = d.window_frame_times
+        assert 1 <= len(window) <= cfg.window_size
+        assert all(a <= b for a, b in zip(window, window[1:]))
+        assert window[-1] == manifest.latest_frame_at(d.trigger_t).t
+
 
 def test_randomized_protocol_properties():
     rng = random.Random(7)
@@ -336,7 +343,7 @@ def test_randomized_protocol_properties():
         manifest, fast, slow = _random_case(rng)
         trace = run_case(manifest, fast, slow, CFG)
         assert not trace.aborted
-        _check_protocol(trace, CFG)
+        _check_protocol(trace, CFG, manifest)
 
 
 def test_reruns_are_bit_identical():
