@@ -13,6 +13,7 @@ import base64
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -59,8 +60,12 @@ class PromptTemplate:
         return out
 
 
+@cache
 def load_prompt(name: str) -> PromptTemplate:
-    """Load one of the bundled templates: fast, slow, baseline_detect, severity."""
+    """Load one of the bundled templates: fast, slow, baseline_detect, severity.
+
+    Each file is read once; the frozen template is shared by every caller.
+    """
     text = resources.files("streamguard.prompts").joinpath(f"{name}.txt").read_text(encoding="utf-8")
     return PromptTemplate(name=name, text=text)
 

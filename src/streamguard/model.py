@@ -8,6 +8,7 @@ encoding (snake_case field names).  The JSON dicts produced by
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
@@ -332,23 +333,25 @@ class FrameManifest:
     def __post_init__(self):
         if not self.frames:
             raise SchemaError(f"manifest for {self.case_id} has no frames")
-        times = [f.t for f in self.frames]
+        times = tuple(f.t for f in self.frames)
+        if not all(math.isfinite(x) and x >= 0 for x in times):
+            raise SchemaError(f"manifest for {self.case_id} has a frame time that is "
+                              "not finite and non-negative")
         if any(a > b for a, b in zip(times, times[1:])):
             raise SchemaError(f"manifest for {self.case_id} frames not time-ordered")
+        # Not a field: kept out of repr, ==, hash, to_dict and replace.
+        object.__setattr__(self, "_times", times)
 
     @property
     def duration(self) -> float:
         return self.frames[-1].t
 
     def latest_frame_at(self, t: float) -> Frame:
-        """The most recent frame with timestamp <= t (the first frame if none)."""
-        best = self.frames[0]
-        for frame in self.frames:
-            if frame.t <= t + _EPS:
-                best = frame
-            else:
-                break
-        return best
+        """The last frame with timestamp <= t + _EPS (the first frame if none).
+
+        A binary search over the frame times cached at construction: O(log n).
+        """
+        return self.frames[max(bisect_right(self._times, t + _EPS) - 1, 0)]
 
     def to_dict(self) -> dict:
         return {

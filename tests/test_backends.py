@@ -35,6 +35,7 @@ def test_load_bundled_prompts():
     for name in ("fast", "slow", "baseline_detect", "severity"):
         prompt = load_prompt(name)
         assert prompt.name == name and prompt.text
+        assert load_prompt(name) is prompt  # each file is read once
 
 
 def test_render_substitutes_window():
@@ -177,7 +178,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     _StubHandler.captured = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

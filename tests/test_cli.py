@@ -3,7 +3,12 @@ output-file stability."""
 
 import csv
 import json
+import math
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +290,42 @@ def test_unsamplable_rate_is_rejected(workdir, capsys):
                  "--fps", "1,inf", "--out", str(workdir / "s.csv")])
     assert code == EXIT_DOMAIN
     assert "sweep_error" in capsys.readouterr().err
+
+
+def _write_manifest_with_time(workdir, index, t):
+    """Manifests whose frame ``index`` has time ``t`` and is otherwise in order."""
+    manifest = grid_manifest(case_id="c0", duration=2.0).to_dict()
+    manifest["frames"][index]["t"] = t  # json writes NaN / Infinity literals
+    path = workdir / "bad_manifest.json"
+    path.write_text(json.dumps([manifest]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("index,t", [(5, math.nan), (0, -1.0)])
+def test_run_bad_frame_time_is_manifest_error(workdir, capsys, index, t):
+    code = main(["run", "--manifest", str(_write_manifest_with_time(workdir, index, t)),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--out", str(workdir / "x.jsonl")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("manifest_error: manifest for c0 has a frame time ")
+
+
+def test_run_infinite_frame_time_is_manifest_error(workdir):
+    # In a child process: an accepted infinite frame time on a case that never
+    # alerts samples forever.
+    (workdir / "quiet.json").write_text(json.dumps({"fast_schedule": []}), encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "streamguard.cli", "run",
+         "--manifest", str(_write_manifest_with_time(workdir, -1, math.inf)),
+         "--fast", f"scripted:{workdir / 'quiet.json'}",
+         "--slow", f"scripted:{workdir / 'slow.json'}",
+         "--out", str(workdir / "x.jsonl")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert result.returncode == EXIT_IO
+    assert result.stderr.startswith("manifest_error: manifest for c0 has a frame time ")
 
 
 def test_run_overwrites_out(workdir):

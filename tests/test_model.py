@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from streamguard.model import (
     event_from_dict,
     event_to_dict,
     format_stream_time,
+    _EPS,
 )
 
 from helpers import fast_script, grid_manifest, make_ann, slow_script
@@ -221,6 +223,60 @@ def test_latest_frame_at():
     assert m.latest_frame_at(2.2).t == 2.1
     assert m.latest_frame_at(50.0).t == 2.1
     assert m.duration == 2.1
+
+
+@pytest.mark.parametrize("times", [
+    (0.0, math.nan, 2.0),  # NaN compares false, so it passed the ordering check
+    (0.0, math.inf),       # an infinite duration made run_case sample forever
+    (-math.inf, 0.0),
+    (-0.5, 0.0),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_manifest_rejects_bad_frame_time(times):
+    with pytest.raises(SchemaError, match="manifest for c has a frame time"):
+        FrameManifest(case_id="c", fps_native=10.0, frames=tuple(Frame(t=t) for t in times))
+
+
+def _linear_latest_frame_at(m, t):
+    """The lookup rule as a linear scan: the reference for the bisect."""
+    best = m.frames[0]
+    for frame in m.frames:
+        if frame.t <= t + _EPS:
+            best = frame
+        else:
+            break
+    return best
+
+
+@st.composite
+def _frame_times(draw):
+    """1..200 sorted times with exact duplicates and near-duplicates within _EPS."""
+    base = draw(st.lists(st.floats(0, 1e4), min_size=1, max_size=150))
+    extra = draw(st.lists(st.tuples(st.sampled_from(base),
+                                    st.sampled_from([0.0, _EPS / 2, _EPS, 2 * _EPS])),
+                          max_size=50))
+    return sorted(base + [t + d for t, d in extra])
+
+
+@given(_frame_times(), st.lists(st.floats(-10, 2e4), max_size=10))
+def test_latest_frame_at_matches_linear_scan(times, extra_probes):
+    frames = tuple(Frame(t=t, image_path=f"{i}.jpg") for i, t in enumerate(times))
+    m = FrameManifest(case_id="c", fps_native=30.0, frames=frames)
+    h = hash(m)
+    probes = [times[0] - 1.0, times[-1] + 1.0, *extra_probes]
+    for t in times:
+        probes += [t, t - _EPS / 2, t + _EPS / 2, t - 2 * _EPS, t + 2 * _EPS]
+    for t in probes:
+        assert m.latest_frame_at(t) is _linear_latest_frame_at(m, t), t
+
+    # The cached times are not part of the value.
+    assert [f.name for f in fields(m)] == ["case_id", "fps_native", "frames", "pre_overlaid"]
+    assert "_times" not in repr(m)
+    assert set(m.to_dict()) == {"case_id", "fps_native", "frames", "pre_overlaid"}
+    assert FrameManifest.from_dict(m.to_dict()) == m
+    assert hash(m) == h == hash(FrameManifest.from_dict(m.to_dict()))
+    # replace() rebuilds the cache from the new frames.
+    head = replace(m, frames=frames[:1])
+    assert head.latest_frame_at(times[-1] + 1.0) is frames[0]
 
 
 def test_manifest_roundtrip():
