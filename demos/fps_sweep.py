@@ -16,25 +16,26 @@ from streamguard import (
     ScheduleRule,
     ScriptedBackend,
 )
-from streamguard.ablation import CasePair, sweep_fps
+from streamguard.ablation import sweep_fps
 from streamguard.annotations import AnnotationSet
 
-cases = []
+# Every case shares one backend pair: the scripts are keyed on stream time.
+fast = ScriptedBackend(fast_schedule=[
+    ScheduleRule(0.0, 0.9, {"state": "green"}),
+    ScheduleRule(0.9, 1.3, {"state": "yellow"}),
+    ScheduleRule(1.3, 1.75, {"state": "red"}),
+    ScheduleRule(1.75, 99.0, {"state": "green"}),
+])
+slow = ScriptedBackend(slow_responses=[
+    ScheduleRule(0.0, 99.0, {"verdict": 0, "latency": 0.3})])
+
+manifests = []
 anns = {}
 for i in range(10):
     cid = f"burst-{i}"
-    manifest = FrameManifest(
+    manifests.append(FrameManifest(
         case_id=cid, fps_native=10.0,
-        frames=tuple(Frame(t=round(0.1 * j, 1)) for j in range(51)))
-    fast = ScriptedBackend(fast_schedule=[
-        ScheduleRule(0.0, 0.9, {"state": "green"}),
-        ScheduleRule(0.9, 1.3, {"state": "yellow"}),
-        ScheduleRule(1.3, 1.75, {"state": "red"}),
-        ScheduleRule(1.75, 99.0, {"state": "green"}),
-    ])
-    slow = ScriptedBackend(slow_responses=[
-        ScheduleRule(0.0, 99.0, {"verdict": 0, "latency": 0.3})])
-    cases.append(CasePair(manifest=manifest, fast=fast, slow=slow))
+        frames=tuple(Frame(t=round(0.1 * j, 1)) for j in range(51))))
     anns[cid] = CaseAnnotation(
         case_id=cid, location="study", danger_category="C1", severity="L2",
         difficulty="D1",
@@ -44,7 +45,7 @@ for i in range(10):
         key_entities=("cable",), duration=5.0,
     )
 
-rows = sweep_fps(cases, AnnotationSet(cases=anns), [1.0, 2.0, 5.0, 10.0],
+rows = sweep_fps(manifests, fast, slow, AnnotationSet(cases=anns), [1.0, 2.0, 5.0, 10.0],
                  CoordinatorConfig())
 print(f"{'rate (Hz)':>10}  {'hdr':>6}  {'wss':>7}  {'mean latency':>12}")
 for row in rows:

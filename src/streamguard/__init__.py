@@ -9,12 +9,8 @@ from .backends import (
     ScriptedBackend,
     load_prompt,
 )
-from .baseline import WindowPlan, build_windows, emit_overlay_labels, run_baseline_case
-from .coordinator import (
-    CoordinatorConfig,
-    run_case,
-    summarize_latency,
-)
+from .baseline import WindowPlan, build_windows, run_baseline_case
+from .coordinator import CoordinatorConfig, run_case
 from .metrics import (
     ErrorType,
     MetricsReport,

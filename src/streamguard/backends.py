@@ -12,14 +12,14 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
 import requests
 
-from .model import Frame, SchemaError
+from .model import DECODE_ERRORS, Frame, SchemaError, decode_error
 
 
 class BackendError(Exception):
@@ -129,14 +129,17 @@ class ScriptedBackend:
                 for r in d.get(key, [])
             )
 
-        faults = d.get("faults", {})
-        return cls(
-            fast_schedule=rules("fast_schedule"),
-            slow_responses=rules("slow_responses"),
-            baseline_responses=rules("baseline_responses"),
-            malformed=faults.get("malformed", []),
-            timeout=faults.get("timeout", []),
-        )
+        try:
+            faults = d.get("faults", {})
+            return cls(
+                fast_schedule=rules("fast_schedule"),
+                slow_responses=rules("slow_responses"),
+                baseline_responses=rules("baseline_responses"),
+                malformed=faults.get("malformed", []),
+                timeout=faults.get("timeout", []),
+            )
+        except DECODE_ERRORS as exc:
+            raise decode_error("scripted backend", d, exc) from exc
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
@@ -215,14 +218,17 @@ class EndpointConfig:
     def from_file(cls, path: str) -> "EndpointConfig":
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        return cls(
-            base_url=d["base_url"],
-            model_name=d["model_name"],
-            auth_token_env_var_name=d.get("auth_token_env_var_name", ""),
-            timeout=float(d.get("timeout", 60.0)),
-            max_retries=int(d.get("max_retries", 2)),
-            image_mode=d.get("image_mode", "base64"),
-        )
+        try:
+            return cls(
+                base_url=d["base_url"],
+                model_name=d["model_name"],
+                auth_token_env_var_name=d.get("auth_token_env_var_name", ""),
+                timeout=float(d.get("timeout", 60.0)),
+                max_retries=int(d.get("max_retries", 2)),
+                image_mode=d.get("image_mode", "base64"),
+            )
+        except DECODE_ERRORS as exc:
+            raise decode_error(f"endpoint config {path}", d, exc) from exc
 
 
 class RemoteBackend:

@@ -6,14 +6,13 @@ aggregation of window verdicts into a single prediction per case.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .backends import PromptTemplate, load_prompt
-from .model import _EPS, Frame, FrameManifest, PredictionRecord, format_stream_time
+from .model import _EPS, FrameManifest, PredictionRecord
 from .parsing import FormatError, parse_baseline_verdict, parse_severity_verdict
 
 log = logging.getLogger(__name__)
@@ -68,7 +67,6 @@ def run_baseline_case(manifest: FrameManifest, backend,
                       fps: float = DEFAULT_FPS,
                       length: float = DEFAULT_WINDOW_LENGTH,
                       stride: float = DEFAULT_STRIDE,
-                      early_exit: bool = False,
                       with_severity: bool = False) -> PredictionRecord:
     """Evaluate one case window by window and aggregate to a single record.
 
@@ -99,8 +97,6 @@ def run_baseline_case(manifest: FrameManifest, backend,
         n_parsed += 1
         if verdict != "safe":
             hazard_times.append(float(verdict))
-            if early_exit:
-                break
 
     severity_claim = None
     if with_severity and raws:
@@ -125,28 +121,3 @@ def run_baseline_case(manifest: FrameManifest, backend,
                             severity_claim=severity_claim,
                             reasoning_text=reasoning, raw_output=reasoning,
                             parse_detail="; ".join(format_details))
-
-
-def emit_overlay_labels(frames: Sequence[Frame], out_path: str) -> int:
-    """Write per-frame timestamp label records for an external burner tool.
-
-    One JSON line per frame: image path, display text at 0.1 s resolution,
-    anchor and colors.  Returns the number of records written.
-    """
-    times = [f.t for f in frames]
-    if any(a > b for a, b in zip(times, times[1:])):
-        raise ValueError("frames must be time-ordered")
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for frame in frames:
-                record = {
-                    "image_path": frame.image_path,
-                    "text": format_stream_time(frame.t),
-                    "anchor": "top-left",
-                    "fg": "red",
-                    "bg": "white",
-                }
-                fh.write(json.dumps(record) + "\n")
-    except OSError as exc:
-        raise IOError(f"cannot write {out_path}: {exc}") from exc
-    return len(frames)

@@ -28,7 +28,6 @@ from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
 from .metrics import ErrorType, MetricsError, build_report, case_errors
 from .model import (
-    DecisionTrace,
     FrameManifest,
     ModelError,
     Phase,
@@ -75,7 +74,7 @@ def _make_backend(spec: str):
     if spec.startswith("remote:"):
         try:
             return RemoteBackend(EndpointConfig.from_file(spec[len("remote:"):]))
-        except (OSError, json.JSONDecodeError, KeyError, ModelError) as exc:
+        except (OSError, json.JSONDecodeError, ModelError) as exc:
             raise CliError(EXIT_IO, f"backend_error: {exc}")
     raise CliError(EXIT_IO, f"backend_error: unknown backend spec {spec!r} "
                             "(use scripted:<path> or remote:<path>)")
@@ -91,7 +90,7 @@ def _load_predictions(path: str) -> list:
                     preds.append(PredictionRecord.from_dict(json.loads(line)))
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except (json.JSONDecodeError, ModelError, KeyError) as exc:
+    except (json.JSONDecodeError, ModelError) as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
     return preds
 
@@ -263,9 +262,8 @@ def cmd_ablate(args) -> int:
     except ValueError as exc:
         print(f"config_error: bad --fps list: {exc}", file=sys.stderr)
         return EXIT_IO
-    cases = [ablation_mod.CasePair(manifest=m, fast=fast, slow=slow) for m in manifests]
     try:
-        rows = ablation_mod.sweep_fps(cases, anns, fps_list, cfg)
+        rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list, cfg)
     except (ValueError, MetricsError) as exc:
         print(f"sweep_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -19,7 +19,6 @@ from .backends import BackendError, load_prompt
 from .model import (
     Alert,
     AlertSource,
-    CaseAnnotation,
     DecisionTrace,
     FastState,
     FrameManifest,
@@ -38,14 +37,9 @@ log = logging.getLogger(__name__)
 _US = 1_000_000
 
 
-class NoAlert(Exception):
-    """The trace contains no alert; the case is excluded from latency means."""
-
-
 @dataclass(frozen=True)
 class CoordinatorConfig:
     window_size: int = 3
-    stop_on_first_alert: bool = True
     clock: str = "sim"  # "sim" | "real"
     fail_toward_caution: bool = True
     gamma_low: float = 1.0
@@ -128,10 +122,11 @@ class _PendingSlow:
 def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> DecisionTrace:
     """Run the dual-brain protocol over one frame stream.
 
-    Returns the full event trace.  Backend failures abort the case with a
-    partial trace flagged ``aborted``; unparseable FastBrain output is
-    treated as Yellow when ``fail_toward_caution`` is set.  Each prompt is
-    rendered here, from the manifest, for the frames it is sent with.
+    Returns the full event trace; the first alert, fast or slow, ends the
+    run.  Backend failures abort the case with a partial trace flagged
+    ``aborted``; unparseable FastBrain output is treated as Yellow when
+    ``fail_toward_caution`` is set.  Each prompt is rendered here, from the
+    manifest, for the frames it is sent with.
     """
     fast_template = load_prompt("fast")
     slow_template = load_prompt("slow")
@@ -151,17 +146,18 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     t_next_us = 0
 
     def deliver_verdict(p: _PendingSlow) -> bool:
-        """Record an arrived slow verdict; returns True when the run stops."""
+        """Record an arrived slow verdict; a DANGER verdict alerts, and True
+        tells the caller that the alert ends the run."""
         nonlocal alert, end_to_end
         clock.wait_until(p.arrival_t)
         events.append(SlowVerdict(trigger_t=p.trigger_t, arrival_t=p.arrival_t,
                                   verdict=p.verdict))
-        if p.verdict == 1 and alert is None:
-            alert = Alert(t_alert=p.arrival_t, source=AlertSource.SLOW)
-            events.append(alert)
-            end_to_end = p.arrival_t - p.trigger_t
-            return cfg.stop_on_first_alert
-        return False
+        if p.verdict != 1:
+            return False
+        alert = Alert(t_alert=p.arrival_t, source=AlertSource.SLOW)
+        events.append(alert)
+        end_to_end = p.arrival_t - p.trigger_t
+        return True
 
     try:
         while True:
@@ -200,14 +196,11 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
             if state == SafetyState.RED:
                 if pending is not None:
                     events.append(Override(t=t_next))
-                    pending.future.cancel()
-                    pending = None  # a Red decision makes the verdict moot
-                if alert is None:
-                    alert = Alert(t_alert=frame.t, source=AlertSource.FAST)
-                    events.append(alert)
-                    end_to_end = (t_next - frame.t) + latency
-                if cfg.stop_on_first_alert:
-                    break
+                    pending.future.cancel()  # a Red decision makes the verdict moot
+                alert = Alert(t_alert=frame.t, source=AlertSource.FAST)
+                events.append(alert)
+                end_to_end = (t_next - frame.t) + latency
+                break
             elif state == SafetyState.YELLOW:
                 if pending is None:
                     window = tuple(sampled_frames[-cfg.window_size:])
@@ -243,13 +236,3 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
         physical_stop_time=None if alert is None else alert.t_alert + cfg.actuation_lag,
         aborted=aborted,
     )
-
-
-def summarize_latency(trace: DecisionTrace, ann: CaseAnnotation) -> dict:
-    """End-to-end latency and reaction bias (negative = early) for one trace."""
-    if trace.alert_stream_time is None:
-        raise NoAlert(f"case {trace.case_id} produced no alert")
-    return {
-        "end_to_end": trace.end_to_end_latency,
-        "reaction_bias": trace.alert_stream_time - ann.key_frames.intent_onset,
-    }

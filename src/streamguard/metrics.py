@@ -144,11 +144,6 @@ def mentioned_entities(text: str, entities: Sequence[str]) -> list:
     return hits
 
 
-def error_rates(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
-    """Error-type fractions over the full annotation set."""
-    return build_report(preds, anns).error_fractions
-
-
 def case_errors(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
     """Each annotated case's error type, keyed by case_id in annotation order."""
     if len(anns) < 1:

@@ -42,6 +42,23 @@ class SchemaError(ModelError):
     """A field is missing, has the wrong type, or is outside its closed set."""
 
 
+# What a decoder turns into a SchemaError: a wrong shape or type, or a nested
+# decoder's SchemaError, which the outer one prefixes with its context.  A
+# decoder whose constructor already names the case constructs outside the try.
+DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, SchemaError)
+
+
+def decode_error(what: str, d, exc: Exception) -> SchemaError:
+    """The one-line SchemaError for a JSON value ``d`` that did not decode as ``what``."""
+    if not isinstance(d, dict):
+        return SchemaError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if "case_id" in d:
+        what = f"{what} {d['case_id']}"
+    if isinstance(exc, KeyError):
+        return SchemaError(f"missing field {exc} in {what}")
+    return SchemaError(f"{what}: {exc}")
+
+
 class SafetyState(str, Enum):
     GREEN = "green"
     YELLOW = "yellow"
@@ -64,13 +81,6 @@ class Phase(str, Enum):
 class AlertSource(str, Enum):
     FAST = "fast"
     SLOW = "slow"
-
-
-def format_stream_time(seconds: float) -> str:
-    """Render a stream time the way it is burned onto frames: ``t=X.Xs``."""
-    if seconds < 0:
-        raise ValueError(f"stream time must be non-negative, got {seconds}")
-    return f"t={seconds:.1f}s"
 
 
 @dataclass(frozen=True)
@@ -117,18 +127,15 @@ class KeyFrames:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KeyFrames":
-        if "intervention_deadline" in d:
-            deadline = d["intervention_deadline"]
-        else:
+        try:
+            intent, pnr = float(d["intent_onset"]), float(d["pnr"])
             # Loaders may synthesize the deadline when the file omits it.
-            deadline = max(float(d["pnr"]) - DEADLINE_OFFSET, float(d["intent_onset"]))
-        return cls(
-            intent_onset=float(d["intent_onset"]),
-            pnr=float(d["pnr"]),
-            intervention_deadline=float(deadline),
-            impact=float(d["impact"]),
-            action_end=float(d["action_end"]),
-        )
+            deadline = (float(d["intervention_deadline"]) if "intervention_deadline" in d
+                        else max(pnr - DEADLINE_OFFSET, intent))
+            return cls(intent_onset=intent, pnr=pnr, intervention_deadline=deadline,
+                       impact=float(d["impact"]), action_end=float(d["action_end"]))
+        except DECODE_ERRORS as exc:
+            raise decode_error("key_frames", d, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,10 @@ class CaseAnnotation:
             raise SchemaError(
                 f"case {self.case_id}: key_entities required for {self.difficulty} cases"
             )
-        if any(e != e.lower() or not e for e in self.key_entities):
+        if any(not isinstance(e, str) or e != e.lower() or not e for e in self.key_entities):
             raise SchemaError(f"case {self.case_id}: key_entities must be non-empty lowercase strings")
+        if not isinstance(self.is_valid, bool):
+            raise SchemaError(f"case {self.case_id}: is_valid must be a boolean, got {self.is_valid!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -184,19 +193,23 @@ class CaseAnnotation:
     @classmethod
     def from_dict(cls, d: dict) -> "CaseAnnotation":
         try:
-            return cls(
+            entities = d.get("key_entities", [])
+            if not isinstance(entities, list):
+                raise TypeError(f"key_entities must be a list of strings, got {entities!r}")
+            kw = dict(
                 case_id=str(d["case_id"]),
                 location=d["location"],
                 danger_category=d["danger_category"],
                 severity=d["severity"],
                 difficulty=d["difficulty"],
                 key_frames=KeyFrames.from_dict(d["key_frames"]),
-                key_entities=tuple(d.get("key_entities", [])),
+                key_entities=tuple(entities),
                 duration=float(d["duration"]),
-                is_valid=bool(d.get("is_valid", True)),
+                is_valid=d.get("is_valid", True),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc} in case {d.get('case_id', '?')}") from exc
+        except DECODE_ERRORS as exc:
+            raise decode_error("case", d, exc) from exc
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -294,16 +307,19 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
-        return cls(
-            case_id=str(d["case_id"]),
-            verdict=d["verdict"],
-            timestamp=None if d.get("timestamp") is None else float(d["timestamp"]),
-            severity_claim=d.get("severity_claim"),
-            reasoning_text=d.get("reasoning_text", ""),
-            raw_output=d.get("raw_output", ""),
-            parse_status=d.get("parse_status", "ok"),
-            parse_detail=d.get("parse_detail", ""),
-        )
+        try:
+            return cls(
+                case_id=str(d["case_id"]),
+                verdict=d["verdict"],
+                timestamp=None if d.get("timestamp") is None else float(d["timestamp"]),
+                severity_claim=d.get("severity_claim"),
+                reasoning_text=d.get("reasoning_text", ""),
+                raw_output=d.get("raw_output", ""),
+                parse_status=d.get("parse_status", "ok"),
+                parse_detail=d.get("parse_detail", ""),
+            )
+        except DECODE_ERRORS as exc:
+            raise decode_error("prediction", d, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -318,7 +334,10 @@ class Frame:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Frame":
-        return cls(t=float(d["t"]), image_path=d.get("image_path", ""))
+        try:
+            return cls(t=float(d["t"]), image_path=d.get("image_path", ""))
+        except DECODE_ERRORS as exc:
+            raise decode_error("frame", d, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -339,6 +358,9 @@ class FrameManifest:
                               "not finite and non-negative")
         if any(a > b for a, b in zip(times, times[1:])):
             raise SchemaError(f"manifest for {self.case_id} frames not time-ordered")
+        if not isinstance(self.pre_overlaid, bool):
+            raise SchemaError(f"manifest for {self.case_id}: pre_overlaid must be a boolean, "
+                              f"got {self.pre_overlaid!r}")
         # Not a field: kept out of repr, ==, hash, to_dict and replace.
         object.__setattr__(self, "_times", times)
 
@@ -363,12 +385,16 @@ class FrameManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameManifest":
-        return cls(
-            case_id=str(d["case_id"]),
-            fps_native=float(d.get("fps_native", 10.0)),
-            frames=tuple(Frame.from_dict(f) for f in d["frames"]),
-            pre_overlaid=bool(d.get("pre_overlaid", True)),
-        )
+        try:
+            kw = dict(
+                case_id=str(d["case_id"]),
+                fps_native=float(d.get("fps_native", 10.0)),
+                frames=tuple(Frame.from_dict(f) for f in d["frames"]),
+                pre_overlaid=d.get("pre_overlaid", True),
+            )
+        except DECODE_ERRORS as exc:
+            raise decode_error("manifest", d, exc) from exc
+        return cls(**kw)
 
 
 # --- Trace events ------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Sampling-rate sweeps and the latency/safety frontier."""
+"""Sampling-rate sweeps."""
 
 import pytest
 
-from streamguard.ablation import CasePair, frontier, sweep_fps
+from streamguard.ablation import sweep_fps
 from streamguard.coordinator import CoordinatorConfig
 from streamguard.metrics import EmptyDataset
 from streamguard.model import Phase
@@ -17,24 +17,24 @@ def burst_suite(n_cases=6):
 
     A 5 Hz alert lands at 1.4 s (optimal window [1.0, 1.5]); at 1 Hz the
     Red burst falls between samples and the case is missed entirely.
+    Every case shares one backend pair.  Returns (manifests, fast, slow, anns).
     """
-    cases = []
+    fast = fast_script([(0.0, 0.9, "green"), (0.9, 1.35, "yellow"),
+                        (1.35, 1.75, "red"), (1.75, 99.0, "green")])
+    slow = slow_script([(0.0, 99.0, 0, 0.3)])
+    manifests = []
     anns = []
     for i in range(n_cases):
         cid = f"burst-{i}"
-        manifest = grid_manifest(case_id=cid, duration=5.0)
-        fast = fast_script([(0.0, 0.9, "green"), (0.9, 1.35, "yellow"),
-                            (1.35, 1.75, "red"), (1.75, 99.0, "green")])
-        slow = slow_script([(0.0, 99.0, 0, 0.3)])
-        cases.append(CasePair(manifest=manifest, fast=fast, slow=slow))
+        manifests.append(grid_manifest(case_id=cid, duration=5.0))
         anns.append(make_ann(case_id=cid, intent=1.0, deadline=1.5, pnr=1.7,
                              impact=2.0, end=2.5, duration=5.0))
-    return cases, ann_set(*anns)
+    return manifests, fast, slow, ann_set(*anns)
 
 
 def test_sweep_fps_burst_sensitivity():
-    cases, anns = burst_suite()
-    rows = sweep_fps(cases, anns, [1.0, 5.0], CFG)
+    manifests, fast, slow, anns = burst_suite()
+    rows = sweep_fps(manifests, fast, slow, anns, [1.0, 5.0], CFG)
     by_fps = {row["fps"]: row for row in rows}
     assert by_fps[5.0]["wss"] > by_fps[1.0]["wss"]
     assert by_fps[5.0]["hdr"] == pytest.approx(1.0)
@@ -44,37 +44,16 @@ def test_sweep_fps_burst_sensitivity():
 
 
 def test_sweep_fps_row_order_matches_input():
-    cases, anns = burst_suite(2)
-    rows = sweep_fps(cases, anns, [5.0, 1.0, 2.0], CFG)
+    manifests, fast, slow, anns = burst_suite(2)
+    rows = sweep_fps(manifests, fast, slow, anns, [5.0, 1.0, 2.0], CFG)
     assert [row["fps"] for row in rows] == [5.0, 1.0, 2.0]
 
 
 def test_sweep_fps_validation():
-    cases, anns = burst_suite(1)
+    manifests, fast, slow, anns = burst_suite(1)
     with pytest.raises(ValueError):
-        sweep_fps(cases, anns, [], CFG)
+        sweep_fps(manifests, fast, slow, anns, [], CFG)
     with pytest.raises(ValueError):
-        sweep_fps(cases, anns, [0.0], CFG)
+        sweep_fps(manifests, fast, slow, anns, [0.0], CFG)
     with pytest.raises(EmptyDataset):
-        sweep_fps([], anns, [5.0], CFG)
-
-
-def test_frontier_flags_dominated_configs():
-    cases, anns = burst_suite(4)
-    rows = frontier(cases, anns, [
-        {"name": "fast-sampling", "cfg": CFG},
-        {"name": "slow-sampling", "cfg": CoordinatorConfig(gamma_high=1.0)},
-    ])
-    by_name = {row["name"]: row for row in rows}
-    # the 5 Hz config detects everything; the 1 Hz one detects nothing
-    assert by_name["fast-sampling"]["wss"] > by_name["slow-sampling"]["wss"]
-    assert by_name["slow-sampling"]["dominated"]
-    assert not by_name["fast-sampling"]["dominated"]
-
-
-def test_frontier_validation():
-    cases, anns = burst_suite(1)
-    with pytest.raises(ValueError):
-        frontier(cases, anns, [])
-    with pytest.raises(EmptyDataset):
-        frontier([], anns, [{"name": "x", "cfg": CFG}])
+        sweep_fps([], fast, slow, anns, [5.0], CFG)

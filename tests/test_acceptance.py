@@ -357,19 +357,18 @@ def test_criterion_7_window_planner():
 
 @criterion(8, "yellow-burst suite: wss at 5 Hz strictly beats 1 Hz", 10.0)
 def test_criterion_8_fps_sweep():
-    from streamguard.ablation import CasePair, sweep_fps
+    from streamguard.ablation import sweep_fps
 
-    cases = []
+    fast = fast_script([(0.0, 0.9, "green"), (0.9, 1.3, "yellow"),
+                        (1.3, 1.75, "red"), (1.75, 99.0, "green")])
+    slow = slow_script([(0.0, 99.0, 0, 0.3)])
+    manifests = []
     anns = []
     for i in range(8):
         cid = f"burst-{i}"
-        manifest = grid_manifest(case_id=cid, duration=5.0)
-        fast = fast_script([(0.0, 0.9, "green"), (0.9, 1.3, "yellow"),
-                            (1.3, 1.75, "red"), (1.75, 99.0, "green")])
-        slow = slow_script([(0.0, 99.0, 0, 0.3)])
-        cases.append(CasePair(manifest=manifest, fast=fast, slow=slow))
+        manifests.append(grid_manifest(case_id=cid, duration=5.0))
         anns.append(make_ann(case_id=cid, intent=1.0, deadline=1.5, pnr=1.7,
                              impact=2.0, end=2.5, duration=5.0))
-    rows = sweep_fps(cases, ann_set(*anns), [1.0, 5.0], CoordinatorConfig())
+    rows = sweep_fps(manifests, fast, slow, ann_set(*anns), [1.0, 5.0], CoordinatorConfig())
     by_fps = {row["fps"]: row["wss"] for row in rows}
     assert by_fps[5.0] > by_fps[1.0], by_fps

@@ -1,13 +1,11 @@
 """Sliding-window planner and baseline evaluation protocol."""
 
-import json
 import random
 
 import pytest
 
 from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend
-from streamguard.baseline import build_windows, emit_overlay_labels, run_baseline_case
-from streamguard.model import Frame
+from streamguard.baseline import build_windows, run_baseline_case
 
 from helpers import grid_manifest
 
@@ -133,20 +131,6 @@ def test_baseline_out_of_window_timestamp_rejected():
     assert "out_of_range" in pred.parse_detail
 
 
-def test_baseline_early_exit_skips_later_windows():
-    manifest = grid_manifest(duration=5.0)
-    calls = []
-
-    class Spy(ScriptedBackend):
-        def baseline_raw(self, window_start, window_end, frames, prompt_text):
-            calls.append(window_start)
-            return "Part 1: risky\nPart 2: " + str(window_start + 0.1), 0.5
-
-    pred = run_baseline_case(manifest, Spy(), early_exit=True)
-    assert calls == [0.0]
-    assert pred.timestamp == pytest.approx(0.1)
-
-
 def test_baseline_with_severity():
     manifest = grid_manifest(duration=2.0)
     backend = baseline_backend(
@@ -181,22 +165,3 @@ def test_baseline_prompt_window_rendered():
     run_baseline_case(manifest, Spy())
     assert "0.0s to 2.0s" in seen[0]
     assert "<Start>" not in seen[0] and "<End>" not in seen[0]
-
-
-# --- overlay label emission --------------------------------------------------
-
-def test_emit_overlay_labels(tmp_path):
-    frames = [Frame(t=0.0, image_path="f0.jpg"), Frame(t=0.1, image_path="f1.jpg"),
-              Frame(t=2.33, image_path="f2.jpg")]
-    out = tmp_path / "labels.jsonl"
-    assert emit_overlay_labels(frames, str(out)) == 3
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["text"] for r in records] == ["t=0.0s", "t=0.1s", "t=2.3s"]
-    assert records[0] == {"image_path": "f0.jpg", "text": "t=0.0s",
-                          "anchor": "top-left", "fg": "red", "bg": "white"}
-
-
-def test_emit_overlay_labels_rejects_unordered(tmp_path):
-    frames = [Frame(t=1.0), Frame(t=0.5)]
-    with pytest.raises(ValueError):
-        emit_overlay_labels(frames, str(tmp_path / "x.jsonl"))

@@ -338,6 +338,57 @@ def test_run_overwrites_out(workdir):
     assert len(out.read_text().splitlines()) == 2
 
 
+_ENDPOINT = {"base_url": "http://127.0.0.1:9", "model_name": "m"}
+_PRED = {"case_id": "c0", "verdict": "hazard", "timestamp": 1.0}
+_CASE = make_ann(case_id="c0").to_dict()
+
+# (input kind, the file's JSON content, expected exit code, stderr prefix)
+MALFORMED_INPUTS = {
+    "manifest_not_object": ("manifest", [1], EXIT_IO, "manifest_error: "),
+    "manifest_no_frames": ("manifest", [{"case_id": "x"}], EXIT_IO, "manifest_error: "),
+    "frame_time_string": ("manifest", [{"case_id": "x", "frames": [{"t": "abc"}]}],
+                          EXIT_IO, "manifest_error: "),
+    "frame_empty": ("manifest", [{"case_id": "x", "frames": [{}]}], EXIT_IO, "manifest_error: "),
+    "scripted_list": ("scripted", [], EXIT_IO, "backend_error: "),
+    "scripted_rule_no_start": ("scripted", {"fast_schedule": [{"t_end": 1.0}]},
+                               EXIT_IO, "backend_error: "),
+    "scripted_rule_bad_start": ("scripted", {"fast_schedule": [{"t_start": "a", "t_end": 1.0}]},
+                                EXIT_IO, "backend_error: "),
+    "endpoint_timeout": ("remote", {**_ENDPOINT, "timeout": "soon"}, EXIT_IO, "backend_error: "),
+    "endpoint_retries": ("remote", {**_ENDPOINT, "max_retries": "x"}, EXIT_IO, "backend_error: "),
+    "prediction_list": ("preds", [1, 2], EXIT_IO, "parse_error: "),
+    "prediction_string": ("preds", "x", EXIT_IO, "parse_error: "),
+    "prediction_timestamp": ("preds", {**_PRED, "timestamp": "abc"}, EXIT_IO, "parse_error: "),
+    "annotation_int": ("annotations", [1], EXIT_DOMAIN, "invalid: "),
+    "annotation_duration": ("annotations", [{**_CASE, "duration": "long"}],
+                            EXIT_DOMAIN, "invalid: "),
+    "annotation_pnr": ("annotations", [{**_CASE, "key_frames": {**_CASE["key_frames"], "pnr": "x"}}],
+                       EXIT_DOMAIN, "invalid: "),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_file_is_typed_error(workdir, capsys, name):
+    kind, content, code, prefix = MALFORMED_INPUTS[name]
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    run = ["run", "--manifest", str(workdir / "manifests.json"),
+           "--fast", f"scripted:{workdir / 'fast.json'}",
+           "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    if kind == "manifest":
+        argv = [*run[:1], "--manifest", str(bad), *run[3:]]
+    elif kind in ("scripted", "remote"):
+        argv = [*run[:3], "--fast", f"{kind}:{bad}", *run[5:]]
+    elif kind == "preds":
+        argv = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
+                "--out", str(workdir / "m.csv")]
+    else:
+        argv = ["validate", "--annotations", str(bad)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
 @pytest.fixture()
 def scored_dir(tmp_path):
     """Nine cases covering every phase and every error type, one without a

@@ -18,7 +18,6 @@ from streamguard.metrics import (
     compute_hdr,
     compute_pda,
     compute_wss,
-    error_rates,
     mentioned_entities,
     phase_counts,
     severity_confusion,
@@ -262,7 +261,7 @@ def test_mentioned_entities_word_boundaries():
 def test_error_rates_sum_to_one():
     rng = random.Random(5)
     preds, anns = random_dataset(rng, n_min=10)
-    rates = error_rates(preds, anns)
+    rates = build_report(preds, anns).error_fractions
     assert sum(rates.values()) == pytest.approx(1.0)
     assert set(rates) == set(ErrorType)
 

@@ -32,7 +32,6 @@ from streamguard.model import (
     SlowVerdict,
     event_from_dict,
     event_to_dict,
-    format_stream_time,
     _EPS,
 )
 
@@ -142,6 +141,21 @@ def test_annotation_from_dict_missing_field():
     del d["duration"]
     with pytest.raises(SchemaError):
         CaseAnnotation.from_dict(d)
+
+
+@pytest.mark.parametrize("value_of,field,value", [
+    (lambda: grid_manifest(duration=1.0), "pre_overlaid", "false"),
+    (make_ann, "is_valid", "false"),
+    (make_ann, "key_entities", "cable"),
+], ids=["pre_overlaid", "is_valid", "key_entities"])
+def test_decoders_reject_coercible_json_types(value_of, field, value):
+    """A string is never read as a boolean or as a list of characters."""
+    obj = value_of()
+    d = obj.to_dict()
+    decode = type(obj).from_dict
+    assert decode(d) == obj  # the well-typed dict decodes
+    with pytest.raises(SchemaError, match=field):
+        decode({**d, field: value})
 
 
 # --- PhaseScoreTable ---------------------------------------------------------
@@ -284,14 +298,6 @@ def test_manifest_roundtrip():
                       frames=(Frame(t=0.0, image_path="a.jpg"), Frame(t=0.1)),
                       pre_overlaid=False)
     assert FrameManifest.from_dict(m.to_dict()) == m
-
-
-def test_format_stream_time():
-    assert format_stream_time(0.0) == "t=0.0s"
-    assert format_stream_time(2.33) == "t=2.3s"
-    assert format_stream_time(12.36) == "t=12.4s"
-    with pytest.raises(ValueError):
-        format_stream_time(-0.1)
 
 
 # --- Trace events and DecisionTrace ------------------------------------------
