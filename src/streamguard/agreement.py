@@ -6,6 +6,7 @@ MAE for the continuous key-frame timestamps.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +43,8 @@ def cohens_kappa(a: Sequence, b: Sequence) -> float:
     n = len(a)
     p_o = sum(1 for x, y in zip(a, b) if x == y) / n
     labels = set(a) | set(b)
-    p_e = sum((list(a).count(l) / n) * (list(b).count(l) / n) for l in labels)
+    count_a, count_b = Counter(a), Counter(b)
+    p_e = sum((count_a[l] / n) * (count_b[l] / n) for l in labels)
     if p_e >= 1.0 - 1e-12:
         # Both raters used a single identical label; agreement is perfect.
         return 1.0

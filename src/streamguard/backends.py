@@ -96,6 +96,16 @@ def _check_rules(rules: Sequence[ScheduleRule], label: str) -> None:
             )
 
 
+def _check_verdicts(rules: Sequence[ScheduleRule]) -> None:
+    for r in rules:
+        verdict = r.payload.get("verdict", 0)
+        try:
+            int(verdict)  # the conversion ``slow_raw`` applies
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"slow_responses rule [{r.t_start}, {r.t_end}): verdict must be "
+                              f"an integer, got {verdict!r}") from None
+
+
 class ScriptedBackend:
     """Deterministic backend mapping query times to canned raw outputs.
 
@@ -116,6 +126,7 @@ class ScriptedBackend:
         self.timeout = tuple(tuple(iv) for iv in timeout)
         _check_rules(self.fast_schedule, "fast_schedule")
         _check_rules(self.slow_responses, "slow_responses")
+        _check_verdicts(self.slow_responses)
         _check_rules(self.baseline_responses, "baseline_responses")
 
     # -- construction ---------------------------------------------------------

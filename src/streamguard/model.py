@@ -11,7 +11,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, gt
+from threading import Lock
 from typing import Optional, get_args, get_origin, get_type_hints
 
 # Annotated timestamps are displayed at 0.1 s resolution; the deadline is
@@ -209,6 +210,9 @@ class CaseAnnotation:
             )
         except DECODE_ERRORS as exc:
             raise decode_error("case", d, exc) from exc
+        except (OrderingError, DeadlineError) as exc:
+            # Raised only by the key frames, which do not know their case.
+            raise type(exc)(f"case {d['case_id']}: {exc}") from exc
         return cls(**kw)
 
 
@@ -340,9 +344,40 @@ class Frame:
             raise decode_error("frame", d, exc) from exc
 
 
+def _check_stream(case_id: str, times: tuple, pre_overlaid) -> None:
+    """The manifest invariants, over the frame times as one column."""
+    if not times:
+        raise SchemaError(f"manifest for {case_id} has no frames")
+    if not (all(map(math.isfinite, times)) and min(times) >= 0):
+        raise SchemaError(f"manifest for {case_id} has a frame time that is "
+                          "not finite and non-negative")
+    if any(map(gt, times, times[1:])):
+        raise SchemaError(f"manifest for {case_id} frames not time-ordered")
+    if not isinstance(pre_overlaid, bool):
+        raise SchemaError(f"manifest for {case_id}: pre_overlaid must be a boolean, "
+                          f"got {pre_overlaid!r}")
+
+
+# Serializes building a decoded manifest's Frame objects, so that each index
+# gets one object even under concurrent lookups.  Taken once per built frame.
+_FRAME_BUILD_LOCK = Lock()
+
+
 @dataclass(frozen=True)
 class FrameManifest:
-    """The frame stream for one case, standing in for the camera."""
+    """The frame stream for one case, standing in for the camera.
+
+    Besides the fields, every manifest keeps its frame times as a flat tuple
+    (``_times``), which ``latest_frame_at`` bisects and ``duration`` and
+    ``to_dict`` read.  None of this is part of the value: ``==``, ``hash``,
+    ``repr`` and ``replace`` see only the fields.
+
+    ``from_dict`` decodes straight into that column and one of image paths
+    (``_paths``), and builds no ``Frame`` up front: ``latest_frame_at``
+    builds one per index on its first lookup, and ``frames`` is built on its
+    first read from the same objects, so ``latest_frame_at(t) is frames[i]``
+    holds in either order.  Once ``frames`` exists, ``_paths`` is dropped.
+    """
 
     case_id: str
     fps_native: float
@@ -350,51 +385,79 @@ class FrameManifest:
     pre_overlaid: bool = True
 
     def __post_init__(self):
-        if not self.frames:
-            raise SchemaError(f"manifest for {self.case_id} has no frames")
         times = tuple(f.t for f in self.frames)
-        if not all(math.isfinite(x) and x >= 0 for x in times):
-            raise SchemaError(f"manifest for {self.case_id} has a frame time that is "
-                              "not finite and non-negative")
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise SchemaError(f"manifest for {self.case_id} frames not time-ordered")
-        if not isinstance(self.pre_overlaid, bool):
-            raise SchemaError(f"manifest for {self.case_id}: pre_overlaid must be a boolean, "
-                              f"got {self.pre_overlaid!r}")
-        # Not a field: kept out of repr, ==, hash, to_dict and replace.
+        _check_stream(self.case_id, times, self.pre_overlaid)
+        # Not fields: kept out of repr, ==, hash, to_dict and replace.
         object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_paths", None)
+        object.__setattr__(self, "_slots", self.frames)
+
+    def __getattr__(self, name: str):
+        # Reached only on a miss: the ``frames`` of a decoded manifest before
+        # its first read, or a name the class does not have.
+        if name != "frames":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _FRAME_BUILD_LOCK:
+            frames = self.__dict__.get("frames")
+            if frames is None:
+                frames = tuple(f if f is not None else Frame(t, p)
+                               for f, t, p in zip(self._slots, self._times, self._paths))
+                object.__setattr__(self, "frames", frames)
+                object.__setattr__(self, "_slots", frames)
+                object.__setattr__(self, "_paths", None)
+        return frames
 
     @property
     def duration(self) -> float:
-        return self.frames[-1].t
+        return self._times[-1]
 
     def latest_frame_at(self, t: float) -> Frame:
         """The last frame with timestamp <= t + _EPS (the first frame if none).
 
-        A binary search over the frame times cached at construction: O(log n).
+        A binary search over the frame times column: O(log n).  On a decoded
+        manifest the ``Frame`` at that index is built on its first lookup and
+        memoised, so every lookup of it returns ``frames[i]`` itself.
         """
-        return self.frames[max(bisect_right(self._times, t + _EPS) - 1, 0)]
+        i = max(bisect_right(self._times, t + _EPS) - 1, 0)
+        frame = self._slots[i]
+        if frame is None:
+            with _FRAME_BUILD_LOCK:
+                frame = self._slots[i]  # the slots may have become ``frames``
+                if frame is None:
+                    frame = self._slots[i] = Frame(self._times[i], self._paths[i])
+        return frame
 
     def to_dict(self) -> dict:
+        paths = self._paths if self._paths is not None else [f.image_path for f in self.frames]
         return {
             "case_id": self.case_id,
             "fps_native": self.fps_native,
-            "frames": [f.to_dict() for f in self.frames],
+            "frames": [{"t": t, "image_path": p} for t, p in zip(self._times, paths)],
             "pre_overlaid": self.pre_overlaid,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameManifest":
         try:
-            kw = dict(
-                case_id=str(d["case_id"]),
-                fps_native=float(d.get("fps_native", 10.0)),
-                frames=tuple(Frame.from_dict(f) for f in d["frames"]),
-                pre_overlaid=d.get("pre_overlaid", True),
-            )
+            case_id = str(d["case_id"])
+            fps_native = float(d.get("fps_native", 10.0))
+            entries = d["frames"]
+            try:
+                times = tuple([float(f["t"]) for f in entries])
+                paths = tuple([f.get("image_path", "") for f in entries])
+            except DECODE_ERRORS:
+                for f in entries:  # the per-frame decoder names the bad entry
+                    Frame.from_dict(f)
+                raise
+            pre_overlaid = d.get("pre_overlaid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("manifest", d, exc) from exc
-        return cls(**kw)
+        _check_stream(case_id, times, pre_overlaid)
+        # Bypasses __init__: ``frames`` stays unset until its first read.
+        m = object.__new__(cls)
+        vars(m).update(case_id=case_id, fps_native=fps_native, pre_overlaid=pre_overlaid,
+                       _times=times, _paths=paths, _slots=[None] * len(times))
+        return m
 
 
 # --- Trace events ------------------------------------------------------------

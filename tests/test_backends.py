@@ -108,6 +108,15 @@ def test_scripted_negative_latency_rejected(key):
         ScriptedBackend.from_dict({key: [{**rule, "latency": float("nan")}]})
 
 
+@pytest.mark.parametrize("verdict", ["x", None, [1], "1.5"])
+def test_scripted_bad_verdict_rejected(verdict):
+    rule = {"t_start": 0.0, "t_end": 1.0, "verdict": verdict}
+    with pytest.raises(SchemaError, match=r"slow_responses rule \[0\.0, 1\.0\): verdict"):
+        ScriptedBackend.from_dict({"slow_responses": [rule]})
+    for ok in (1, "1", True, 0.0):  # what slow_raw's int() accepted stays accepted
+        ScriptedBackend.from_dict({"slow_responses": [{**rule, "verdict": ok}]})
+
+
 def test_scripted_faults():
     backend = ScriptedBackend(malformed=[(0.0, 1.0)], timeout=[(2.0, 3.0)])
     raw, _ = backend.fast_raw(FAST_TEXT, Frame(t=0.5))

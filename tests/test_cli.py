@@ -71,6 +71,19 @@ def test_validate_domain_error(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key_frames,error", [
+    ({"impact": 0.1}, "key frames must satisfy"),
+    ({"intervention_deadline": 3.6}, "deadline 3.6 not within"),
+], ids=["ordering", "deadline"])
+def test_validate_lifecycle_error_names_case(tmp_path, capsys, key_frames, error):
+    bad = make_ann(case_id="c-bad").to_dict()
+    bad["key_frames"].update(key_frames)
+    anns = [make_ann(case_id="c-ok").to_dict(), bad]
+    (tmp_path / "bad.json").write_text(json.dumps(anns), encoding="utf-8")
+    assert main(["validate", "--annotations", str(tmp_path / "bad.json")]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(f"invalid: case c-bad: {error}")
+
+
 def test_run_writes_traces(workdir, capsys):
     out = workdir / "traces.jsonl"
     code = main(["run", "--manifest", str(workdir / "manifests.json"),
@@ -354,6 +367,9 @@ MALFORMED_INPUTS = {
                                EXIT_IO, "backend_error: "),
     "scripted_rule_bad_start": ("scripted", {"fast_schedule": [{"t_start": "a", "t_end": 1.0}]},
                                 EXIT_IO, "backend_error: "),
+    "scripted_verdict": ("scripted",
+                         {"slow_responses": [{"t_start": 0, "t_end": 1, "verdict": "x"}]},
+                         EXIT_IO, "backend_error: "),
     "endpoint_timeout": ("remote", {**_ENDPOINT, "timeout": "soon"}, EXIT_IO, "backend_error: "),
     "endpoint_retries": ("remote", {**_ENDPOINT, "max_retries": "x"}, EXIT_IO, "backend_error: "),
     "prediction_list": ("preds", [1, 2], EXIT_IO, "parse_error: "),

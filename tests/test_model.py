@@ -282,6 +282,17 @@ def test_latest_frame_at_matches_linear_scan(times, extra_probes):
     for t in probes:
         assert m.latest_frame_at(t) is _linear_latest_frame_at(m, t), t
 
+    # A decoded manifest builds its frames lazily; the identity holds whether
+    # the lookups come before the first ``frames`` read or after it.
+    before = FrameManifest.from_dict(m.to_dict())
+    found = [before.latest_frame_at(t) for t in probes]
+    for t, frame in zip(probes, found):
+        assert frame is _linear_latest_frame_at(before, t) is before.latest_frame_at(t), t
+    after = FrameManifest.from_dict(m.to_dict())
+    assert after.frames == frames
+    for t in probes:
+        assert after.latest_frame_at(t) is _linear_latest_frame_at(after, t), t
+
     # The cached times are not part of the value.
     assert [f.name for f in fields(m)] == ["case_id", "fps_native", "frames", "pre_overlaid"]
     assert "_times" not in repr(m)
@@ -298,6 +309,52 @@ def test_manifest_roundtrip():
                       frames=(Frame(t=0.0, image_path="a.jpg"), Frame(t=0.1)),
                       pre_overlaid=False)
     assert FrameManifest.from_dict(m.to_dict()) == m
+
+
+@pytest.mark.parametrize("pre_overlaid", [True, False])
+def test_decoded_manifest_equals_eager(pre_overlaid):
+    m = replace(grid_manifest(duration=2.0), pre_overlaid=pre_overlaid)
+    decoded = FrameManifest.from_dict(m.to_dict())
+    assert decoded.to_dict() == m.to_dict()  # read from the columns: no frame built
+    assert decoded.duration == m.duration
+    assert decoded.latest_frame_at(1.05) == m.latest_frame_at(1.05)
+    assert decoded == m and m == decoded
+    assert hash(decoded) == hash(m)
+    assert repr(decoded) == repr(m)
+    assert replace(decoded, case_id="d") == replace(m, case_id="d")
+
+
+def test_manifest_frames_read_once():
+    m = grid_manifest(duration=1.0)
+    decoded = FrameManifest.from_dict(m.to_dict())
+    assert m.frames is m.frames
+    assert decoded.frames is decoded.frames
+
+
+_GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.jpg"}]
+
+
+@pytest.mark.parametrize("frames,message", [
+    ([_GOOD_FRAMES[0], 3], "manifest m1: frame must be a JSON object, got int"),
+    ([_GOOD_FRAMES[0], [0.5]], "manifest m1: frame must be a JSON object, got list"),
+    ([_GOOD_FRAMES[0], {"image_path": "b.jpg"}], "manifest m1: missing field 't' in frame"),
+    ([_GOOD_FRAMES[0], {"t": "abc"}],
+     "manifest m1: frame: could not convert string to float: 'abc'"),
+    ("ab", "manifest m1: frame must be a JSON object, got str"),
+    (5, "manifest m1: 'int' object is not iterable"),
+    ([_GOOD_FRAMES[0], {"t": math.nan}],
+     "manifest for m1 has a frame time that is not finite and non-negative"),
+    ([{"t": -0.5}, _GOOD_FRAMES[1]],
+     "manifest for m1 has a frame time that is not finite and non-negative"),
+    ([_GOOD_FRAMES[1], _GOOD_FRAMES[0]], "manifest for m1 frames not time-ordered"),
+    ([], "manifest for m1 has no frames"),
+], ids=["frame_int", "frame_list", "missing_t", "string_t", "frames_string", "frames_int",
+        "nan_t", "negative_t", "unordered", "empty"])
+def test_manifest_decode_error_text(frames, message):
+    """The decoder's column fast path keeps the per-frame decoder's messages."""
+    with pytest.raises(SchemaError) as info:
+        FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
+    assert str(info.value) == message
 
 
 # --- Trace events and DecisionTrace ------------------------------------------
