@@ -315,9 +315,10 @@ def test_manifest_roundtrip():
 def test_decoded_manifest_equals_eager(pre_overlaid):
     m = replace(grid_manifest(duration=2.0), pre_overlaid=pre_overlaid)
     decoded = FrameManifest.from_dict(m.to_dict())
-    assert decoded.to_dict() == m.to_dict()  # read from the columns: no frame built
+    assert decoded.to_dict() == m.to_dict()
     assert decoded.duration == m.duration
     assert decoded.latest_frame_at(1.05) == m.latest_frame_at(1.05)
+    assert "frames" not in vars(decoded)  # all of the above read the columns
     assert decoded == m and m == decoded
     assert hash(decoded) == hash(m)
     assert repr(decoded) == repr(m)
