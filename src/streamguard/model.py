@@ -333,9 +333,6 @@ class Frame:
     t: float
     image_path: str = ""
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "image_path": self.image_path}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Frame":
         try:
