@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import CaseAnnotation, ModelError, Phase, SchemaError
+from .model import CaseAnnotation, ModelError, Phase, SchemaError, gc_paused
 
 
 class IoError(ModelError):
@@ -42,23 +42,28 @@ def load_annotations(path: str) -> AnnotationSet:
     Raises IoError on unreadable files, SchemaError on malformed entries,
     and the KeyFrames constructors' OrderingError / DeadlineError on
     lifecycle violations.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path} must contain a JSON array of cases")
 
-    cases: dict[str, CaseAnnotation] = {}
-    for entry in raw:
-        ann = CaseAnnotation.from_dict(entry)
-        if ann.case_id in cases:
-            raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
-        cases[ann.case_id] = ann
+    The cyclic garbage collector is paused while the file is read and its
+    cases built: the decode creates no reference cycles, so reference
+    counting frees everything, and no collection walks the growing heap.
+    """
+    with gc_paused():
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, list):
+            raise SchemaError(f"{path} must contain a JSON array of cases")
+
+        cases: dict[str, CaseAnnotation] = {}
+        for entry in raw:
+            ann = CaseAnnotation.from_dict(entry)
+            if ann.case_id in cases:
+                raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
+            cases[ann.case_id] = ann
     return AnnotationSet(cases=cases)
 
 

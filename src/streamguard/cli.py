@@ -33,6 +33,7 @@ from .model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
+    gc_paused,
 )
 
 EXIT_OK = 0
@@ -83,7 +84,7 @@ def _make_backend(spec: str):
 def _load_predictions(path: str) -> list:
     preds = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with gc_paused(), open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:

@@ -7,8 +7,10 @@ encoding (snake_case field names).  The JSON dicts produced by
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, gt
@@ -20,6 +22,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 DEADLINE_OFFSET = 0.2
 DEADLINE_TOLERANCE = 0.05
 _EPS = 1e-9
+_INF = math.inf
 
 LOCATIONS = ("bedroom", "bathroom", "living_room", "dining_room", "study", "balcony")
 DANGER_CATEGORIES = ("C1", "C2", "C3", "C4")
@@ -60,6 +63,24 @@ def decode_error(what: str, d, exc: Exception) -> SchemaError:
     return SchemaError(f"{what}: {exc}")
 
 
+@contextmanager
+def gc_paused():
+    """Run a bulk decode with the cyclic garbage collector off.
+
+    A decode allocates several tracked containers per record, and each
+    collection it triggers walks the whole heap; it builds no reference
+    cycles, so reference counting alone frees what it drops.  The collector
+    is re-enabled on exit only if it was enabled on entry.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class SafetyState(str, Enum):
     GREEN = "green"
     YELLOW = "yellow"
@@ -95,26 +116,28 @@ class KeyFrames:
     action_end: float
 
     def __post_init__(self):
-        for name in ("intent_onset", "pnr", "intervention_deadline", "impact", "action_end"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise SchemaError(f"key frame {name} must be a finite non-negative number, got {v!r}")
-        ordered = (
-            self.intent_onset,
-            self.intervention_deadline,
-            self.pnr,
-            self.impact,
-            self.action_end,
-        )
-        if any(a > b + _EPS for a, b in zip(ordered, ordered[1:])):
+        intent, pnr, deadline = self.intent_onset, self.pnr, self.intervention_deadline
+        impact, end = self.impact, self.action_end
+        # Straight-line test for the usual all-float key frames; anything else
+        # takes the per-field check, which names the first bad field.
+        if not (type(intent) is type(pnr) is type(deadline) is type(impact) is type(end) is float
+                and 0.0 <= intent < _INF and 0.0 <= pnr < _INF and 0.0 <= deadline < _INF
+                and 0.0 <= impact < _INF and 0.0 <= end < _INF):
+            for name in ("intent_onset", "pnr", "intervention_deadline", "impact", "action_end"):
+                v = getattr(self, name)
+                if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+                    raise SchemaError(f"key frame {name} must be a finite non-negative number, "
+                                      f"got {v!r}")
+        if (intent > deadline + _EPS or deadline > pnr + _EPS or pnr > impact + _EPS
+                or impact > end + _EPS):
             raise OrderingError(
                 "key frames must satisfy intent <= deadline <= pnr <= impact <= end, got "
-                f"{ordered}"
+                f"{(intent, deadline, pnr, impact, end)}"
             )
-        if abs(self.intervention_deadline - (self.pnr - DEADLINE_OFFSET)) > DEADLINE_TOLERANCE + _EPS:
+        if abs(deadline - (pnr - DEADLINE_OFFSET)) > DEADLINE_TOLERANCE + _EPS:
             raise DeadlineError(
-                f"deadline {self.intervention_deadline} not within {DEADLINE_TOLERANCE}s of "
-                f"pnr - {DEADLINE_OFFSET} = {self.pnr - DEADLINE_OFFSET}"
+                f"deadline {deadline} not within {DEADLINE_TOLERANCE}s of "
+                f"pnr - {DEADLINE_OFFSET} = {pnr - DEADLINE_OFFSET}"
             )
 
     def to_dict(self) -> dict:
@@ -133,8 +156,7 @@ class KeyFrames:
             # Loaders may synthesize the deadline when the file omits it.
             deadline = (float(d["intervention_deadline"]) if "intervention_deadline" in d
                         else max(pnr - DEADLINE_OFFSET, intent))
-            return cls(intent_onset=intent, pnr=pnr, intervention_deadline=deadline,
-                       impact=float(d["impact"]), action_end=float(d["action_end"]))
+            return cls(intent, pnr, deadline, float(d["impact"]), float(d["action_end"]))
         except DECODE_ERRORS as exc:
             raise decode_error("key_frames", d, exc) from exc
 
@@ -154,29 +176,38 @@ class CaseAnnotation:
     is_valid: bool = True
 
     def __post_init__(self):
-        if not self.case_id:
+        case_id = self.case_id
+        if not isinstance(case_id, str):
+            raise SchemaError(f"case_id must be a string, got {case_id!r}")
+        if not case_id:
             raise SchemaError("case_id must be non-empty")
         if self.location not in LOCATIONS:
-            raise SchemaError(f"unknown location {self.location!r} for case {self.case_id}")
+            raise SchemaError(f"unknown location {self.location!r} for case {case_id}")
         if self.danger_category not in DANGER_CATEGORIES:
-            raise SchemaError(f"unknown danger_category {self.danger_category!r} for case {self.case_id}")
+            raise SchemaError(f"unknown danger_category {self.danger_category!r} for case {case_id}")
         if self.severity not in SEVERITY_LEVELS:
-            raise SchemaError(f"unknown severity {self.severity!r} for case {self.case_id}")
-        if self.difficulty not in DIFFICULTY_LEVELS:
-            raise SchemaError(f"unknown difficulty {self.difficulty!r} for case {self.case_id}")
-        if self.key_frames.action_end > self.duration + _EPS:
+            raise SchemaError(f"unknown severity {self.severity!r} for case {case_id}")
+        difficulty = self.difficulty
+        if difficulty not in DIFFICULTY_LEVELS:
+            raise SchemaError(f"unknown difficulty {difficulty!r} for case {case_id}")
+        duration = self.duration
+        if self.key_frames.action_end > duration + _EPS:
             raise OrderingError(
-                f"action_end {self.key_frames.action_end} exceeds duration {self.duration} "
-                f"for case {self.case_id}"
+                f"action_end {self.key_frames.action_end} exceeds duration {duration} "
+                f"for case {case_id}"
             )
-        if self.difficulty in ("D1", "D2") and not self.key_entities:
-            raise SchemaError(
-                f"case {self.case_id}: key_entities required for {self.difficulty} cases"
-            )
-        if any(not isinstance(e, str) or e != e.lower() or not e for e in self.key_entities):
-            raise SchemaError(f"case {self.case_id}: key_entities must be non-empty lowercase strings")
+        # After the action_end check, so a negative duration keeps that check's error.
+        if not (isinstance(duration, (int, float)) and 0 <= duration < _INF):
+            raise SchemaError(f"case {case_id}: duration must be a finite non-negative number, "
+                              f"got {duration!r}")
+        entities = self.key_entities
+        if not entities and difficulty in ("D1", "D2"):
+            raise SchemaError(f"case {case_id}: key_entities required for {difficulty} cases")
+        for e in entities:
+            if not isinstance(e, str) or e != e.lower() or not e:
+                raise SchemaError(f"case {case_id}: key_entities must be non-empty lowercase strings")
         if not isinstance(self.is_valid, bool):
-            raise SchemaError(f"case {self.case_id}: is_valid must be a boolean, got {self.is_valid!r}")
+            raise SchemaError(f"case {case_id}: is_valid must be a boolean, got {self.is_valid!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -197,23 +228,18 @@ class CaseAnnotation:
             entities = d.get("key_entities", [])
             if not isinstance(entities, list):
                 raise TypeError(f"key_entities must be a list of strings, got {entities!r}")
-            kw = dict(
-                case_id=str(d["case_id"]),
-                location=d["location"],
-                danger_category=d["danger_category"],
-                severity=d["severity"],
-                difficulty=d["difficulty"],
-                key_frames=KeyFrames.from_dict(d["key_frames"]),
-                key_entities=tuple(entities),
-                duration=float(d["duration"]),
-                is_valid=d.get("is_valid", True),
-            )
+            case_id, location = d["case_id"], d["location"]
+            category, severity, difficulty = d["danger_category"], d["severity"], d["difficulty"]
+            key_frames = KeyFrames.from_dict(d["key_frames"])
+            duration = float(d["duration"])
+            is_valid = d.get("is_valid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("case", d, exc) from exc
         except (OrderingError, DeadlineError) as exc:
             # Raised only by the key frames, which do not know their case.
             raise type(exc)(f"case {d['case_id']}: {exc}") from exc
-        return cls(**kw)
+        return cls(case_id, location, category, severity, difficulty, key_frames,
+                   tuple(entities), duration, is_valid)
 
 
 @dataclass(frozen=True)
@@ -275,6 +301,8 @@ class PredictionRecord:
     parse_detail: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.case_id, str):
+            raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
         if self.verdict not in ("safe", "hazard"):
             raise SchemaError(f"verdict must be 'safe' or 'hazard', got {self.verdict!r}")
         if self.verdict == "hazard":
@@ -286,6 +314,12 @@ class PredictionRecord:
             raise SchemaError(f"unknown severity_claim {self.severity_claim!r}")
         if self.parse_status not in ("ok", "format_error"):
             raise SchemaError(f"unknown parse_status {self.parse_status!r}")
+        if not (isinstance(self.reasoning_text, str) and isinstance(self.raw_output, str)
+                and isinstance(self.parse_detail, str)):
+            for name in ("reasoning_text", "raw_output", "parse_detail"):
+                v = getattr(self, name)
+                if not isinstance(v, str):
+                    raise SchemaError(f"{name} must be a string, got {v!r}")
 
     @property
     def is_hazard(self) -> bool:
@@ -313,7 +347,7 @@ class PredictionRecord:
     def from_dict(cls, d: dict) -> "PredictionRecord":
         try:
             return cls(
-                case_id=str(d["case_id"]),
+                case_id=d["case_id"],
                 verdict=d["verdict"],
                 timestamp=None if d.get("timestamp") is None else float(d["timestamp"]),
                 severity_claim=d.get("severity_claim"),

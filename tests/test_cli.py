@@ -375,9 +375,23 @@ MALFORMED_INPUTS = {
     "prediction_list": ("preds", [1, 2], EXIT_IO, "parse_error: "),
     "prediction_string": ("preds", "x", EXIT_IO, "parse_error: "),
     "prediction_timestamp": ("preds", {**_PRED, "timestamp": "abc"}, EXIT_IO, "parse_error: "),
+    "prediction_reasoning_null": ("preds", {**_PRED, "reasoning_text": None},
+                                  EXIT_IO, "parse_error: "),
+    "prediction_reasoning_int": ("preds", {**_PRED, "reasoning_text": 5}, EXIT_IO, "parse_error: "),
+    "prediction_raw_output_null": ("preds", {**_PRED, "raw_output": None},
+                                   EXIT_IO, "parse_error: "),
+    "prediction_parse_detail_int": ("preds", {**_PRED, "parse_detail": 5},
+                                    EXIT_IO, "parse_error: "),
+    "prediction_case_id_null": ("preds", {**_PRED, "case_id": None}, EXIT_IO, "parse_error: "),
     "annotation_int": ("annotations", [1], EXIT_DOMAIN, "invalid: "),
     "annotation_duration": ("annotations", [{**_CASE, "duration": "long"}],
                             EXIT_DOMAIN, "invalid: "),
+    "annotation_duration_nan": ("annotations", [{**_CASE, "duration": math.nan}],
+                                EXIT_DOMAIN, "invalid: case c0: duration must be "),
+    "annotation_duration_inf": ("annotations", [{**_CASE, "duration": math.inf}],
+                                EXIT_DOMAIN, "invalid: case c0: duration must be "),
+    "annotation_case_id_null": ("annotations", [{**_CASE, "case_id": None}],
+                                EXIT_DOMAIN, "invalid: "),
     "annotation_pnr": ("annotations", [{**_CASE, "key_frames": {**_CASE["key_frames"], "pnr": "x"}}],
                        EXIT_DOMAIN, "invalid: "),
 }

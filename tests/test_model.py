@@ -1,14 +1,17 @@
 """Value-object invariants and JSON round-trips for the core types."""
 
+import copy
 import json
 import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
+    DEADLINE_OFFSET,
+    DEADLINE_TOLERANCE,
     Alert,
     AlertSource,
     BinaryDecision,
@@ -20,6 +23,7 @@ from streamguard.model import (
     FrameManifest,
     FrameSampled,
     KeyFrames,
+    ModelError,
     OrderingError,
     Override,
     Phase,
@@ -100,6 +104,70 @@ def test_keyframes_roundtrip(intent, gap, tail, tail2):
     assert KeyFrames.from_dict(frames.to_dict()) == frames
 
 
+def _reference_keyframe_checks(intent, pnr, deadline, impact, end):
+    """The key-frame checks as a per-field loop and a pairwise scan: the
+    reference for the straight-line checks in ``KeyFrames.__post_init__``."""
+    values = dict(intent_onset=intent, pnr=pnr, intervention_deadline=deadline,
+                  impact=impact, action_end=end)
+    for name, v in values.items():
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            raise SchemaError(f"key frame {name} must be a finite non-negative number, got {v!r}")
+    ordered = (intent, deadline, pnr, impact, end)
+    if any(a > b + _EPS for a, b in zip(ordered, ordered[1:])):
+        raise OrderingError(
+            f"key frames must satisfy intent <= deadline <= pnr <= impact <= end, got {ordered}")
+    if abs(deadline - (pnr - DEADLINE_OFFSET)) > DEADLINE_TOLERANCE + _EPS:
+        raise DeadlineError(f"deadline {deadline} not within {DEADLINE_TOLERANCE}s of "
+                            f"pnr - {DEADLINE_OFFSET} = {pnr - DEADLINE_OFFSET}")
+
+
+_NUDGE = st.sampled_from([0.0, _EPS / 2, -_EPS / 2, _EPS, -_EPS, 2 * _EPS, -2 * _EPS])
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, -_EPS, 1e308, 0, 4, True, None, "1"]
+_JUNK = st.one_of(st.sampled_from(_SPECIAL), st.integers(-2, 10), st.floats())
+
+
+@st.composite
+def _key_frame_values(draw):
+    """(intent, pnr, deadline, impact, end): orderings within a few _EPS of
+    equal (the deadline against the pnr too), the deadline at its tolerance
+    +- _EPS, and up to two fields junk."""
+    intent = draw(st.floats(0, 20))
+    deadline = intent + draw(st.one_of(_NUDGE, st.floats(0, 1)))
+    offset = draw(st.sampled_from([0.0, DEADLINE_TOLERANCE, -DEADLINE_TOLERANCE,
+                                   -DEADLINE_OFFSET]))
+    pnr = deadline + DEADLINE_OFFSET + offset + draw(_NUDGE)
+    impact = pnr + draw(st.one_of(_NUDGE, st.floats(0, 1)))
+    end = impact + draw(st.one_of(_NUDGE, st.floats(0, 1)))
+    values = [intent, pnr, deadline, impact, end]
+    for i in draw(st.lists(st.integers(0, 4), max_size=2)):
+        values[i] = draw(_JUNK)
+    return values
+
+
+def _outcome(check, values):
+    try:
+        check(*values)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(_key_frame_values())
+def test_keyframes_checks_match_reference(values):
+    """Same accept/reject, exception type and message as the reference."""
+    assert _outcome(KeyFrames, values) == _outcome(_reference_keyframe_checks, values)
+
+
+def test_keyframes_one_special_field_matches_reference():
+    """Each field in turn set to each special value, the rest valid floats."""
+    for i in range(5):
+        for special in _SPECIAL:
+            values = [3.6, 4.0, 3.8, 4.5, 5.0]
+            values[i] = special
+            assert _outcome(KeyFrames, values) == _outcome(_reference_keyframe_checks, values)
+
+
 # --- CaseAnnotation ----------------------------------------------------------
 
 def test_annotation_closed_sets():
@@ -158,6 +226,95 @@ def test_decoders_reject_coercible_json_types(value_of, field, value):
         decode({**d, field: value})
 
 
+_CASE = make_ann(case_id="a1").to_dict()
+
+
+def _kf(**kw):
+    return {**_CASE, "key_frames": {**_CASE["key_frames"], **kw}}
+
+
+def _without(name, key_frame=False):
+    d = copy.deepcopy(_CASE)
+    del (d["key_frames"] if key_frame else d)[name]
+    return d
+
+
+_KF_NUMBER = "key frame {} must be a finite non-negative number, got {}"
+_KF_ORDER = "key frames must satisfy intent <= deadline <= pnr <= impact <= end, got "
+
+
+@pytest.mark.parametrize("entry,error,message", [
+    (_kf(intent_onset=math.nan), SchemaError,
+     "case a1: key_frames: " + _KF_NUMBER.format("intent_onset", "nan")),
+    (_kf(pnr=math.inf), SchemaError, "case a1: key_frames: " + _KF_NUMBER.format("pnr", "inf")),
+    (_kf(intervention_deadline=-0.5), SchemaError,
+     "case a1: key_frames: " + _KF_NUMBER.format("intervention_deadline", "-0.5")),
+    (_kf(impact=-math.inf), SchemaError,
+     "case a1: key_frames: " + _KF_NUMBER.format("impact", "-inf")),
+    (_kf(action_end="x"), SchemaError,
+     "case a1: key_frames: could not convert string to float: 'x'"),
+    (_kf(intent_onset=None), SchemaError,
+     "case a1: key_frames: float() argument must be a string or a real number, not 'NoneType'"),
+    (_kf(intervention_deadline=math.nan, pnr=-1.0), SchemaError,
+     "case a1: key_frames: " + _KF_NUMBER.format("pnr", "-1.0")),
+    (_kf(intent_onset=3.9), OrderingError, "case a1: " + _KF_ORDER + "(3.9, 3.8, 4.0, 4.5, 5.0)"),
+    (_kf(intervention_deadline=4.1), OrderingError,
+     "case a1: " + _KF_ORDER + "(3.6, 4.1, 4.0, 4.5, 5.0)"),
+    (_kf(impact=3.9), OrderingError, "case a1: " + _KF_ORDER + "(3.6, 3.8, 4.0, 3.9, 5.0)"),
+    (_kf(action_end=4.4), OrderingError, "case a1: " + _KF_ORDER + "(3.6, 3.8, 4.0, 4.5, 4.4)"),
+    (_kf(intervention_deadline=3.74), DeadlineError,
+     "case a1: deadline 3.74 not within 0.05s of pnr - 0.2 = 3.8"),
+    ({**_CASE, "location": "garage"}, SchemaError, "unknown location 'garage' for case a1"),
+    ({**_CASE, "danger_category": "C9"}, SchemaError, "unknown danger_category 'C9' for case a1"),
+    ({**_CASE, "severity": "L5"}, SchemaError, "unknown severity 'L5' for case a1"),
+    ({**_CASE, "difficulty": "D4"}, SchemaError, "unknown difficulty 'D4' for case a1"),
+    ({**_CASE, "duration": 4.9}, OrderingError, "action_end 5.0 exceeds duration 4.9 for case a1"),
+    ({**_CASE, "key_entities": []}, SchemaError, "case a1: key_entities required for D1 cases"),
+    ({**_CASE, "difficulty": "D2", "key_entities": []}, SchemaError,
+     "case a1: key_entities required for D2 cases"),
+    ({**_CASE, "key_entities": ["Kettle"]}, SchemaError,
+     "case a1: key_entities must be non-empty lowercase strings"),
+    ({**_CASE, "key_entities": [""]}, SchemaError,
+     "case a1: key_entities must be non-empty lowercase strings"),
+    ({**_CASE, "key_entities": [3]}, SchemaError,
+     "case a1: key_entities must be non-empty lowercase strings"),
+    ({**_CASE, "key_entities": "cable"}, SchemaError,
+     "case a1: key_entities must be a list of strings, got 'cable'"),
+    ({**_CASE, "is_valid": 1}, SchemaError, "case a1: is_valid must be a boolean, got 1"),
+    ({**_CASE, "case_id": ""}, SchemaError, "case_id must be non-empty"),
+    (_without("location"), SchemaError, "missing field 'location' in case a1"),
+    (_without("pnr", key_frame=True), SchemaError, "case a1: missing field 'pnr' in key_frames"),
+    (5, SchemaError, "case must be a JSON object, got int"),
+    ({**_CASE, "key_frames": [1]}, SchemaError,
+     "case a1: key_frames must be a JSON object, got list"),
+], ids=["intent_nan", "pnr_inf", "deadline_negative", "impact_neg_inf", "end_string",
+        "intent_null", "first_bad_field", "intent_after_deadline", "deadline_after_pnr",
+        "pnr_after_impact", "impact_after_end", "deadline_tolerance", "location",
+        "danger_category", "severity", "difficulty", "end_after_duration", "d1_no_entities",
+        "d2_no_entities", "entity_upper", "entity_empty", "entity_int", "entities_string",
+        "is_valid_int", "empty_case_id", "missing_location", "missing_pnr", "not_object",
+        "key_frames_list"])
+def test_annotation_decode_error_text(entry, error, message):
+    """Every key-frame and case check keeps its exception type and text."""
+    with pytest.raises(ModelError) as info:
+        CaseAnnotation.from_dict(entry)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({**_CASE, "duration": math.nan},
+     "case a1: duration must be a finite non-negative number, got nan"),
+    ({**_CASE, "duration": math.inf},
+     "case a1: duration must be a finite non-negative number, got inf"),
+    ({**_CASE, "case_id": None}, "case_id must be a string, got None"),
+    ({**_CASE, "case_id": 7}, "case_id must be a string, got 7"),
+], ids=["duration_nan", "duration_inf", "case_id_null", "case_id_int"])
+def test_annotation_rejects_nonfinite_duration_and_non_string_id(entry, message):
+    with pytest.raises(SchemaError) as info:
+        CaseAnnotation.from_dict(entry)
+    assert str(info.value) == message
+
+
 # --- PhaseScoreTable ---------------------------------------------------------
 
 def test_score_table_default_values():
@@ -195,6 +352,22 @@ def test_prediction_hazard_needs_timestamp():
         PredictionRecord(case_id="c", verdict="hazard", timestamp=-0.5)
     with pytest.raises(SchemaError):
         PredictionRecord(case_id="c", verdict="maybe")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("case_id", None, "prediction None: case_id must be a string, got None"),
+    ("case_id", 7, "prediction 7: case_id must be a string, got 7"),
+    ("reasoning_text", None, "prediction c1: reasoning_text must be a string, got None"),
+    ("reasoning_text", 5, "prediction c1: reasoning_text must be a string, got 5"),
+    ("raw_output", [], "prediction c1: raw_output must be a string, got []"),
+    ("parse_detail", False, "prediction c1: parse_detail must be a string, got False"),
+], ids=["case_id_null", "case_id_int", "reasoning_null", "reasoning_int", "raw_output_list",
+        "parse_detail_bool"])
+def test_prediction_rejects_non_string_fields(field, value, message):
+    """A JSON null or number is not read as a case id or as text."""
+    with pytest.raises(SchemaError) as info:
+        PredictionRecord.from_dict({"case_id": "c1", "verdict": "safe", field: value})
+    assert str(info.value) == message
 
 
 def test_prediction_effective_timestamp():
