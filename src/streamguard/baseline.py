@@ -64,11 +64,8 @@ def build_windows(duration: float, fps: float = DEFAULT_FPS,
 
 def run_baseline_case(manifest: FrameManifest, backend,
                       prompt: Optional[PromptTemplate] = None,
-                      fps: float = DEFAULT_FPS,
-                      length: float = DEFAULT_WINDOW_LENGTH,
-                      stride: float = DEFAULT_STRIDE,
                       with_severity: bool = False) -> PredictionRecord:
-    """Evaluate one case window by window and aggregate to a single record.
+    """Evaluate one case over the default ``build_windows`` plan and aggregate.
 
     Aggregation takes the earliest hazardous timestamp across windows; a
     case is Safe only if every window said Safe.  Per-window format errors
@@ -76,7 +73,7 @@ def run_baseline_case(manifest: FrameManifest, backend,
     failed to parse.
     """
     prompt = prompt or load_prompt("baseline_detect")
-    plan = build_windows(manifest.duration, fps=fps, length=length, stride=stride)
+    plan = build_windows(manifest.duration)
 
     hazard_times: list[float] = []
     format_details: list[str] = []

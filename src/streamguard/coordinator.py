@@ -56,6 +56,9 @@ class CoordinatorConfig:
                 raise ValueError(f"sampling rates must be positive and finite, got {rate}")
             if round(_US * (1.0 / rate)) < 1:
                 raise ValueError(f"sampling rate {rate} gives an interval under 1 us")
+        if not (math.isfinite(self.actuation_lag) and self.actuation_lag >= 0):
+            raise ValueError(f"actuation_lag must be finite and non-negative, "
+                             f"got {self.actuation_lag}")
 
 
 class SimulatedClock:

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, gt
-from threading import Lock
 from typing import Optional, get_args, get_origin, get_type_hints
 
 # Annotated timestamps are displayed at 0.1 s resolution; the deadline is
@@ -375,8 +374,12 @@ class Frame:
             raise decode_error("frame", d, exc) from exc
 
 
-def _check_stream(case_id: str, times: tuple, pre_overlaid) -> None:
+def _check_stream(case_id, times: tuple, pre_overlaid) -> None:
     """The manifest invariants, over the frame times as one column."""
+    if not isinstance(case_id, str):
+        raise SchemaError(f"manifest case_id must be a string, got {case_id!r}")
+    if not case_id:
+        raise SchemaError("manifest case_id must be non-empty")
     if not times:
         raise SchemaError(f"manifest for {case_id} has no frames")
     if not (all(map(math.isfinite, times)) and min(times) >= 0):
@@ -389,25 +392,17 @@ def _check_stream(case_id: str, times: tuple, pre_overlaid) -> None:
                           f"got {pre_overlaid!r}")
 
 
-# Serializes building a decoded manifest's Frame objects, so that each index
-# gets one object even under concurrent lookups.  Taken once per built frame.
-_FRAME_BUILD_LOCK = Lock()
-
-
 @dataclass(frozen=True)
 class FrameManifest:
     """The frame stream for one case, standing in for the camera.
 
-    Besides the fields, every manifest keeps its frame times as a flat tuple
-    (``_times``), which ``latest_frame_at`` bisects and ``duration`` and
-    ``to_dict`` read.  None of this is part of the value: ``==``, ``hash``,
-    ``repr`` and ``replace`` see only the fields.
+    Every manifest keeps its frames as two flat columns, the times
+    (``_times``) and the image paths (``_paths``).  ``latest_frame_at``,
+    ``duration`` and ``to_dict`` read only these.  They are not part of the
+    value: ``==``, ``hash``, ``repr`` and ``replace`` see only the fields.
 
-    ``from_dict`` decodes straight into that column and one of image paths
-    (``_paths``), and builds no ``Frame`` up front: ``latest_frame_at``
-    builds one per index on its first lookup, and ``frames`` is built on its
-    first read from the same objects, so ``latest_frame_at(t) is frames[i]``
-    holds in either order.  Once ``frames`` exists, ``_paths`` is dropped.
+    ``from_dict`` decodes straight into the columns and builds no ``Frame``:
+    ``frames`` is built from them on its first read and then kept.
     """
 
     case_id: str
@@ -420,22 +415,16 @@ class FrameManifest:
         _check_stream(self.case_id, times, self.pre_overlaid)
         # Not fields: kept out of repr, ==, hash, to_dict and replace.
         object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_paths", None)
-        object.__setattr__(self, "_slots", self.frames)
+        object.__setattr__(self, "_paths", tuple(f.image_path for f in self.frames))
 
     def __getattr__(self, name: str):
         # Reached only on a miss: the ``frames`` of a decoded manifest before
         # its first read, or a name the class does not have.
         if name != "frames":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _FRAME_BUILD_LOCK:
-            frames = self.__dict__.get("frames")
-            if frames is None:
-                frames = tuple(f if f is not None else Frame(t, p)
-                               for f, t, p in zip(self._slots, self._times, self._paths))
-                object.__setattr__(self, "frames", frames)
-                object.__setattr__(self, "_slots", frames)
-                object.__setattr__(self, "_paths", None)
+        # No lock: two first reads at once build equal tuples, and either one kept is right.
+        frames = tuple(map(Frame, self._times, self._paths))
+        object.__setattr__(self, "frames", frames)
         return frames
 
     @property
@@ -445,32 +434,24 @@ class FrameManifest:
     def latest_frame_at(self, t: float) -> Frame:
         """The last frame with timestamp <= t + _EPS (the first frame if none).
 
-        A binary search over the frame times column: O(log n).  On a decoded
-        manifest the ``Frame`` at that index is built on its first lookup and
-        memoised, so every lookup of it returns ``frames[i]`` itself.
+        A binary search over the times column, O(log n), that returns a new
+        ``Frame`` equal to ``frames[i]``, built from the two columns.
         """
         i = max(bisect_right(self._times, t + _EPS) - 1, 0)
-        frame = self._slots[i]
-        if frame is None:
-            with _FRAME_BUILD_LOCK:
-                frame = self._slots[i]  # the slots may have become ``frames``
-                if frame is None:
-                    frame = self._slots[i] = Frame(self._times[i], self._paths[i])
-        return frame
+        return Frame(self._times[i], self._paths[i])
 
     def to_dict(self) -> dict:
-        paths = self._paths if self._paths is not None else [f.image_path for f in self.frames]
         return {
             "case_id": self.case_id,
             "fps_native": self.fps_native,
-            "frames": [{"t": t, "image_path": p} for t, p in zip(self._times, paths)],
+            "frames": [{"t": t, "image_path": p} for t, p in zip(self._times, self._paths)],
             "pre_overlaid": self.pre_overlaid,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameManifest":
         try:
-            case_id = str(d["case_id"])
+            case_id = d["case_id"]
             fps_native = float(d.get("fps_native", 10.0))
             entries = d["frames"]
             try:
@@ -487,7 +468,7 @@ class FrameManifest:
         # Bypasses __init__: ``frames`` stays unset until its first read.
         m = object.__new__(cls)
         vars(m).update(case_id=case_id, fps_native=fps_native, pre_overlaid=pre_overlaid,
-                       _times=times, _paths=paths, _slots=[None] * len(times))
+                       _times=times, _paths=paths)
         return m
 
 
@@ -620,6 +601,12 @@ class DecisionTrace:
     physical_stop_time: Optional[float] = None
     aborted: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.case_id, str):
+            raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
+        if not self.case_id:
+            raise SchemaError("case_id must be non-empty")
+
     @property
     def decision(self) -> BinaryDecision:
         return BinaryDecision.INTERVENE if self.alert_stream_time is not None else BinaryDecision.NOMINAL
@@ -642,17 +629,20 @@ class DecisionTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTrace":
-        summary = d.get("summary", {})
-        source = summary.get("alert_source")
-        return cls(
-            case_id=str(d["case_id"]),
-            events=tuple(event_from_dict(e) for e in d["events"]),
-            end_to_end_latency=summary.get("end_to_end_latency"),
-            alert_stream_time=summary.get("alert_stream_time"),
-            alert_source=None if source is None else AlertSource(source),
-            physical_stop_time=summary.get("physical_stop_time"),
-            aborted=bool(summary.get("aborted", False)),
-        )
+        try:
+            summary = d.get("summary", {})
+            source = summary.get("alert_source")
+            return cls(
+                case_id=d["case_id"],
+                events=tuple(event_from_dict(e) for e in d["events"]),
+                end_to_end_latency=summary.get("end_to_end_latency"),
+                alert_stream_time=summary.get("alert_stream_time"),
+                alert_source=None if source is None else AlertSource(source),
+                physical_stop_time=summary.get("physical_stop_time"),
+                aborted=bool(summary.get("aborted", False)),
+            )
+        except DECODE_ERRORS as exc:
+            raise decode_error("trace", d, exc) from exc
 
     def to_prediction(self) -> PredictionRecord:
         """Collapse this trace into the record the metrics pipeline consumes."""

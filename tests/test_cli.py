@@ -305,6 +305,34 @@ def test_unsamplable_rate_is_rejected(workdir, capsys):
     assert "sweep_error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lag", ["nan", "inf", "-1"])
+def test_run_bad_actuation_lag_is_config_error(workdir, capsys, lag):
+    out = workdir / "x.jsonl"
+    code = main(["run", "--manifest", str(workdir / "manifests.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 f"--actuation-lag={lag}", "--out", str(out)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "config_error: actuation_lag must be finite and non-negative")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case_id", [None, 7, ""], ids=["null", "int", "empty"])
+def test_run_bad_case_id_is_manifest_error(workdir, capsys, case_id):
+    manifest = {**grid_manifest(case_id="c0", duration=2.0).to_dict(), "case_id": case_id}
+    path = workdir / "bad_manifest.json"
+    path.write_text(json.dumps([manifest]), encoding="utf-8")
+    out = workdir / "x.jsonl"
+    code = main(["run", "--manifest", str(path),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("manifest_error: manifest case_id must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _write_manifest_with_time(workdir, index, t):
     """Manifests whose frame ``index`` has time ``t`` and is otherwise in order."""
     manifest = grid_manifest(case_id="c0", duration=2.0).to_dict()

@@ -49,6 +49,14 @@ def test_config_rejects_bad_rates():
             CoordinatorConfig(**kw)
 
 
+@pytest.mark.parametrize("lag", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_config_rejects_bad_actuation_lag(lag):
+    # NaN reached the trace as a "physical_stop_time" that is not valid JSON,
+    # and a negative lag put the stop before the alert.
+    with pytest.raises(ValueError, match="actuation_lag must be finite and non-negative"):
+        CoordinatorConfig(actuation_lag=lag)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CoordinatorConfig(window_size=0)

@@ -453,18 +453,18 @@ def test_latest_frame_at_matches_linear_scan(times, extra_probes):
     for t in times:
         probes += [t, t - _EPS / 2, t + _EPS / 2, t - 2 * _EPS, t + 2 * _EPS]
     for t in probes:
-        assert m.latest_frame_at(t) is _linear_latest_frame_at(m, t), t
+        assert m.latest_frame_at(t) == _linear_latest_frame_at(m, t), t
 
-    # A decoded manifest builds its frames lazily; the identity holds whether
-    # the lookups come before the first ``frames`` read or after it.
+    # A decoded manifest builds its frames lazily; the lookups agree whether
+    # they come before the first ``frames`` read or after it.
     before = FrameManifest.from_dict(m.to_dict())
     found = [before.latest_frame_at(t) for t in probes]
     for t, frame in zip(probes, found):
-        assert frame is _linear_latest_frame_at(before, t) is before.latest_frame_at(t), t
+        assert frame == _linear_latest_frame_at(before, t) == before.latest_frame_at(t), t
     after = FrameManifest.from_dict(m.to_dict())
     assert after.frames == frames
     for t in probes:
-        assert after.latest_frame_at(t) is _linear_latest_frame_at(after, t), t
+        assert after.latest_frame_at(t) == _linear_latest_frame_at(after, t), t
 
     # The cached times are not part of the value.
     assert [f.name for f in fields(m)] == ["case_id", "fps_native", "frames", "pre_overlaid"]
@@ -474,7 +474,7 @@ def test_latest_frame_at_matches_linear_scan(times, extra_probes):
     assert hash(m) == h == hash(FrameManifest.from_dict(m.to_dict()))
     # replace() rebuilds the cache from the new frames.
     head = replace(m, frames=frames[:1])
-    assert head.latest_frame_at(times[-1] + 1.0) is frames[0]
+    assert head.latest_frame_at(times[-1] + 1.0) == frames[0]
 
 
 def test_manifest_roundtrip():
@@ -505,6 +505,17 @@ def test_manifest_frames_read_once():
     assert decoded.frames is decoded.frames
 
 
+def test_manifest_keeps_only_its_columns():
+    """Lookups build no memo: a manifest holds its columns and, once read, ``frames``."""
+    m = grid_manifest(duration=1.0)
+    decoded = FrameManifest.from_dict(m.to_dict())
+    columns = {"case_id", "fps_native", "pre_overlaid", "_times", "_paths"}
+    decoded.latest_frame_at(0.5)
+    assert set(vars(decoded)) == columns
+    assert decoded.frames == m.frames
+    assert set(vars(decoded)) == set(vars(m)) == columns | {"frames"}
+
+
 _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.jpg"}]
 
 
@@ -528,6 +539,21 @@ def test_manifest_decode_error_text(frames, message):
     """The decoder's column fast path keeps the per-frame decoder's messages."""
     with pytest.raises(SchemaError) as info:
         FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case_id,message", [
+    (None, "manifest case_id must be a string, got None"),
+    (7, "manifest case_id must be a string, got 7"),
+    ("", "manifest case_id must be non-empty"),
+], ids=["null", "int", "empty"])
+def test_manifest_rejects_non_string_or_empty_case_id(case_id, message):
+    """A JSON null or number is not read as the case ``"None"`` or ``"7"``."""
+    with pytest.raises(SchemaError) as info:
+        FrameManifest.from_dict({"case_id": case_id, "fps_native": 10.0, "frames": _GOOD_FRAMES})
+    assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        FrameManifest(case_id=case_id, fps_native=10.0, frames=(Frame(t=0.0),))
     assert str(info.value) == message
 
 
@@ -574,6 +600,26 @@ def test_trace_roundtrip_and_decision():
     quiet = DecisionTrace(case_id="c", events=())
     assert quiet.decision == BinaryDecision.NOMINAL
     assert DecisionTrace.from_dict(quiet.to_dict()) == quiet
+
+
+@pytest.mark.parametrize("encoded,message", [
+    ({"case_id": None, "events": []}, "trace None: case_id must be a string, got None"),
+    ({"case_id": 7, "events": []}, "trace 7: case_id must be a string, got 7"),
+    ({"case_id": "", "events": []}, "trace : case_id must be non-empty"),
+    ({"events": []}, "missing field 'case_id' in trace"),
+    ({"case_id": "c"}, "missing field 'events' in trace c"),
+    ({"case_id": "c", "events": [{"kind": "override"}]}, "missing field 't' in trace c"),
+    ({"case_id": "c", "events": [{"kind": "nope"}]}, "trace c: unknown event kind 'nope'"),
+    ({"case_id": "c", "events": [], "summary": {"alert_source": "x"}},
+     "trace c: 'x' is not a valid AlertSource"),
+    ([1], "trace must be a JSON object, got list"),
+], ids=["case_id_null", "case_id_int", "case_id_empty", "missing_case_id", "missing_events",
+        "event_missing_field", "unknown_kind", "bad_source", "not_object"])
+def test_trace_decode_error_text(encoded, message):
+    """Every malformed trace is one SchemaError that names the trace."""
+    with pytest.raises(SchemaError) as info:
+        DecisionTrace.from_dict(encoded)
+    assert str(info.value) == message
 
 
 def test_trace_to_prediction():
