@@ -96,6 +96,10 @@ def _check_rules(rules: Sequence[ScheduleRule], label: str) -> None:
             )
 
 
+# The FastBrain reply outside every scripted rule: the world is nominal.
+_NOMINAL_FAST = json.dumps({"category": "green", "reason": ""})
+
+
 def _check_verdicts(rules: Sequence[ScheduleRule]) -> None:
     for r in rules:
         verdict = r.payload.get("verdict", 0)
@@ -113,6 +117,10 @@ class ScriptedBackend:
     ``slow_responses`` and optional ``baseline_responses`` rule lists, plus
     optional ``malformed`` / ``timeout`` fault intervals applied to the
     FastBrain output.
+
+    Each ``fast_schedule`` rule's reply text and latency are encoded once, at
+    construction, so ``fast_raw`` only finds the rule that holds the frame
+    time; a payload that cannot be encoded as JSON is a ``SchemaError`` then.
     """
 
     DEFAULT_FAST_LATENCY = 0.05
@@ -128,6 +136,18 @@ class ScriptedBackend:
         _check_rules(self.slow_responses, "slow_responses")
         _check_verdicts(self.slow_responses)
         _check_rules(self.baseline_responses, "baseline_responses")
+        self._fast_replies = tuple(map(self._fast_reply, self.fast_schedule))
+
+    def _fast_reply(self, rule: ScheduleRule) -> tuple[float, float, str, float]:
+        """``(t_start, t_end, raw_text, latency)``: what ``fast_raw`` returns inside ``rule``."""
+        try:
+            raw = json.dumps({"category": rule.payload.get("state", "green"),
+                              "reason": rule.payload.get("reason", "")})
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"fast_schedule rule [{rule.t_start}, {rule.t_end}): "
+                              f"cannot encode the reply: {exc}") from None
+        return (rule.t_start, rule.t_end, raw,
+                float(rule.payload.get("latency", self.DEFAULT_FAST_LATENCY)))
 
     # -- construction ---------------------------------------------------------
 
@@ -176,17 +196,14 @@ class ScriptedBackend:
 
     def fast_raw(self, prompt_text: str, frame: Frame) -> tuple[str, float]:
         t = frame.t
-        if self._in_fault(self.timeout, t):
+        if self.timeout and self._in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
-        if self._in_fault(self.malformed, t):
+        if self.malformed and self._in_fault(self.malformed, t):
             return "the scene looks fine", self.DEFAULT_FAST_LATENCY
-        for rule in self.fast_schedule:
-            if rule.contains(t):
-                raw = json.dumps({"category": rule.payload.get("state", "green"),
-                                  "reason": rule.payload.get("reason", "")})
-                return raw, float(rule.payload.get("latency", self.DEFAULT_FAST_LATENCY))
-        # Outside every rule the world is nominal.
-        return json.dumps({"category": "green", "reason": ""}), self.DEFAULT_FAST_LATENCY
+        for t_start, t_end, raw, latency in self._fast_replies:
+            if t_start <= t < t_end:
+                return raw, latency
+        return _NOMINAL_FAST, self.DEFAULT_FAST_LATENCY
 
     def slow_raw(self, prompt_text: str, window: Sequence[Frame]) -> tuple[str, float]:
         t = window[-1].t

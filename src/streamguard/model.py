@@ -369,7 +369,11 @@ class Frame:
     @classmethod
     def from_dict(cls, d: dict) -> "Frame":
         try:
-            return cls(t=float(d["t"]), image_path=d.get("image_path", ""))
+            t = float(d["t"])
+            image_path = d.get("image_path", "")
+            if not isinstance(image_path, str):
+                raise SchemaError(f"image_path must be a string, got {image_path!r}")
+            return cls(t=t, image_path=image_path)
         except DECODE_ERRORS as exc:
             raise decode_error("frame", d, exc) from exc
 
@@ -457,6 +461,8 @@ class FrameManifest:
             try:
                 times = tuple([float(f["t"]) for f in entries])
                 paths = tuple([f.get("image_path", "") for f in entries])
+                if not all(isinstance(p, str) for p in paths):
+                    raise SchemaError("image_path must be a string")
             except DECODE_ERRORS:
                 for f in entries:  # the per-frame decoder names the bad entry
                     Frame.from_dict(f)

@@ -22,38 +22,32 @@ class FormatError(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(text: str) -> Optional[dict]:
-    """Return the first balanced JSON object embedded in text, if any."""
+    """Return the first balanced JSON object embedded in text, if any.
+
+    Tries each ``{`` in turn and decodes one JSON value there with the C
+    scanner; the first that decodes is the result (a value that starts with
+    ``{`` is always a dict).  A ``{`` whose decode fails is passed over for
+    the next one.  This finds the object a brace-and-string scan would.
+
+    Nesting too deep to decode ends the search with no object, without
+    trying later ``{``: each one inside the deep run would decode as deep.
+    """
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start:i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
+        except RecursionError:
+            return None
     return None
+
+
+_STATES = {s.value: s for s in SafetyState}
 
 
 def parse_fast_output(raw: str) -> Tuple[SafetyState, str]:
@@ -68,10 +62,9 @@ def parse_fast_output(raw: str) -> Tuple[SafetyState, str]:
     category = obj.get("category")
     if not isinstance(category, str):
         raise FormatError("missing_category")
-    try:
-        state = SafetyState(category.strip().lower())
-    except ValueError:
-        raise FormatError("unknown_category", category) from None
+    state = _STATES.get(category.strip().lower())
+    if state is None:
+        raise FormatError("unknown_category", category)
     reason = obj.get("reason")
     return state, reason if isinstance(reason, str) else ""
 

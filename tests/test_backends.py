@@ -3,6 +3,7 @@ round-trip against a local stub HTTP endpoint."""
 
 import dataclasses
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -124,6 +125,54 @@ def test_scripted_faults():
         parse_fast_output(raw)
     with pytest.raises(BackendTimeoutError):
         backend.fast_raw(FAST_TEXT, Frame(t=2.5))
+
+
+def _per_call_fast_raw(backend, t):
+    """``fast_raw`` as a formula that encodes the matching rule's reply on every call."""
+    if any(a <= t < b for a, b in backend.timeout):
+        raise BackendTimeoutError(f"scripted timeout at t={t}")
+    if any(a <= t < b for a, b in backend.malformed):
+        return "the scene looks fine", ScriptedBackend.DEFAULT_FAST_LATENCY
+    for rule in backend.fast_schedule:
+        if rule.contains(t):
+            raw = json.dumps({"category": rule.payload.get("state", "green"),
+                              "reason": rule.payload.get("reason", "")})
+            return raw, float(rule.payload.get("latency", ScriptedBackend.DEFAULT_FAST_LATENCY))
+    return json.dumps({"category": "green", "reason": ""}), ScriptedBackend.DEFAULT_FAST_LATENCY
+
+
+_FAST_RULES = [
+    ScheduleRule(0.5, 1.0, {"state": "yellow"}),  # neither reason nor latency
+    ScheduleRule(1.0, 1.5, {"state": "red", "reason": 'flame "on" \\ é', "latency": 0.2}),
+    ScheduleRule(2.0, 3.0, {"reason": "no state given", "latency": 1}),
+    ScheduleRule(3.5, 4.0, {"state": "Green", "reason": "clear"}),
+]
+
+
+@pytest.mark.parametrize("faults", [{}, {"malformed": [(0.0, 0.25), (3.75, 5.0)],
+                                         "timeout": [(2.5, 2.75)]}], ids=["clean", "faults"])
+def test_scripted_fast_raw_matches_per_call_encoding(faults):
+    """The encoded-once replies are the per-call formula's, at every rule and fault edge."""
+    backend = ScriptedBackend(fast_schedule=_FAST_RULES, **faults)
+    edges = {e for r in _FAST_RULES for e in (r.t_start, r.t_end)}
+    edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
+    times = {0.0, 1.75, 3.25, 10.0}  # before, between and after the rules
+    for e in edges:
+        times |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
+    for t in sorted(times):
+        try:
+            expected = _per_call_fast_raw(backend, t)
+        except BackendTimeoutError as exc:
+            with pytest.raises(BackendTimeoutError, match=f"^{exc}$"):
+                backend.fast_raw(FAST_TEXT, Frame(t=t))
+            continue
+        got = backend.fast_raw(FAST_TEXT, Frame(t=t))
+        assert got == expected and type(got[1]) is float, t
+
+
+def test_scripted_unencodable_fast_payload_rejected():
+    with pytest.raises(SchemaError, match=r"fast_schedule rule \[0\.0, 1\.0\): cannot encode"):
+        ScriptedBackend(fast_schedule=[ScheduleRule(0.0, 1.0, {"state": {"red"}})])
 
 
 def test_scripted_dict_roundtrip(tmp_path):

@@ -333,6 +333,21 @@ def test_run_bad_case_id_is_manifest_error(workdir, capsys, case_id):
     assert not out.exists()
 
 
+def test_run_non_string_image_path_is_manifest_error(workdir, capsys):
+    manifest = grid_manifest(case_id="c0", duration=2.0).to_dict()
+    manifest["frames"][3]["image_path"] = 5
+    path = workdir / "bad_manifest.json"
+    path.write_text(json.dumps([manifest]), encoding="utf-8")
+    out = workdir / "x.jsonl"
+    code = main(["run", "--manifest", str(path),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "manifest_error: manifest c0: frame: image_path must be a string, got 5\n"
+    assert not out.exists()
+
+
 def _write_manifest_with_time(workdir, index, t):
     """Manifests whose frame ``index`` has time ``t`` and is otherwise in order."""
     manifest = grid_manifest(case_id="c0", duration=2.0).to_dict()

@@ -222,6 +222,23 @@ def test_malformed_fast_output_treated_as_yellow():
     assert not trace.aborted
 
 
+class DeepNestFast:
+    """A FastBrain reply nested deeper than the JSON decoder can follow."""
+
+    def fast_raw(self, prompt_text, frame):
+        return '{"a":' * 100_000 + "1" + "}" * 100_000, 0.05
+
+
+def test_deeply_nested_fast_output_treated_as_yellow():
+    manifest = grid_manifest(duration=2.0)
+    trace = run_case(manifest, DeepNestFast(), slow_script([]), CFG)
+    states = trace.events_of(FastState)
+    assert states and all(s.state == SafetyState.YELLOW and s.fast_latency == 0.0
+                          for s in states)
+    assert len(trace.events_of(SlowDispatched)) >= 1
+    assert not trace.aborted
+
+
 def test_malformed_fast_output_strict_mode_aborts():
     manifest = grid_manifest(duration=4.0)
     fast = fast_script([], malformed=[(0.0, 0.1)])

@@ -542,6 +542,18 @@ def test_manifest_decode_error_text(frames, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("path", [None, 5, ["a.jpg"]], ids=["null", "int", "list"])
+def test_frame_rejects_non_string_image_path(path):
+    """A path that is not a string never reaches a backend's ``open``."""
+    with pytest.raises(SchemaError) as info:
+        Frame.from_dict({"t": 0.0, "image_path": path})
+    assert str(info.value) == f"frame: image_path must be a string, got {path!r}"
+    frames = [_GOOD_FRAMES[0], {"t": 0.5, "image_path": path}]
+    with pytest.raises(SchemaError) as info:
+        FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
+    assert str(info.value) == f"manifest m1: frame: image_path must be a string, got {path!r}"
+
+
 @pytest.mark.parametrize("case_id,message", [
     (None, "manifest case_id must be a string, got None"),
     (7, "manifest case_id must be a string, got 7"),

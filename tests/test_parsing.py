@@ -3,12 +3,15 @@
 import json
 import random
 import string
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamguard.model import SafetyState
 from streamguard.parsing import (
     FormatError,
+    _first_json_object,
     parse_baseline_verdict,
     parse_fast_output,
     parse_severity_verdict,
@@ -81,6 +84,86 @@ def test_fast_rejects(raw):
 def test_fast_reason_passthrough():
     _, reason = parse_fast_output('{"category": "red", "reason": "fire near sofa"}')
     assert reason == "fire near sofa"
+
+
+# Deeper than the decoder's recursion limit, and well formed.
+DEEP_NEST = '{"a":' * 100_000 + "1" + "}" * 100_000
+
+
+def test_fast_deep_nesting_is_format_error():
+    with pytest.raises(FormatError) as exc:
+        parse_fast_output(DEEP_NEST)
+    assert exc.value.reason == "no_json_object"
+
+
+def test_fast_worst_case_is_fast():
+    """Unclosed braces are rejected within a second.  A Python scan from each
+    ``{`` to the end of the text takes time in the square of its length."""
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        parse_fast_output("{" * 20_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def _char_scan_first_object(text):
+    """The brace-and-string character scanner ``_first_json_object`` replaced."""
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        obj = json.loads(text[start:i + 1])
+                    except json.JSONDecodeError:
+                        break
+                    if isinstance(obj, dict):
+                        return obj
+                    break
+        start = text.find("{", start + 1)
+    return None
+
+
+# Keys and strings that hold braces, quotes and backslashes, so the encoded
+# objects carry escapes.  Loose characters and open-object prefixes, which
+# make a decode fail after an object nested in it, outweigh whole objects.
+_KEY = st.sampled_from(["a", "{", "}", '"', "\\", "", 'a"}'])
+_OBJECT = st.dictionaries(
+    _KEY, st.one_of(st.integers(0, 9), _KEY, st.dictionaries(_KEY, st.integers(0, 9), max_size=2)),
+    max_size=3).map(json.dumps)
+_CHAR = st.sampled_from(list('{}"\\:,[]a1 ') + ['{"a": ', '{"a": ['])
+_SCAN_TEXT = st.lists(st.one_of(_CHAR, _CHAR, _CHAR, _OBJECT), max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCAN_TEXT)
+def test_first_json_object_matches_char_scanner(text):
+    assert _first_json_object(text) == _char_scan_first_object(text)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('{"a": {"category": "red"} x', {"category": "red"}),
+    ('{"a": [{"b": 1}, } {"c": 2}', {"b": 1}),
+    ('{"a" {"b": "}"}', {"b": "}"}),
+], ids=["after_value", "in_array", "brace_in_string"])
+def test_first_json_object_inside_a_failed_one(text, expected):
+    """A decode that fails past a nested object does not skip that object."""
+    assert _first_json_object(text) == expected == _char_scan_first_object(text)
 
 
 # --- structured-reasoning grammar --------------------------------------------
