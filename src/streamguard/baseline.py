@@ -41,20 +41,26 @@ def build_windows(duration: float, fps: float = DEFAULT_FPS,
 
     Windows start at 0 and advance by ``stride``; the final window is
     clamped to the stream end rather than dropped, so late hazards stay
-    monitored.  Each window carries ceil(length * fps) frame times.
+    monitored.  Each window carries the times ``start + i / fps`` for
+    ``i < ceil(length * fps)`` that fall before its clamped end; the
+    offsets ``i / fps`` are computed once per call.  Every argument must be
+    finite: an infinite or NaN duration would plan windows without end.
     """
+    if not all(map(math.isfinite, (duration, fps, length, stride))):
+        raise ValueError("duration, fps, length and stride must be finite")
     if duration <= 0 or length <= 0 or fps <= 0:
         raise ValueError("duration, length and fps must be positive")
     if not 0 < stride <= length:
         raise ValueError("stride must satisfy 0 < stride <= length")
 
-    n_frames = math.ceil(length * fps)
+    offsets = [i / fps for i in range(math.ceil(length * fps))]
     windows = []
     start = 0.0
     while True:
         end = start + length
         clamped = min(end, duration)
-        times = tuple(start + i / fps for i in range(n_frames) if start + i / fps < clamped - _EPS)
+        limit = clamped - _EPS
+        times = tuple([t for o in offsets if (t := start + o) < limit])
         windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
         if end >= duration - _EPS:
             break
@@ -70,7 +76,8 @@ def run_baseline_case(manifest: FrameManifest, backend,
     Aggregation takes the earliest hazardous timestamp across windows; a
     case is Safe only if every window said Safe.  Per-window format errors
     are logged; the case itself is a format error only when every window
-    failed to parse.
+    failed to parse.  Each window's frames come from one
+    ``manifest.frames_at`` walk over its frame times.
     """
     prompt = prompt or load_prompt("baseline_detect")
     plan = build_windows(manifest.duration)
@@ -80,7 +87,7 @@ def run_baseline_case(manifest: FrameManifest, backend,
     raws: list[str] = []
     n_parsed = 0
     for window in plan.windows:
-        frames = [manifest.latest_frame_at(t) for t in window.frame_times]
+        frames = manifest.frames_at(window.frame_times)
         text = prompt.render(frames, manifest.pre_overlaid, start=window.start, end=window.end)
         raw, _latency = backend.baseline_raw(window.start, window.end, frames, text)
         raws.append(raw)

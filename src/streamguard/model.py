@@ -359,9 +359,13 @@ class PredictionRecord:
             raise decode_error("prediction", d, exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
-    """A single timestamped frame; the payload lives in an external file."""
+    """A single timestamped frame; the payload lives in an external file.
+
+    Slotted: every lookup builds one, and without a ``__dict__`` it is both
+    smaller and quicker to build.
+    """
 
     t: float
     image_path: str = ""
@@ -402,8 +406,9 @@ class FrameManifest:
 
     Every manifest keeps its frames as two flat columns, the times
     (``_times``) and the image paths (``_paths``).  ``latest_frame_at``,
-    ``duration`` and ``to_dict`` read only these.  They are not part of the
-    value: ``==``, ``hash``, ``repr`` and ``replace`` see only the fields.
+    ``frames_at``, ``duration`` and ``to_dict`` read only these.  They are
+    not part of the value: ``==``, ``hash``, ``repr`` and ``replace`` see
+    only the fields.
 
     ``from_dict`` decodes straight into the columns and builds no ``Frame``:
     ``frames`` is built from them on its first read and then kept.
@@ -443,6 +448,31 @@ class FrameManifest:
         """
         i = max(bisect_right(self._times, t + _EPS) - 1, 0)
         return Frame(self._times[i], self._paths[i])
+
+    def frames_at(self, times) -> list[Frame]:
+        """``[self.latest_frame_at(t) for t in times]``, in one forward walk.
+
+        The first probe bisects the times column; each later one steps
+        forward while the next frame time is <= t + _EPS.  A probe that is
+        not >= the one before (lower, or NaN) bisects again, so any order of
+        ``times`` gives the same frames; non-decreasing probes, such as one
+        window's frame times, cost one bisect plus the walk.
+        """
+        col, paths = self._times, self._paths
+        last = len(col) - 1
+        out = []
+        i = 0
+        prev = math.nan  # compares false, so the first probe bisects
+        for t in times:
+            bound = t + _EPS
+            if t >= prev:
+                while i < last and col[i + 1] <= bound:
+                    i += 1
+            else:
+                i = max(bisect_right(col, bound) - 1, 0)
+            prev = t
+            out.append(Frame(col[i], paths[i]))
+        return out
 
     def to_dict(self) -> dict:
         return {

@@ -69,7 +69,9 @@ def parse_fast_output(raw: str) -> Tuple[SafetyState, str]:
     return state, reason if isinstance(reason, str) else ""
 
 
-_VERDICT_RE = re.compile(r"VERDICT[^A-Za-z]*?\**\s*\[?\s*(DANGER|SAFE)\s*\]?", re.IGNORECASE)
+# Whatever stands between the marker and the word ("**", ":", "[" and
+# spaces) is non-letters, so one class covers it and the match is linear.
+_VERDICT_RE = re.compile(r"VERDICT[^A-Za-z]*(DANGER|SAFE)", re.IGNORECASE)
 
 
 def parse_slow_output(raw: str) -> int:
@@ -100,9 +102,12 @@ def _part_text(raw: str, part: int) -> Optional[str]:
     return None
 
 
+_LABEL_RE = re.compile(r"^\[?(Verdict|Severity|Reasoning)\]?\s*:?", re.IGNORECASE)
+
+
 def _clean_token(text: str) -> str:
     token = text.strip()
-    token = re.sub(r"^\[?(Verdict|Severity|Reasoning)\]?\s*:?", "", token, flags=re.IGNORECASE)
+    token = _LABEL_RE.sub("", token)
     return token.strip().strip("*[]'\"` \n").strip()
 
 

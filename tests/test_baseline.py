@@ -1,11 +1,13 @@
 """Sliding-window planner and baseline evaluation protocol."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend
-from streamguard.baseline import build_windows, run_baseline_case
+from streamguard.baseline import Window, WindowPlan, build_windows, run_baseline_case
 
 from helpers import grid_manifest
 
@@ -52,6 +54,12 @@ def test_windows_bad_args():
         build_windows(5.0, stride=2.5)  # stride must not exceed the length
     with pytest.raises(ValueError):
         build_windows(5.0, stride=0.0)
+    # A non-finite duration would plan windows without end, and a non-finite
+    # fps or length would fail inside math.ceil.
+    for bad in (math.inf, -math.inf, math.nan):
+        for arg in ("duration", "fps", "length", "stride"):
+            with pytest.raises(ValueError, match="finite"):
+                build_windows(**{"duration": 5.0, arg: bad})
 
 
 def test_windows_random_durations_properties():
@@ -79,6 +87,32 @@ def test_windows_random_durations_properties():
             for i, ft in enumerate(w.frame_times):
                 assert ft == pytest.approx(w.start + i * 0.1)
                 assert ft < w.end
+
+
+def _reference_windows(duration, fps, length, stride):
+    """The planner as it was before its frame offsets were computed once."""
+    n_frames = math.ceil(length * fps)
+    windows = []
+    start = 0.0
+    while True:
+        end = start + length
+        clamped = min(end, duration)
+        times = tuple(start + i / fps for i in range(n_frames) if start + i / fps < clamped - _EPS)
+        windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
+        if end >= duration - _EPS:
+            break
+        start = round(start + stride, 9)
+    return WindowPlan(windows=tuple(windows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(duration=st.floats(0.001, 30.0), fps=st.floats(0.1, 60.0),
+       length=st.floats(0.05, 5.0), stride_frac=st.floats(0.2, 1.0))
+@example(duration=600.0, fps=10.0, length=2.0, stride_frac=0.75)  # a default long stream
+def test_windows_match_reference_planner(duration, fps, length, stride_frac):
+    stride = length * stride_frac
+    assert build_windows(duration, fps, length, stride) == \
+        _reference_windows(duration, fps, length, stride)
 
 
 # --- per-case evaluation -----------------------------------------------------

@@ -3,7 +3,7 @@
 import copy
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +475,41 @@ def test_latest_frame_at_matches_linear_scan(times, extra_probes):
     # replace() rebuilds the cache from the new frames.
     head = replace(m, frames=frames[:1])
     assert head.latest_frame_at(times[-1] + 1.0) == frames[0]
+
+
+@given(_frame_times(), st.lists(st.floats(-10, 2e4), max_size=10), st.randoms())
+def test_frames_at_matches_latest_frame_at(times, extra_probes, rng):
+    frames = tuple(Frame(t=t, image_path=f"{i}.jpg") for i, t in enumerate(times))
+    built = FrameManifest(case_id="c", fps_native=30.0, frames=frames)
+    probes = [times[0] - 1.0, times[-1] + 1.0, *extra_probes]
+    for t in times:
+        probes += [t, t - _EPS / 2, t + _EPS / 2, t - 2 * _EPS, t + 2 * _EPS]
+    shuffled = rng.sample(probes, len(probes))
+    window = sorted(rng.sample(probes, min(len(probes), 20)))
+    for m in (built, FrameManifest.from_dict(built.to_dict())):
+        for ts in (sorted(probes), shuffled, window, window[::-1], []):
+            assert m.frames_at(ts) == [m.latest_frame_at(t) for t in ts]
+
+
+def test_frames_at_any_order():
+    m = FrameManifest(case_id="c", fps_native=10.0,
+                      frames=(Frame(0.5, "a"), Frame(1.0, "b"), Frame(1.0, "c"), Frame(2.0, "d")))
+    ts = (0.0, 1.0, 2.5, 0.7, 1.0 - _EPS / 2, math.nan, 0.6)
+    assert [f.image_path for f in m.frames_at(ts)] == ["a", "c", "d", "a", "c", "d", "a"]
+    assert m.frames_at(ts) == [m.latest_frame_at(t) for t in ts]
+
+
+def test_frame_is_a_slotted_value():
+    f = Frame(t=1.5, image_path="a.jpg")
+    assert not hasattr(f, "__dict__")
+    assert f == Frame(1.5, "a.jpg") and f != Frame(1.5, "b.jpg")
+    assert hash(f) == hash(Frame(1.5, "a.jpg"))
+    assert repr(f) == "Frame(t=1.5, image_path='a.jpg')"
+    assert replace(f, t=2.0) == Frame(2.0, "a.jpg")
+    assert Frame.from_dict({"t": 1.5, "image_path": "a.jpg"}) == f
+    assert Frame.from_dict({"t": 2}) == Frame(2.0, "")
+    with pytest.raises(FrozenInstanceError):
+        f.t = 0.0
 
 
 def test_manifest_roundtrip():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import string
 import time
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from streamguard.model import SafetyState
 from streamguard.parsing import (
     FormatError,
+    _VERDICT_RE,
     _first_json_object,
     parse_baseline_verdict,
     parse_fast_output,
@@ -216,6 +218,34 @@ def test_slow_unsafe_token():
     # UNSAFE contains SAFE only after a letter, which the grammar forbids
     with pytest.raises(FormatError):
         parse_slow_output("VERDICT: UNSAFE")
+
+
+# The verdict pattern before it was reduced to one non-letter class.  Its three
+# overlapping quantifiers backtrack in cubic time on a marker with no word.
+_OLD_VERDICT_RE = re.compile(r"VERDICT[^A-Za-z]*?\**\s*\[?\s*(DANGER|SAFE)\s*\]?", re.IGNORECASE)
+
+_VERDICT_LINE = st.lists(
+    st.sampled_from(["VERDICT", "verdict", "DANGER", "SAFE", "safe", " ", "\t", "*", "[",
+                     "]", ":", "a", "Z", "é"]),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=500)
+@given(_VERDICT_LINE)
+def test_verdict_pattern_matches_old_pattern(line):
+    old = _OLD_VERDICT_RE.search(line)
+    new = _VERDICT_RE.search(line)
+    assert (old and old.group(1)) == (new and new.group(1))
+
+
+@pytest.mark.parametrize("pad", [" ", "\t"], ids=["spaces", "tabs"])
+def test_slow_worst_case_is_fast(pad):
+    """A marker followed by 1000 blanks and no word: the old pattern took
+    about 8 s here."""
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        parse_slow_output("VERDICT" + pad * 1000)
+    assert time.perf_counter() - start < 0.5
 
 
 # --- sliding-window verdict grammar ------------------------------------------
