@@ -7,6 +7,7 @@ MAE for the continuous key-frame timestamps.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -107,15 +108,20 @@ def agreement_table(set_a: AnnotationSet, set_b: AnnotationSet) -> dict:
     Returns keyframe rows (ccc / icc_a1 / mae per field) and kappa per
     categorical field, plus the size of the both-valid subset.
     """
-    shared = sorted(set(set_a.cases) & set(set_b.cases))
-    valid = [cid for cid in shared if set_a[cid].is_valid and set_b[cid].is_valid]
+    cases_a, cases_b = set_a.cases, set_b.cases
+    shared = sorted(cases_a.keys() & cases_b.keys())
+    valid = [(a, b) for a, b in zip(map(cases_a.get, shared), map(cases_b.get, shared))
+             if a.is_valid and b.is_valid]
     if not valid:
         raise EmptyInput("no cases are valid in both annotation sets")
+    side_a, side_b = zip(*valid)
+    frames_a = list(map(attrgetter("key_frames"), side_a))
+    frames_b = list(map(attrgetter("key_frames"), side_b))
 
     keyframes = {}
     for fld in KEYFRAME_FIELDS:
-        xs = [getattr(set_a[cid].key_frames, fld) for cid in valid]
-        ys = [getattr(set_b[cid].key_frames, fld) for cid in valid]
+        get = attrgetter(fld)
+        xs, ys = list(map(get, frames_a)), list(map(get, frames_b))
         keyframes[fld] = {
             "ccc": lins_ccc(xs, ys),
             "icc_a1": icc_a1(xs, ys),
@@ -124,7 +130,7 @@ def agreement_table(set_a: AnnotationSet, set_b: AnnotationSet) -> dict:
 
     kappas = {}
     for fld in CATEGORICAL_FIELDS:
-        kappas[fld] = cohens_kappa([getattr(set_a[cid], fld) for cid in valid],
-                                   [getattr(set_b[cid], fld) for cid in valid])
+        get = attrgetter(fld)
+        kappas[fld] = cohens_kappa(list(map(get, side_a)), list(map(get, side_b)))
 
     return {"n_both_valid": len(valid), "keyframes": keyframes, "kappa": kappas}

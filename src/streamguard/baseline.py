@@ -45,6 +45,9 @@ def build_windows(duration: float, fps: float = DEFAULT_FPS,
     ``i < ceil(length * fps)`` that fall before its clamped end; the
     offsets ``i / fps`` are computed once per call.  Every argument must be
     finite: an infinite or NaN duration would plan windows without end.
+    Starts are rounded to 1e-9 s: a stride whose step that rounding swallows
+    (every stride below 5e-10 s, and some just above it) raises ValueError
+    instead of planning windows without end.
     """
     if not all(map(math.isfinite, (duration, fps, length, stride))):
         raise ValueError("duration, fps, length and stride must be finite")
@@ -64,7 +67,11 @@ def build_windows(duration: float, fps: float = DEFAULT_FPS,
         windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
         if end >= duration - _EPS:
             break
-        start = round(start + stride, 9)
+        next_start = round(start + stride, 9)
+        if next_start == start:
+            raise ValueError(f"stride {stride!r} does not advance the window start "
+                             "at 1e-9 s resolution")
+        start = next_start
     return WindowPlan(windows=tuple(windows))
 
 

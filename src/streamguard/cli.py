@@ -81,14 +81,27 @@ def _make_backend(spec: str):
                             "(use scripted:<path> or remote:<path>)")
 
 
+# ``json.loads`` without its whitespace scans: a stripped line has no JSON
+# whitespace at either end.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _load_predictions(path: str) -> list:
+    """One record per non-blank line.  A line that ``_raw_decode`` does not
+    take whole goes to ``json.loads``, so a bad line fails with its error."""
     preds = []
     try:
         with gc_paused(), open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    preds.append(PredictionRecord.from_dict(json.loads(line)))
+                    try:
+                        d, end = _raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = -1
+                    if end != len(line):
+                        d = json.loads(line)
+                    preds.append(PredictionRecord.from_dict(d))
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
     except (json.JSONDecodeError, ModelError) as exc:
@@ -105,11 +118,12 @@ def _load_annotation_set(path: str) -> AnnotationSet:
         raise CliError(EXIT_DOMAIN, f"annotation_error: {exc}")
 
 
-def _write_csv(path: str, fieldnames: list, rows: list) -> None:
+def _write_csv(path: str, header, rows) -> None:
+    """Write the header row, then each row's values in header order."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
+            writer = csv.writer(fh)
+            writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
@@ -209,7 +223,7 @@ def cmd_metrics(args) -> int:
         print(f"metric_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     row = report.row(model=args.model)
-    _write_csv(args.out, list(row), [row])
+    _write_csv(args.out, row, [row.values()])
     print("  ".join(f"{k}={_fmt(v)}" for k, v in row.items() if not k.startswith("err_")))
     return EXIT_OK
 
@@ -226,8 +240,8 @@ def cmd_errors(args) -> int:
     except MetricsError as exc:
         print(f"metric_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    rows = [{"case_id": case_id, "error_type": err.value} for case_id, err in errors.items()]
-    _write_csv(args.out, ["case_id", "error_type"], rows)
+    _write_csv(args.out, ("case_id", "error_type"),
+               [(case_id, err.value) for case_id, err in errors.items()])
     counts = Counter(errors.values())
     print("  ".join(f"{e.value}={counts[e] / len(errors):.4f}" for e in ErrorType))
     return EXIT_OK
@@ -241,12 +255,9 @@ def cmd_agreement(args) -> int:
     except AgreementError as exc:
         print(f"agreement_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    rows = [{"field": fld,
-             "ccc": f"{stats['ccc']:.6f}",
-             "icc_a1": f"{stats['icc_a1']:.6f}",
-             "mae_s": f"{stats['mae']:.6f}"}
+    rows = [(fld, f"{stats['ccc']:.6f}", f"{stats['icc_a1']:.6f}", f"{stats['mae']:.6f}")
             for fld, stats in table["keyframes"].items()]
-    _write_csv(args.out, ["field", "ccc", "icc_a1", "mae_s"], rows)
+    _write_csv(args.out, ("field", "ccc", "icc_a1", "mae_s"), rows)
     kappa_bits = "  ".join(f"kappa[{f}]={v:.4f}" for f, v in table["kappa"].items())
     print(f"n_both_valid={table['n_both_valid']}  {kappa_bits}")
     return EXIT_OK
@@ -268,20 +279,15 @@ def cmd_ablate(args) -> int:
     except (ValueError, MetricsError) as exc:
         print(f"sweep_error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    out_rows = []
-    for row in rows:
-        out_rows.append({
-            "config": "dual_brain",
-            "fps": row["fps"],
-            "hdr": f"{row['hdr']:.4f}",
-            "ewp": "" if row["ewp"] is None else f"{row['ewp']:.4f}",
-            "wss": f"{row['wss']:.4f}",
-            **{f"p_{p.value}": f"{row['phase_fractions'][p]:.4f}" for p in Phase},
-            "mean_latency_s": "" if row["mean_latency"] is None else f"{row['mean_latency']:.4f}",
-        })
-    fieldnames = ["config", "fps", "hdr", "ewp", "wss"] + \
+    out_rows = [
+        ("dual_brain", row["fps"], f"{row['hdr']:.4f}",
+         "" if row["ewp"] is None else f"{row['ewp']:.4f}", f"{row['wss']:.4f}",
+         *(f"{row['phase_fractions'][p]:.4f}" for p in Phase),
+         "" if row["mean_latency"] is None else f"{row['mean_latency']:.4f}")
+        for row in rows]
+    header = ["config", "fps", "hdr", "ewp", "wss"] + \
         [f"p_{p.value}" for p in Phase] + ["mean_latency_s"]
-    _write_csv(args.out, fieldnames, out_rows)
+    _write_csv(args.out, header, out_rows)
     print(f"{len(out_rows)} sweep rows -> {args.out}")
     return EXIT_OK
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .annotations import AnnotationSet, classify_phase
@@ -18,6 +19,7 @@ from .model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
+    SEVERITY_CLAIMS,
     SEVERITY_LEVELS,
 )
 
@@ -130,18 +132,22 @@ def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> Err
     return ErrorType.NO_ERROR
 
 
+@lru_cache(maxsize=1024)
+def _entity_pattern(entity: str) -> re.Pattern:
+    """The compiled whole-word pattern for one entity, kept for later calls."""
+    return re.compile(r"\b" + re.escape(entity) + r"\b")
+
+
 def mentioned_entities(text: str, entities: Sequence[str]) -> list:
     """Entities present in text as case-insensitive whole-word matches.
 
     Multiword entities match as contiguous substrings on word boundaries.
+    An empty text mentions nothing.
     """
+    if not text:
+        return []
     lowered = text.lower()
-    hits = []
-    for entity in entities:
-        pattern = r"\b" + re.escape(entity) + r"\b"
-        if re.search(pattern, lowered):
-            hits.append(entity)
-    return hits
+    return [entity for entity in entities if _entity_pattern(entity).search(lowered)]
 
 
 def case_errors(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
@@ -149,9 +155,6 @@ def case_errors(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
     if len(anns) < 1:
         raise EmptyDataset("annotation set is empty")
     return {ann.case_id: classify_error(pred, ann) for ann, pred in _join(preds, anns)}
-
-
-SEVERITY_CLAIMS = ("none",) + SEVERITY_LEVELS
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ _INF = math.inf
 LOCATIONS = ("bedroom", "bathroom", "living_room", "dining_room", "study", "balcony")
 DANGER_CATEGORIES = ("C1", "C2", "C3", "C4")
 SEVERITY_LEVELS = ("L1", "L2", "L3", "L4")
+SEVERITY_CLAIMS = ("none",) + SEVERITY_LEVELS
 DIFFICULTY_LEVELS = ("D1", "D2", "D3")
 
 
@@ -104,7 +105,7 @@ class AlertSource(str, Enum):
     SLOW = "slow"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyFrames:
     """The five annotated timestamps delimiting one hazard lifecycle."""
 
@@ -160,7 +161,7 @@ class KeyFrames:
             raise decode_error("key_frames", d, exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseAnnotation:
     """Ground truth for one video case."""
 
@@ -175,7 +176,23 @@ class CaseAnnotation:
     is_valid: bool = True
 
     def __post_init__(self):
-        case_id = self.case_id
+        case_id, difficulty, duration = self.case_id, self.difficulty, self.duration
+        entities = self.key_entities
+        # Straight-line test for the usual well-formed case; anything else takes
+        # the checks below, which name the first bad field.  The closed sets
+        # stay tuples: an unhashable value must fail the test, not raise.
+        if (type(case_id) is str and case_id
+                and self.location in LOCATIONS and self.danger_category in DANGER_CATEGORIES
+                and self.severity in SEVERITY_LEVELS and difficulty in DIFFICULTY_LEVELS
+                and type(duration) is float and 0.0 <= duration < _INF
+                and not self.key_frames.action_end > duration + _EPS
+                and type(self.is_valid) is bool
+                and type(entities) is tuple and (entities or difficulty not in ("D1", "D2"))):
+            for e in entities:
+                if not (type(e) is str and e and e == e.lower()):
+                    break
+            else:
+                return
         if not isinstance(case_id, str):
             raise SchemaError(f"case_id must be a string, got {case_id!r}")
         if not case_id:
@@ -186,10 +203,8 @@ class CaseAnnotation:
             raise SchemaError(f"unknown danger_category {self.danger_category!r} for case {case_id}")
         if self.severity not in SEVERITY_LEVELS:
             raise SchemaError(f"unknown severity {self.severity!r} for case {case_id}")
-        difficulty = self.difficulty
         if difficulty not in DIFFICULTY_LEVELS:
             raise SchemaError(f"unknown difficulty {difficulty!r} for case {case_id}")
-        duration = self.duration
         if self.key_frames.action_end > duration + _EPS:
             raise OrderingError(
                 f"action_end {self.key_frames.action_end} exceeds duration {duration} "
@@ -199,7 +214,6 @@ class CaseAnnotation:
         if not (isinstance(duration, (int, float)) and 0 <= duration < _INF):
             raise SchemaError(f"case {case_id}: duration must be a finite non-negative number, "
                               f"got {duration!r}")
-        entities = self.key_entities
         if not entities and difficulty in ("D1", "D2"):
             raise SchemaError(f"case {case_id}: key_entities required for {difficulty} cases")
         for e in entities:
@@ -286,7 +300,7 @@ class PhaseScoreTable:
         return cls(scores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """One model verdict for one case: Safe, or a hazard timestamp."""
 
@@ -300,6 +314,18 @@ class PredictionRecord:
     parse_detail: str = ""
 
     def __post_init__(self):
+        verdict, timestamp, claim = self.verdict, self.timestamp, self.severity_claim
+        # Straight-line test for the usual well-formed record; anything else
+        # takes the checks below, which name the first bad field.  The closed
+        # sets stay tuples: an unhashable value must fail the test, not raise.
+        if (type(self.case_id) is str and verdict in ("safe", "hazard")
+                and (not verdict == "hazard" or type(timestamp) is float
+                     and 0.0 <= timestamp < _INF)
+                and (claim is None or claim in SEVERITY_CLAIMS)
+                and self.parse_status in ("ok", "format_error")
+                and type(self.reasoning_text) is str and type(self.raw_output) is str
+                and type(self.parse_detail) is str):
+            return
         if not isinstance(self.case_id, str):
             raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
         if self.verdict not in ("safe", "hazard"):
@@ -309,7 +335,7 @@ class PredictionRecord:
                 raise SchemaError(
                     f"hazard verdict requires a finite non-negative timestamp, got {self.timestamp!r}"
                 )
-        if self.severity_claim is not None and self.severity_claim not in ("none",) + SEVERITY_LEVELS:
+        if self.severity_claim is not None and self.severity_claim not in SEVERITY_CLAIMS:
             raise SchemaError(f"unknown severity_claim {self.severity_claim!r}")
         if self.parse_status not in ("ok", "format_error"):
             raise SchemaError(f"unknown parse_status {self.parse_status!r}")
@@ -345,16 +371,11 @@ class PredictionRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
         try:
-            return cls(
-                case_id=d["case_id"],
-                verdict=d["verdict"],
-                timestamp=None if d.get("timestamp") is None else float(d["timestamp"]),
-                severity_claim=d.get("severity_claim"),
-                reasoning_text=d.get("reasoning_text", ""),
-                raw_output=d.get("raw_output", ""),
-                parse_status=d.get("parse_status", "ok"),
-                parse_detail=d.get("parse_detail", ""),
-            )
+            case_id, verdict, timestamp = d["case_id"], d["verdict"], d.get("timestamp")
+            return cls(case_id, verdict, None if timestamp is None else float(timestamp),
+                       d.get("severity_claim"), d.get("reasoning_text", ""),
+                       d.get("raw_output", ""), d.get("parse_status", "ok"),
+                       d.get("parse_detail", ""))
         except DECODE_ERRORS as exc:
             raise decode_error("prediction", d, exc) from exc
 

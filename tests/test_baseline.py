@@ -62,6 +62,18 @@ def test_windows_bad_args():
                 build_windows(**{"duration": 5.0, arg: bad})
 
 
+@pytest.mark.parametrize("length,stride", [
+    (1e-10, 1e-10),                   # the step rounds to 0 at the first window
+    (1e-9, 4e-10),
+    (1e-9, 5.000000000000001e-10),    # the step rounds to 1e-9 at first, to 0 later
+])
+def test_windows_stride_below_start_resolution(length, stride):
+    """Starts are rounded to 1e-9 s; a step that rounding swallows would never
+    reach the stream end, so it is an error, not an endless plan."""
+    with pytest.raises(ValueError, match="does not advance the window start"):
+        build_windows(5.0, length=length, stride=stride)
+
+
 def test_windows_random_durations_properties():
     rng = random.Random(3)
     for _ in range(200):

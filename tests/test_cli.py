@@ -2,6 +2,7 @@
 output-file stability."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -522,3 +523,56 @@ def test_errors_output_pinned(scored_dir, capsys):
     assert capsys.readouterr().out == (
         "format_error=0.1111  over_reaction=0.1111  response_lag=0.2222  "
         "visual_omission=0.2222  reasoning_deficit=0.1111  no_error=0.2222\n")
+
+
+_REC = '{"case_id": "c0", "verdict": "safe"}'
+
+
+# (the one line of a predictions file, the parse_error text after the path)
+BAD_PREDICTION_LINES = {
+    "two_objects": (_REC + " " + _REC, "Extra data: line 1 column 38 (char 37)"),
+    "object_then_junk": (_REC + " x", "Extra data: line 1 column 38 (char 37)"),
+    "utf8_bom": ("\ufeff" + _REC, "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                 "line 1 column 1 (char 0)"),
+    "bare_number": ("5", "prediction must be a JSON object, got int"),
+    "empty_list": ("[]", "prediction must be a JSON object, got list"),
+    "truncated_object": (_REC[:-5], "Unterminated string starting at: line 1 column 30 (char 29)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PREDICTION_LINES)
+def test_predictions_line_error_text(workdir, capsys, name):
+    """Each bad line gives the same one-line parse_error as ``json.loads``."""
+    line, message = BAD_PREDICTION_LINES[name]
+    preds = workdir / "preds.jsonl"
+    preds.write_text(line + "\n", encoding="utf-8")
+    assert main(["metrics", "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
+                 "--out", str(workdir / "m.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"parse_error: {preds}: {message}\n"
+
+
+def test_predictions_whitespace_lines_are_skipped(workdir, capsys):
+    preds = workdir / "preds.jsonl"
+    preds.write_text("\n   \n" + _REC + "\n\t\r\n \n", encoding="utf-8")
+    assert main(["metrics", "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
+                 "--out", str(workdir / "m.csv")]) == EXIT_OK
+    assert "n_total=2" in capsys.readouterr().out
+
+
+def test_errors_csv_quotes_like_dictwriter(tmp_path):
+    """Case ids that need quoting come out as ``csv.DictWriter`` wrote them."""
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", " pad "]
+    anns = [make_ann(case_id=cid).to_dict() for cid in ids]
+    (tmp_path / "anns.json").write_text(json.dumps(anns), encoding="utf-8")
+    (tmp_path / "preds.jsonl").write_text(
+        json.dumps({"case_id": "a,b", "verdict": "hazard", "timestamp": 0.1}) + "\n",
+        encoding="utf-8")
+    out = tmp_path / "e.csv"
+    assert main(["errors", "--preds", str(tmp_path / "preds.jsonl"),
+                 "--annotations", str(tmp_path / "anns.json"), "--out", str(out)]) == EXIT_OK
+    expected = io.StringIO(newline="")
+    writer = csv.DictWriter(expected, fieldnames=["case_id", "error_type"])
+    writer.writeheader()
+    writer.writerows([{"case_id": cid, "error_type": "over_reaction" if cid == "a,b"
+                       else "visual_omission"} for cid in ids])
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")

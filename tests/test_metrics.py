@@ -2,8 +2,10 @@
 confusion, and reconstruction of the published aggregate rows."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamguard.metrics import (
     EmptyDataset,
@@ -256,6 +258,33 @@ def test_mentioned_entities_word_boundaries():
     assert mentioned_entities("", ["kettle"]) == []
     assert mentioned_entities("knife & kettle", ["kettle", "knife", "cup"]) == \
         ["kettle", "knife"]
+
+
+def _reference_mentioned_entities(text, entities):
+    """``mentioned_entities`` as it was before its pattern cache: the
+    reference it must agree with."""
+    lowered = text.lower()
+    hits = []
+    for entity in entities:
+        pattern = r"\b" + re.escape(entity) + r"\b"
+        if re.search(pattern, lowered):
+            hits.append(entity)
+    return hits
+
+
+# Regex metacharacters, multiword and non-ASCII entities, and one that is empty.
+_ENTITIES = ["kettle", "power strip", "c++", "a.b", "(pot)", "x*y", "[ladder]", "$5 bill",
+             "back\\slash", "a|b", "café", "ñandú", "straße", "ı", "Knife", ""]
+_TEXT_PARTS = _ENTITIES + [" ", ".", ",", "\n", "-", "_", "é", "KETTLE", "Power Strip", "CAFÉ",
+                           "kettlebell", "STRASSE", "İ", "5", "a", "b"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.just(""), st.text(max_size=12),
+                 st.lists(st.sampled_from(_TEXT_PARTS), max_size=8).map("".join)),
+       st.lists(st.sampled_from(_ENTITIES), max_size=4))
+def test_mentioned_entities_matches_reference(text, entities):
+    assert mentioned_entities(text, entities) == _reference_mentioned_entities(text, entities)
 
 
 def test_error_rates_sum_to_one():

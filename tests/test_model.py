@@ -4,14 +4,20 @@ import copy
 import json
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
+    DANGER_CATEGORIES,
     DEADLINE_OFFSET,
     DEADLINE_TOLERANCE,
+    DIFFICULTY_LEVELS,
+    LOCATIONS,
+    SEVERITY_CLAIMS,
+    SEVERITY_LEVELS,
     Alert,
     AlertSource,
     BinaryDecision,
@@ -389,6 +395,218 @@ def test_prediction_roundtrip(hazard, ts, claim):
                            timestamp=ts if hazard else None, severity_claim=claim,
                            reasoning_text="a kettle", raw_output="x")
     assert PredictionRecord.from_dict(rec.to_dict()) == rec
+
+
+# --- Accept tests against the full checks -------------------------------------
+
+def _reference_case_checks(self):
+    """``CaseAnnotation.__post_init__`` as it was before its straight-line
+    accept test: the reference that test must agree with."""
+    case_id = self.case_id
+    if not isinstance(case_id, str):
+        raise SchemaError(f"case_id must be a string, got {case_id!r}")
+    if not case_id:
+        raise SchemaError("case_id must be non-empty")
+    if self.location not in LOCATIONS:
+        raise SchemaError(f"unknown location {self.location!r} for case {case_id}")
+    if self.danger_category not in DANGER_CATEGORIES:
+        raise SchemaError(f"unknown danger_category {self.danger_category!r} for case {case_id}")
+    if self.severity not in SEVERITY_LEVELS:
+        raise SchemaError(f"unknown severity {self.severity!r} for case {case_id}")
+    difficulty = self.difficulty
+    if difficulty not in DIFFICULTY_LEVELS:
+        raise SchemaError(f"unknown difficulty {difficulty!r} for case {case_id}")
+    duration = self.duration
+    if self.key_frames.action_end > duration + _EPS:
+        raise OrderingError(
+            f"action_end {self.key_frames.action_end} exceeds duration {duration} "
+            f"for case {case_id}"
+        )
+    if not (isinstance(duration, (int, float)) and 0 <= duration < math.inf):
+        raise SchemaError(f"case {case_id}: duration must be a finite non-negative number, "
+                          f"got {duration!r}")
+    entities = self.key_entities
+    if not entities and difficulty in ("D1", "D2"):
+        raise SchemaError(f"case {case_id}: key_entities required for {difficulty} cases")
+    for e in entities:
+        if not isinstance(e, str) or e != e.lower() or not e:
+            raise SchemaError(f"case {case_id}: key_entities must be non-empty lowercase strings")
+    if not isinstance(self.is_valid, bool):
+        raise SchemaError(f"case {case_id}: is_valid must be a boolean, got {self.is_valid!r}")
+
+
+def _reference_prediction_checks(self):
+    """``PredictionRecord.__post_init__`` as it was before its straight-line
+    accept test: the reference that test must agree with."""
+    if not isinstance(self.case_id, str):
+        raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
+    if self.verdict not in ("safe", "hazard"):
+        raise SchemaError(f"verdict must be 'safe' or 'hazard', got {self.verdict!r}")
+    if self.verdict == "hazard":
+        if self.timestamp is None or not math.isfinite(self.timestamp) or self.timestamp < 0:
+            raise SchemaError(
+                f"hazard verdict requires a finite non-negative timestamp, got {self.timestamp!r}"
+            )
+    if self.severity_claim is not None and self.severity_claim not in ("none",) + SEVERITY_LEVELS:
+        raise SchemaError(f"unknown severity_claim {self.severity_claim!r}")
+    if self.parse_status not in ("ok", "format_error"):
+        raise SchemaError(f"unknown parse_status {self.parse_status!r}")
+    if not (isinstance(self.reasoning_text, str) and isinstance(self.raw_output, str)
+            and isinstance(self.parse_detail, str)):
+        for name in ("reasoning_text", "raw_output", "parse_detail"):
+            v = getattr(self, name)
+            if not isinstance(v, str):
+                raise SchemaError(f"{name} must be a string, got {v!r}")
+
+
+def _raised(build):
+    """(exception class, message) of what ``build()`` raises, or None."""
+    try:
+        build()
+    except Exception as exc:  # any class: a TypeError must match too
+        return type(exc), str(exc)
+    return None
+
+
+class _EqualsAnything(str):
+    """A str that compares equal to every other value."""
+
+    def __eq__(self, other):
+        return True
+
+
+# Unhashable values go in every closed-set field: a membership test on a set
+# would raise TypeError where the tuple test gives a SchemaError.
+_CLOSED_JUNK = ["", "x", "Bedroom", None, 3, [], {}, ["bedroom"], {"L1": 1}]
+# Ints and bools stand in for floats; NaN, +-inf and -0.0 are drawn too.
+_NUMBER_JUNK = [math.nan, math.inf, -math.inf, -0.0, -1.0, 0, 5, True, False, "5", None]
+_ENTITY_JUNK = [[], ["Knife"], ["knife", "KNIFE"], ["Ä"], [""], ["knife", ""], [5],
+                ["knife", 5], [None], [["knife"]], [{"k": 1}], ["3d printer", "é"]]
+_TEXT_JUNK = [None, 5, b"x", ["x"]]
+
+
+def _junk(name, values) -> list:
+    return [(name, v) for v in values]
+
+
+# (field, value) replacements, one or two drawn per example.  (None, None)
+# replaces nothing, so some examples keep every field valid.
+_CASE_JUNK = [
+    *[(None, None)] * 8,
+    *_junk("case_id", ["", 5, None, ["c0"]]),
+    *(pair for name in ("location", "danger_category", "severity", "difficulty")
+      for pair in _junk(name, _CLOSED_JUNK)),
+    ("key_frames", None),
+    # As a container kind plus items, built fresh for each side by
+    # ``_entities``: an iterator is read only once.
+    *_junk("key_entities", [(kind, items) for kind in ("tuple", "list", "iter", "str")
+                            for items in _ENTITY_JUNK]),
+    *_junk("duration", _NUMBER_JUNK),
+    *_junk("is_valid", [1, 0, None, "yes"]),
+]
+_PREDICTION_JUNK = [
+    *[(None, None)] * 8,
+    *_junk("case_id", [5, None, ["c0"], b"c0"]),
+    *_junk("verdict", ["Safe", "hazard ", *_CLOSED_JUNK, _EqualsAnything("safe")]),
+    *_junk("timestamp", _NUMBER_JUNK),
+    *_junk("severity_claim", ["l1", "None", *_CLOSED_JUNK]),
+    *_junk("parse_status", ["OK", "error", *_CLOSED_JUNK]),
+    *(pair for name in ("reasoning_text", "raw_output", "parse_detail")
+      for pair in _junk(name, _TEXT_JUNK)),
+]
+
+
+def _with_junk(draw, fields_: dict, junk: list) -> dict:
+    """``fields_`` with two draws from ``junk`` applied."""
+    for name, value in (draw(st.sampled_from(junk)), draw(st.sampled_from(junk))):
+        if name is not None:
+            fields_[name] = value
+    return fields_
+
+
+# The stand-in ends before 0, which KeyFrames never does: then only the
+# duration's own range check rejects a negative duration.
+_KEY_FRAMES = [kf(), kf(intent=0.0, deadline=0.0, pnr=0.2, impact=0.2, end=0.2),
+               SimpleNamespace(action_end=-1.0)]
+
+
+@st.composite
+def _case_fields(draw):
+    """A CaseAnnotation's fields: valid, bar the duration's boundary values
+    and empty entities, with up to two fields replaced from ``_CASE_JUNK``."""
+    frames = draw(st.sampled_from(_KEY_FRAMES))
+    end = frames.action_end
+    return _with_junk(draw, dict(
+        case_id="c0",
+        location=draw(st.sampled_from(LOCATIONS)),
+        danger_category=draw(st.sampled_from(DANGER_CATEGORIES)),
+        severity=draw(st.sampled_from(SEVERITY_LEVELS)),
+        difficulty=draw(st.sampled_from(DIFFICULTY_LEVELS)),
+        key_frames=frames,
+        key_entities=("tuple", draw(st.lists(st.sampled_from(["knife", "power strip", "é"]),
+                                             max_size=3))),
+        # action_end may exceed the duration by _EPS, not by 2 * _EPS.
+        duration=draw(st.one_of(st.floats(0, 30), st.sampled_from(
+            [end, end + _EPS, end - _EPS, end + 2 * _EPS, end - 2 * _EPS]))),
+        is_valid=draw(st.booleans()),
+    ), _CASE_JUNK)
+
+
+def _entities(kind_items):
+    kind, items = kind_items
+    return {"tuple": tuple, "list": list, "iter": iter, "str": lambda _: "knife"}[kind](items)
+
+
+@settings(max_examples=1000)
+@given(_case_fields())
+def test_annotation_accept_test_matches_reference(fields_):
+    """Same accept/reject, exception class and message as the full checks."""
+    def build():
+        return CaseAnnotation(**{**fields_, "key_entities": _entities(fields_["key_entities"])})
+
+    def reference():
+        _reference_case_checks(SimpleNamespace(
+            **{**fields_, "key_entities": _entities(fields_["key_entities"])}))
+
+    assert _raised(build) == _raised(reference)
+
+
+@st.composite
+def _prediction_fields(draw):
+    """A PredictionRecord's fields: valid, with up to two replaced from
+    ``_PREDICTION_JUNK``."""
+    text = st.sampled_from(["", "Part 1: a kettle"])
+    return _with_junk(draw, dict(
+        case_id=draw(st.sampled_from(["c0", ""])),
+        verdict=draw(st.sampled_from(["safe", "hazard"])),
+        timestamp=draw(st.floats(0, 30)),
+        severity_claim=draw(st.sampled_from([None, *SEVERITY_CLAIMS])),
+        reasoning_text=draw(text),
+        raw_output=draw(text),
+        parse_status=draw(st.sampled_from(["ok", "format_error"])),
+        parse_detail=draw(text),
+    ), _PREDICTION_JUNK)
+
+
+@settings(max_examples=1000)
+@given(_prediction_fields())
+def test_prediction_accept_test_matches_reference(fields_):
+    """Same accept/reject, exception class and message as the full checks."""
+    assert _raised(lambda: PredictionRecord(**fields_)) == \
+        _raised(lambda: _reference_prediction_checks(SimpleNamespace(**fields_)))
+
+
+@pytest.mark.parametrize("value", [
+    make_ann(),
+    kf(),
+    PredictionRecord(case_id="c", verdict="hazard", timestamp=1.5, severity_claim="L2"),
+], ids=["annotation", "key_frames", "prediction"])
+def test_read_side_records_are_slotted_values(value):
+    assert not hasattr(value, "__dict__")
+    assert value == copy.deepcopy(value) and hash(value) == hash(copy.deepcopy(value))
+    assert replace(value) == value
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, fields(value)[0].name, None)
 
 
 # --- Frames and manifests ----------------------------------------------------
