@@ -45,7 +45,9 @@ def load_annotations(path: str) -> AnnotationSet:
 
     The cyclic garbage collector is paused while the file is read and its
     cases built: the decode creates no reference cycles, so reference
-    counting frees everything, and no collection walks the growing heap.
+    counting frees everything, and no collection runs during the decode.
+    The first allocation after it runs one young-generation collection,
+    which walks every decoded case once.
     """
     with gc_paused():
         try:

@@ -11,9 +11,11 @@ import gc
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from inspect import signature
 from operator import attrgetter, gt
+from types import MemberDescriptorType
 from typing import Optional, get_args, get_origin, get_type_hints
 
 # Annotated timestamps are displayed at 0.1 s resolution; the deadline is
@@ -49,7 +51,7 @@ class SchemaError(ModelError):
 # What a decoder turns into a SchemaError: a wrong shape or type, or a nested
 # decoder's SchemaError, which the outer one prefixes with its context.  A
 # decoder whose constructor already names the case constructs outside the try.
-DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, SchemaError)
+DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, AttributeError, SchemaError)
 
 
 def decode_error(what: str, d, exc: Exception) -> SchemaError:
@@ -63,14 +65,34 @@ def decode_error(what: str, d, exc: Exception) -> SchemaError:
     return SchemaError(f"{what}: {exc}")
 
 
+def _number(name: str, v) -> float:
+    """The float for a decoded number field ``name`` whose value is not one.
+
+    An int converts.  A bool or a string is no number, though ``float()``
+    reads ``true`` and ``"0.5"`` as one: it is a SchemaError naming the
+    field.  A value that ``float()`` refuses keeps ``float()``'s error, and an
+    int too large for a float raises OverflowError.  Decoders call this only
+    for a value whose type is not ``float``, so the usual value costs one
+    type test.
+    """
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    float(v)  # raises for a value that is no number in any spelling
+    raise SchemaError(f"{name} must be a JSON number, got {v!r}")
+
+
 @contextmanager
 def gc_paused():
     """Run a bulk decode with the cyclic garbage collector off.
 
-    A decode allocates several tracked containers per record, and each
-    collection it triggers walks the whole heap; it builds no reference
-    cycles, so reference counting alone frees what it drops.  The collector
-    is re-enabled on exit only if it was enabled on entry.
+    A decode allocates several tracked containers per record.  With the
+    collector on, they start a collection every few hundred allocations;
+    most walk only the young objects, but as the decoded records pile up in
+    the oldest generation, full collections walk them all again.  The decode
+    builds no reference cycles, so reference counting alone frees what it
+    drops.  The collector is re-enabled on exit only if it was enabled on
+    entry; the first allocation after that runs one young-generation
+    collection, which walks every record the decode built once.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -79,6 +101,40 @@ def gc_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _slot_init(cls):
+    """Give a slotted dataclass an ``__init__`` that stores through the slots.
+
+    The generated ``__init__`` of a frozen dataclass stores each field with
+    ``object.__setattr__(self, name, value)``, which looks the name up on the
+    type on every call.  This one calls each field's slot descriptor
+    ``__set__``, bound here once, in field order, then ``__post_init__`` if
+    the class has one: the same steps with the same parameters, defaults and
+    annotations.  A class whose generated ``__init__`` has another signature
+    (a field with ``default_factory``, ``init=False`` or ``kw_only``, or an
+    ``InitVar``) or a field without a slot raises TypeError here.
+    """
+    fs = fields(cls)
+    names = [f.name for f in fs]
+    if not all(isinstance(vars(cls).get(n), MemberDescriptorType) for n in names):
+        raise TypeError(f"{cls.__name__}: every field must be a slot")
+    setters = [f"_set_{n}" for n in names]
+    body = "".join(f"        {s}(self, {n})\n" for s, n in zip(setters, names))
+    if hasattr(cls, "__post_init__"):
+        body += "        self.__post_init__()\n"
+    ns = {}
+    exec(f"def make({', '.join(setters)}):\n"
+         f"    def __init__(self, {', '.join(names)}):\n{body}"
+         f"    return __init__\n", globals(), ns)
+    init = ns["make"](*(vars(cls)[n].__set__ for n in names))
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
+    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if signature(init) != signature(cls.__init__):
+        raise TypeError(f"{cls.__name__}: cannot reproduce __init__{signature(cls.__init__)}")
+    cls.__init__ = init
+    return cls
 
 
 class SafetyState(str, Enum):
@@ -105,6 +161,7 @@ class AlertSource(str, Enum):
     SLOW = "slow"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class KeyFrames:
     """The five annotated timestamps delimiting one hazard lifecycle."""
@@ -152,15 +209,22 @@ class KeyFrames:
     @classmethod
     def from_dict(cls, d: dict) -> "KeyFrames":
         try:
-            intent, pnr = float(d["intent_onset"]), float(d["pnr"])
+            intent = v if type(v := d["intent_onset"]) is float else _number("intent_onset", v)
+            pnr = v if type(v := d["pnr"]) is float else _number("pnr", v)
             # Loaders may synthesize the deadline when the file omits it.
-            deadline = (float(d["intervention_deadline"]) if "intervention_deadline" in d
-                        else max(pnr - DEADLINE_OFFSET, intent))
-            return cls(intent, pnr, deadline, float(d["impact"]), float(d["action_end"]))
+            if "intervention_deadline" in d:
+                v = d["intervention_deadline"]
+                deadline = v if type(v) is float else _number("intervention_deadline", v)
+            else:
+                deadline = max(pnr - DEADLINE_OFFSET, intent)
+            impact = v if type(v := d["impact"]) is float else _number("impact", v)
+            end = v if type(v := d["action_end"]) is float else _number("action_end", v)
+            return cls(intent, pnr, deadline, impact, end)
         except DECODE_ERRORS as exc:
             raise decode_error("key_frames", d, exc) from exc
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class CaseAnnotation:
     """Ground truth for one video case."""
@@ -244,7 +308,7 @@ class CaseAnnotation:
             case_id, location = d["case_id"], d["location"]
             category, severity, difficulty = d["danger_category"], d["severity"], d["difficulty"]
             key_frames = KeyFrames.from_dict(d["key_frames"])
-            duration = float(d["duration"])
+            duration = v if type(v := d["duration"]) is float else _number("duration", v)
             is_valid = d.get("is_valid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("case", d, exc) from exc
@@ -295,11 +359,12 @@ class PhaseScoreTable:
             raise SchemaError(f"score table must be an object, got {type(d).__name__}")
         try:
             scores = {Phase(k): float(v) for k, v in d.items()}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad score table entry: {exc}") from exc
         return cls(scores)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """One model verdict for one case: Safe, or a hazard timestamp."""
@@ -372,7 +437,9 @@ class PredictionRecord:
     def from_dict(cls, d: dict) -> "PredictionRecord":
         try:
             case_id, verdict, timestamp = d["case_id"], d["verdict"], d.get("timestamp")
-            return cls(case_id, verdict, None if timestamp is None else float(timestamp),
+            if not (timestamp is None or type(timestamp) is float):
+                timestamp = _number("timestamp", timestamp)
+            return cls(case_id, verdict, timestamp,
                        d.get("severity_claim"), d.get("reasoning_text", ""),
                        d.get("raw_output", ""), d.get("parse_status", "ok"),
                        d.get("parse_detail", ""))
@@ -380,6 +447,7 @@ class PredictionRecord:
             raise decode_error("prediction", d, exc) from exc
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Frame:
     """A single timestamped frame; the payload lives in an external file.
@@ -663,6 +731,8 @@ class DecisionTrace:
             raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
         if not self.case_id:
             raise SchemaError("case_id must be non-empty")
+        if not isinstance(self.aborted, bool):
+            raise SchemaError(f"aborted must be a boolean, got {self.aborted!r}")
 
     @property
     def decision(self) -> BinaryDecision:
@@ -696,7 +766,7 @@ class DecisionTrace:
                 alert_stream_time=summary.get("alert_stream_time"),
                 alert_source=None if source is None else AlertSource(source),
                 physical_stop_time=summary.get("physical_stop_time"),
-                aborted=bool(summary.get("aborted", False)),
+                aborted=summary.get("aborted", False),
             )
         except DECODE_ERRORS as exc:
             raise decode_error("trace", d, exc) from exc

@@ -1,7 +1,9 @@
 """Strict parsers for the three model output grammars.
 
 Every parser is total: it either returns a value or raises FormatError,
-regardless of input bytes.
+regardless of input bytes.  Each one refuses a reply longer than
+``MAX_REPLY_CHARS`` with ``FormatError("reply_too_long")`` before reading it,
+so the time any reply can take is bounded.
 """
 
 from __future__ import annotations
@@ -22,7 +24,21 @@ class FormatError(Exception):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+# The longest reply any parser reads, in characters.  The replies in the
+# demos, the golden timelines and every perfbench workload are at most 58
+# characters long; at this length each parser's worst case takes well under a
+# quarter of a second.
+MAX_REPLY_CHARS = 640 * 1024
+
+# The most ``{`` whose decode may fail before the JSON search gives up.
+_MAX_FAILED_DECODES = 32
+
 _DECODER = json.JSONDecoder()
+
+
+def _check_length(raw: str) -> None:
+    if len(raw) > MAX_REPLY_CHARS:
+        raise FormatError("reply_too_long", f"{len(raw)} > {MAX_REPLY_CHARS} characters")
 
 
 def _first_json_object(text: str) -> Optional[dict]:
@@ -33,14 +49,24 @@ def _first_json_object(text: str) -> Optional[dict]:
     ``{`` is always a dict).  A ``{`` whose decode fails is passed over for
     the next one.  This finds the object a brace-and-string scan would.
 
-    Nesting too deep to decode ends the search with no object, without
-    trying later ``{``: each one inside the deep run would decode as deep.
+    A failed decode costs time in the length of the text: it scans up to
+    the error, and the error then counts the lines before it.  So the search
+    gives up with no object after ``_MAX_FAILED_DECODES`` (32) failed
+    decodes, or once the failed decodes have scanned more than
+    ``MAX_REPLY_CHARS`` characters between them.  A search therefore scans
+    at most twice that many characters and locates at most 32 errors.
+    Nesting too deep to decode ends the search at once: each ``{`` inside
+    the deep run would decode as deep.
     """
     start = text.find("{")
-    while start != -1:
+    scanned = 0
+    for _ in range(_MAX_FAILED_DECODES):
+        if start == -1 or scanned > MAX_REPLY_CHARS:
+            return None
         try:
             return _DECODER.raw_decode(text, start)[0]
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
+            scanned += exc.pos - start
             start = text.find("{", start + 1)
         except RecursionError:
             return None
@@ -56,6 +82,7 @@ def parse_fast_output(raw: str) -> Tuple[SafetyState, str]:
     Takes the first JSON object in the text; model preamble and trailing
     prose are ignored.  The category is matched case-insensitively.
     """
+    _check_length(raw)
     obj = _first_json_object(raw)
     if obj is None:
         raise FormatError("no_json_object", raw[:80])
@@ -80,6 +107,7 @@ def parse_slow_output(raw: str) -> int:
     Scans for the last line containing a VERDICT marker so trailing prose
     after the analysis block does not confuse the result.
     """
+    _check_length(raw)
     verdict_lines = [line for line in raw.splitlines() if "VERDICT" in line.upper()]
     if not verdict_lines:
         raise FormatError("missing_verdict", raw[:80])
@@ -113,8 +141,9 @@ def _clean_token(text: str) -> str:
 
 def _first_token(text: str) -> Optional[str]:
     """First non-empty cleaned line; labels like '[Verdict]' may occupy a
-    line of their own before the actual token."""
-    for line in text.splitlines():
+    line of their own before the actual token.  A blank line gives no token,
+    so a leading run of them is dropped in one step."""
+    for line in text.lstrip().splitlines():
         token = _clean_token(line)
         if token:
             return token
@@ -130,6 +159,7 @@ def parse_baseline_verdict(raw: str, window_start: float, window_end: float):
     """
     if window_start > window_end:
         raise ValueError("window_start must not exceed window_end")
+    _check_length(raw)
     text = _part_text(raw, 2)
     token = None if text is None else _first_token(text)
     if token is None:
@@ -151,6 +181,7 @@ _LEVELS = {"none": "none", "l1": "L1", "l2": "L2", "l3": "L3", "l4": "L4"}
 
 def parse_severity_verdict(raw: str) -> str:
     """Parse the Part-3 severity token: 'None' or 'L1'..'L4'."""
+    _check_length(raw)
     text = _part_text(raw, 3)
     token = None if text is None else _first_token(text)
     if token is None:

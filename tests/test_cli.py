@@ -551,6 +551,40 @@ def test_predictions_line_error_text(workdir, capsys, name):
     assert capsys.readouterr().err == f"parse_error: {preds}: {message}\n"
 
 
+_HUGE = 10 ** 400  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("kind", ["annotations", "predictions", "manifest", "scores"])
+def test_overlarge_json_integer_is_typed_error(workdir, capsys, kind):
+    """A number too large for a float is the input's one-line error, not a traceback."""
+    bad = workdir / "bad.json"
+    metrics = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
+               "--out", str(workdir / "m.csv")]
+    if kind == "annotations":
+        bad.write_text(json.dumps([{**_CASE, "duration": _HUGE}]), encoding="utf-8")
+        argv, code = ["validate", "--annotations", str(bad)], EXIT_DOMAIN
+        message = "invalid: case c0: int too large to convert to float"
+    elif kind == "predictions":
+        bad.write_text(json.dumps({**_PRED, "timestamp": _HUGE}) + "\n", encoding="utf-8")
+        argv, code = metrics, EXIT_IO
+        message = f"parse_error: {bad}: prediction c0: int too large to convert to float"
+    elif kind == "manifest":
+        bad.write_text(json.dumps([{"case_id": "c0", "frames": [{"t": 0.0}, {"t": _HUGE}]}]),
+                       encoding="utf-8")
+        argv = ["run", "--manifest", str(bad), "--fast", f"scripted:{workdir / 'fast.json'}",
+                "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+        code, message = EXIT_IO, "manifest_error: manifest c0: frame: int too large to convert to float"
+    else:
+        scores = workdir / "scores.json"
+        scores.write_text(json.dumps({"premature": _HUGE, "optimal": 100, "suboptimal": 50,
+                                      "irreversible": 25, "missed": 0}), encoding="utf-8")
+        bad.write_text(json.dumps(_PRED) + "\n", encoding="utf-8")
+        argv, code = [*metrics[:-2], "--scores", str(scores), *metrics[-2:]], EXIT_IO
+        message = f"config_error: {scores}: bad score table entry: int too large to convert to float"
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_predictions_whitespace_lines_are_skipped(workdir, capsys):
     preds = workdir / "preds.jsonl"
     preds.write_text("\n   \n" + _REC + "\n\t\r\n \n", encoding="utf-8")

@@ -321,6 +321,75 @@ def test_annotation_rejects_nonfinite_duration_and_non_string_id(entry, message)
     assert str(info.value) == message
 
 
+_PRED_JSON = {"case_id": "c0", "verdict": "hazard", "timestamp": 1.5}
+_TRACE_JSON = {"case_id": "c0", "events": [], "summary": {"aborted": False}}
+
+
+@pytest.mark.parametrize("decode,encoded,message", [
+    (CaseAnnotation.from_dict, _kf(pnr="4.0"),
+     "case a1: key_frames: pnr must be a JSON number, got '4.0'"),
+    (CaseAnnotation.from_dict, _kf(intent_onset=True),
+     "case a1: key_frames: intent_onset must be a JSON number, got True"),
+    (CaseAnnotation.from_dict, _kf(intervention_deadline="nan"),
+     "case a1: key_frames: intervention_deadline must be a JSON number, got 'nan'"),
+    (CaseAnnotation.from_dict, _kf(impact=False),
+     "case a1: key_frames: impact must be a JSON number, got False"),
+    (CaseAnnotation.from_dict, _kf(action_end=" 5"),
+     "case a1: key_frames: action_end must be a JSON number, got ' 5'"),
+    (CaseAnnotation.from_dict, {**_CASE, "duration": "6.0"},
+     "case a1: duration must be a JSON number, got '6.0'"),
+    (CaseAnnotation.from_dict, {**_CASE, "duration": True},
+     "case a1: duration must be a JSON number, got True"),
+    (PredictionRecord.from_dict, {**_PRED_JSON, "timestamp": "1.5"},
+     "prediction c0: timestamp must be a JSON number, got '1.5'"),
+    (PredictionRecord.from_dict, {**_PRED_JSON, "timestamp": True},
+     "prediction c0: timestamp must be a JSON number, got True"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": "no"}},
+     "trace c0: aborted must be a boolean, got 'no'"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": 1}},
+     "trace c0: aborted must be a boolean, got 1"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": None}},
+     "trace c0: aborted must be a boolean, got None"),
+], ids=["pnr_string", "intent_true", "deadline_nan_string", "impact_false", "end_padded_string",
+        "duration_string", "duration_true", "timestamp_string", "timestamp_true",
+        "aborted_string", "aborted_int", "aborted_null"])
+def test_decoders_take_json_numbers_and_booleans_only(decode, encoded, message):
+    """A string or a boolean is never read as a number, nor a non-boolean as a flag."""
+    with pytest.raises(SchemaError) as info:
+        decode(encoded)
+    assert str(info.value) == message
+
+
+def test_decoders_convert_json_integers():
+    kf_ints = {"intent_onset": 3, "pnr": 4, "intervention_deadline": 3.8, "impact": 5,
+               "action_end": 5}
+    ann = CaseAnnotation.from_dict({**_CASE, "key_frames": kf_ints, "duration": 6})
+    pred = PredictionRecord.from_dict({**_PRED_JSON, "timestamp": 2})
+    values = [*ann.key_frames.to_dict().values(), ann.duration, pred.timestamp]
+    assert values == [3.0, 4.0, 3.8, 5.0, 5.0, 6.0, 2.0]
+    assert all(type(v) is float for v in values)
+    assert DecisionTrace.from_dict({**_TRACE_JSON, "summary": {}}).aborted is False
+    assert DecisionTrace.from_dict({**_TRACE_JSON, "summary": {"aborted": True}}).aborted is True
+
+
+@pytest.mark.parametrize("decode,encoded,message", [
+    (CaseAnnotation.from_dict, _kf(impact=10 ** 400),
+     "case a1: key_frames: int too large to convert to float"),
+    (CaseAnnotation.from_dict, {**_CASE, "duration": 10 ** 400},
+     "case a1: int too large to convert to float"),
+    (PredictionRecord.from_dict, {**_PRED_JSON, "timestamp": -10 ** 400},
+     "prediction c0: int too large to convert to float"),
+    (FrameManifest.from_dict, {"case_id": "m1", "frames": [{"t": 10 ** 400}]},
+     "manifest m1: frame: int too large to convert to float"),
+    (FrameManifest.from_dict, {"case_id": "m1", "fps_native": 10 ** 400, "frames": [{"t": 0}]},
+     "manifest m1: int too large to convert to float"),
+], ids=["key_frame", "duration", "timestamp", "frame_time", "fps_native"])
+def test_decoders_refuse_overlarge_integers(decode, encoded, message):
+    with pytest.raises(SchemaError) as info:
+        decode(encoded)
+    assert str(info.value) == message
+
+
 # --- PhaseScoreTable ---------------------------------------------------------
 
 def test_score_table_default_values():

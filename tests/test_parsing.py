@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from streamguard.model import SafetyState
 from streamguard.parsing import (
+    MAX_REPLY_CHARS,
     FormatError,
     _VERDICT_RE,
+    _clean_token,
     _first_json_object,
+    _first_token,
     parse_baseline_verdict,
     parse_fast_output,
     parse_severity_verdict,
@@ -340,6 +343,23 @@ def test_severity_rejects(raw):
         parse_severity_verdict(raw)
 
 
+# Every line break ``str.splitlines`` knows, other blanks, and what a token
+# line holds.
+_TOKEN_TEXT = st.lists(st.sampled_from(
+    ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " ", " ", "\t", "\xa0",
+     "*", "[", "]", "`", "'", ":", "Verdict", "severity", "Safe", "L2", "1.5"]),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=500)
+@given(_TOKEN_TEXT)
+def test_first_token_matches_line_by_line_scan(text):
+    """Dropping the leading blank lines at once finds the token the plain
+    line-by-line scan finds."""
+    expected = next((t for t in map(_clean_token, text.splitlines()) if t), None)
+    assert _first_token(text) == expected
+
+
 # --- fuzz: parsers are total -------------------------------------------------
 
 _POOL = (string.ascii_letters + string.digits +
@@ -375,3 +395,74 @@ def test_fuzz_parsers_never_crash():
                 call()
             except FormatError:
                 pass  # a rejection is a valid outcome; anything else is a bug
+
+
+# --- bounded replies ---------------------------------------------------------
+
+_PARSERS = {
+    "fast": parse_fast_output,
+    "slow": parse_slow_output,
+    "baseline": lambda raw: parse_baseline_verdict(raw, 0.0, 2.0),
+    "severity": parse_severity_verdict,
+}
+_GOOD_REPLY = {"fast": '{"category": "red"}', "slow": "VERDICT: SAFE",
+               "baseline": "Part 2: Safe", "severity": "Part 3: L2"}
+
+
+@pytest.mark.parametrize("name", _PARSERS)
+def test_reply_past_the_cap_is_refused(name):
+    parse = _PARSERS[name]
+    at_cap = _GOOD_REPLY[name].ljust(MAX_REPLY_CHARS)
+    parse(at_cap)  # read as usual
+    with pytest.raises(FormatError) as exc:
+        parse(at_cap + " ")
+    assert str(exc.value) == f"reply_too_long: {MAX_REPLY_CHARS + 1} > {MAX_REPLY_CHARS} characters"
+
+
+def _fill(unit, n=MAX_REPLY_CHARS):
+    return (unit * (n // len(unit) + 1))[:n]
+
+
+# Replies of exactly MAX_REPLY_CHARS that make each parser do the most work:
+# a JSON decode that fails at every ``{``, far into the text, or only after
+# scanning to the end; a verdict marker with nothing after it; and many part
+# markers or lines that give no token.
+_WORST_REPLIES = {
+    "fast": [_fill("{"), _fill('{"a" '), _fill('{"'),
+             "x" * (MAX_REPLY_CHARS - 200) + _fill('{"a" ', 200),
+             "\n" * (MAX_REPLY_CHARS - 200) + _fill('{"a" ', 200),
+             _fill('{"a":[', 186) + _fill("1,", MAX_REPLY_CHARS - 186)],
+    "slow": ["VERDICT" + _fill(" ", MAX_REPLY_CHARS - 7), "VERDICT" + _fill("\t", MAX_REPLY_CHARS - 7),
+             _fill("VERDICT: **"), _fill("VERDICT\n")],
+    "baseline": [_fill("Part 2: "), _fill("Part 9: "), "Part 2:" + _fill("*\n", MAX_REPLY_CHARS - 7),
+                 "Part 2:" + _fill("\n", MAX_REPLY_CHARS - 7)],
+    "severity": [_fill("Part 3: "), _fill("Part 9: "), "Part 3:" + _fill("[]\n", MAX_REPLY_CHARS - 7),
+                 "Part 3:" + _fill("\r", MAX_REPLY_CHARS - 7)],
+}
+
+
+@pytest.mark.parametrize("name", _PARSERS)
+def test_worst_case_reply_at_the_cap_is_fast(name):
+    for raw in _WORST_REPLIES[name]:
+        assert len(raw) == MAX_REPLY_CHARS
+        start = time.perf_counter()
+        with pytest.raises(FormatError):
+            _PARSERS[name](raw)
+        assert time.perf_counter() - start < 0.25, raw[:20]
+
+
+def test_json_search_gives_up_after_failed_decodes():
+    obj = '{"category": "red"}'
+    assert _first_json_object("{x " * 31 + obj) == {"category": "red"}
+    assert _first_json_object("{x " * 32 + obj) is None
+
+
+def test_json_search_gives_up_after_scanning_the_cap():
+    """Two decodes that each fail past half the cap end the search before
+    the object after them."""
+    def text(n):
+        return '{"a":[{"a":[' + "1," * n + ' x {"b": 1}'
+    assert _first_json_object(text(10)) == {"b": 1} == _char_scan_first_object(text(10))
+    long_ = text(MAX_REPLY_CHARS // 4 + 10)
+    assert len(long_) < MAX_REPLY_CHARS
+    assert _first_json_object(long_) is None

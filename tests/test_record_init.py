@@ -1,0 +1,183 @@
+"""The read-side records' ``__init__``, which stores each field through its
+slot descriptor, against what ``dataclass`` generates: ``object.__new__``,
+then ``object.__setattr__`` per field, then ``__post_init__``."""
+
+import copy
+import inspect
+import math
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field, fields, replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from streamguard.model import CaseAnnotation, Frame, KeyFrames, PredictionRecord, _slot_init
+
+from helpers import make_ann
+
+# ``str(inspect.signature(cls))`` with the generated ``__init__``, the same on
+# Python 3.10, 3.11, 3.12 and 3.13.
+SIGNATURES = {
+    Frame: "(t: 'float', image_path: 'str' = '') -> None",
+    KeyFrames: "(intent_onset: 'float', pnr: 'float', intervention_deadline: 'float', "
+               "impact: 'float', action_end: 'float') -> None",
+    CaseAnnotation: "(case_id: 'str', location: 'str', danger_category: 'str', "
+                    "severity: 'str', difficulty: 'str', key_frames: 'KeyFrames', "
+                    "key_entities: 'tuple[str, ...]', duration: 'float', "
+                    "is_valid: 'bool' = True) -> None",
+    PredictionRecord: "(case_id: 'str', verdict: 'str', timestamp: 'Optional[float]' = None, "
+                      "severity_claim: 'Optional[str]' = None, reasoning_text: 'str' = '', "
+                      "raw_output: 'str' = '', parse_status: 'str' = 'ok', "
+                      "parse_detail: 'str' = '') -> None",
+}
+CLASSES = list(SIGNATURES)
+
+# Records whose fields start each drawn call, a few of which are then replaced
+# from ``_JUNK`` so that the checks in ``__post_init__`` reject some calls.
+_GOOD = {
+    Frame: [Frame(0.0), Frame(1.5, "a.jpg")],
+    KeyFrames: [KeyFrames(3.6, 4.0, 3.8, 4.5, 5.0), KeyFrames(0.0, 0.2, 0.0, 0.2, 0.2)],
+    CaseAnnotation: [make_ann(), make_ann(difficulty="D3", entities=(), is_valid=False)],
+    PredictionRecord: [PredictionRecord("c0", "safe"),
+                       PredictionRecord("c1", "hazard", 2.5, "L2", "a kettle", "raw", "ok", "")],
+}
+_JUNK = [None, -1.0, math.nan, math.inf, 0, 7, True, "", "x", "safe", "L1", [], {},
+         ("kettle",), ("Kettle",), KeyFrames(0.0, 0.2, 0.0, 0.2, 9.0)]
+
+
+def _reference(cls, *args, **kwargs):
+    """What the generated ``__init__`` does with arguments that bind."""
+    names = [f.name for f in fields(cls)]
+    values = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    values.update(zip(names, args))
+    values.update(kwargs)
+    self = object.__new__(cls)
+    for name in names:
+        object.__setattr__(self, name, values[name])
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+    return self
+
+
+def _outcome(build):
+    """The record ``build()`` returns, or (exception class, message)."""
+    try:
+        return build()
+    except Exception as exc:  # any class: a TypeError must match too
+        return type(exc), str(exc)
+
+
+@st.composite
+def _calls(draw):
+    """(cls, args, kwargs, the object each field should hold)."""
+    cls = draw(st.sampled_from(CLASSES))
+    base = draw(st.sampled_from(_GOOD[cls]))
+    values = {f.name: getattr(base, f.name) for f in fields(cls)}
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.sampled_from(list(values)))] = draw(st.sampled_from(_JUNK))
+    # Any field with a default may be left out; positional ones come first.
+    given_ = [f.name for f in fields(cls) if f.default is MISSING or draw(st.booleans())]
+    prefix = 0
+    while prefix < len(given_) and given_[prefix] == fields(cls)[prefix].name:
+        prefix += 1
+    n_pos = draw(st.integers(0, prefix))
+    args = [values[n] for n in given_[:n_pos]]
+    kwargs = {n: values[n] for n in draw(st.permutations(given_[n_pos:]))}
+    expected = {f.name: values[f.name] if f.name in given_ else f.default for f in fields(cls)}
+    return cls, args, kwargs, expected
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_signature_is_the_generated_one(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+@settings(max_examples=1000)
+@given(_calls())
+def test_init_matches_reference(call):
+    """Positional, keyword and default calls: an equal record holding the very
+    objects passed, or the same exception class and message."""
+    cls, args, kwargs, expected = call
+    got = _outcome(lambda: cls(*args, **kwargs))
+    want = _outcome(lambda: _reference(cls, *args, **kwargs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert type(got) is cls and got == want
+        for name, value in expected.items():
+            assert getattr(got, name) is value
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_bad_arguments_are_type_errors(cls):
+    """Missing, extra, unknown and duplicate arguments."""
+    values = [getattr(_GOOD[cls][0], f.name) for f in fields(cls)]
+    n_required = sum(f.default is MISSING for f in fields(cls))
+    first = fields(cls)[0].name
+    for args, kwargs in [(values[:n_required - 1], {}), ((*values, values[0]), {}),
+                         (values, {"bogus": 1}), (values, {first: values[0]})]:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) "):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_records_stay_frozen_and_round_trip(cls):
+    for record in _GOOD[cls]:
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert replace(record) == record
+        other = _GOOD[cls][1 - _GOOD[cls].index(record)]
+        changed = {f.name: getattr(other, f.name) for f in fields(cls)}
+        assert replace(record, **changed) == other
+
+
+def _factory():
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: list = field(default_factory=list)
+    return C
+
+
+def _not_init():
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: int = field(default=0, init=False)
+    return C
+
+
+def _kw_only():
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: int = field(kw_only=True)
+    return C
+
+
+def _init_var():
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: int
+        y: InitVar[int] = 0
+
+        def __post_init__(self, y):
+            pass
+    return C
+
+
+def _no_slots():
+    @dataclass(frozen=True)
+    class C:
+        x: int = 0
+    return C
+
+
+@pytest.mark.parametrize("make", [_factory, _not_init, _kw_only, _init_var, _no_slots],
+                         ids=["default_factory", "init_false", "kw_only", "init_var", "no_slots"])
+def test_slot_init_refuses_what_it_cannot_reproduce(make):
+    with pytest.raises(TypeError, match="^C: "):
+        _slot_init(make())
