@@ -443,12 +443,17 @@ _WORST_REPLIES = {
 
 @pytest.mark.parametrize("name", _PARSERS)
 def test_worst_case_reply_at_the_cap_is_fast(name):
-    for raw in _WORST_REPLIES[name]:
-        assert len(raw) == MAX_REPLY_CHARS
+    """Each reply parses in under 0.25 s, taking the best of three tries so
+    that a pause of the test process is not counted as parser time."""
+    def seconds(raw):
         start = time.perf_counter()
         with pytest.raises(FormatError):
             _PARSERS[name](raw)
-        assert time.perf_counter() - start < 0.25, raw[:20]
+        return time.perf_counter() - start
+
+    for raw in _WORST_REPLIES[name]:
+        assert len(raw) == MAX_REPLY_CHARS
+        assert min(seconds(raw) for _ in range(3)) < 0.25, raw[:20]
 
 
 def test_json_search_gives_up_after_failed_decodes():
