@@ -7,10 +7,9 @@ MAE for the continuous key-frame timestamps.
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
+from math import fsum
+from operator import attrgetter, mul, sub
 from typing import Sequence
-
-import numpy as np
 
 from .annotations import AnnotationSet
 
@@ -52,50 +51,58 @@ def cohens_kappa(a: Sequence, b: Sequence) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def lins_ccc(x: Sequence[float], y: Sequence[float]) -> float:
-    """Lin's concordance correlation, with population (1/n) moments."""
-    _paired(x, y, 2, "ccc")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    mx, my = xa.mean(), ya.mean()
-    vx, vy = xa.var(), ya.var()
-    cov = ((xa - mx) * (ya - my)).mean()
+def _moments(x: Sequence[float], y: Sequence[float]):
+    """The means, population (1/n) variances and covariance of two paired
+    series, each sum exactly rounded by ``math.fsum``."""
+    n = len(x)
+    mx, my = fsum(x) / n, fsum(y) / n
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    vx = fsum(map(mul, dx, dx)) / n
+    vy = fsum(map(mul, dy, dy)) / n
+    cov = fsum(map(mul, dx, dy)) / n
+    return mx, my, vx, vy, cov
+
+
+def _ccc(mx: float, my: float, vx: float, vy: float, cov: float) -> float:
     denom = vx + vy + (mx - my) ** 2
     if denom == 0.0:
         # Both series constant and equal: perfect concordance.
         return 1.0
-    return float(2.0 * cov / denom)
+    return 2.0 * cov / denom
+
+
+def _icc(n: int, mx: float, my: float, vx: float, vy: float, cov: float) -> float:
+    """ICC(A,1) of ``n`` pairs from their moments.  With k = 2 raters the
+    two-way mean squares are rows n(vx + vy + 2cov) / 2(n - 1), error
+    n(vx + vy - 2cov) / 2(n - 1) and columns n(mx - my)^2 / 2."""
+    ms_rows = n * (vx + vy + 2.0 * cov) / (2.0 * (n - 1))
+    ms_err = n * (vx + vy - 2.0 * cov) / (2.0 * (n - 1))
+    ms_cols = n * (mx - my) ** 2 / 2.0
+    denom = ms_rows + ms_err + (2 / n) * (ms_cols - ms_err)
+    if abs(denom) < 1e-15:
+        if abs(ms_rows - ms_err) < 1e-15:
+            return 1.0  # all observations identical
+        raise DegenerateVariance("icc denominator is zero")
+    return (ms_rows - ms_err) / denom
+
+
+def lins_ccc(x: Sequence[float], y: Sequence[float]) -> float:
+    """Lin's concordance correlation, with population (1/n) moments."""
+    _paired(x, y, 2, "ccc")
+    return _ccc(*_moments(x, y))
 
 
 def icc_a1(x: Sequence[float], y: Sequence[float]) -> float:
     """ICC(A,1): two-way random effects, absolute agreement, single rater."""
     _paired(x, y, 3, "icc")
-    data = np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    n, k = data.shape
-    grand = data.mean()
-    row_means = data.mean(axis=1)
-    col_means = data.mean(axis=0)
-    ss_total = ((data - grand) ** 2).sum()
-    ss_rows = k * ((row_means - grand) ** 2).sum()
-    ss_cols = n * ((col_means - grand) ** 2).sum()
-    ss_err = ss_total - ss_rows - ss_cols
-    ms_rows = ss_rows / (n - 1)
-    ms_cols = ss_cols / (k - 1)
-    ms_err = ss_err / ((n - 1) * (k - 1))
-    denom = ms_rows + (k - 1) * ms_err + (k / n) * (ms_cols - ms_err)
-    if abs(denom) < 1e-15:
-        if abs(ms_rows - ms_err) < 1e-15:
-            return 1.0  # all observations identical
-        raise DegenerateVariance("icc denominator is zero")
-    return float((ms_rows - ms_err) / denom)
+    return _icc(len(x), *_moments(x, y))
 
 
 def keyframe_mae(x: Sequence[float], y: Sequence[float]) -> float:
     """Mean absolute difference between paired timestamps, in seconds."""
     _paired(x, y, 1, "mae")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    return float(np.abs(xa - ya).mean())
+    return fsum(map(abs, map(sub, x, y))) / len(x)
 
 
 KEYFRAME_FIELDS = ("intent_onset", "pnr", "intervention_deadline", "impact", "action_end")
@@ -122,9 +129,12 @@ def agreement_table(set_a: AnnotationSet, set_b: AnnotationSet) -> dict:
     for fld in KEYFRAME_FIELDS:
         get = attrgetter(fld)
         xs, ys = list(map(get, frames_a)), list(map(get, frames_b))
+        _paired(xs, ys, 2, "ccc")
+        _paired(xs, ys, 3, "icc")
+        moments = _moments(xs, ys)  # one pass serves both CCC and ICC
         keyframes[fld] = {
-            "ccc": lins_ccc(xs, ys),
-            "icc_a1": icc_a1(xs, ys),
+            "ccc": _ccc(*moments),
+            "icc_a1": _icc(len(xs), *moments),
             "mae": keyframe_mae(xs, ys),
         }
 

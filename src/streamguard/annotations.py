@@ -55,7 +55,7 @@ def load_annotations(path: str) -> AnnotationSet:
                 raw = json.load(fh)
         except OSError as exc:
             raise IoError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, list):
             raise SchemaError(f"{path} must contain a JSON array of cases")

@@ -10,16 +10,20 @@ latency.  The caller renders the prompt text from the manifest with
 from __future__ import annotations
 
 import base64
+import http.client
 import json
+import math
 import os
+import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
-import requests
-
 from .model import DECODE_ERRORS, Frame, SchemaError, decode_error
+from .parsing import MAX_REPLY_CHARS
 
 
 class BackendError(Exception):
@@ -237,8 +241,12 @@ class EndpointConfig:
     image_mode: str = "base64"  # "base64" | "path"
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise SchemaError("endpoint timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # also rejects NaN
+            raise SchemaError(f"endpoint timeout must be finite and positive, got {self.timeout}")
+        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool) \
+                or self.max_retries < 0:
+            raise SchemaError("endpoint max_retries must be a non-negative integer, "
+                              f"got {self.max_retries!r}")
         if self.image_mode not in ("base64", "path"):
             raise SchemaError(f"unknown image_mode {self.image_mode!r}")
 
@@ -259,16 +267,31 @@ class EndpointConfig:
             raise decode_error(f"endpoint config {path}", d, exc) from exc
 
 
+# The most bytes of a reply body ``RemoteBackend`` reads.  JSON spells one
+# character in at most 12 bytes (a surrogate pair of \uXXXX escapes), so a
+# reply of ``MAX_REPLY_CHARS`` characters, the longest any parser reads, fits
+# escaped in full, with 64 KiB to spare for the envelope around it.
+MAX_BODY_BYTES = 12 * MAX_REPLY_CHARS + 64 * 1024
+
+
 class RemoteBackend:
     """Client for a remote VLM behind a chat-completions endpoint.
 
     Auth tokens come only from the environment variable named in the
     config, never from files.
+
+    Each query POSTs once, then retries up to ``config.max_retries`` more
+    times after any failure; the last failure is raised.  A socket timeout,
+    raised directly or wrapped in a ``URLError``, is a
+    ``BackendTimeoutError``.  Every other failure is a ``TransportError``: an
+    HTTP error status, a connection or other ``OSError``, a URL that is not
+    http or https, a body longer than ``MAX_BODY_BYTES`` (of which at most
+    one byte more is read), a body that is not JSON, or one without a string
+    at ``choices[0].message.content``.
     """
 
-    def __init__(self, config: EndpointConfig, session: Optional[requests.Session] = None):
+    def __init__(self, config: EndpointConfig):
         self.config = config
-        self.session = session or requests.Session()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -290,8 +313,6 @@ class RemoteBackend:
                 "image_url": {"url": f"data:image/jpeg;base64,{payload}"}}
 
     def _chat(self, prompt_text: str, frames: Sequence[Frame]) -> tuple[str, float]:
-        import time
-
         content = [{"type": "text", "text": prompt_text}]
         content.extend(self._image_part(f) for f in frames)
         body = {
@@ -299,20 +320,47 @@ class RemoteBackend:
             "messages": [{"role": "user", "content": content}],
         }
         url = self.config.base_url.rstrip("/") + "/chat/completions"
+        data = json.dumps(body).encode("utf-8")
         last_exc: Exception = TransportError("no attempt made")
         for _ in range(self.config.max_retries + 1):
             start = time.monotonic()
             try:
-                resp = self.session.post(url, json=body, headers=self._headers(),
-                                         timeout=self.config.timeout)
-                resp.raise_for_status()
-                text = resp.json()["choices"][0]["message"]["content"]
-                return text, time.monotonic() - start
-            except requests.Timeout as exc:
-                last_exc = BackendTimeoutError(str(exc))
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_exc = TransportError(str(exc))
+                return self._post(url, data), time.monotonic() - start
+            except BackendError as exc:
+                last_exc = exc
         raise last_exc
+
+    def _post(self, url: str, data: bytes) -> str:
+        """One POST of ``data``; the reply text, or the typed failure."""
+        if not url.lower().startswith(("http://", "https://")):
+            raise TransportError(f"unsupported endpoint URL {url!r}: use http or https")
+        try:
+            request = urllib.request.Request(url, data=data, headers=self._headers(),
+                                             method="POST")
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                payload = resp.read(MAX_BODY_BYTES + 1)
+        except TimeoutError as exc:
+            raise BackendTimeoutError(f"{url}: {exc}") from exc
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise TransportError(f"{url}: HTTP {exc.code} {exc.reason}") from exc
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise BackendTimeoutError(f"{url}: {exc.reason}") from exc
+            raise TransportError(f"{url}: {exc.reason}") from exc
+        except (OSError, http.client.HTTPException, ValueError, OverflowError) as exc:
+            # ValueError: a malformed URL or header; OverflowError: a timeout
+            # too long for the socket layer.
+            raise TransportError(f"{url}: {exc!r}") from exc
+        if len(payload) > MAX_BODY_BYTES:
+            raise TransportError(f"{url}: reply body longer than {MAX_BODY_BYTES} bytes")
+        try:
+            text = json.loads(payload)["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise TransportError(f"{url}: malformed reply body: {exc!r}") from exc
+        if not isinstance(text, str):
+            raise TransportError(f"{url}: reply content is {type(text).__name__}, not a string")
+        return text
 
     def fast_raw(self, prompt_text: str, frame: Frame) -> tuple[str, float]:
         return self._chat(prompt_text, (frame,))

@@ -53,7 +53,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
 
 
@@ -67,18 +67,18 @@ def _load_manifests(path: str) -> list:
 
 
 def _make_backend(spec: str):
-    if spec.startswith("scripted:"):
-        try:
-            return ScriptedBackend.from_file(spec[len("scripted:"):])
-        except (OSError, json.JSONDecodeError, ModelError) as exc:
-            raise CliError(EXIT_IO, f"backend_error: {exc}")
-    if spec.startswith("remote:"):
-        try:
-            return RemoteBackend(EndpointConfig.from_file(spec[len("remote:"):]))
-        except (OSError, json.JSONDecodeError, ModelError) as exc:
-            raise CliError(EXIT_IO, f"backend_error: {exc}")
-    raise CliError(EXIT_IO, f"backend_error: unknown backend spec {spec!r} "
-                            "(use scripted:<path> or remote:<path>)")
+    kind, sep, path = spec.partition(":")
+    if not sep or kind not in ("scripted", "remote"):
+        raise CliError(EXIT_IO, f"backend_error: unknown backend spec {spec!r} "
+                                "(use scripted:<path> or remote:<path>)")
+    try:
+        if kind == "scripted":
+            return ScriptedBackend.from_file(path)
+        return RemoteBackend(EndpointConfig.from_file(path))
+    except (OSError, ModelError) as exc:
+        raise CliError(EXIT_IO, f"backend_error: {exc}")
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
+        raise CliError(EXIT_IO, f"backend_error: {path}: {exc}")
 
 
 # ``json.loads`` without its whitespace scans: a stripped line has no JSON
@@ -104,7 +104,7 @@ def _load_predictions(path: str) -> list:
                     preds.append(PredictionRecord.from_dict(d))
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except (json.JSONDecodeError, ModelError) as exc:
+    except (ValueError, ModelError) as exc:  # ValueError: bad JSON, or a too-long integer
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
     return preds
 

@@ -118,16 +118,18 @@ def parse_slow_output(raw: str) -> int:
 
 
 _PART_RE = re.compile(r"Part\s*(\d)\s*[:.]", re.IGNORECASE)
+# The marker of one wanted part.  A marker cannot start inside another one,
+# so its first match is the first ``_PART_RE`` match naming that part.
+_PART_N_RE = {n: re.compile(rf"Part\s*{n}\s*[:.]", re.IGNORECASE) for n in (2, 3)}
 
 
 def _part_text(raw: str, part: int) -> Optional[str]:
     """Text between the 'Part N:' marker and the next part marker (or EOF)."""
-    matches = list(_PART_RE.finditer(raw))
-    for i, m in enumerate(matches):
-        if m.group(1) == str(part):
-            end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
-            return raw[m.end():end]
-    return None
+    m = _PART_N_RE[part].search(raw)
+    if m is None:
+        return None
+    nxt = _PART_RE.search(raw, m.end())
+    return raw[m.end():nxt.start() if nxt else len(raw)]
 
 
 _LABEL_RE = re.compile(r"^\[?(Verdict|Severity|Reasoning)\]?\s*:?", re.IGNORECASE)

@@ -1,15 +1,19 @@
 """Scripted backend semantics, prompt templates, endpoint config, and a
-round-trip against a local stub HTTP endpoint."""
+round-trip against a local stub HTTP endpoint and its transport failures."""
 
 import dataclasses
+import http.client
 import json
 import math
 import threading
+import time
+import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from streamguard.backends import (
+    MAX_BODY_BYTES,
     BackendTimeoutError,
     EndpointConfig,
     PromptTemplate,
@@ -22,7 +26,12 @@ from streamguard.backends import (
 from streamguard.baseline import build_windows, run_baseline_case
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import Frame, FrameManifest, SafetyState, SchemaError
-from streamguard.parsing import FormatError, parse_fast_output, parse_slow_output
+from streamguard.parsing import (
+    MAX_REPLY_CHARS,
+    FormatError,
+    parse_fast_output,
+    parse_slow_output,
+)
 
 from helpers import fast_script, grid_manifest
 
@@ -208,6 +217,18 @@ def test_endpoint_config_validation():
         EndpointConfig(base_url="x", model_name="m", image_mode="inline")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("timeout", math.nan), ("timeout", math.inf), ("timeout", -1.0),
+    ("max_retries", -1), ("max_retries", True), ("max_retries", 1.0), ("max_retries", None),
+])
+def test_endpoint_config_rejects_bad_timeout_and_retries(field, value):
+    """A budget that can never be met, or a retry count that makes no attempt,
+    is refused when the config is built, not when the first query fails."""
+    with pytest.raises(SchemaError, match=f"endpoint {field} must be"):
+        EndpointConfig(base_url="x", model_name="m", **{field: value})
+    EndpointConfig(base_url="x", model_name="m", timeout=0.2, max_retries=0)
+
+
 # --- remote backend against a stub server ------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -341,3 +362,126 @@ def test_missing_image_aborts_case(stub_server, tmp_path):
     assert _StubHandler.captured == []
     with pytest.raises(TransportError, match="missing.jpg"):
         backend.fast_raw(FAST_TEXT, manifest.frames[0])
+
+
+# --- transport failures against a stub with a fixed reply ----------------------
+
+class _ReplyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``status`` and ``body`` after ``delay`` seconds,
+    counting the requests in ``hits``.  Each test serves a subclass."""
+
+    status, body, delay, hits = 200, b"", 0.0, 0
+
+    def do_POST(self):
+        type(self).hits += 1
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        time.sleep(self.delay)
+        try:
+            self.send_response(self.status)
+            self.send_header("Content-Length", str(len(self.body)))
+            self.end_headers()
+            self.wfile.write(self.body)
+        except OSError:
+            pass  # the client timed out and closed the connection
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def reply_server():
+    """``serve(status, body, delay)`` starts a stub and returns its URL and
+    handler class; every stub is shut down after the test."""
+    running = []
+
+    def serve(status=200, body=b"", delay=0.0):
+        handler = type("Handler", (_ReplyHandler,), {"status": status, "body": body,
+                                                     "delay": delay, "hits": 0})
+        server = HTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        running.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}", handler
+
+    yield serve
+    for server, thread in running:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+        assert not thread.is_alive()
+
+
+def _remote(url, **kw):
+    return RemoteBackend(EndpointConfig(base_url=url, model_name="m", image_mode="path",
+                                        **{"timeout": 5, "max_retries": 0, **kw}))
+
+
+def _reply_body(content):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+_FRAME = Frame(t=0.0, image_path="f.jpg")
+
+
+def test_remote_http_error_is_retried_then_transport_error(reply_server):
+    url, handler = reply_server(status=500, body=b"server error")
+    with pytest.raises(TransportError, match="HTTP 500"):
+        _remote(url, max_retries=2).fast_raw(FAST_TEXT, _FRAME)
+    assert handler.hits == 3  # the first attempt and both retries
+
+
+@pytest.mark.parametrize("body", [
+    b"<html>not json</html>", b'{"id": "x"}', b'{"choices": []}', b"[]",
+    _reply_body(None), b'{"choices": [{"message": {"content": 12}}]}',
+], ids=["not_json", "no_choices", "empty_choices", "not_object", "null_content", "int_content"])
+def test_remote_malformed_body_is_transport_error(reply_server, body):
+    url, handler = reply_server(body=body)
+    with pytest.raises(TransportError):
+        _remote(url).fast_raw(FAST_TEXT, _FRAME)
+    assert handler.hits == 1
+
+
+def test_remote_slow_reply_is_timeout(reply_server):
+    url, _ = reply_server(body=_reply_body("late"), delay=0.5)
+    with pytest.raises(BackendTimeoutError):
+        _remote(url, timeout=0.2).fast_raw(FAST_TEXT, _FRAME)
+
+
+def test_remote_body_cap(reply_server):
+    """A body of ``MAX_BODY_BYTES`` is read; one byte more is refused."""
+    at_cap = _reply_body("ok").ljust(MAX_BODY_BYTES)
+    url, _ = reply_server(body=at_cap)
+    assert _remote(url).fast_raw(FAST_TEXT, _FRAME)[0] == "ok"
+    url, _ = reply_server(body=at_cap + b" ")
+    with pytest.raises(TransportError, match=f"longer than {MAX_BODY_BYTES} bytes"):
+        _remote(url).fast_raw(FAST_TEXT, _FRAME)
+
+
+def test_remote_body_cap_holds_the_longest_reply_fully_escaped(reply_server):
+    """A reply of ``MAX_REPLY_CHARS`` characters that JSON spells at 12 bytes
+    each still fits under the cap."""
+    reply = "\U0001F600" * MAX_REPLY_CHARS
+    body = _reply_body(reply)
+    assert len(body) > 12 * MAX_REPLY_CHARS
+    url, _ = reply_server(body=body)
+    assert _remote(url).fast_raw(FAST_TEXT, _FRAME)[0] == reply
+
+
+@pytest.mark.parametrize("raised,expected", [
+    (TimeoutError("timed out"), BackendTimeoutError),
+    (urllib.error.URLError(TimeoutError("timed out")), BackendTimeoutError),
+    (urllib.error.URLError(ConnectionRefusedError("refused")), TransportError),
+    (ConnectionResetError("reset"), TransportError),
+    (http.client.BadStatusLine("garbage"), TransportError),
+    (http.client.IncompleteRead(b"par"), TransportError),
+], ids=["timeout", "wrapped_timeout", "refused", "reset", "bad_status", "incomplete"])
+def test_remote_transport_exception_mapping(monkeypatch, raised, expected):
+    """Each failure the HTTP stack can raise becomes one typed backend error."""
+    def urlopen(request, timeout):
+        raise raised
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    with pytest.raises(expected) as exc:
+        _remote("http://127.0.0.1:9").fast_raw(FAST_TEXT, _FRAME)
+    assert type(exc.value) is expected

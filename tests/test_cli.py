@@ -416,6 +416,12 @@ MALFORMED_INPUTS = {
                          EXIT_IO, "backend_error: "),
     "endpoint_timeout": ("remote", {**_ENDPOINT, "timeout": "soon"}, EXIT_IO, "backend_error: "),
     "endpoint_retries": ("remote", {**_ENDPOINT, "max_retries": "x"}, EXIT_IO, "backend_error: "),
+    "endpoint_timeout_nan": ("remote", {**_ENDPOINT, "timeout": math.nan}, EXIT_IO,
+                             "backend_error: endpoint config "),
+    "endpoint_timeout_inf": ("remote", {**_ENDPOINT, "timeout": math.inf}, EXIT_IO,
+                             "backend_error: endpoint config "),
+    "endpoint_retries_negative": ("remote", {**_ENDPOINT, "max_retries": -1}, EXIT_IO,
+                                  "backend_error: endpoint config "),
     "prediction_list": ("preds", [1, 2], EXIT_IO, "parse_error: "),
     "prediction_string": ("preds", "x", EXIT_IO, "parse_error: "),
     "prediction_timestamp": ("preds", {**_PRED, "timestamp": "abc"}, EXIT_IO, "parse_error: "),
@@ -581,6 +587,44 @@ def test_overlarge_json_integer_is_typed_error(workdir, capsys, kind):
         bad.write_text(json.dumps(_PRED) + "\n", encoding="utf-8")
         argv, code = [*metrics[:-2], "--scores", str(scores), *metrics[-2:]], EXIT_IO
         message = f"config_error: {scores}: bad score table entry: int too large to convert to float"
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+_LONG_INT = "1" * 5000  # past CPython's integer-string conversion limit
+
+
+@pytest.mark.parametrize("kind", ["annotations", "predictions", "manifest", "scripted"])
+def test_overlong_json_integer_is_one_line_error(workdir, capsys, kind):
+    """A JSON integer too long to convert is the file's one-line error, naming it."""
+    try:
+        json.loads(_LONG_INT)
+    except ValueError as exc:
+        limit = str(exc)
+    else:
+        pytest.skip("this interpreter converts integers of any length")
+    bad = workdir / "bad.json"
+    run = ["run", "--manifest", str(workdir / "manifests.json"),
+           "--fast", f"scripted:{workdir / 'fast.json'}",
+           "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    if kind == "annotations":
+        bad.write_text(f'[{{"duration": {_LONG_INT}}}]', encoding="utf-8")
+        argv, code = ["validate", "--annotations", str(bad)], EXIT_DOMAIN
+        message = f"invalid: {bad} is not valid JSON: {limit}"
+    elif kind == "predictions":
+        bad.write_text(f'{{"case_id": "c0", "timestamp": {_LONG_INT}}}\n', encoding="utf-8")
+        argv = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
+                "--out", str(workdir / "m.csv")]
+        code, message = EXIT_IO, f"parse_error: {bad}: {limit}"
+    elif kind == "manifest":
+        bad.write_text(f'[{{"case_id": "c0", "frames": [{{"t": {_LONG_INT}}}]}}]',
+                       encoding="utf-8")
+        argv, code = [*run[:2], str(bad), *run[3:]], EXIT_IO
+        message = f"parse_error: {bad}: {limit}"
+    else:
+        bad.write_text(f'{{"fast_schedule": [{{"t_start": {_LONG_INT}}}]}}', encoding="utf-8")
+        argv, code = [*run[:4], f"scripted:{bad}", *run[5:]], EXIT_IO
+        message = f"backend_error: {bad}: {limit}"
     assert main(argv) == code
     assert capsys.readouterr().err == message + "\n"
 

@@ -13,10 +13,12 @@ from streamguard.model import SafetyState
 from streamguard.parsing import (
     MAX_REPLY_CHARS,
     FormatError,
+    _PART_RE,
     _VERDICT_RE,
     _clean_token,
     _first_json_object,
     _first_token,
+    _part_text,
     parse_baseline_verdict,
     parse_fast_output,
     parse_severity_verdict,
@@ -358,6 +360,32 @@ def test_first_token_matches_line_by_line_scan(text):
     line-by-line scan finds."""
     expected = next((t for t in map(_clean_token, text.splitlines()) if t), None)
     assert _first_token(text) == expected
+
+
+def _part_text_of_every_marker(raw, part):
+    """The part search that lists every marker in the reply."""
+    matches = list(_PART_RE.finditer(raw))
+    for i, m in enumerate(matches):
+        if m.group(1) == str(part):
+            end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
+            return raw[m.end():end]
+    return None
+
+
+# Markers of the wanted parts and of others, near-markers, a non-ASCII digit
+# and the text around them.
+_PART_TEXT = st.lists(st.sampled_from(
+    ["Part", "part", "PART", "Par", "P", " ", "\n", "\t", "2", "3", "9", "\u0663", ":", ".",
+     "Safe", "L2", "x"]), max_size=16).map("".join)
+
+
+@settings(max_examples=500)
+@given(_PART_TEXT)
+def test_part_text_matches_every_marker_scan(raw):
+    """Searching for the wanted marker and then the next one reads the text
+    the scan over every marker reads."""
+    for part in (2, 3):
+        assert _part_text(raw, part) == _part_text_of_every_marker(raw, part)
 
 
 # --- fuzz: parsers are total -------------------------------------------------
