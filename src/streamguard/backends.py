@@ -249,6 +249,10 @@ class EndpointConfig:
                               f"got {self.max_retries!r}")
         if self.image_mode not in ("base64", "path"):
             raise SchemaError(f"unknown image_mode {self.image_mode!r}")
+        if not isinstance(self.base_url, str) \
+                or not self.base_url.lower().startswith(("http://", "https://")):
+            raise SchemaError(f"endpoint base_url must be an http or https URL, "
+                              f"got {self.base_url!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "EndpointConfig":
@@ -274,6 +278,15 @@ class EndpointConfig:
 MAX_BODY_BYTES = 12 * MAX_REPLY_CHARS + 64 * 1024
 
 
+class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
+    """Leaves every 3xx reply unfollowed, so it is raised as an ``HTTPError``:
+    following one would resend the bearer token to whatever host and scheme
+    the ``Location`` names."""
+
+    def redirect_request(self, *args):
+        return None
+
+
 class RemoteBackend:
     """Client for a remote VLM behind a chat-completions endpoint.
 
@@ -284,14 +297,15 @@ class RemoteBackend:
     times after any failure; the last failure is raised.  A socket timeout,
     raised directly or wrapped in a ``URLError``, is a
     ``BackendTimeoutError``.  Every other failure is a ``TransportError``: an
-    HTTP error status, a connection or other ``OSError``, a URL that is not
-    http or https, a body longer than ``MAX_BODY_BYTES`` (of which at most
-    one byte more is read), a body that is not JSON, or one without a string
-    at ``choices[0].message.content``.
+    HTTP error status, a redirect (never followed), a connection or other
+    ``OSError``, a body longer than ``MAX_BODY_BYTES`` (of which at most one
+    byte more is read), a body that is not JSON or nests too deeply to
+    decode, or one without a string at ``choices[0].message.content``.
     """
 
     def __init__(self, config: EndpointConfig):
         self.config = config
+        self._opener = urllib.request.build_opener(_RefuseRedirect)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -332,12 +346,10 @@ class RemoteBackend:
 
     def _post(self, url: str, data: bytes) -> str:
         """One POST of ``data``; the reply text, or the typed failure."""
-        if not url.lower().startswith(("http://", "https://")):
-            raise TransportError(f"unsupported endpoint URL {url!r}: use http or https")
         try:
             request = urllib.request.Request(url, data=data, headers=self._headers(),
                                              method="POST")
-            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+            with self._opener.open(request, timeout=self.config.timeout) as resp:
                 payload = resp.read(MAX_BODY_BYTES + 1)
         except TimeoutError as exc:
             raise BackendTimeoutError(f"{url}: {exc}") from exc
@@ -356,7 +368,7 @@ class RemoteBackend:
             raise TransportError(f"{url}: reply body longer than {MAX_BODY_BYTES} bytes")
         try:
             text = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             raise TransportError(f"{url}: malformed reply body: {exc!r}") from exc
         if not isinstance(text, str):
             raise TransportError(f"{url}: reply content is {type(text).__name__}, not a string")

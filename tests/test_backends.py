@@ -8,6 +8,7 @@ import math
 import threading
 import time
 import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -226,7 +227,15 @@ def test_endpoint_config_rejects_bad_timeout_and_retries(field, value):
     is refused when the config is built, not when the first query fails."""
     with pytest.raises(SchemaError, match=f"endpoint {field} must be"):
         EndpointConfig(base_url="x", model_name="m", **{field: value})
-    EndpointConfig(base_url="x", model_name="m", timeout=0.2, max_retries=0)
+    EndpointConfig(base_url="http://x", model_name="m", timeout=0.2, max_retries=0)
+
+
+@pytest.mark.parametrize("base_url", ["ftp://127.0.0.1:9", "file:///tmp", "127.0.0.1:9", "", None])
+def test_endpoint_config_rejects_non_http_url(base_url):
+    """A URL no attempt could reach is refused at build time, not retried."""
+    with pytest.raises(SchemaError, match="endpoint base_url must be an http or https URL"):
+        EndpointConfig(base_url=base_url, model_name="m")
+    EndpointConfig(base_url="HTTPS://example.invalid", model_name="m")
 
 
 # --- remote backend against a stub server ------------------------------------
@@ -367,22 +376,29 @@ def test_missing_image_aborts_case(stub_server, tmp_path):
 # --- transport failures against a stub with a fixed reply ----------------------
 
 class _ReplyHandler(BaseHTTPRequestHandler):
-    """Answers every POST with ``status`` and ``body`` after ``delay`` seconds,
-    counting the requests in ``hits``.  Each test serves a subclass."""
+    """Answers every request with ``status``, ``body`` and, when set, a
+    ``location`` header after ``delay`` seconds, counting the requests in
+    ``hits`` and keeping their Authorization headers in ``auth``.  Each test
+    serves a subclass."""
 
-    status, body, delay, hits = 200, b"", 0.0, 0
+    status, body, delay, hits, location, auth = 200, b"", 0.0, 0, None, ()
 
     def do_POST(self):
         type(self).hits += 1
+        type(self).auth += (self.headers.get("Authorization"),)
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         time.sleep(self.delay)
         try:
             self.send_response(self.status)
+            if self.location:
+                self.send_header("Location", self.location)
             self.send_header("Content-Length", str(len(self.body)))
             self.end_headers()
             self.wfile.write(self.body)
         except OSError:
             pass  # the client timed out and closed the connection
+
+    do_GET = do_POST  # a followed 301, 302 or 303 arrives as a GET
 
     def log_message(self, *args):
         pass
@@ -394,9 +410,10 @@ def reply_server():
     handler class; every stub is shut down after the test."""
     running = []
 
-    def serve(status=200, body=b"", delay=0.0):
+    def serve(status=200, body=b"", delay=0.0, location=None):
         handler = type("Handler", (_ReplyHandler,), {"status": status, "body": body,
-                                                     "delay": delay, "hits": 0})
+                                                     "delay": delay, "hits": 0,
+                                                     "location": location, "auth": ()})
         server = HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)
@@ -434,12 +451,27 @@ def test_remote_http_error_is_retried_then_transport_error(reply_server):
 @pytest.mark.parametrize("body", [
     b"<html>not json</html>", b'{"id": "x"}', b'{"choices": []}', b"[]",
     _reply_body(None), b'{"choices": [{"message": {"content": 12}}]}',
-], ids=["not_json", "no_choices", "empty_choices", "not_object", "null_content", "int_content"])
+    b'{"choices": ' + b"[" * 100_000,
+], ids=["not_json", "no_choices", "empty_choices", "not_object", "null_content", "int_content",
+        "deeply_nested"])
 def test_remote_malformed_body_is_transport_error(reply_server, body):
     url, handler = reply_server(body=body)
     with pytest.raises(TransportError):
         _remote(url).fast_raw(FAST_TEXT, _FRAME)
     assert handler.hits == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_remote_redirect_is_refused_and_keeps_the_token(reply_server, monkeypatch, status):
+    """A redirect is a TransportError and is never followed, so the bearer
+    token reaches no host but the configured one."""
+    monkeypatch.setenv("STUB_TOKEN", "secret")
+    elsewhere, other = reply_server(body=_reply_body("stolen"))
+    url, handler = reply_server(status=status, location=elsewhere + "/chat/completions")
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        _remote(url, auth_token_env_var_name="STUB_TOKEN").fast_raw(FAST_TEXT, _FRAME)
+    assert handler.auth == ("Bearer secret",)
+    assert other.hits == 0
 
 
 def test_remote_slow_reply_is_timeout(reply_server):
@@ -478,10 +510,10 @@ def test_remote_body_cap_holds_the_longest_reply_fully_escaped(reply_server):
 ], ids=["timeout", "wrapped_timeout", "refused", "reset", "bad_status", "incomplete"])
 def test_remote_transport_exception_mapping(monkeypatch, raised, expected):
     """Each failure the HTTP stack can raise becomes one typed backend error."""
-    def urlopen(request, timeout):
+    def open_(opener, request, timeout):
         raise raised
 
-    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open_)
     with pytest.raises(expected) as exc:
         _remote("http://127.0.0.1:9").fast_raw(FAST_TEXT, _FRAME)
     assert type(exc.value) is expected

@@ -422,6 +422,8 @@ MALFORMED_INPUTS = {
                              "backend_error: endpoint config "),
     "endpoint_retries_negative": ("remote", {**_ENDPOINT, "max_retries": -1}, EXIT_IO,
                                   "backend_error: endpoint config "),
+    "endpoint_url_ftp": ("remote", {**_ENDPOINT, "base_url": "ftp://127.0.0.1:9"}, EXIT_IO,
+                         "backend_error: endpoint config "),
     "prediction_list": ("preds", [1, 2], EXIT_IO, "parse_error: "),
     "prediction_string": ("preds", "x", EXIT_IO, "parse_error: "),
     "prediction_timestamp": ("preds", {**_PRED, "timestamp": "abc"}, EXIT_IO, "parse_error: "),
