@@ -44,10 +44,12 @@ def load_annotations(path: str) -> AnnotationSet:
     lifecycle violations.
 
     The cyclic garbage collector is paused while the file is read and its
-    cases built: the decode creates no reference cycles, so reference
-    counting frees everything, and no collection runs during the decode.
-    The first allocation after it runs one young-generation collection,
-    which walks every decoded case once.
+    cases built (``model.gc_paused``): the decode creates no reference
+    cycles, so reference counting frees everything, and no collection runs
+    during the decode.  Called inside a read-side CLI command, which already
+    runs paused, the pause is a no-op.  A direct caller whose collector is
+    on pays one collection after the load, at its first allocation, which
+    walks every decoded case once.
     """
     with gc_paused():
         try:

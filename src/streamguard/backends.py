@@ -241,8 +241,10 @@ class EndpointConfig:
     image_mode: str = "base64"  # "base64" | "path"
 
     def __post_init__(self):
-        if not 0 < self.timeout < math.inf:  # also rejects NaN
-            raise SchemaError(f"endpoint timeout must be finite and positive, got {self.timeout}")
+        if not (isinstance(self.timeout, (int, float)) and not isinstance(self.timeout, bool)
+                and 0 < self.timeout < math.inf):  # also rejects NaN
+            raise SchemaError("endpoint timeout must be finite and positive, "
+                              f"got {self.timeout!r}")
         if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool) \
                 or self.max_retries < 0:
             raise SchemaError("endpoint max_retries must be a non-negative integer, "
@@ -263,8 +265,8 @@ class EndpointConfig:
                 base_url=d["base_url"],
                 model_name=d["model_name"],
                 auth_token_env_var_name=d.get("auth_token_env_var_name", ""),
-                timeout=float(d.get("timeout", 60.0)),
-                max_retries=int(d.get("max_retries", 2)),
+                timeout=d.get("timeout", 60.0),
+                max_retries=d.get("max_retries", 2),
                 image_mode=d.get("image_mode", "base64"),
             )
         except DECODE_ERRORS as exc:
@@ -287,20 +289,37 @@ class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
         return None
 
 
+def _retryable(exc: BackendError) -> bool:
+    """Whether ``RemoteBackend._post`` failed in a way a new POST could fix:
+    a timeout, a connection failure or an HTTP 5xx status.
+
+    It reads the failure ``_post`` raised ``exc`` from.  A 3xx or 4xx status,
+    a malformed URL or header, and a reply body that is too long, not JSON or
+    of the wrong shape would fail the same way again.
+    """
+    cause = exc.__cause__
+    if isinstance(cause, urllib.error.HTTPError):
+        return cause.code >= 500
+    return isinstance(exc, BackendTimeoutError) \
+        or isinstance(cause, (OSError, http.client.HTTPException))
+
+
 class RemoteBackend:
     """Client for a remote VLM behind a chat-completions endpoint.
 
     Auth tokens come only from the environment variable named in the
     config, never from files.
 
-    Each query POSTs once, then retries up to ``config.max_retries`` more
-    times after any failure; the last failure is raised.  A socket timeout,
-    raised directly or wrapped in a ``URLError``, is a
-    ``BackendTimeoutError``.  Every other failure is a ``TransportError``: an
-    HTTP error status, a redirect (never followed), a connection or other
-    ``OSError``, a body longer than ``MAX_BODY_BYTES`` (of which at most one
-    byte more is read), a body that is not JSON or nests too deeply to
-    decode, or one without a string at ``choices[0].message.content``.
+    Each query POSTs once.  After a timeout, a connection failure or an
+    HTTP 5xx status it retries up to ``config.max_retries`` more times and
+    raises the last failure; any other failure is raised after that one
+    POST (``_retryable``).  A socket timeout, raised directly or wrapped in
+    a ``URLError``, is a ``BackendTimeoutError``.  Every other failure is a
+    ``TransportError``: an HTTP error status, a redirect (never followed), a
+    connection or other ``OSError``, a body longer than ``MAX_BODY_BYTES``
+    (of which at most one byte more is read), a body that is not JSON or
+    nests too deeply to decode, or one without a string at
+    ``choices[0].message.content``.
     """
 
     def __init__(self, config: EndpointConfig):
@@ -341,6 +360,8 @@ class RemoteBackend:
             try:
                 return self._post(url, data), time.monotonic() - start
             except BackendError as exc:
+                if not _retryable(exc):
+                    raise
                 last_exc = exc
         raise last_exc
 

@@ -130,7 +130,13 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 # --- subcommands -------------------------------------------------------------
+#
+# The read-side commands (validate, metrics, errors, agreement) run with the
+# cyclic collector paused until their records are freed.  The commands that
+# call backends keep it on: a remote backend's urllib machinery and threads may
+# build cyclic garbage, and a pause would keep it alive for the whole run.
 
+@gc_paused()
 def cmd_validate(args) -> int:
     try:
         anns = load_annotations(args.annotations)
@@ -208,6 +214,7 @@ def cmd_eval_baseline(args) -> int:
     return EXIT_OK
 
 
+@gc_paused()
 def cmd_metrics(args) -> int:
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
@@ -232,6 +239,7 @@ def _fmt(v) -> str:
     return f"{v:.4f}" if isinstance(v, float) else str(v)
 
 
+@gc_paused()
 def cmd_errors(args) -> int:
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
@@ -247,6 +255,7 @@ def cmd_errors(args) -> int:
     return EXIT_OK
 
 
+@gc_paused()
 def cmd_agreement(args) -> int:
     set_a = _load_annotation_set(args.a)
     set_b = _load_annotation_set(args.b)

@@ -83,7 +83,9 @@ def _number(name: str, v) -> float:
 
 @contextmanager
 def gc_paused():
-    """Run a bulk decode with the cyclic garbage collector off.
+    """Run a bulk decode, or a whole read-side command, with the cyclic
+    garbage collector off.  Works as a ``with`` block and, as
+    ``@gc_paused()``, as a decorator.
 
     A decode allocates several tracked containers per record.  With the
     collector on, they start a collection every few hundred allocations;
@@ -91,8 +93,14 @@ def gc_paused():
     the oldest generation, full collections walk them all again.  The decode
     builds no reference cycles, so reference counting alone frees what it
     drops.  The collector is re-enabled on exit only if it was enabled on
-    entry; the first allocation after that runs one young-generation
-    collection, which walks every record the decode built once.
+    entry, and nested pauses are no-ops.
+
+    CPython counts tracked allocations minus frees towards the next
+    collection.  A pause that ends while the decoded records are still alive
+    leaves that count high, and the first allocation after it runs a
+    collection that walks every record once.  The read-side CLI commands
+    pause around their whole body instead, so their records are freed first
+    and re-enabling walks almost nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -462,7 +470,7 @@ class Frame:
     @classmethod
     def from_dict(cls, d: dict) -> "Frame":
         try:
-            t = float(d["t"])
+            t = v if type(v := d["t"]) is float else _number("t", v)
             image_path = d.get("image_path", "")
             if not isinstance(image_path, str):
                 raise SchemaError(f"image_path must be a string, got {image_path!r}")
@@ -575,10 +583,12 @@ class FrameManifest:
     def from_dict(cls, d: dict) -> "FrameManifest":
         try:
             case_id = d["case_id"]
-            fps_native = float(d.get("fps_native", 10.0))
+            fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
+                else _number("fps_native", v)
             entries = d["frames"]
             try:
-                times = tuple([float(f["t"]) for f in entries])
+                times = tuple([t if type(t := f["t"]) is float else _number("t", t)
+                               for f in entries])
                 paths = tuple([f.get("image_path", "") for f in entries])
                 if not all(isinstance(p, str) for p in paths):
                     raise SchemaError("image_path must be a string")
@@ -668,20 +678,26 @@ class RateChange:
 TraceEvent = FrameSampled | FastState | SlowDispatched | SlowVerdict | Override | Alert | RateChange
 
 
-def _field_codec(tp) -> tuple:
-    """(encode, decode) for one declared event field type; None encodes as-is."""
+def _field_codec(name: str, tp) -> tuple:
+    """(encode, decode) for the event field ``name`` of declared type ``tp``.
+
+    An encoder of None stores the value as-is.  A float takes a JSON number
+    only.  A float field's decoder is None: ``_event_plan`` makes its one
+    type test inline, since a trace decode runs it for nearly every event.
+    """
     if isinstance(tp, type) and issubclass(tp, Enum):
         return attrgetter("value"), tp
-    if get_origin(tp) is tuple:
-        item = get_args(tp)[0]
-        return list, lambda xs: tuple(map(item, xs))
+    if get_origin(tp) is tuple:  # tuple[float, ...], the window's frame times
+        return list, lambda xs: tuple([x if type(x) is float else _number(name, x) for x in xs])
+    if tp is float:
+        return None, None
     return None, tp
 
 
 def _event_plan(cls) -> tuple:
     """One event kind's (encode, decode): ``kind`` first, then the fields in order."""
     hints = get_type_hints(cls)
-    codecs = [(f.name, *_field_codec(hints[f.name])) for f in fields(cls) if f.init]
+    codecs = [(f.name, *_field_codec(f.name, hints[f.name])) for f in fields(cls) if f.init]
     kind = cls.kind
 
     def encode(ev) -> dict:
@@ -692,7 +708,11 @@ def _event_plan(cls) -> tuple:
         return d
 
     def decode(d: dict):
-        return cls(**{name: dec(d[name]) for name, _, dec in codecs})
+        kw = {}
+        for name, _, dec in codecs:
+            v = d[name]
+            kw[name] = dec(v) if dec is not None else v if type(v) is float else _number(name, v)
+        return cls(**kw)
 
     return encode, decode
 
@@ -758,14 +778,19 @@ class DecisionTrace:
     def from_dict(cls, d: dict) -> "DecisionTrace":
         try:
             summary = d.get("summary", {})
+
+            def time_field(name):
+                v = summary.get(name)
+                return v if v is None or type(v) is float else _number(name, v)
+
             source = summary.get("alert_source")
             return cls(
                 case_id=d["case_id"],
                 events=tuple(event_from_dict(e) for e in d["events"]),
-                end_to_end_latency=summary.get("end_to_end_latency"),
-                alert_stream_time=summary.get("alert_stream_time"),
+                end_to_end_latency=time_field("end_to_end_latency"),
+                alert_stream_time=time_field("alert_stream_time"),
                 alert_source=None if source is None else AlertSource(source),
-                physical_stop_time=summary.get("physical_stop_time"),
+                physical_stop_time=time_field("physical_stop_time"),
                 aborted=summary.get("aborted", False),
             )
         except DECODE_ERRORS as exc:

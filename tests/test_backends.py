@@ -3,6 +3,7 @@ round-trip against a local stub HTTP endpoint and its transport failures."""
 
 import dataclasses
 import http.client
+import io
 import json
 import math
 import threading
@@ -236,6 +237,27 @@ def test_endpoint_config_rejects_non_http_url(base_url):
     with pytest.raises(SchemaError, match="endpoint base_url must be an http or https URL"):
         EndpointConfig(base_url=base_url, model_name="m")
     EndpointConfig(base_url="HTTPS://example.invalid", model_name="m")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_retries", 2.7), ("max_retries", True), ("max_retries", "2"),
+    ("timeout", "5"), ("timeout", True), ("timeout", None),
+])
+def test_endpoint_config_from_file_takes_values_as_written(tmp_path, field, value):
+    """The file's values reach the constructor's checks unconverted, so a
+    float retry count or a string or boolean timeout is refused, not read as
+    2, 1 or 5.0."""
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"base_url": "http://x", "model_name": "m", field: value}),
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"endpoint config {path}: endpoint {field} must be"):
+        EndpointConfig.from_file(str(path))
+    with pytest.raises(SchemaError, match=f"endpoint {field} must be"):
+        EndpointConfig(base_url="http://x", model_name="m", **{field: value})
+    path.write_text(json.dumps({"base_url": "http://x", "model_name": "m", "timeout": 5,
+                                "max_retries": 3}), encoding="utf-8")
+    cfg = EndpointConfig.from_file(str(path))
+    assert (cfg.timeout, cfg.max_retries) == (5, 3)
 
 
 # --- remote backend against a stub server ------------------------------------
@@ -517,3 +539,46 @@ def test_remote_transport_exception_mapping(monkeypatch, raised, expected):
     with pytest.raises(expected) as exc:
         _remote("http://127.0.0.1:9").fast_raw(FAST_TEXT, _FRAME)
     assert type(exc.value) is expected
+
+
+@pytest.mark.parametrize("status,body", [
+    (401, b"unauthorized"), (400, b""), (404, b""), (301, b""),
+    (200, b"<html>not json</html>"), (200, _reply_body("ok").ljust(MAX_BODY_BYTES + 1)),
+], ids=["401", "400", "404", "301", "malformed_body", "oversized_body"])
+def test_remote_unfixable_failure_is_not_retried(reply_server, status, body):
+    """A failure that a new POST would only repeat is raised after one POST."""
+    url, handler = reply_server(status=status, body=body)
+    with pytest.raises(TransportError):
+        _remote(url, max_retries=2).fast_raw(FAST_TEXT, _FRAME)
+    assert handler.hits == 1
+
+
+def _http_error(code):
+    return urllib.error.HTTPError("http://127.0.0.1:9", code, "reason", {}, io.BytesIO())
+
+
+@pytest.mark.parametrize("raised,attempts", [
+    (TimeoutError("timed out"), 3),
+    (urllib.error.URLError(TimeoutError("timed out")), 3),
+    (urllib.error.URLError(ConnectionRefusedError("refused")), 3),
+    (ConnectionResetError("reset"), 3),
+    (http.client.BadStatusLine("garbage"), 3),
+    (http.client.IncompleteRead(b"par"), 3),
+    (_http_error(500), 3), (_http_error(503), 3),
+    (_http_error(429), 1), (_http_error(403), 1), (_http_error(308), 1),
+    (ValueError("bad header"), 1), (OverflowError("timeout too long"), 1),
+], ids=["timeout", "wrapped_timeout", "refused", "reset", "bad_status", "incomplete",
+        "500", "503", "429", "403", "308", "bad_header", "overflow"])
+def test_remote_retries_only_transient_failures(monkeypatch, raised, attempts):
+    """Timeouts, connection failures and 5xx statuses are retried
+    ``max_retries`` times; every other failure ends the query at once."""
+    calls = []
+
+    def open_(opener, request, timeout):
+        calls.append(request)
+        raise raised
+
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open_)
+    with pytest.raises((TransportError, BackendTimeoutError)):
+        _remote("http://127.0.0.1:9", max_retries=2).fast_raw(FAST_TEXT, _FRAME)
+    assert len(calls) == attempts

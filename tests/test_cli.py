@@ -2,6 +2,7 @@
 output-file stability."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import streamguard.ablation as ablation
+import streamguard.cli as cli
 from streamguard.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
-from streamguard.model import DecisionTrace
+from streamguard.model import CaseAnnotation, DecisionTrace, PredictionRecord
 
 from helpers import ann_set, grid_manifest, make_ann
 
@@ -656,3 +659,125 @@ def test_errors_csv_quotes_like_dictwriter(tmp_path):
     writer.writerows([{"case_id": cid, "error_type": "over_reaction" if cid == "a,b"
                        else "visual_omission"} for cid in ids])
     assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [
+    {"max_retries": 2.7}, {"max_retries": True}, {"max_retries": "2"},
+    {"timeout": "5"}, {"timeout": True},
+], ids=["retries_float", "retries_true", "retries_string", "timeout_string", "timeout_true"])
+def test_endpoint_values_are_not_coerced(workdir, capsys, value):
+    """An endpoint file's retry count and timeout are taken as written."""
+    bad = workdir / "endpoint.json"
+    bad.write_text(json.dumps({**_ENDPOINT, **value}), encoding="utf-8")
+    assert main(["run", "--manifest", str(workdir / "manifests.json"),
+                 "--fast", f"remote:{bad}", "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--out", str(workdir / "x.jsonl")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"backend_error: endpoint config {bad}: endpoint ")
+    assert err.count("\n") == 1, err
+
+
+# --- the cyclic collector ----------------------------------------------------
+
+def _gc_spies(monkeypatch) -> list:
+    """Record ``(name, gc.isenabled())`` at each call of the read-side loaders,
+    decoders and scorers, and of the backend-driven stages."""
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (CaseAnnotation, PredictionRecord):
+        monkeypatch.setattr(cls, "from_dict", spy(cls.__name__, cls.from_dict))
+    for name in ("load_annotations", "_load_predictions", "build_report", "case_errors",
+                 "agreement_table", "run_case", "run_baseline_case"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    monkeypatch.setattr(ablation, "sweep_fps", spy("sweep_fps", ablation.sweep_fps))
+    return seen
+
+
+def _read_side_argv(workdir, command):
+    """The argv of one read-side command that succeeds (``*_ok``), fails on
+    a missing file (exit 2, ``*_io``) or scores an unannotated record (exit 1,
+    ``*_domain``), with the stages it must reach."""
+    anns, out = str(workdir / "anns.json"), str(workdir / "out.csv")
+    preds, ghost = workdir / "preds.jsonl", workdir / "ghost.jsonl"
+    preds.write_text("".join(json.dumps({"case_id": c, "verdict": "safe"}) + "\n"
+                             for c in ("c0", "c1")), encoding="utf-8")
+    ghost.write_text(json.dumps({"case_id": "ghost", "verdict": "safe"}) + "\n",
+                     encoding="utf-8")
+    pair = [make_ann(case_id=f"k{i}", intent=1.0 + 0.3 * i, pnr=1.8 + 0.3 * i,
+                     deadline=1.6 + 0.3 * i, impact=2.2 + 0.3 * i, end=2.6 + 0.3 * i,
+                     duration=6.0).to_dict() for i in range(5)]
+    (workdir / "a.json").write_text(json.dumps(pair), encoding="utf-8")
+    missing = str(workdir / "missing.json")
+    ann_load = {"load_annotations", "CaseAnnotation"}
+    decoded = ann_load | {"_load_predictions", "PredictionRecord"}
+    return {
+        "validate_ok": (["validate", "--annotations", anns], EXIT_OK, ann_load),
+        "metrics_ok": (["metrics", "--preds", str(preds), "--annotations", anns, "--out", out],
+                       EXIT_OK, decoded | {"build_report"}),
+        "errors_ok": (["errors", "--preds", str(preds), "--annotations", anns, "--out", out],
+                      EXIT_OK, decoded | {"case_errors"}),
+        "agreement_ok": (["agreement", "--a", str(workdir / "a.json"),
+                          "--b", str(workdir / "a.json"), "--out", out],
+                         EXIT_OK, ann_load | {"agreement_table"}),
+        "validate_io": (["validate", "--annotations", missing], EXIT_IO, {"load_annotations"}),
+        "metrics_io": (["metrics", "--preds", str(preds), "--annotations", missing,
+                        "--out", out], EXIT_IO, decoded - {"CaseAnnotation"}),
+        "agreement_io": (["agreement", "--a", anns, "--b", missing, "--out", out],
+                         EXIT_IO, ann_load),
+        "metrics_domain": (["metrics", "--preds", str(ghost), "--annotations", anns,
+                            "--out", out], EXIT_DOMAIN, decoded | {"build_report"}),
+        "errors_domain": (["errors", "--preds", str(ghost), "--annotations", anns,
+                           "--out", out], EXIT_DOMAIN, decoded | {"case_errors"}),
+    }[command]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller_gc_on", "caller_gc_off"])
+@pytest.mark.parametrize("command", [
+    "validate_ok", "metrics_ok", "errors_ok", "agreement_ok", "validate_io", "metrics_io",
+    "agreement_io", "metrics_domain", "errors_domain"])
+def test_read_side_commands_run_with_gc_paused(workdir, monkeypatch, capsys, command, enabled):
+    """Every decode and every scoring call of a read-side command runs with
+    the collector off, and ``main`` hands the caller back the collector
+    state it had, after success, a ``CliError`` or a ``MetricsError``."""
+    argv, code, stages = _read_side_argv(workdir, command)
+    seen = _gc_spies(monkeypatch)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert {name for name, _ in seen} == stages
+    assert not any(on for _, on in seen), seen
+
+
+def test_backend_commands_keep_gc_on(workdir, monkeypatch):
+    """``run``, ``eval-baseline`` and ``ablate`` call backends, and a remote
+    backend may leave cyclic garbage, so they never pause the collector."""
+    manifests = str(workdir / "manifests.json")
+    fast, slow = f"scripted:{workdir / 'fast.json'}", f"scripted:{workdir / 'slow.json'}"
+    seen = _gc_spies(monkeypatch)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert main(["run", "--manifest", manifests, "--fast", fast, "--slow", slow,
+                     "--out", str(workdir / "t.jsonl")]) == EXIT_OK
+        assert main(["eval-baseline", "--manifest", manifests,
+                     "--backend", f"scripted:{workdir / 'baseline.json'}",
+                     "--out", str(workdir / "p.jsonl")]) == EXIT_OK
+        assert main(["ablate", "--manifest", manifests,
+                     "--annotations", str(workdir / "anns.json"), "--fast", fast,
+                     "--slow", slow, "--fps", "1,5", "--out", str(workdir / "s.csv")]) == EXIT_OK
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert {name for name, _ in seen} == {"run_case", "run_baseline_case", "load_annotations",
+                                          "CaseAnnotation", "sweep_fps"}
+    assert all(on for name, on in seen if name != "CaseAnnotation"), seen

@@ -919,6 +919,59 @@ def test_event_roundtrip(encoded, event):
     assert json.dumps(event_to_dict(decoded)) == json.dumps(event_to_dict(event))
 
 
+_M1 = {"case_id": "m1", "fps_native": 10.0, "frames": _GOOD_FRAMES}
+
+
+@pytest.mark.parametrize("decode,encoded,message", [
+    (FrameManifest.from_dict, {**_M1, "fps_native": "10"},
+     "manifest m1: fps_native must be a JSON number, got '10'"),
+    (FrameManifest.from_dict, {**_M1, "fps_native": True},
+     "manifest m1: fps_native must be a JSON number, got True"),
+    (FrameManifest.from_dict, {**_M1, "frames": [{"t": 0.0}, {"t": True}]},
+     "manifest m1: frame: t must be a JSON number, got True"),
+    (FrameManifest.from_dict, {**_M1, "frames": [{"t": "0.5"}]},
+     "manifest m1: frame: t must be a JSON number, got '0.5'"),
+    (Frame.from_dict, {"t": "0.5"}, "frame: t must be a JSON number, got '0.5'"),
+    (event_from_dict, {"kind": "frame_sampled", "t": "1.5", "rate": 1.0},
+     "t must be a JSON number, got '1.5'"),
+    (event_from_dict, {"kind": "frame_sampled", "t": 1.5, "rate": True},
+     "rate must be a JSON number, got True"),
+    (event_from_dict, {"kind": "slow_dispatched", "trigger_t": 1.0,
+                       "window_frame_times": [0.5, "1.0"]},
+     "window_frame_times must be a JSON number, got '1.0'"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "events": [{"kind": "override", "t": "1.5"}]},
+     "trace c0: t must be a JSON number, got '1.5'"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"alert_stream_time": "soon"}},
+     "trace c0: could not convert string to float: 'soon'"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"alert_stream_time": True}},
+     "trace c0: alert_stream_time must be a JSON number, got True"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"end_to_end_latency": "0.1"}},
+     "trace c0: end_to_end_latency must be a JSON number, got '0.1'"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"physical_stop_time": False}},
+     "trace c0: physical_stop_time must be a JSON number, got False"),
+], ids=["fps_string", "fps_true", "frame_time_true", "frame_time_string", "frame_string",
+        "event_t_string", "event_rate_true", "window_time_string", "trace_event_string",
+        "alert_time_word", "alert_time_true", "latency_string", "stop_time_false"])
+def test_manifest_and_trace_decoders_take_json_numbers_only(decode, encoded, message):
+    """Manifests, events and trace summaries read numbers as the records do:
+    a string or a boolean is a SchemaError, not a float."""
+    with pytest.raises(SchemaError) as info:
+        decode(encoded)
+    assert str(info.value) == message
+
+
+def test_manifest_and_trace_decoders_convert_json_integers():
+    m = FrameManifest.from_dict({**_M1, "fps_native": 10, "frames": [{"t": 0}, {"t": 1}]})
+    trace = DecisionTrace.from_dict({**_TRACE_JSON, "summary": {
+        "end_to_end_latency": 0, "alert_stream_time": 2, "physical_stop_time": 3}})
+    values = [m.fps_native, *(f.t for f in m.frames), trace.end_to_end_latency,
+              trace.alert_stream_time, trace.physical_stop_time]
+    assert values == [10.0, 0.0, 1.0, 0.0, 2.0, 3.0]
+    assert all(type(v) is float for v in values)
+    assert event_from_dict({"kind": "slow_dispatched", "trigger_t": 1,
+                            "window_frame_times": [0, 1]}).window_frame_times == (0.0, 1.0)
+
+
 def test_slow_verdict_cannot_precede_trigger():
     with pytest.raises(SchemaError):
         SlowVerdict(trigger_t=2.0, arrival_t=1.0, verdict=1)
