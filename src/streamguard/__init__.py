@@ -16,10 +16,6 @@ from .metrics import (
     MetricsReport,
     build_report,
     classify_error,
-    compute_ewp,
-    compute_hdr,
-    compute_pda,
-    compute_wss,
     severity_confusion,
 )
 from .agreement import agreement_table, cohens_kappa, icc_a1, keyframe_mae, lins_ccc

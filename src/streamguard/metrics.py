@@ -68,45 +68,6 @@ def _join(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> list:
     return [(ann, by_case.get(ann.case_id)) for ann in anns]
 
 
-def compute_hdr(preds: Sequence[PredictionRecord], n_total: int) -> float:
-    """Fraction of cases predicted as hazardous, regardless of timing."""
-    if n_total < 1:
-        raise EmptyDataset("n_total must be >= 1")
-    _pred_map(preds)
-    return sum(1 for p in preds if p.is_hazard) / n_total
-
-
-def compute_ewp(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> Optional[float]:
-    """Fraction of hazard alerts inside [intent onset, impact].
-
-    Undefined (None) when there are no hazard predictions.
-    """
-    return build_report(preds, anns).ewp
-
-
-def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
-    """Per-phase case counts over the full annotation set.
-
-    Every annotated case lands in exactly one phase; cases without a
-    hazard prediction (including format errors) are Missed.
-    """
-    counts = {phase: 0 for phase in Phase}
-    for ann, pred in _join(preds, anns):
-        counts[classify_phase(None if pred is None else pred.effective_timestamp, ann)] += 1
-    return counts
-
-
-def compute_pda(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
-    """Phase fractions over the annotation set; fractions sum to 1."""
-    return build_report(preds, anns).phase_fractions
-
-
-def compute_wss(preds: Sequence[PredictionRecord], anns: AnnotationSet,
-                scores: Optional[PhaseScoreTable] = None) -> float:
-    """Mean phase score over all cases."""
-    return build_report(preds, anns, scores).wss
-
-
 def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> ErrorType:
     """Assign one case to the five-way error taxonomy.
 

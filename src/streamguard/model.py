@@ -81,6 +81,16 @@ def _number(name: str, v) -> float:
     raise SchemaError(f"{name} must be a JSON number, got {v!r}")
 
 
+def _integer(name: str, v) -> int:
+    """The int for a decoded integer field ``name``, as ``_number`` is for a
+    float one: ``int()`` reads ``true``, ``"1"`` and ``1.7`` as 1, but here a
+    bool, a string or a float is a SchemaError naming the field."""
+    if type(v) is int:
+        return v
+    int(v)  # raises for a value that is no number in any spelling
+    raise SchemaError(f"{name} must be a JSON integer, got {v!r}")
+
+
 @contextmanager
 def gc_paused():
     """Run a bulk decode, or a whole read-side command, with the cyclic
@@ -169,6 +179,12 @@ class AlertSource(str, Enum):
     SLOW = "slow"
 
 
+def _check_key_frame(name: str, v) -> None:
+    """The check for a key frame ``name`` whose value is not a float in [0, inf)."""
+    if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+        raise SchemaError(f"key frame {name} must be a finite non-negative number, got {v!r}")
+
+
 @_slot_init
 @dataclass(frozen=True, slots=True)
 class KeyFrames:
@@ -183,16 +199,18 @@ class KeyFrames:
     def __post_init__(self):
         intent, pnr, deadline = self.intent_onset, self.pnr, self.intervention_deadline
         impact, end = self.impact, self.action_end
-        # Straight-line test for the usual all-float key frames; anything else
-        # takes the per-field check, which names the first bad field.
-        if not (type(intent) is type(pnr) is type(deadline) is type(impact) is type(end) is float
-                and 0.0 <= intent < _INF and 0.0 <= pnr < _INF and 0.0 <= deadline < _INF
-                and 0.0 <= impact < _INF and 0.0 <= end < _INF):
-            for name in ("intent_onset", "pnr", "intervention_deadline", "impact", "action_end"):
-                v = getattr(self, name)
-                if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                    raise SchemaError(f"key frame {name} must be a finite non-negative number, "
-                                      f"got {v!r}")
+        # Each key frame in field order, so the first bad one is named; a float
+        # in [0, inf) passes on its type test alone.
+        if not (type(intent) is float and 0.0 <= intent < _INF):
+            _check_key_frame("intent_onset", intent)
+        if not (type(pnr) is float and 0.0 <= pnr < _INF):
+            _check_key_frame("pnr", pnr)
+        if not (type(deadline) is float and 0.0 <= deadline < _INF):
+            _check_key_frame("intervention_deadline", deadline)
+        if not (type(impact) is float and 0.0 <= impact < _INF):
+            _check_key_frame("impact", impact)
+        if not (type(end) is float and 0.0 <= end < _INF):
+            _check_key_frame("action_end", end)
         if (intent > deadline + _EPS or deadline > pnr + _EPS or pnr > impact + _EPS
                 or impact > end + _EPS):
             raise OrderingError(
@@ -248,24 +266,11 @@ class CaseAnnotation:
     is_valid: bool = True
 
     def __post_init__(self):
+        # One check per field, in the order the error texts need; a type test
+        # for the usual exact type runs first.  The closed sets stay tuples:
+        # an unhashable value must fail the test, not raise.
         case_id, difficulty, duration = self.case_id, self.difficulty, self.duration
-        entities = self.key_entities
-        # Straight-line test for the usual well-formed case; anything else takes
-        # the checks below, which name the first bad field.  The closed sets
-        # stay tuples: an unhashable value must fail the test, not raise.
-        if (type(case_id) is str and case_id
-                and self.location in LOCATIONS and self.danger_category in DANGER_CATEGORIES
-                and self.severity in SEVERITY_LEVELS and difficulty in DIFFICULTY_LEVELS
-                and type(duration) is float and 0.0 <= duration < _INF
-                and not self.key_frames.action_end > duration + _EPS
-                and type(self.is_valid) is bool
-                and type(entities) is tuple and (entities or difficulty not in ("D1", "D2"))):
-            for e in entities:
-                if not (type(e) is str and e and e == e.lower()):
-                    break
-            else:
-                return
-        if not isinstance(case_id, str):
+        if not (type(case_id) is str or isinstance(case_id, str)):
             raise SchemaError(f"case_id must be a string, got {case_id!r}")
         if not case_id:
             raise SchemaError("case_id must be non-empty")
@@ -277,21 +282,22 @@ class CaseAnnotation:
             raise SchemaError(f"unknown severity {self.severity!r} for case {case_id}")
         if difficulty not in DIFFICULTY_LEVELS:
             raise SchemaError(f"unknown difficulty {difficulty!r} for case {case_id}")
-        if self.key_frames.action_end > duration + _EPS:
-            raise OrderingError(
-                f"action_end {self.key_frames.action_end} exceeds duration {duration} "
-                f"for case {case_id}"
-            )
+        end = self.key_frames.action_end
+        if end > duration + _EPS:
+            raise OrderingError(f"action_end {end} exceeds duration {duration} for case {case_id}")
         # After the action_end check, so a negative duration keeps that check's error.
-        if not (isinstance(duration, (int, float)) and 0 <= duration < _INF):
+        if not (type(duration) is float and 0.0 <= duration < _INF
+                or isinstance(duration, (int, float)) and 0 <= duration < _INF):
             raise SchemaError(f"case {case_id}: duration must be a finite non-negative number, "
                               f"got {duration!r}")
+        entities = self.key_entities
         if not entities and difficulty in ("D1", "D2"):
             raise SchemaError(f"case {case_id}: key_entities required for {difficulty} cases")
         for e in entities:
-            if not isinstance(e, str) or e != e.lower() or not e:
+            if not (type(e) is str and e and e == e.lower()) \
+                    and (not isinstance(e, str) or e != e.lower() or not e):
                 raise SchemaError(f"case {case_id}: key_entities must be non-empty lowercase strings")
-        if not isinstance(self.is_valid, bool):
+        if type(self.is_valid) is not bool:  # bool has no subclasses
             raise SchemaError(f"case {case_id}: is_valid must be a boolean, got {self.is_valid!r}")
 
     def to_dict(self) -> dict:
@@ -366,8 +372,8 @@ class PhaseScoreTable:
         if not isinstance(d, dict):
             raise SchemaError(f"score table must be an object, got {type(d).__name__}")
         try:
-            scores = {Phase(k): float(v) for k, v in d.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
+            scores = {Phase(k): v if type(v) is float else _number(k, v) for k, v in d.items()}
+        except (TypeError, ValueError, OverflowError, SchemaError) as exc:
             raise SchemaError(f"bad score table entry: {exc}") from exc
         return cls(scores)
 
@@ -387,37 +393,28 @@ class PredictionRecord:
     parse_detail: str = ""
 
     def __post_init__(self):
+        # One check per field, in the order the error texts need; a type test
+        # for the usual exact type runs first.  The closed sets stay tuples:
+        # an unhashable value must fail the test, not raise.
         verdict, timestamp, claim = self.verdict, self.timestamp, self.severity_claim
-        # Straight-line test for the usual well-formed record; anything else
-        # takes the checks below, which name the first bad field.  The closed
-        # sets stay tuples: an unhashable value must fail the test, not raise.
-        if (type(self.case_id) is str and verdict in ("safe", "hazard")
-                and (not verdict == "hazard" or type(timestamp) is float
-                     and 0.0 <= timestamp < _INF)
-                and (claim is None or claim in SEVERITY_CLAIMS)
-                and self.parse_status in ("ok", "format_error")
-                and type(self.reasoning_text) is str and type(self.raw_output) is str
-                and type(self.parse_detail) is str):
-            return
-        if not isinstance(self.case_id, str):
+        if not (type(self.case_id) is str or isinstance(self.case_id, str)):
             raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
-        if self.verdict not in ("safe", "hazard"):
-            raise SchemaError(f"verdict must be 'safe' or 'hazard', got {self.verdict!r}")
-        if self.verdict == "hazard":
-            if self.timestamp is None or not math.isfinite(self.timestamp) or self.timestamp < 0:
-                raise SchemaError(
-                    f"hazard verdict requires a finite non-negative timestamp, got {self.timestamp!r}"
-                )
-        if self.severity_claim is not None and self.severity_claim not in SEVERITY_CLAIMS:
-            raise SchemaError(f"unknown severity_claim {self.severity_claim!r}")
+        if verdict not in ("safe", "hazard"):
+            raise SchemaError(f"verdict must be 'safe' or 'hazard', got {verdict!r}")
+        if verdict == "hazard" and not (type(timestamp) is float and 0.0 <= timestamp < _INF) \
+                and (timestamp is None or not math.isfinite(timestamp) or timestamp < 0):
+            raise SchemaError(
+                f"hazard verdict requires a finite non-negative timestamp, got {timestamp!r}")
+        if claim is not None and claim not in SEVERITY_CLAIMS:
+            raise SchemaError(f"unknown severity_claim {claim!r}")
         if self.parse_status not in ("ok", "format_error"):
             raise SchemaError(f"unknown parse_status {self.parse_status!r}")
-        if not (isinstance(self.reasoning_text, str) and isinstance(self.raw_output, str)
-                and isinstance(self.parse_detail, str)):
-            for name in ("reasoning_text", "raw_output", "parse_detail"):
-                v = getattr(self, name)
-                if not isinstance(v, str):
-                    raise SchemaError(f"{name} must be a string, got {v!r}")
+        if not (type(self.reasoning_text) is str or isinstance(self.reasoning_text, str)):
+            raise SchemaError(f"reasoning_text must be a string, got {self.reasoning_text!r}")
+        if not (type(self.raw_output) is str or isinstance(self.raw_output, str)):
+            raise SchemaError(f"raw_output must be a string, got {self.raw_output!r}")
+        if not (type(self.parse_detail) is str or isinstance(self.parse_detail, str)):
+            raise SchemaError(f"parse_detail must be a string, got {self.parse_detail!r}")
 
     @property
     def is_hazard(self) -> bool:
@@ -682,8 +679,9 @@ def _field_codec(name: str, tp) -> tuple:
     """(encode, decode) for the event field ``name`` of declared type ``tp``.
 
     An encoder of None stores the value as-is.  A float takes a JSON number
-    only.  A float field's decoder is None: ``_event_plan`` makes its one
-    type test inline, since a trace decode runs it for nearly every event.
+    only, and an int a JSON integer only.  A float field's decoder is None:
+    ``_event_plan`` makes its one type test inline, since a trace decode runs
+    it for nearly every event.
     """
     if isinstance(tp, type) and issubclass(tp, Enum):
         return attrgetter("value"), tp
@@ -691,7 +689,7 @@ def _field_codec(name: str, tp) -> tuple:
         return list, lambda xs: tuple([x if type(x) is float else _number(name, x) for x in xs])
     if tp is float:
         return None, None
-    return None, tp
+    return None, lambda v: _integer(name, v)  # an int: the slow verdict
 
 
 def _event_plan(cls) -> tuple:

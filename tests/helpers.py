@@ -1,11 +1,23 @@
-"""Shared fixtures: annotation builders, scripted schedules, and the
+"""Shared fixtures: annotation builders, scripted schedules, the per-metric
+functions the cross-metric identities check ``build_report`` against, and the
 published-row inverter used to reconstruct aggregate metrics."""
 
 from __future__ import annotations
 
-from streamguard.annotations import AnnotationSet
+from typing import Optional, Sequence
+
+from streamguard.annotations import AnnotationSet, classify_phase
 from streamguard.backends import ScheduleRule, ScriptedBackend
-from streamguard.model import CaseAnnotation, Frame, FrameManifest, KeyFrames, PredictionRecord
+from streamguard.metrics import EmptyDataset, _join, _pred_map, build_report
+from streamguard.model import (
+    CaseAnnotation,
+    Frame,
+    FrameManifest,
+    KeyFrames,
+    Phase,
+    PhaseScoreTable,
+    PredictionRecord,
+)
 
 
 def make_ann(case_id="case-1", intent=3.6, deadline=3.8, pnr=4.0, impact=4.5,
@@ -56,6 +68,47 @@ def slow_script(rules) -> ScriptedBackend:
     return ScriptedBackend(slow_responses=[
         ScheduleRule(t0, t1, {"verdict": v, "latency": lat}) for t0, t1, v, lat in rules
     ])
+
+
+# --- per-metric functions ----------------------------------------------------
+
+def compute_hdr(preds: Sequence[PredictionRecord], n_total: int) -> float:
+    """Fraction of cases predicted as hazardous, regardless of timing."""
+    if n_total < 1:
+        raise EmptyDataset("n_total must be >= 1")
+    _pred_map(preds)
+    return sum(1 for p in preds if p.is_hazard) / n_total
+
+
+def compute_ewp(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> Optional[float]:
+    """Fraction of hazard alerts inside [intent onset, impact].
+
+    Undefined (None) when there are no hazard predictions.
+    """
+    return build_report(preds, anns).ewp
+
+
+def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
+    """Per-phase case counts over the full annotation set.
+
+    Every annotated case lands in exactly one phase; cases without a
+    hazard prediction (including format errors) are Missed.
+    """
+    counts = {phase: 0 for phase in Phase}
+    for ann, pred in _join(preds, anns):
+        counts[classify_phase(None if pred is None else pred.effective_timestamp, ann)] += 1
+    return counts
+
+
+def compute_pda(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
+    """Phase fractions over the annotation set; fractions sum to 1."""
+    return build_report(preds, anns).phase_fractions
+
+
+def compute_wss(preds: Sequence[PredictionRecord], anns: AnnotationSet,
+                scores: Optional[PhaseScoreTable] = None) -> float:
+    """Mean phase score over all cases."""
+    return build_report(preds, anns, scores).wss
 
 
 # --- published-row inversion -------------------------------------------------

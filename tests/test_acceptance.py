@@ -18,8 +18,7 @@ from streamguard.annotations import classify_phase
 from streamguard.baseline import build_windows
 from streamguard.cli import EXIT_OK, main as cli_main
 from streamguard.coordinator import CoordinatorConfig, run_case
-from streamguard.metrics import build_report, compute_ewp, compute_hdr, \
-    compute_pda, compute_wss, phase_counts
+from streamguard.metrics import build_report
 from streamguard.model import (
     Alert,
     AlertSource,
@@ -38,8 +37,8 @@ from streamguard.model import (
 from streamguard.parsing import FormatError, parse_baseline_verdict, \
     parse_fast_output, parse_severity_verdict, parse_slow_output
 
-from helpers import ann_set, fast_script, grid_manifest, invert_row, make_ann, \
-    slow_script
+from helpers import ann_set, compute_ewp, compute_hdr, compute_pda, compute_wss, \
+    fast_script, grid_manifest, invert_row, make_ann, phase_counts, slow_script
 import test_agreement as agr
 import test_coordinator as coord
 import test_parsing as parsing_corpus

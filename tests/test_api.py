@@ -36,10 +36,6 @@ PUBLIC_SURFACE = [
     "classify_error",
     "classify_phase",
     "cohens_kappa",
-    "compute_ewp",
-    "compute_hdr",
-    "compute_pda",
-    "compute_wss",
     "icc_a1",
     "keyframe_mae",
     "lins_ccc",

@@ -281,7 +281,8 @@ def test_run_zero_rate_is_config_error(workdir, capsys):
      "bogus": 1},
     [0, 100, 50, 25, 0],
     {"premature": "x", "optimal": 100, "suboptimal": 50, "irreversible": 25, "missed": 0},
-], ids=["missing_phase", "unknown_phase", "list", "non_numeric"])
+    {"premature": 0, "optimal": True, "suboptimal": 50, "irreversible": 25, "missed": 0},
+], ids=["missing_phase", "unknown_phase", "list", "non_numeric", "boolean"])
 def test_metrics_malformed_score_table_is_config_error(workdir, capsys, table):
     preds = workdir / "preds.jsonl"
     preds.write_text(json.dumps({"case_id": "c0", "verdict": "safe"}) + "\n",

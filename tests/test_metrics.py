@@ -16,12 +16,7 @@ from streamguard.metrics import (
     build_report,
     case_errors,
     classify_error,
-    compute_ewp,
-    compute_hdr,
-    compute_pda,
-    compute_wss,
     mentioned_entities,
-    phase_counts,
     severity_confusion,
 )
 from streamguard.annotations import AnnotationSet, classify_phase
@@ -35,7 +30,8 @@ from streamguard.model import (
     PredictionRecord,
 )
 
-from helpers import ann_set, invert_row, make_ann
+from helpers import ann_set, compute_ewp, compute_hdr, compute_pda, compute_wss, invert_row, \
+    make_ann, phase_counts
 
 
 def hz(case_id, t, **kw):

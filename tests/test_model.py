@@ -323,6 +323,12 @@ def test_annotation_rejects_nonfinite_duration_and_non_string_id(entry, message)
 
 _PRED_JSON = {"case_id": "c0", "verdict": "hazard", "timestamp": 1.5}
 _TRACE_JSON = {"case_id": "c0", "events": [], "summary": {"aborted": False}}
+_SCORES_JSON = {"premature": 0, "optimal": 100, "suboptimal": 50, "irreversible": 25, "missed": 0}
+
+
+def _verdict(v) -> dict:
+    return {**_TRACE_JSON, "events": [{"kind": "slow_verdict", "trigger_t": 0.0,
+                                       "arrival_t": 1.0, "verdict": v}]}
 
 
 @pytest.mark.parametrize("decode,encoded,message", [
@@ -350,9 +356,17 @@ _TRACE_JSON = {"case_id": "c0", "events": [], "summary": {"aborted": False}}
      "trace c0: aborted must be a boolean, got 1"),
     (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": None}},
      "trace c0: aborted must be a boolean, got None"),
+    (DecisionTrace.from_dict, _verdict("1"), "trace c0: verdict must be a JSON integer, got '1'"),
+    (DecisionTrace.from_dict, _verdict(True), "trace c0: verdict must be a JSON integer, got True"),
+    (DecisionTrace.from_dict, _verdict(1.7), "trace c0: verdict must be a JSON integer, got 1.7"),
+    (PhaseScoreTable.from_dict, {**_SCORES_JSON, "optimal": "100"},
+     "bad score table entry: optimal must be a JSON number, got '100'"),
+    (PhaseScoreTable.from_dict, {**_SCORES_JSON, "optimal": True},
+     "bad score table entry: optimal must be a JSON number, got True"),
 ], ids=["pnr_string", "intent_true", "deadline_nan_string", "impact_false", "end_padded_string",
         "duration_string", "duration_true", "timestamp_string", "timestamp_true",
-        "aborted_string", "aborted_int", "aborted_null"])
+        "aborted_string", "aborted_int", "aborted_null", "verdict_string", "verdict_true",
+        "verdict_float", "score_string", "score_true"])
 def test_decoders_take_json_numbers_and_booleans_only(decode, encoded, message):
     """A string or a boolean is never read as a number, nor a non-boolean as a flag."""
     with pytest.raises(SchemaError) as info:
@@ -550,8 +564,9 @@ _CLOSED_JUNK = ["", "x", "Bedroom", None, 3, [], {}, ["bedroom"], {"L1": 1}]
 # Ints and bools stand in for floats; NaN, +-inf and -0.0 are drawn too.
 _NUMBER_JUNK = [math.nan, math.inf, -math.inf, -0.0, -1.0, 0, 5, True, False, "5", None]
 _ENTITY_JUNK = [[], ["Knife"], ["knife", "KNIFE"], ["Ä"], [""], ["knife", ""], [5],
-                ["knife", 5], [None], [["knife"]], [{"k": 1}], ["3d printer", "é"]]
-_TEXT_JUNK = [None, 5, b"x", ["x"]]
+                ["knife", 5], [None], [["knife"]], [{"k": 1}], ["3d printer", "é"],
+                [_EqualsAnything("knife")], [_EqualsAnything("Knife")], [_EqualsAnything("")]]
+_TEXT_JUNK = [None, 5, b"x", ["x"], _EqualsAnything("x")]
 
 
 def _junk(name, values) -> list:
@@ -562,7 +577,7 @@ def _junk(name, values) -> list:
 # replaces nothing, so some examples keep every field valid.
 _CASE_JUNK = [
     *[(None, None)] * 8,
-    *_junk("case_id", ["", 5, None, ["c0"]]),
+    *_junk("case_id", ["", 5, None, ["c0"], _EqualsAnything("c0")]),
     *(pair for name in ("location", "danger_category", "severity", "difficulty")
       for pair in _junk(name, _CLOSED_JUNK)),
     ("key_frames", None),
@@ -575,7 +590,7 @@ _CASE_JUNK = [
 ]
 _PREDICTION_JUNK = [
     *[(None, None)] * 8,
-    *_junk("case_id", [5, None, ["c0"], b"c0"]),
+    *_junk("case_id", [5, None, ["c0"], b"c0", _EqualsAnything("c0")]),
     *_junk("verdict", ["Safe", "hazard ", *_CLOSED_JUNK, _EqualsAnything("safe")]),
     *_junk("timestamp", _NUMBER_JUNK),
     *_junk("severity_claim", ["l1", "None", *_CLOSED_JUNK]),
