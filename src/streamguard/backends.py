@@ -20,9 +20,9 @@ import urllib.request
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .model import DECODE_ERRORS, Frame, SchemaError, decode_error
+from .model import DECODE_ERRORS, Frame, SchemaError, _number, decode_error
 from .parsing import MAX_REPLY_CHARS
 
 
@@ -82,36 +82,66 @@ class ScheduleRule:
     t_end: float
     payload: dict
 
-    def contains(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
+
+def _fast_text(payload: dict) -> str:
+    try:
+        return json.dumps({"category": payload.get("state", "green"),
+                           "reason": payload.get("reason", "")})
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"cannot encode the reply: {exc}") from None
 
 
-def _check_rules(rules: Sequence[ScheduleRule], label: str) -> None:
+def _slow_text(payload: dict) -> str:
+    verdict = payload.get("verdict", 0)
+    try:
+        danger = int(verdict)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"verdict must be an integer, got {verdict!r}") from None
+    return f"**ANALYSIS**: scripted response\n**VERDICT**: {'DANGER' if danger else 'SAFE'}"
+
+
+def _replies(rules: Sequence[ScheduleRule], label: str, reply: Callable[[dict], str],
+             default_latency: float) -> tuple[tuple[float, float, str, float], ...]:
+    """Each rule's ``(t_start, t_end, raw_text, latency)``, checked and ordered by ``t_start``."""
+    table = []
     for r in rules:
-        latency = float(r.payload.get("latency", 0.0))
-        if not latency >= 0:  # also rejects NaN
-            raise SchemaError(f"{label} rule [{r.t_start}, {r.t_end}): latency must be "
-                              f"non-negative, got {latency}")
-    ordered = sorted(rules, key=lambda r: r.t_start)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.t_start < a.t_end:
-            raise SchemaError(
-                f"{label} rules overlap: [{a.t_start}, {a.t_end}) and [{b.t_start}, {b.t_end})"
-            )
-
-
-# The FastBrain reply outside every scripted rule: the world is nominal.
-_NOMINAL_FAST = json.dumps({"category": "green", "reason": ""})
-
-
-def _check_verdicts(rules: Sequence[ScheduleRule]) -> None:
-    for r in rules:
-        verdict = r.payload.get("verdict", 0)
         try:
-            int(verdict)  # the conversion ``slow_raw`` applies
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"slow_responses rule [{r.t_start}, {r.t_end}): verdict must be "
-                              f"an integer, got {verdict!r}") from None
+            latency = _number("latency", r.payload.get("latency", default_latency))
+            if not latency >= 0:  # also rejects NaN
+                raise SchemaError(f"latency must be non-negative, got {latency}")
+            table.append((r.t_start, r.t_end, reply(r.payload), latency))
+        except SchemaError as exc:
+            raise SchemaError(f"{label} rule [{r.t_start}, {r.t_end}): {exc}") from None
+    table.sort(key=lambda row: row[0])
+    for (a_start, a_end, *_), (b_start, b_end, *_) in zip(table, table[1:]):
+        if b_start < a_end:
+            raise SchemaError(
+                f"{label} rules overlap: [{a_start}, {a_end}) and [{b_start}, {b_end})")
+    return tuple(table)
+
+
+def _intervals(intervals, label: str) -> tuple[tuple[float, float], ...]:
+    """The fault list ``label`` as ``(start, end)`` pairs of floats."""
+    pairs = []
+    for iv in intervals:
+        try:
+            start, end = iv
+            pairs.append((_number(label, start), _number(label, end)))
+        except (TypeError, ValueError, OverflowError, SchemaError):
+            raise SchemaError(f"{label} interval {iv!r} must be a pair of numbers") from None
+    return tuple(pairs)
+
+
+def _in_fault(intervals, t: float) -> bool:
+    return any(a <= t < b for a, b in intervals)
+
+
+def _reply_at(table, t: float, default: tuple[str, float]) -> tuple[str, float]:
+    """The ``(raw_text, latency)`` of the rule in ``table`` that holds ``t``, else ``default``."""
+    for t_start, t_end, raw, latency in table:
+        if t_start <= t < t_end:
+            return raw, latency
+    return default
 
 
 class ScriptedBackend:
@@ -119,39 +149,33 @@ class ScriptedBackend:
 
     The script is a plain dict (see ``from_file``) with ``fast_schedule``,
     ``slow_responses`` and optional ``baseline_responses`` rule lists, plus
-    optional ``malformed`` / ``timeout`` fault intervals applied to the
-    FastBrain output.
+    optional ``malformed`` / ``timeout`` fault intervals.  Inside a
+    ``malformed`` interval the FastBrain reply does not parse; inside a
+    ``timeout`` interval a fast or a slow query raises
+    ``BackendTimeoutError``.  Baseline queries have no faults.
 
-    Each ``fast_schedule`` rule's reply text and latency are encoded once, at
-    construction, so ``fast_raw`` only finds the rule that holds the frame
-    time; a payload that cannot be encoded as JSON is a ``SchemaError`` then.
+    Each rule's reply text and latency are built once, at construction, so
+    a query only finds the rule that holds its time; a rule or a fault
+    interval that cannot be built is a ``SchemaError`` then.
     """
 
     DEFAULT_FAST_LATENCY = 0.05
+
+    # The FastBrain reply outside every rule: the world is nominal.
+    _NOMINAL_FAST = (json.dumps({"category": "green", "reason": ""}), DEFAULT_FAST_LATENCY)
 
     def __init__(self, fast_schedule=(), slow_responses=(), baseline_responses=(),
                  malformed=(), timeout=()):
         self.fast_schedule = tuple(fast_schedule)
         self.slow_responses = tuple(slow_responses)
         self.baseline_responses = tuple(baseline_responses)
-        self.malformed = tuple(tuple(iv) for iv in malformed)
-        self.timeout = tuple(tuple(iv) for iv in timeout)
-        _check_rules(self.fast_schedule, "fast_schedule")
-        _check_rules(self.slow_responses, "slow_responses")
-        _check_verdicts(self.slow_responses)
-        _check_rules(self.baseline_responses, "baseline_responses")
-        self._fast_replies = tuple(map(self._fast_reply, self.fast_schedule))
-
-    def _fast_reply(self, rule: ScheduleRule) -> tuple[float, float, str, float]:
-        """``(t_start, t_end, raw_text, latency)``: what ``fast_raw`` returns inside ``rule``."""
-        try:
-            raw = json.dumps({"category": rule.payload.get("state", "green"),
-                              "reason": rule.payload.get("reason", "")})
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"fast_schedule rule [{rule.t_start}, {rule.t_end}): "
-                              f"cannot encode the reply: {exc}") from None
-        return (rule.t_start, rule.t_end, raw,
-                float(rule.payload.get("latency", self.DEFAULT_FAST_LATENCY)))
+        self.malformed = _intervals(malformed, "malformed")
+        self.timeout = _intervals(timeout, "timeout")
+        self._fast = _replies(self.fast_schedule, "fast_schedule", _fast_text,
+                              self.DEFAULT_FAST_LATENCY)
+        self._slow = _replies(self.slow_responses, "slow_responses", _slow_text, 1.0)
+        self._baseline = _replies(self.baseline_responses, "baseline_responses",
+                                  lambda p: str(p.get("raw", "Part 2: Safe")), 0.5)
 
     # -- construction ---------------------------------------------------------
 
@@ -159,7 +183,7 @@ class ScriptedBackend:
     def from_dict(cls, d: dict) -> "ScriptedBackend":
         def rules(key):
             return tuple(
-                ScheduleRule(float(r["t_start"]), float(r["t_end"]),
+                ScheduleRule(_number("t_start", r["t_start"]), _number("t_end", r["t_end"]),
                              {k: v for k, v in r.items() if k not in ("t_start", "t_end")})
                 for r in d.get(key, [])
             )
@@ -195,38 +219,24 @@ class ScriptedBackend:
 
     # -- raw queries ----------------------------------------------------------
 
-    def _in_fault(self, intervals, t: float) -> bool:
-        return any(a <= t < b for a, b in intervals)
-
     def fast_raw(self, prompt_text: str, frame: Frame) -> tuple[str, float]:
         t = frame.t
-        if self.timeout and self._in_fault(self.timeout, t):
+        if self.timeout and _in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
-        if self.malformed and self._in_fault(self.malformed, t):
+        if self.malformed and _in_fault(self.malformed, t):
             return "the scene looks fine", self.DEFAULT_FAST_LATENCY
-        for t_start, t_end, raw, latency in self._fast_replies:
-            if t_start <= t < t_end:
-                return raw, latency
-        return _NOMINAL_FAST, self.DEFAULT_FAST_LATENCY
+        return _reply_at(self._fast, t, self._NOMINAL_FAST)
 
     def slow_raw(self, prompt_text: str, window: Sequence[Frame]) -> tuple[str, float]:
         t = window[-1].t
-        if self._in_fault(self.timeout, t):
+        if _in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
-        for rule in self.slow_responses:
-            if rule.contains(t):
-                verdict = "DANGER" if int(rule.payload.get("verdict", 0)) else "SAFE"
-                raw = f"**ANALYSIS**: scripted response\n**VERDICT**: {verdict}"
-                return raw, float(rule.payload.get("latency", 1.0))
-        return "**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0
+        return _reply_at(self._slow, t, ("**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0))
 
     def baseline_raw(self, window_start: float, window_end: float,
                      frames: Sequence[Frame], prompt_text: str) -> tuple[str, float]:
-        for rule in self.baseline_responses:
-            if rule.contains(window_start):
-                return str(rule.payload.get("raw", "Part 2: Safe")), \
-                    float(rule.payload.get("latency", 0.5))
-        return "Part 1: nothing notable.\nPart 2: Safe", 0.5
+        return _reply_at(self._baseline, window_start,
+                         ("Part 1: nothing notable.\nPart 2: Safe", 0.5))
 
 
 @dataclass(frozen=True)

@@ -117,18 +117,10 @@ def run_baseline_case(manifest: FrameManifest, backend,
             severity_claim = None
 
     reasoning = "\n".join(raws)
-    if n_parsed == 0:
-        return PredictionRecord(case_id=manifest.case_id, verdict="safe",
-                                reasoning_text=reasoning, raw_output=reasoning,
-                                parse_status="format_error",
-                                parse_detail="; ".join(format_details))
-    if hazard_times:
-        return PredictionRecord(case_id=manifest.case_id, verdict="hazard",
-                                timestamp=min(hazard_times),
-                                severity_claim=severity_claim,
-                                reasoning_text=reasoning, raw_output=reasoning,
-                                parse_detail="; ".join(format_details))
-    return PredictionRecord(case_id=manifest.case_id, verdict="safe",
-                            severity_claim=severity_claim,
+    return PredictionRecord(case_id=manifest.case_id,
+                            verdict="hazard" if hazard_times else "safe",
+                            timestamp=min(hazard_times, default=None),
+                            severity_claim=severity_claim if n_parsed else None,
                             reasoning_text=reasoning, raw_output=reasoning,
+                            parse_status="ok" if n_parsed else "format_error",
                             parse_detail="; ".join(format_details))

@@ -71,9 +71,9 @@ def _number(name: str, v) -> float:
     An int converts.  A bool or a string is no number, though ``float()``
     reads ``true`` and ``"0.5"`` as one: it is a SchemaError naming the
     field.  A value that ``float()`` refuses keeps ``float()``'s error, and an
-    int too large for a float raises OverflowError.  Decoders call this only
-    for a value whose type is not ``float``, so the usual value costs one
-    type test.
+    int too large for a float raises OverflowError.  The per-record decoders
+    call this only for a value whose type is not ``float``, so the usual
+    value costs one type test.
     """
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
@@ -642,6 +642,8 @@ class SlowVerdict:
     def __post_init__(self):
         if self.arrival_t < self.trigger_t:
             raise SchemaError("slow verdict cannot arrive before its trigger")
+        if self.verdict not in (0, 1):
+            raise SchemaError(f"slow verdict must be 0 (SAFE) or 1 (DANGER), got {self.verdict!r}")
 
     @property
     def t(self) -> float:

@@ -145,7 +145,7 @@ def _per_call_fast_raw(backend, t):
     if any(a <= t < b for a, b in backend.malformed):
         return "the scene looks fine", ScriptedBackend.DEFAULT_FAST_LATENCY
     for rule in backend.fast_schedule:
-        if rule.contains(t):
+        if rule.t_start <= t < rule.t_end:
             raw = json.dumps({"category": rule.payload.get("state", "green"),
                               "reason": rule.payload.get("reason", "")})
             return raw, float(rule.payload.get("latency", ScriptedBackend.DEFAULT_FAST_LATENCY))
@@ -178,6 +178,70 @@ def test_scripted_fast_raw_matches_per_call_encoding(faults):
                 backend.fast_raw(FAST_TEXT, Frame(t=t))
             continue
         got = backend.fast_raw(FAST_TEXT, Frame(t=t))
+        assert got == expected and type(got[1]) is float, t
+
+
+def _per_call_slow_raw(backend, t):
+    """``slow_raw`` as a formula that formats the matching rule's reply on every call."""
+    if any(a <= t < b for a, b in backend.timeout):
+        raise BackendTimeoutError(f"scripted timeout at t={t}")
+    for rule in backend.slow_responses:
+        if rule.t_start <= t < rule.t_end:
+            verdict = "DANGER" if int(rule.payload.get("verdict", 0)) else "SAFE"
+            raw = f"**ANALYSIS**: scripted response\n**VERDICT**: {verdict}"
+            return raw, float(rule.payload.get("latency", 1.0))
+    return "**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0
+
+
+def _per_call_baseline_raw(backend, window_start):
+    """``baseline_raw`` as a formula that converts the matching rule's reply on every call."""
+    for rule in backend.baseline_responses:
+        if rule.t_start <= window_start < rule.t_end:
+            return str(rule.payload.get("raw", "Part 2: Safe")), \
+                float(rule.payload.get("latency", 0.5))
+    return "Part 1: nothing notable.\nPart 2: Safe", 0.5
+
+
+_SLOW_RULES = [
+    ScheduleRule(0.5, 1.0, {"verdict": 1}),  # no latency
+    ScheduleRule(1.0, 1.5, {"verdict": "1", "latency": 2}),
+    ScheduleRule(2.0, 3.0, {"verdict": True, "latency": 0.3}),
+    ScheduleRule(3.5, 4.0, {"verdict": 0.0, "latency": 0.0}),
+    ScheduleRule(4.0, 4.5, {"verdict": 0, "latency": 1.5}),
+    ScheduleRule(5.0, 5.5, {}),  # neither verdict nor latency
+]
+
+_BASELINE_RULES = [
+    ScheduleRule(0.5, 1.0, {"raw": "Part 1: a cup tips.\nPart 2: 0.8"}),  # no latency
+    ScheduleRule(1.0, 1.5, {"raw": 2.5, "latency": 2}),  # not a string
+    ScheduleRule(2.0, 3.0, {"latency": 0.25}),  # no raw
+    ScheduleRule(3.5, 4.0, {"raw": "", "latency": 0.0}),
+]
+
+
+@pytest.mark.parametrize("faults", [{}, {"timeout": [(0.75, 1.25), (4.25, 6.0)]}],
+                         ids=["clean", "timeout"])
+def test_scripted_slow_and_baseline_raw_match_per_call_formatting(faults):
+    """The built-once slow and baseline replies are the per-call formulas', at
+    every rule and fault edge; the rules are given out of order."""
+    backend = ScriptedBackend(slow_responses=_SLOW_RULES[::-1],
+                              baseline_responses=_BASELINE_RULES[::-1], **faults)
+    edges = {e for r in _SLOW_RULES + _BASELINE_RULES for e in (r.t_start, r.t_end)}
+    edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
+    times = {0.0, 1.75, 3.25, 10.0}  # before, between and after the rules
+    for e in edges:
+        times |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
+    for t in sorted(times):
+        got = backend.baseline_raw(t, t + 2.0, (), "")
+        assert got == _per_call_baseline_raw(backend, t) and type(got[1]) is float, t
+        window = (Frame(t=0.0), Frame(t=t))  # keyed on the last frame
+        try:
+            expected = _per_call_slow_raw(backend, t)
+        except BackendTimeoutError as exc:
+            with pytest.raises(BackendTimeoutError, match=f"^{exc}$"):
+                backend.slow_raw(SLOW_TEXT, window)
+            continue
+        got = backend.slow_raw(SLOW_TEXT, window)
         assert got == expected and type(got[1]) is float, t
 
 

@@ -418,6 +418,17 @@ MALFORMED_INPUTS = {
     "scripted_verdict": ("scripted",
                          {"slow_responses": [{"t_start": 0, "t_end": 1, "verdict": "x"}]},
                          EXIT_IO, "backend_error: "),
+    "scripted_fault_one_bound": ("scripted", {"faults": {"malformed": [[0.5]]}}, EXIT_IO,
+                                 "backend_error: scripted backend: malformed interval [0.5] "),
+    "scripted_fault_strings": ("scripted", {"faults": {"timeout": [["a", "b"]]}}, EXIT_IO,
+                               "backend_error: scripted backend: timeout interval ['a', 'b'] "),
+    "scripted_latency_string": ("scripted",
+                                {"fast_schedule": [{"t_start": 0, "t_end": 1, "latency": "0.5"}]},
+                                EXIT_IO, "backend_error: scripted backend: fast_schedule rule "
+                                         "[0.0, 1.0): latency must be a JSON number, got '0.5'"),
+    "scripted_start_bool": ("scripted", {"fast_schedule": [{"t_start": True, "t_end": 1}]},
+                            EXIT_IO, "backend_error: scripted backend: t_start must be a JSON "
+                                     "number, got True"),
     "endpoint_timeout": ("remote", {**_ENDPOINT, "timeout": "soon"}, EXIT_IO, "backend_error: "),
     "endpoint_retries": ("remote", {**_ENDPOINT, "max_retries": "x"}, EXIT_IO, "backend_error: "),
     "endpoint_timeout_nan": ("remote", {**_ENDPOINT, "timeout": math.nan}, EXIT_IO,

@@ -359,6 +359,12 @@ def _verdict(v) -> dict:
     (DecisionTrace.from_dict, _verdict("1"), "trace c0: verdict must be a JSON integer, got '1'"),
     (DecisionTrace.from_dict, _verdict(True), "trace c0: verdict must be a JSON integer, got True"),
     (DecisionTrace.from_dict, _verdict(1.7), "trace c0: verdict must be a JSON integer, got 1.7"),
+    (DecisionTrace.from_dict, _verdict(7),
+     "trace c0: slow verdict must be 0 (SAFE) or 1 (DANGER), got 7"),
+    (DecisionTrace.from_dict, _verdict(-1),
+     "trace c0: slow verdict must be 0 (SAFE) or 1 (DANGER), got -1"),
+    (DecisionTrace.from_dict, _verdict(2),
+     "trace c0: slow verdict must be 0 (SAFE) or 1 (DANGER), got 2"),
     (PhaseScoreTable.from_dict, {**_SCORES_JSON, "optimal": "100"},
      "bad score table entry: optimal must be a JSON number, got '100'"),
     (PhaseScoreTable.from_dict, {**_SCORES_JSON, "optimal": True},
@@ -366,7 +372,8 @@ def _verdict(v) -> dict:
 ], ids=["pnr_string", "intent_true", "deadline_nan_string", "impact_false", "end_padded_string",
         "duration_string", "duration_true", "timestamp_string", "timestamp_true",
         "aborted_string", "aborted_int", "aborted_null", "verdict_string", "verdict_true",
-        "verdict_float", "score_string", "score_true"])
+        "verdict_float", "verdict_7", "verdict_negative", "verdict_2", "score_string",
+        "score_true"])
 def test_decoders_take_json_numbers_and_booleans_only(decode, encoded, message):
     """A string or a boolean is never read as a number, nor a non-boolean as a flag."""
     with pytest.raises(SchemaError) as info:
