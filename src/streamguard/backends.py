@@ -106,6 +106,8 @@ def _replies(rules: Sequence[ScheduleRule], label: str, reply: Callable[[dict], 
     table = []
     for r in rules:
         try:
+            if not -math.inf < r.t_start < r.t_end < math.inf:  # also rejects NaN
+                raise SchemaError("interval must be finite and non-empty")
             latency = _number("latency", r.payload.get("latency", default_latency))
             if not latency >= 0:  # also rejects NaN
                 raise SchemaError(f"latency must be non-negative, got {latency}")
@@ -121,14 +123,17 @@ def _replies(rules: Sequence[ScheduleRule], label: str, reply: Callable[[dict], 
 
 
 def _intervals(intervals, label: str) -> tuple[tuple[float, float], ...]:
-    """The fault list ``label`` as ``(start, end)`` pairs of floats."""
+    """The fault list ``label`` as finite, non-empty ``(start, end)`` pairs of floats."""
     pairs = []
     for iv in intervals:
         try:
             start, end = iv
-            pairs.append((_number(label, start), _number(label, end)))
+            start, end = _number(label, start), _number(label, end)
         except (TypeError, ValueError, OverflowError, SchemaError):
             raise SchemaError(f"{label} interval {iv!r} must be a pair of numbers") from None
+        if not -math.inf < start < end < math.inf:  # also rejects NaN
+            raise SchemaError(f"{label} interval {iv!r} must be finite and non-empty")
+        pairs.append((start, end))
     return tuple(pairs)
 
 
@@ -156,7 +161,8 @@ class ScriptedBackend:
 
     Each rule's reply text and latency are built once, at construction, so
     a query only finds the rule that holds its time; a rule or a fault
-    interval that cannot be built is a ``SchemaError`` then.
+    interval that cannot be built, or that is not finite and non-empty, is
+    a ``SchemaError`` then.
     """
 
     DEFAULT_FAST_LATENCY = 0.05

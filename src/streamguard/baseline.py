@@ -9,17 +9,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .backends import PromptTemplate, load_prompt
+from .backends import load_prompt
 from .model import _EPS, FrameManifest, PredictionRecord
 from .parsing import FormatError, parse_baseline_verdict, parse_severity_verdict
 
 log = logging.getLogger(__name__)
 
-DEFAULT_FPS = 10.0
-DEFAULT_WINDOW_LENGTH = 2.0
-DEFAULT_STRIDE = 1.5
+# The paper's baseline protocol: 2 s windows of 10 fps frames, 1.5 s apart.
+WINDOW_FPS = 10.0
+WINDOW_LENGTH = 2.0
+WINDOW_STRIDE = 1.5
+
+_OFFSETS = tuple(i / WINDOW_FPS for i in range(math.ceil(WINDOW_LENGTH * WINDOW_FPS)))
 
 
 @dataclass(frozen=True)
@@ -34,59 +36,46 @@ class WindowPlan:
     windows: tuple[Window, ...]
 
 
-def build_windows(duration: float, fps: float = DEFAULT_FPS,
-                  length: float = DEFAULT_WINDOW_LENGTH,
-                  stride: float = DEFAULT_STRIDE) -> WindowPlan:
+def build_windows(duration: float) -> WindowPlan:
     """Plan overlapping windows covering [0, duration].
 
-    Windows start at 0 and advance by ``stride``; the final window is
-    clamped to the stream end rather than dropped, so late hazards stay
-    monitored.  Each window carries the times ``start + i / fps`` for
-    ``i < ceil(length * fps)`` that fall before its clamped end; the
-    offsets ``i / fps`` are computed once per call.  Every argument must be
-    finite: an infinite or NaN duration would plan windows without end.
-    Starts are rounded to 1e-9 s: a stride whose step that rounding swallows
-    (every stride below 5e-10 s, and some just above it) raises ValueError
-    instead of planning windows without end.
+    Windows of ``WINDOW_LENGTH`` start at 0 and advance by ``WINDOW_STRIDE``;
+    the final window is clamped to the stream end rather than dropped, so
+    late hazards stay monitored.  Each window carries the times ``start +
+    i / WINDOW_FPS`` that fall before its clamped end.  A stream too short
+    for any such time (a single frame) gets one window holding time 0.  The
+    duration must be finite and non-negative: an infinite or NaN duration
+    would plan windows without end.
     """
-    if not all(map(math.isfinite, (duration, fps, length, stride))):
-        raise ValueError("duration, fps, length and stride must be finite")
-    if duration <= 0 or length <= 0 or fps <= 0:
-        raise ValueError("duration, length and fps must be positive")
-    if not 0 < stride <= length:
-        raise ValueError("stride must satisfy 0 < stride <= length")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
 
-    offsets = [i / fps for i in range(math.ceil(length * fps))]
     windows = []
     start = 0.0
     while True:
-        end = start + length
+        end = start + WINDOW_LENGTH
         clamped = min(end, duration)
         limit = clamped - _EPS
-        times = tuple([t for o in offsets if (t := start + o) < limit])
+        times = tuple([t for o in _OFFSETS if (t := start + o) < limit]) or (start,)
         windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
         if end >= duration - _EPS:
             break
-        next_start = round(start + stride, 9)
-        if next_start == start:
-            raise ValueError(f"stride {stride!r} does not advance the window start "
-                             "at 1e-9 s resolution")
-        start = next_start
+        start = round(start + WINDOW_STRIDE, 9)
     return WindowPlan(windows=tuple(windows))
 
 
 def run_baseline_case(manifest: FrameManifest, backend,
-                      prompt: Optional[PromptTemplate] = None,
                       with_severity: bool = False) -> PredictionRecord:
-    """Evaluate one case over the default ``build_windows`` plan and aggregate.
+    """Evaluate one case over the ``build_windows`` plan and aggregate.
 
-    Aggregation takes the earliest hazardous timestamp across windows; a
-    case is Safe only if every window said Safe.  Per-window format errors
-    are logged; the case itself is a format error only when every window
-    failed to parse.  Each window's frames come from one
-    ``manifest.frames_at`` walk over its frame times.
+    Each window is sent the ``severity`` prompt when ``with_severity`` is
+    set, else ``baseline_detect``.  Aggregation takes the earliest hazardous
+    timestamp across windows; a case is Safe only if every window said Safe.
+    Per-window format errors are logged; the case itself is a format error
+    only when every window failed to parse.  Each window's frames come from
+    one ``manifest.frames_at`` walk over its frame times.
     """
-    prompt = prompt or load_prompt("baseline_detect")
+    prompt = load_prompt("severity" if with_severity else "baseline_detect")
     plan = build_windows(manifest.duration)
 
     hazard_times: list[float] = []

@@ -22,7 +22,6 @@ from .backends import (
     EndpointConfig,
     RemoteBackend,
     ScriptedBackend,
-    load_prompt,
 )
 from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
@@ -141,11 +140,9 @@ def cmd_validate(args) -> int:
     try:
         anns = load_annotations(args.annotations)
     except IoError as exc:
-        print(f"io_error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CliError(EXIT_IO, f"io_error: {exc}")
     except ModelError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CliError(EXIT_DOMAIN, f"invalid: {exc}")
     print(f"{len(anns)} cases OK")
     return EXIT_OK
 
@@ -185,8 +182,7 @@ def cmd_run(args) -> int:
             for trace in traces:
                 fh.write(json.dumps(trace.to_dict()) + "\n")
     except OSError as exc:
-        print(f"io_error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CliError(EXIT_IO, f"io_error: {exc}")
     mean_latency = sum(latencies) / len(latencies) if latencies else float("nan")
     print(f"{len(traces)} cases, {alerts} alerts, mean end-to-end latency "
           f"{mean_latency:.3f}s")
@@ -196,20 +192,17 @@ def cmd_run(args) -> int:
 def cmd_eval_baseline(args) -> int:
     manifests = _load_manifests(args.manifest)
     backend = _make_backend(args.backend)
-    prompt = load_prompt("baseline_detect" if args.prompt == "detect" else "severity")
-    with_severity = args.prompt == "severity"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             for manifest in manifests:
                 try:
-                    pred = run_baseline_case(manifest, backend, prompt=prompt,
-                                             with_severity=with_severity)
+                    pred = run_baseline_case(manifest, backend,
+                                             with_severity=args.prompt == "severity")
                 except BackendError as exc:
                     raise CliError(EXIT_IO, f"backend_error: case {manifest.case_id}: {exc}")
                 fh.write(json.dumps(pred.to_dict()) + "\n")
     except OSError as exc:
-        print(f"io_error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CliError(EXIT_IO, f"io_error: {exc}")
     print(f"{len(manifests)} cases evaluated -> {args.out}")
     return EXIT_OK
 
@@ -227,8 +220,7 @@ def cmd_metrics(args) -> int:
     try:
         report = build_report(preds, anns, scores=scores)
     except MetricsError as exc:
-        print(f"metric_error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CliError(EXIT_DOMAIN, f"metric_error: {exc}")
     row = report.row(model=args.model)
     _write_csv(args.out, row, [row.values()])
     print("  ".join(f"{k}={_fmt(v)}" for k, v in row.items() if not k.startswith("err_")))
@@ -246,8 +238,7 @@ def cmd_errors(args) -> int:
     try:
         errors = case_errors(preds, anns)
     except MetricsError as exc:
-        print(f"metric_error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CliError(EXIT_DOMAIN, f"metric_error: {exc}")
     _write_csv(args.out, ("case_id", "error_type"),
                [(case_id, err.value) for case_id, err in errors.items()])
     counts = Counter(errors.values())
@@ -262,8 +253,7 @@ def cmd_agreement(args) -> int:
     try:
         table = agreement_table(set_a, set_b)
     except AgreementError as exc:
-        print(f"agreement_error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CliError(EXIT_DOMAIN, f"agreement_error: {exc}")
     rows = [(fld, f"{stats['ccc']:.6f}", f"{stats['icc_a1']:.6f}", f"{stats['mae']:.6f}")
             for fld, stats in table["keyframes"].items()]
     _write_csv(args.out, ("field", "ccc", "icc_a1", "mae_s"), rows)
@@ -281,13 +271,11 @@ def cmd_ablate(args) -> int:
     try:
         fps_list = [float(x) for x in args.fps.split(",") if x.strip()]
     except ValueError as exc:
-        print(f"config_error: bad --fps list: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CliError(EXIT_IO, f"config_error: bad --fps list: {exc}")
     try:
         rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list, cfg)
     except (ValueError, MetricsError) as exc:
-        print(f"sweep_error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CliError(EXIT_DOMAIN, f"sweep_error: {exc}")
     out_rows = [
         ("dual_brain", row["fps"], f"{row['hdr']:.4f}",
          "" if row["ewp"] is None else f"{row['ewp']:.4f}", f"{row['wss']:.4f}",

@@ -41,7 +41,6 @@ _US = 1_000_000
 class CoordinatorConfig:
     window_size: int = 3
     clock: str = "sim"  # "sim" | "real"
-    fail_toward_caution: bool = True
     gamma_low: float = 1.0
     gamma_high: float = 5.0
     actuation_lag: float = 0.0
@@ -127,9 +126,8 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
 
     Returns the full event trace; the first alert, fast or slow, ends the
     run.  Backend failures abort the case with a partial trace flagged
-    ``aborted``; unparseable FastBrain output is treated as Yellow when
-    ``fail_toward_caution`` is set.  Each prompt is rendered here, from the
-    manifest, for the frames it is sent with.
+    ``aborted``; unparseable FastBrain output is treated as Yellow.  Each
+    prompt is rendered here, from the manifest, for the frames it is sent with.
     """
     fast_template = load_prompt("fast")
     slow_template = load_prompt("slow")
@@ -188,8 +186,6 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                     fast_template.render((frame,), manifest.pre_overlaid), frame)
                 state, _reason = parse_fast_output(raw)
             except FormatError as exc:
-                if not cfg.fail_toward_caution:
-                    raise BackendError(f"unparseable fast output at t={t_next}: {exc}")
                 log.warning("fast output unparseable at t=%s (%s); treating as yellow",
                             t_next, exc)
                 state, latency = SafetyState.YELLOW, 0.0

@@ -1,12 +1,17 @@
 """The package's public surface, pinned so that adding or removing public API
-is a reviewed edit of this list."""
+is a reviewed edit of these lists: the public names, each subcommand's
+options, the coordinator's settings and the run-side entry points' parameters."""
 
+import argparse
+import dataclasses
+import inspect
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import streamguard
+from streamguard import cli
 
 PUBLIC_SURFACE = [
     "AlertSource",
@@ -46,6 +51,27 @@ PUBLIC_SURFACE = [
     "severity_confusion",
 ]
 
+CLI_OPTIONS = {
+    "validate": ["--annotations"],
+    "run": ["--actuation-lag", "--clock", "--fast", "--fps-high", "--fps-low", "--jobs", "--k",
+            "--manifest", "--out", "--slow"],
+    "eval-baseline": ["--backend", "--manifest", "--out", "--prompt"],
+    "metrics": ["--annotations", "--model", "--out", "--preds", "--scores"],
+    "errors": ["--annotations", "--out", "--preds"],
+    "agreement": ["--a", "--b", "--out"],
+    "ablate": ["--actuation-lag", "--annotations", "--clock", "--fast", "--fps", "--fps-high",
+               "--fps-low", "--k", "--manifest", "--out", "--slow"],
+}
+
+COORDINATOR_FIELDS = ["window_size", "clock", "gamma_low", "gamma_high", "actuation_lag"]
+
+# Each parameter, with its default where it has one.
+SIGNATURES = {
+    "run_case": ["manifest", "fast", "slow", "cfg"],
+    "run_baseline_case": ["manifest", "backend", "with_severity=False"],
+    "build_windows": ["duration"],
+}
+
 
 def test_public_surface():
     # Submodules become package attributes once anything imports them, so
@@ -53,6 +79,28 @@ def test_public_surface():
     names = sorted(name for name, value in vars(streamguard).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_SURFACE
+
+
+def test_cli_options():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS
+
+
+def test_coordinator_config_fields():
+    assert [f.name for f in dataclasses.fields(streamguard.CoordinatorConfig)] == \
+        COORDINATOR_FIELDS
+
+
+def test_entry_point_signatures():
+    def params(fn):
+        return [name if p.default is p.empty else f"{name}={p.default!r}"
+                for name, p in inspect.signature(fn).parameters.items()]
+
+    assert {name: params(getattr(streamguard, name)) for name in SIGNATURES} == SIGNATURES
 
 
 def test_imports_with_the_standard_library_alone():

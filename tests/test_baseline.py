@@ -6,8 +6,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend
-from streamguard.baseline import Window, WindowPlan, build_windows, run_baseline_case
+from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend, load_prompt
+from streamguard.baseline import (
+    WINDOW_FPS,
+    WINDOW_LENGTH,
+    WINDOW_STRIDE,
+    Window,
+    WindowPlan,
+    build_windows,
+    run_baseline_case,
+)
 
 from helpers import grid_manifest
 
@@ -46,32 +54,13 @@ def test_windows_short_stream():
 
 
 def test_windows_bad_args():
-    with pytest.raises(ValueError):
-        build_windows(0.0)
-    with pytest.raises(ValueError):
-        build_windows(5.0, fps=0)
-    with pytest.raises(ValueError):
-        build_windows(5.0, stride=2.5)  # stride must not exceed the length
-    with pytest.raises(ValueError):
-        build_windows(5.0, stride=0.0)
-    # A non-finite duration would plan windows without end, and a non-finite
-    # fps or length would fail inside math.ceil.
-    for bad in (math.inf, -math.inf, math.nan):
-        for arg in ("duration", "fps", "length", "stride"):
-            with pytest.raises(ValueError, match="finite"):
-                build_windows(**{"duration": 5.0, arg: bad})
-
-
-@pytest.mark.parametrize("length,stride", [
-    (1e-10, 1e-10),                   # the step rounds to 0 at the first window
-    (1e-9, 4e-10),
-    (1e-9, 5.000000000000001e-10),    # the step rounds to 1e-9 at first, to 0 later
-])
-def test_windows_stride_below_start_resolution(length, stride):
-    """Starts are rounded to 1e-9 s; a step that rounding swallows would never
-    reach the stream end, so it is an error, not an endless plan."""
-    with pytest.raises(ValueError, match="does not advance the window start"):
-        build_windows(5.0, length=length, stride=stride)
+    # A negative duration is no stream, and a non-finite one would plan
+    # windows without end.
+    for bad in (-1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            build_windows(bad)
+    # A one-frame stream has duration 0: one window holding its frame.
+    assert build_windows(0.0) == WindowPlan(windows=(Window(0.0, 0.0, (0.0,)),))
 
 
 def test_windows_random_durations_properties():
@@ -101,30 +90,28 @@ def test_windows_random_durations_properties():
                 assert ft < w.end
 
 
-def _reference_windows(duration, fps, length, stride):
+def _reference_windows(duration):
     """The planner as it was before its frame offsets were computed once."""
-    n_frames = math.ceil(length * fps)
+    n_frames = math.ceil(WINDOW_LENGTH * WINDOW_FPS)
     windows = []
     start = 0.0
     while True:
-        end = start + length
+        end = start + WINDOW_LENGTH
         clamped = min(end, duration)
-        times = tuple(start + i / fps for i in range(n_frames) if start + i / fps < clamped - _EPS)
+        times = tuple(start + i / WINDOW_FPS for i in range(n_frames)
+                      if start + i / WINDOW_FPS < clamped - _EPS)
         windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
         if end >= duration - _EPS:
             break
-        start = round(start + stride, 9)
+        start = round(start + WINDOW_STRIDE, 9)
     return WindowPlan(windows=tuple(windows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(duration=st.floats(0.001, 30.0), fps=st.floats(0.1, 60.0),
-       length=st.floats(0.05, 5.0), stride_frac=st.floats(0.2, 1.0))
-@example(duration=600.0, fps=10.0, length=2.0, stride_frac=0.75)  # a default long stream
-def test_windows_match_reference_planner(duration, fps, length, stride_frac):
-    stride = length * stride_frac
-    assert build_windows(duration, fps, length, stride) == \
-        _reference_windows(duration, fps, length, stride)
+@given(duration=st.floats(0.001, 30.0))
+@example(duration=600.0)  # a long stream
+def test_windows_match_reference_planner(duration):
+    assert build_windows(duration) == _reference_windows(duration)
 
 
 # --- per-case evaluation -----------------------------------------------------
@@ -200,14 +187,23 @@ def test_baseline_backend_failure_propagates():
 
 
 def test_baseline_prompt_window_rendered():
+    """Each window is sent the severity prompt with ``with_severity``, else
+    the detect prompt with its window times filled in."""
     manifest = grid_manifest(duration=2.0)
     seen = []
 
     class Spy(ScriptedBackend):
         def baseline_raw(self, window_start, window_end, frames, prompt_text):
-            seen.append(prompt_text)
+            seen.append((prompt_text, frames))
             return "Part 2: Safe", 0.5
 
-    run_baseline_case(manifest, Spy())
-    assert "0.0s to 2.0s" in seen[0]
-    assert "<Start>" not in seen[0] and "<End>" not in seen[0]
+    texts = {}
+    for with_severity, template in ((False, "baseline_detect"), (True, "severity")):
+        seen.clear()
+        run_baseline_case(manifest, Spy(), with_severity=with_severity)
+        [(text, frames)] = seen
+        assert text == load_prompt(template).render(frames, manifest.pre_overlaid,
+                                                    start=0.0, end=2.0)
+        assert "<Start>" not in text and "<End>" not in text
+        texts[template] = text
+    assert "0.0s to 2.0s" in texts["baseline_detect"]

@@ -16,6 +16,7 @@ import pytest
 
 import streamguard.ablation as ablation
 import streamguard.cli as cli
+from streamguard.backends import ScriptedBackend, load_prompt
 from streamguard.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 from streamguard.model import CaseAnnotation, DecisionTrace, PredictionRecord
 
@@ -144,6 +145,42 @@ def test_eval_baseline_and_metrics_pipeline(workdir, capsys):
     assert float(rows[0]["p_suboptimal"]) == pytest.approx(1.0)
     assert float(rows[0]["wss"]) == pytest.approx(50.0)
     assert "wss=50.0000" in capsys.readouterr().out
+
+
+def test_eval_baseline_one_frame_manifest(workdir, capsys):
+    """A manifest whose only frame is at t = 0 has duration 0; it gets one
+    window holding that frame, as ``run`` samples it once."""
+    manifest = grid_manifest(case_id="c0", times=[0.0]).to_dict()
+    (workdir / "one_frame.json").write_text(json.dumps([manifest]), encoding="utf-8")
+    preds = workdir / "preds.jsonl"
+    code = main(["eval-baseline", "--manifest", str(workdir / "one_frame.json"),
+                 "--backend", f"scripted:{workdir / 'baseline.json'}", "--out", str(preds)])
+    assert code == EXIT_OK
+    [record] = [json.loads(line) for line in preds.read_text().splitlines()]
+    assert record["case_id"] == "c0" and record["parse_status"] == "ok"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("prompt,template", [
+    ("detect", "baseline_detect"), ("severity", "severity"),
+])
+def test_eval_baseline_sends_the_chosen_prompt(workdir, monkeypatch, prompt, template):
+    seen = []
+    baseline_raw = ScriptedBackend.baseline_raw
+
+    def spy(self, window_start, window_end, frames, prompt_text):
+        seen.append((window_start, window_end, frames, prompt_text))
+        return baseline_raw(self, window_start, window_end, frames, prompt_text)
+
+    monkeypatch.setattr(ScriptedBackend, "baseline_raw", spy)
+    code = main(["eval-baseline", "--manifest", str(workdir / "manifests.json"),
+                 "--backend", f"scripted:{workdir / 'baseline.json'}",
+                 "--prompt", prompt, "--out", str(workdir / "preds.jsonl")])
+    assert code == EXIT_OK
+    assert len(seen) == 6  # two 5 s cases, three windows each
+    pre_overlaid = grid_manifest().pre_overlaid
+    for start, end, frames, text in seen:
+        assert text == load_prompt(template).render(frames, pre_overlaid, start=start, end=end)
 
 
 def test_metrics_custom_score_table(workdir):
@@ -422,6 +459,23 @@ MALFORMED_INPUTS = {
                                  "backend_error: scripted backend: malformed interval [0.5] "),
     "scripted_fault_strings": ("scripted", {"faults": {"timeout": [["a", "b"]]}}, EXIT_IO,
                                "backend_error: scripted backend: timeout interval ['a', 'b'] "),
+    "scripted_rule_nan_start": ("scripted", {"fast_schedule": [{"t_start": math.nan, "t_end": 1}]},
+                                EXIT_IO, "backend_error: scripted backend: fast_schedule rule "
+                                         "[nan, 1.0): interval must be finite and non-empty"),
+    "scripted_rule_inf_end": ("scripted",
+                              {"slow_responses": [{"t_start": 0, "t_end": math.inf, "verdict": 1}]},
+                              EXIT_IO, "backend_error: scripted backend: slow_responses rule "
+                                       "[0.0, inf): interval must be finite and non-empty"),
+    "scripted_rule_reversed": ("scripted",
+                               {"fast_schedule": [{"t_start": 2.0, "t_end": 1.0, "state": "red"}]},
+                               EXIT_IO, "backend_error: scripted backend: fast_schedule rule "
+                                        "[2.0, 1.0): interval must be finite and non-empty"),
+    "scripted_fault_nan": ("scripted", {"faults": {"malformed": [[math.nan, 1.0]]}}, EXIT_IO,
+                           "backend_error: scripted backend: malformed interval [nan, 1.0] "
+                           "must be finite and non-empty"),
+    "scripted_fault_reversed": ("scripted", {"faults": {"timeout": [[5.0, 4.0]]}}, EXIT_IO,
+                                "backend_error: scripted backend: timeout interval [5.0, 4.0] "
+                                "must be finite and non-empty"),
     "scripted_latency_string": ("scripted",
                                 {"fast_schedule": [{"t_start": 0, "t_end": 1, "latency": "0.5"}]},
                                 EXIT_IO, "backend_error: scripted backend: fast_schedule rule "

@@ -239,15 +239,6 @@ def test_deeply_nested_fast_output_treated_as_yellow():
     assert not trace.aborted
 
 
-def test_malformed_fast_output_strict_mode_aborts():
-    manifest = grid_manifest(duration=4.0)
-    fast = fast_script([], malformed=[(0.0, 0.1)])
-    trace = run_case(manifest, fast, slow_script([]),
-                     CoordinatorConfig(fail_toward_caution=False))
-    assert trace.aborted
-    assert trace.alert_stream_time is None
-
-
 def test_backend_timeout_aborts_with_partial_trace():
     manifest = grid_manifest(duration=4.0)
     fast = fast_script([(0.0, 2.05, "green")], timeout=[(2.05, 99.0)])
