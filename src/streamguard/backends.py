@@ -40,21 +40,30 @@ class BackendTimeoutError(BackendError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named prompt with optional <Start>/<End> placeholders."""
+    """A named prompt with optional <Start>/<End> placeholders.
+
+    The placeholders are found once, here, not on every ``render``: the fast
+    and slow templates have none, and they are rendered on every sample.
+    """
 
     name: str
     text: str
+
+    def __post_init__(self):
+        # Not fields: kept out of repr, == and hash.
+        object.__setattr__(self, "_has_start", "<Start>" in self.text)
+        object.__setattr__(self, "_has_end", "<End>" in self.text)
 
     def render(self, frames: Sequence[Frame], pre_overlaid: bool,
                start: Optional[float] = None, end: Optional[float] = None) -> str:
         """The prompt for ``frames``; clean frames (not ``pre_overlaid``) carry
         no burned-in timestamps, so their times are listed after the text."""
         out = self.text
-        if "<Start>" in out:
+        if self._has_start:
             if start is None:
                 raise ValueError(f"prompt {self.name} needs a start time")
             out = out.replace("<Start>", f"{start:.1f}")
-        if "<End>" in out:
+        if self._has_end:
             if end is None:
                 raise ValueError(f"prompt {self.name} needs an end time")
             out = out.replace("<End>", f"{end:.1f}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .backends import load_prompt
 from .model import _EPS, FrameManifest, PredictionRecord
@@ -71,17 +72,20 @@ def run_baseline_case(manifest: FrameManifest, backend,
     Each window is sent the ``severity`` prompt when ``with_severity`` is
     set, else ``baseline_detect``.  Aggregation takes the earliest hazardous
     timestamp across windows; a case is Safe only if every window said Safe.
-    Per-window format errors are logged; the case itself is a format error
-    only when every window failed to parse.  Each window's frames come from
-    one ``manifest.frames_at`` walk over its frame times.
+    The severity claim is read from the window whose verdict is the case's:
+    the first window with the earliest hazard, or for a Safe case the last
+    window that parsed.  Per-window format errors are logged; the case
+    itself is a format error only when every window failed to parse.  Each
+    window's frames come from one ``manifest.frames_at`` walk over its frame
+    times.
     """
     prompt = load_prompt("severity" if with_severity else "baseline_detect")
     plan = build_windows(manifest.duration)
 
-    hazard_times: list[float] = []
+    hazard_t: Optional[float] = None
+    verdict_raw: Optional[str] = None  # the reply of the window that gave the verdict
     format_details: list[str] = []
     raws: list[str] = []
-    n_parsed = 0
     for window in plan.windows:
         frames = manifest.frames_at(window.frame_times)
         text = prompt.render(frames, manifest.pre_overlaid, start=window.start, end=window.end)
@@ -94,22 +98,23 @@ def run_baseline_case(manifest: FrameManifest, backend,
                         window.start, window.end, exc)
             format_details.append(f"[{window.start},{window.end}]:{exc.reason}")
             continue
-        n_parsed += 1
         if verdict != "safe":
-            hazard_times.append(float(verdict))
+            if hazard_t is None or verdict < hazard_t:
+                hazard_t, verdict_raw = verdict, raw
+        elif hazard_t is None:
+            verdict_raw = raw
 
     severity_claim = None
-    if with_severity and raws:
+    if with_severity and verdict_raw is not None:
         try:
-            severity_claim = parse_severity_verdict(raws[-1])
+            severity_claim = parse_severity_verdict(verdict_raw)
         except FormatError:
             severity_claim = None
 
     reasoning = "\n".join(raws)
     return PredictionRecord(case_id=manifest.case_id,
-                            verdict="hazard" if hazard_times else "safe",
-                            timestamp=min(hazard_times, default=None),
-                            severity_claim=severity_claim if n_parsed else None,
+                            verdict="safe" if hazard_t is None else "hazard",
+                            timestamp=hazard_t, severity_claim=severity_claim,
                             reasoning_text=reasoning, raw_output=reasoning,
-                            parse_status="ok" if n_parsed else "format_error",
+                            parse_status="format_error" if verdict_raw is None else "ok",
                             parse_detail="; ".join(format_details))

@@ -144,19 +144,26 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     duration = manifest.duration
 
     rate = cfg.gamma_low
+    step_us = round(_US * (1.0 / rate))
     t_next_us = 0
+    # Bound once per case: the loop below runs once per sampled frame.
+    latest_frame_at = manifest.latest_frame_at
+    fast_raw = fast.fast_raw
+    render_fast = fast_template.render
+    pre_overlaid = manifest.pre_overlaid
+    emit = events.append
+    red, yellow, green = SafetyState.RED, SafetyState.YELLOW, SafetyState.GREEN
 
     def deliver_verdict(p: _PendingSlow) -> bool:
         """Record an arrived slow verdict; a DANGER verdict alerts, and True
         tells the caller that the alert ends the run."""
         nonlocal alert, end_to_end
         clock.wait_until(p.arrival_t)
-        events.append(SlowVerdict(trigger_t=p.trigger_t, arrival_t=p.arrival_t,
-                                  verdict=p.verdict))
+        emit(SlowVerdict(p.trigger_t, p.arrival_t, p.verdict))
         if p.verdict != 1:
             return False
-        alert = Alert(t_alert=p.arrival_t, source=AlertSource.SLOW)
-        events.append(alert)
+        alert = Alert(p.arrival_t, AlertSource.SLOW)
+        emit(alert)
         end_to_end = p.arrival_t - p.trigger_t
         return True
 
@@ -179,33 +186,32 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                 break
 
             clock.wait_until(t_next)
-            frame = manifest.latest_frame_at(t_next)
-            events.append(FrameSampled(t=t_next, rate=rate))
+            frame = latest_frame_at(t_next)
+            emit(FrameSampled(t_next, rate))
             try:
-                raw, latency = fast.fast_raw(
-                    fast_template.render((frame,), manifest.pre_overlaid), frame)
+                raw, latency = fast_raw(render_fast((frame,), pre_overlaid), frame)
                 state, _reason = parse_fast_output(raw)
             except FormatError as exc:
                 log.warning("fast output unparseable at t=%s (%s); treating as yellow",
                             t_next, exc)
-                state, latency = SafetyState.YELLOW, 0.0
-            events.append(FastState(t=t_next, state=state, fast_latency=latency))
+                state, latency = yellow, 0.0
+            emit(FastState(t_next, state, latency))
             sampled_frames.append(frame)
 
-            if state == SafetyState.RED:
+            # The parser returns the enum members themselves, so ``is`` compares.
+            if state is red:
                 if pending is not None:
-                    events.append(Override(t=t_next))
+                    emit(Override(t_next))
                     pending.future.cancel()  # a Red decision makes the verdict moot
-                alert = Alert(t_alert=frame.t, source=AlertSource.FAST)
-                events.append(alert)
+                alert = Alert(frame.t, AlertSource.FAST)
+                emit(alert)
                 end_to_end = (t_next - frame.t) + latency
                 break
-            elif state == SafetyState.YELLOW:
+            elif state is yellow:
                 if pending is None:
                     window = tuple(sampled_frames[-cfg.window_size:])
-                    events.append(SlowDispatched(
-                        trigger_t=t_next, window_frame_times=tuple(f.t for f in window)))
-                    text = slow_template.render(window, manifest.pre_overlaid)
+                    emit(SlowDispatched(t_next, tuple(f.t for f in window)))
+                    text = slow_template.render(window, pre_overlaid)
                     pending = _PendingSlow(trigger_t=t_next,
                                            future=submit(slow.slow_raw, text, window))
             elif pending is not None:
@@ -214,11 +220,12 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                 log.debug("green at t=%s with slow query pending (trigger %s)",
                           t_next, pending.trigger_t)
 
-            new_rate = cfg.gamma_low if state == SafetyState.GREEN else cfg.gamma_high
+            new_rate = cfg.gamma_low if state is green else cfg.gamma_high
             if new_rate != rate:
                 rate = new_rate
-                events.append(RateChange(t=t_next, new_rate=rate))
-            t_next_us += round(_US * (1.0 / rate))
+                step_us = round(_US * (1.0 / rate))
+                emit(RateChange(t_next, rate))
+            t_next_us += step_us
     except BackendError as exc:
         log.error("case %s aborted: %s", manifest.case_id, exc)
         aborted = True

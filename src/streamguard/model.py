@@ -11,12 +11,12 @@ import gc
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from inspect import signature
 from operator import attrgetter, gt
 from types import MemberDescriptorType
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
 # Annotated timestamps are displayed at 0.1 s resolution; the deadline is
 # defined as PNR - 200 ms but may be off by up to half a display tick.
@@ -605,39 +605,45 @@ class FrameManifest:
 
 
 # --- Trace events ------------------------------------------------------------
+# Slotted, like ``Frame``: the coordinator builds two or more per sample.
+# ``kind`` names the event on the wire; it is a class attribute, not a field.
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class FrameSampled:
     t: float
     rate: float
-    kind: str = field(default="frame_sampled", init=False)
+    kind: ClassVar[str] = "frame_sampled"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class FastState:
     t: float
     state: SafetyState
     fast_latency: float
-    kind: str = field(default="fast_state", init=False)
+    kind: ClassVar[str] = "fast_state"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class SlowDispatched:
     trigger_t: float
     window_frame_times: tuple[float, ...]
-    kind: str = field(default="slow_dispatched", init=False)
+    kind: ClassVar[str] = "slow_dispatched"
 
     @property
     def t(self) -> float:
         return self.trigger_t
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class SlowVerdict:
     trigger_t: float
     arrival_t: float
     verdict: int
-    kind: str = field(default="slow_verdict", init=False)
+    kind: ClassVar[str] = "slow_verdict"
 
     def __post_init__(self):
         if self.arrival_t < self.trigger_t:
@@ -650,28 +656,31 @@ class SlowVerdict:
         return self.arrival_t
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Override:
     t: float
-    kind: str = field(default="override", init=False)
+    kind: ClassVar[str] = "override"
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Alert:
     t_alert: float
     source: AlertSource
-    kind: str = field(default="alert", init=False)
+    kind: ClassVar[str] = "alert"
 
     @property
     def t(self) -> float:
         return self.t_alert
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class RateChange:
     t: float
     new_rate: float
-    kind: str = field(default="rate_change", init=False)
+    kind: ClassVar[str] = "rate_change"
 
 
 TraceEvent = FrameSampled | FastState | SlowDispatched | SlowVerdict | Override | Alert | RateChange
@@ -697,7 +706,7 @@ def _field_codec(name: str, tp) -> tuple:
 def _event_plan(cls) -> tuple:
     """One event kind's (encode, decode): ``kind`` first, then the fields in order."""
     hints = get_type_hints(cls)
-    codecs = [(f.name, *_field_codec(f.name, hints[f.name])) for f in fields(cls) if f.init]
+    codecs = [(f.name, *_field_codec(f.name, hints[f.name])) for f in fields(cls)]
     kind = cls.kind
 
     def encode(ev) -> dict:
@@ -708,11 +717,11 @@ def _event_plan(cls) -> tuple:
         return d
 
     def decode(d: dict):
-        kw = {}
+        args = []
         for name, _, dec in codecs:
             v = d[name]
-            kw[name] = dec(v) if dec is not None else v if type(v) is float else _number(name, v)
-        return cls(**kw)
+            args.append(dec(v) if dec is not None else v if type(v) is float else _number(name, v))
+        return cls(*args)
 
     return encode, decode
 

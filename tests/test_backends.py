@@ -71,6 +71,35 @@ def test_render_timestamp_listing():
     assert prompt.render(frames, True) == "Judge the frames."  # times burned in
 
 
+@pytest.mark.parametrize("name", ["fast", "slow"])
+def test_render_without_placeholders(name):
+    """A template with no placeholders renders to its text for pre-overlaid
+    frames, and clean frames still get the listing."""
+    prompt = load_prompt(name)
+    assert "<Start>" not in prompt.text and "<End>" not in prompt.text
+    frames = (Frame(t=0.6), Frame(t=0.8))
+    assert prompt.render(frames, True) is prompt.text
+    assert prompt.render(frames, False) == (
+        prompt.text + "\n\nFrame timestamps (in order): 0.6s, 0.8s\n")
+
+
+@pytest.mark.parametrize("text, start, end, message", [
+    ("From <Start>.", None, None, "prompt t needs a start time"),
+    ("Until <End>.", 1.0, None, "prompt t needs an end time"),
+    ("<Start> to <End>.", 1.0, None, "prompt t needs an end time"),
+    ("<Start> to <End>.", None, 2.0, "prompt t needs a start time"),
+])
+def test_render_placeholders_need_their_times(text, start, end, message):
+    """The placeholders are found when the template is built; one without its
+    time still raises on every render."""
+    prompt = PromptTemplate(name="t", text=text)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prompt.render((), True, start=start, end=end)
+    assert prompt.render((), True, start=1.0, end=2.0) == text.replace(
+        "<Start>", "1.0").replace("<End>", "2.0")
+
+
 # --- scripted backend --------------------------------------------------------
 
 def test_scripted_fast_schedule_and_default():

@@ -174,6 +174,49 @@ def test_baseline_with_severity():
     assert pred.severity_claim is None
 
 
+def test_baseline_severity_from_the_hazard_window():
+    """The claim comes from the window that gave the case its timestamp, not
+    from the last window."""
+    manifest = grid_manifest(duration=5.0)  # windows start at 0.0, 1.5 and 3.0
+    backend = baseline_backend([(0.0, "Part 1: risky\nPart 2: 1.2\nPart 3: L3"),
+                                (3.0, "Part 1: calm\nPart 2: Safe\nPart 3: None")])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.verdict, pred.timestamp, pred.severity_claim) == ("hazard", 1.2, "L3")
+    # The earliest hazard wins, and the first window among equal ones.
+    backend = baseline_backend([(0.0, "Part 2: 1.8\nPart 3: L2"),
+                                (1.5, "Part 2: 1.8\nPart 3: L4"),
+                                (3.0, "Part 2: 3.1\nPart 3: L1")])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.timestamp, pred.severity_claim) == (1.8, "L2")
+    backend = baseline_backend([(0.0, "Part 2: 1.9\nPart 3: L1"),
+                                (1.5, "Part 2: 1.6\nPart 3: L4")])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.timestamp, pred.severity_claim) == (1.6, "L4")
+
+
+def test_baseline_severity_of_a_safe_case_from_the_last_parsed_window():
+    manifest = grid_manifest(duration=5.0)
+    backend = baseline_backend([(0.0, "Part 2: Safe\nPart 3: L1"),
+                                (1.5, "Part 2: Safe\nPart 3: None"),
+                                (3.0, "word salad\nPart 3: L4")])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.verdict, pred.parse_status, pred.severity_claim) == ("safe", "ok", "none")
+    backend = baseline_backend([(s, "word salad\nPart 3: L4") for s in (0.0, 1.5, 3.0)])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.parse_status, pred.severity_claim) == ("format_error", None)
+
+
+def test_severity_prompt_asks_for_what_the_parser_reads():
+    """The severity prompt names the window, and a reply that follows it
+    parses to a hazard with its claim."""
+    manifest = grid_manifest(duration=2.0)
+    text = load_prompt("severity").render((), True, start=0.0, end=2.0)
+    assert "0.0s to 2.0s" in text and "[0.0, 2.0]" in text
+    backend = baseline_backend([(0.0, "Part 1: the pan tips\nPart 2: 1.2\nPart 3: L2")])
+    pred = run_baseline_case(manifest, backend, with_severity=True)
+    assert (pred.verdict, pred.timestamp, pred.severity_claim) == ("hazard", 1.2, "L2")
+
+
 def test_baseline_backend_failure_propagates():
     manifest = grid_manifest(duration=2.0)
     backend = ScriptedBackend(timeout=[(0.0, 99.0)])

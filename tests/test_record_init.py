@@ -1,6 +1,7 @@
-"""The read-side records' ``__init__``, which stores each field through its
-slot descriptor, against what ``dataclass`` generates: ``object.__new__``,
-then ``object.__setattr__`` per field, then ``__post_init__``."""
+"""The slotted records' ``__init__`` (the read-side records, ``Frame`` and the
+trace events), which stores each field through its slot descriptor, against
+what ``dataclass`` generates: ``object.__new__``, then ``object.__setattr__``
+per field, then ``__post_init__``."""
 
 import copy
 import inspect
@@ -11,7 +12,22 @@ from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field,
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamguard.model import CaseAnnotation, Frame, KeyFrames, PredictionRecord, _slot_init
+from streamguard.model import (
+    Alert,
+    AlertSource,
+    CaseAnnotation,
+    FastState,
+    Frame,
+    FrameSampled,
+    KeyFrames,
+    Override,
+    PredictionRecord,
+    RateChange,
+    SafetyState,
+    SlowDispatched,
+    SlowVerdict,
+    _slot_init,
+)
 
 from helpers import make_ann
 
@@ -29,7 +45,15 @@ SIGNATURES = {
                       "severity_claim: 'Optional[str]' = None, reasoning_text: 'str' = '', "
                       "raw_output: 'str' = '', parse_status: 'str' = 'ok', "
                       "parse_detail: 'str' = '') -> None",
+    FrameSampled: "(t: 'float', rate: 'float') -> None",
+    FastState: "(t: 'float', state: 'SafetyState', fast_latency: 'float') -> None",
+    SlowDispatched: "(trigger_t: 'float', window_frame_times: 'tuple[float, ...]') -> None",
+    SlowVerdict: "(trigger_t: 'float', arrival_t: 'float', verdict: 'int') -> None",
+    Override: "(t: 'float') -> None",
+    Alert: "(t_alert: 'float', source: 'AlertSource') -> None",
+    RateChange: "(t: 'float', new_rate: 'float') -> None",
 }
+EVENTS = [FrameSampled, FastState, SlowDispatched, SlowVerdict, Override, Alert, RateChange]
 CLASSES = list(SIGNATURES)
 
 # Records whose fields start each drawn call, a few of which are then replaced
@@ -40,6 +64,13 @@ _GOOD = {
     CaseAnnotation: [make_ann(), make_ann(difficulty="D3", entities=(), is_valid=False)],
     PredictionRecord: [PredictionRecord("c0", "safe"),
                        PredictionRecord("c1", "hazard", 2.5, "L2", "a kettle", "raw", "ok", "")],
+    FrameSampled: [FrameSampled(0.0, 1.0), FrameSampled(1.2, 5.0)],
+    FastState: [FastState(0.0, SafetyState.GREEN, 0.05), FastState(1.2, SafetyState.RED, 0.0)],
+    SlowDispatched: [SlowDispatched(1.0, (0.6, 0.8, 1.0)), SlowDispatched(0.0, (0.0,))],
+    SlowVerdict: [SlowVerdict(1.0, 3.2, 1), SlowVerdict(0.0, 0.0, 0)],
+    Override: [Override(0.4), Override(2.0)],
+    Alert: [Alert(0.4, AlertSource.FAST), Alert(3.2, AlertSource.SLOW)],
+    RateChange: [RateChange(1.0, 5.0), RateChange(2.0, 1.0)],
 }
 _JUNK = [None, -1.0, math.nan, math.inf, 0, 7, True, "", "x", "safe", "L1", [], {},
          ("kettle",), ("Kettle",), KeyFrames(0.0, 0.2, 0.0, 0.2, 9.0)]
@@ -135,6 +166,18 @@ def test_records_stay_frozen_and_round_trip(cls):
         other = _GOOD[cls][1 - _GOOD[cls].index(record)]
         changed = {f.name: getattr(other, f.name) for f in fields(cls)}
         assert replace(record, **changed) == other
+
+
+@pytest.mark.parametrize("cls", EVENTS, ids=lambda c: c.__name__)
+def test_events_are_slotted_and_kind_is_no_field(cls):
+    """``kind`` names the event on the wire, from the class: no instance holds
+    it, and ``==``, ``hash`` and ``replace`` do not see it."""
+    assert "kind" in vars(cls) and isinstance(cls.kind, str)
+    assert "kind" not in {f.name for f in fields(cls)}
+    for event in _GOOD[cls]:
+        assert not hasattr(event, "__dict__")
+        assert event.kind == cls.kind
+        assert hash(event) == hash(replace(event))
 
 
 def _factory():
