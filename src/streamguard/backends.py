@@ -5,18 +5,17 @@ frame)``, ``slow_raw(prompt_text, window)`` and ``baseline_raw(window_start,
 window_end, frames, prompt_text)``, each returning the model's text and its
 latency.  The caller renders the prompt text from the manifest with
 ``PromptTemplate.render`` and parses the reply.
+
+The HTTP and TLS modules are imported only where ``RemoteBackend`` uses
+them, so a process with scripted backends or none never loads them.
 """
 
 from __future__ import annotations
 
-import base64
-import http.client
 import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -305,13 +304,18 @@ class EndpointConfig:
 MAX_BODY_BYTES = 12 * MAX_REPLY_CHARS + 64 * 1024
 
 
-class _RefuseRedirect(urllib.request.HTTPRedirectHandler):
-    """Leaves every 3xx reply unfollowed, so it is raised as an ``HTTPError``:
-    following one would resend the bearer token to whatever host and scheme
-    the ``Location`` names."""
+@cache
+def _refuse_redirect() -> type:
+    """A redirect handler that leaves every 3xx reply unfollowed, so it is
+    raised as an ``HTTPError``: following one would resend the bearer token
+    to whatever host and scheme the ``Location`` names."""
+    import urllib.request
 
-    def redirect_request(self, *args):
-        return None
+    class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    return RefuseRedirect
 
 
 def _retryable(exc: BackendError) -> bool:
@@ -322,6 +326,9 @@ def _retryable(exc: BackendError) -> bool:
     a malformed URL or header, and a reply body that is too long, not JSON or
     of the wrong shape would fail the same way again.
     """
+    import http.client
+    import urllib.error
+
     cause = exc.__cause__
     if isinstance(cause, urllib.error.HTTPError):
         return cause.code >= 500
@@ -338,18 +345,21 @@ class RemoteBackend:
     Each query POSTs once.  After a timeout, a connection failure or an
     HTTP 5xx status it retries up to ``config.max_retries`` more times and
     raises the last failure; any other failure is raised after that one
-    POST (``_retryable``).  A socket timeout, raised directly or wrapped in
-    a ``URLError``, is a ``BackendTimeoutError``.  Every other failure is a
-    ``TransportError``: an HTTP error status, a redirect (never followed), a
-    connection or other ``OSError``, a body longer than ``MAX_BODY_BYTES``
-    (of which at most one byte more is read), a body that is not JSON or
-    nests too deeply to decode, or one without a string at
-    ``choices[0].message.content``.
+    POST (``_retryable``).  The latency a reply reports runs from the first
+    POST, so it includes the attempts that failed.  A socket timeout, raised
+    directly or wrapped in a ``URLError``, is a ``BackendTimeoutError``.
+    Every other failure is a ``TransportError``: an HTTP error status, a
+    redirect (never followed), a connection or other ``OSError``, a body
+    longer than ``MAX_BODY_BYTES`` (of which at most one byte more is read),
+    a body that is not JSON or nests too deeply to decode, or one without a
+    string at ``choices[0].message.content``.
     """
 
     def __init__(self, config: EndpointConfig):
+        import urllib.request
+
         self.config = config
-        self._opener = urllib.request.build_opener(_RefuseRedirect)
+        self._opener = urllib.request.build_opener(_refuse_redirect())
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -362,6 +372,8 @@ class RemoteBackend:
     def _image_part(self, frame: Frame) -> dict:
         if self.config.image_mode == "path":
             return {"type": "image_url", "image_url": {"url": frame.image_path}}
+        import base64
+
         try:
             with open(frame.image_path, "rb") as fh:
                 payload = base64.b64encode(fh.read()).decode("ascii")
@@ -380,8 +392,8 @@ class RemoteBackend:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         data = json.dumps(body).encode("utf-8")
         last_exc: Exception = TransportError("no attempt made")
+        start = time.monotonic()  # the latency covers every attempt
         for _ in range(self.config.max_retries + 1):
-            start = time.monotonic()
             try:
                 return self._post(url, data), time.monotonic() - start
             except BackendError as exc:
@@ -392,6 +404,10 @@ class RemoteBackend:
 
     def _post(self, url: str, data: bytes) -> str:
         """One POST of ``data``; the reply text, or the typed failure."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
         try:
             request = urllib.request.Request(url, data=data, headers=self._headers(),
                                              method="POST")

@@ -111,3 +111,19 @@ def test_imports_with_the_standard_library_alone():
     proc = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
                           text=True, cwd=Path(__file__).resolve().parents[1], timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_http_stack_loads_only_with_a_remote_backend():
+    """Importing every layer loads no HTTP, TLS or socket module; building a
+    ``RemoteBackend`` does."""
+    code = ("import sys; sys.path.insert(0, 'src'); "
+            "import streamguard.cli, streamguard.ablation; "
+            "from streamguard import EndpointConfig, RemoteBackend; "
+            "stack = ('http.client', 'urllib.request', 'ssl', 'socket', 'email.parser', 'base64'); "
+            "print(*[m for m in stack if m in sys.modules]); "
+            "RemoteBackend(EndpointConfig(base_url='http://127.0.0.1:9', model_name='m')); "
+            "print(*[m for m in ('urllib.request', 'http.client') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\nurllib.request http.client\n"

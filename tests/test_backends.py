@@ -8,12 +8,14 @@ import json
 import math
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from streamguard import backends
 from streamguard.backends import (
     MAX_BODY_BYTES,
     BackendTimeoutError,
@@ -98,6 +100,17 @@ def test_render_placeholders_need_their_times(text, start, end, message):
             prompt.render((), True, start=start, end=end)
     assert prompt.render((), True, start=1.0, end=2.0) == text.replace(
         "<Start>", "1.0").replace("<End>", "2.0")
+
+
+@pytest.mark.parametrize("name", ["baseline_detect", "severity"])
+def test_clean_frame_window_prompt_points_at_the_listing(name):
+    """The line that tells the model where each frame's time is names the
+    RED overlay and, for clean frames, the listing the render appends."""
+    text = load_prompt(name).render((Frame(t=0.5), Frame(t=1.0)), False, start=0.0, end=2.0)
+    assert ("absolute timestamp: the RED one in its top-left corner, or, for frames without "
+            'one, its time in the "Frame timestamps" list at the end of this prompt.'
+            ) in " ".join(text.split())
+    assert text.endswith("\n\nFrame timestamps (in order): 0.5s, 1.0s\n")
 
 
 # --- scripted backend --------------------------------------------------------
@@ -675,3 +688,22 @@ def test_remote_retries_only_transient_failures(monkeypatch, raised, attempts):
     with pytest.raises((TransportError, BackendTimeoutError)):
         _remote("http://127.0.0.1:9", max_retries=2).fast_raw(FAST_TEXT, _FRAME)
     assert len(calls) == attempts
+
+
+def test_remote_latency_covers_every_attempt(monkeypatch):
+    """A query that succeeds on its second POST reports the time from the
+    first POST to the reply, so the failed attempt counts."""
+    clock = iter([10.0, 10.75])
+    monkeypatch.setattr(backends, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    replies = iter([_http_error(503), io.BytesIO(_reply_body("ok"))])
+
+    def open_(opener, request, timeout):
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open_)
+    raw, latency = _remote("http://127.0.0.1:9", max_retries=1).fast_raw(FAST_TEXT, _FRAME)
+    assert (raw, latency) == ("ok", 0.75)
+    assert next(replies, None) is None and next(clock, None) is None
