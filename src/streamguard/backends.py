@@ -18,7 +18,6 @@ import os
 import time
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .model import DECODE_ERRORS, Frame, SchemaError, _number, decode_error
@@ -77,7 +76,11 @@ def load_prompt(name: str) -> PromptTemplate:
     """Load one of the bundled templates: fast, slow, baseline_detect, severity.
 
     Each file is read once; the frozen template is shared by every caller.
+    ``importlib.resources`` is imported here, not at module level, so a
+    command that loads no prompt never loads it.
     """
+    from importlib import resources
+
     text = resources.files("streamguard.prompts").joinpath(f"{name}.txt").read_text(encoding="utf-8")
     return PromptTemplate(name=name, text=text)
 

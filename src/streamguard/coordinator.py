@@ -214,11 +214,8 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                     text = slow_template.render(window, pre_overlaid)
                     pending = _PendingSlow(trigger_t=t_next,
                                            future=submit(slow.slow_raw, text, window))
-            elif pending is not None:
-                # A Green does not cancel an in-flight query; a later DANGER
-                # verdict still alerts.
-                log.debug("green at t=%s with slow query pending (trigger %s)",
-                          t_next, pending.trigger_t)
+            # Otherwise the state is Green.  A Green does not cancel an
+            # in-flight query; a later DANGER verdict still alerts.
 
             new_rate = cfg.gamma_low if state is green else cfg.gamma_high
             if new_rate != rate:

@@ -61,11 +61,10 @@ def _join(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> list:
 
     Rejects a duplicate record and a record with no annotation.
     """
-    by_case = _pred_map(preds)
-    for case_id in by_case:
-        if case_id not in anns:
-            raise MissingAnnotation(case_id)
-    return [(ann, by_case.get(ann.case_id)) for ann in anns]
+    by_case, cases = _pred_map(preds), anns.cases
+    if not by_case.keys() <= cases.keys():
+        raise MissingAnnotation(next(c for c in by_case if c not in cases))
+    return [(ann, by_case.get(ann.case_id)) for ann in cases.values()]
 
 
 def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> ErrorType:

@@ -31,6 +31,12 @@ SEVERITY_LEVELS = ("L1", "L2", "L3", "L4")
 SEVERITY_CLAIMS = ("none",) + SEVERITY_LEVELS
 DIFFICULTY_LEVELS = ("D1", "D2", "D3")
 
+# Each closed-set value mapped to itself.  The JSON decoder builds a new str
+# for every value it reads, so a decoded record would hold its own copy of
+# "balcony" or "hazard"; the decoders swap each for the one held here.
+_SHARED = {s: s for s in (*LOCATIONS, *DANGER_CATEGORIES, *SEVERITY_CLAIMS, *DIFFICULTY_LEVELS,
+                          "safe", "hazard", "ok", "format_error")}
+
 
 class ModelError(Exception):
     """Base class for domain validation errors."""
@@ -315,12 +321,22 @@ class CaseAnnotation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaseAnnotation":
+        """The case for a decoded JSON object.
+
+        A known ``location``, ``danger_category``, ``severity`` or
+        ``difficulty`` string is replaced by the module's own copy, so every
+        decoded case shares those strings instead of holding its own.  Any
+        other value is kept as decoded, for ``__post_init__`` to check.
+        """
         try:
             entities = d.get("key_entities", [])
             if not isinstance(entities, list):
                 raise TypeError(f"key_entities must be a list of strings, got {entities!r}")
-            case_id, location = d["case_id"], d["location"]
-            category, severity, difficulty = d["danger_category"], d["severity"], d["difficulty"]
+            case_id = d["case_id"]
+            location = _SHARED.get(v, v) if type(v := d["location"]) is str else v
+            category = _SHARED.get(v, v) if type(v := d["danger_category"]) is str else v
+            severity = _SHARED.get(v, v) if type(v := d["severity"]) is str else v
+            difficulty = _SHARED.get(v, v) if type(v := d["difficulty"]) is str else v
             key_frames = KeyFrames.from_dict(d["key_frames"])
             duration = v if type(v := d["duration"]) is float else _number("duration", v)
             is_valid = d.get("is_valid", True)
@@ -440,14 +456,23 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictionRecord":
+        """The record for a decoded JSON object.
+
+        A known ``verdict``, ``severity_claim`` or ``parse_status`` string is
+        replaced by the module's own copy, so every decoded record shares
+        those strings instead of holding its own.  Any other value is kept as
+        decoded, for ``__post_init__`` to check.
+        """
         try:
-            case_id, verdict, timestamp = d["case_id"], d["verdict"], d.get("timestamp")
+            case_id = d["case_id"]
+            verdict = _SHARED.get(v, v) if type(v := d["verdict"]) is str else v
+            timestamp = d.get("timestamp")
             if not (timestamp is None or type(timestamp) is float):
                 timestamp = _number("timestamp", timestamp)
-            return cls(case_id, verdict, timestamp,
-                       d.get("severity_claim"), d.get("reasoning_text", ""),
-                       d.get("raw_output", ""), d.get("parse_status", "ok"),
-                       d.get("parse_detail", ""))
+            claim = _SHARED.get(v, v) if type(v := d.get("severity_claim")) is str else v
+            status = _SHARED.get(v, v) if type(v := d.get("parse_status", "ok")) is str else v
+            return cls(case_id, verdict, timestamp, claim, d.get("reasoning_text", ""),
+                       d.get("raw_output", ""), status, d.get("parse_detail", ""))
         except DECODE_ERRORS as exc:
             raise decode_error("prediction", d, exc) from exc
 

@@ -13,7 +13,18 @@ from streamguard.annotations import (
     load_annotations,
 )
 from streamguard.cli import CliError, _load_predictions
-from streamguard.model import CaseAnnotation, Phase, PredictionRecord, SchemaError
+from streamguard.model import (
+    _SHARED,
+    DANGER_CATEGORIES,
+    DIFFICULTY_LEVELS,
+    LOCATIONS,
+    SEVERITY_CLAIMS,
+    SEVERITY_LEVELS,
+    CaseAnnotation,
+    Phase,
+    PredictionRecord,
+    SchemaError,
+)
 
 from helpers import make_ann
 
@@ -101,6 +112,89 @@ def test_loaders_pause_gc_and_restore_it(tmp_path, monkeypatch, enabled, fails):
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False] * 4
+
+
+# --- closed-set strings shared by decoded records ----------------------------
+
+def _same(constants, v):
+    """True when ``v`` is the module's own object for its value, not a copy."""
+    return v is constants[constants.index(v)]
+
+
+def _ann_entries():
+    return [make_ann(case_id=f"a{i}", location=LOCATIONS[i % len(LOCATIONS)],
+                     category=DANGER_CATEGORIES[i % len(DANGER_CATEGORIES)],
+                     severity=SEVERITY_LEVELS[i % len(SEVERITY_LEVELS)],
+                     difficulty=DIFFICULTY_LEVELS[i % len(DIFFICULTY_LEVELS)]).to_dict()
+            for i in range(12)]
+
+
+def _pred_entries():
+    return [PredictionRecord(case_id=f"a{i}", verdict=("safe", "hazard")[i % 2],
+                             timestamp=(None, 1.5)[i % 2],
+                             severity_claim=(None, *SEVERITY_CLAIMS)[i % 6],
+                             parse_status=("ok", "format_error")[i % 4 == 3]).to_dict()
+            for i in range(12)]
+
+
+def test_decoded_annotations_share_the_closed_set_strings(tmp_path):
+    entries = _ann_entries()
+    anns = load_annotations(_write(tmp_path, entries))
+    for ann in anns:
+        assert _same(LOCATIONS, ann.location)
+        assert _same(DANGER_CATEGORIES, ann.danger_category)
+        assert _same(SEVERITY_LEVELS, ann.severity)
+        assert _same(DIFFICULTY_LEVELS, ann.difficulty)
+    assert [ann.to_dict() for ann in anns] == entries
+
+
+def test_decoded_predictions_share_the_closed_set_strings(tmp_path):
+    entries = _pred_entries()
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+    preds = _load_predictions(str(path))
+    for p in preds:
+        assert p.verdict is _SHARED[p.verdict] and p.parse_status is _SHARED[p.parse_status]
+        assert p.severity_claim is None or _same(SEVERITY_CLAIMS, p.severity_claim)
+    # One object per distinct value across all records.
+    for field in ("verdict", "severity_claim", "parse_status"):
+        values = [getattr(p, field) for p in preds]
+        assert len({id(v) for v in values}) == len(set(values))
+    assert [p.to_dict() for p in preds] == entries
+
+
+_BAD_VALUES = [("unknown", "garage"), ("non_string", 3), ("unhashable", ["balcony"])]
+
+
+@pytest.mark.parametrize("field", ["location", "danger_category", "severity", "difficulty"])
+@pytest.mark.parametrize("kind,value", _BAD_VALUES, ids=[k for k, _ in _BAD_VALUES])
+def test_annotation_closed_set_rejects_a_bad_value(tmp_path, field, kind, value):
+    entry = {**_ann_entries()[0], field: value}
+    with pytest.raises(SchemaError) as info:
+        load_annotations(_write(tmp_path, [entry]))
+    assert str(info.value) == f"unknown {field} {value!r} for case a0"
+
+
+_PRED_ERRORS = {
+    "verdict": "verdict must be 'safe' or 'hazard', got {!r}",
+    "severity_claim": "unknown severity_claim {!r}",
+    "parse_status": "unknown parse_status {!r}",
+}
+
+
+@pytest.mark.parametrize("field", list(_PRED_ERRORS))
+@pytest.mark.parametrize("kind,value", _BAD_VALUES, ids=[k for k, _ in _BAD_VALUES])
+def test_prediction_closed_set_rejects_a_bad_value(tmp_path, field, kind, value):
+    message = "prediction a0: " + _PRED_ERRORS[field].format(value)
+    entry = {**_pred_entries()[0], field: value}
+    with pytest.raises(SchemaError) as info:
+        PredictionRecord.from_dict(entry)
+    assert str(info.value) == message
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+    with pytest.raises(CliError) as info:
+        _load_predictions(str(path))
+    assert str(info.value) == f"parse_error: {path}: {message}"
 
 
 # --- classify_phase ----------------------------------------------------------

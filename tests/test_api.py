@@ -127,3 +127,19 @@ def test_http_stack_loads_only_with_a_remote_backend():
                           text=True, cwd=Path(__file__).resolve().parents[1], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\nurllib.request http.client\n"
+
+
+def test_resource_loader_loads_only_with_a_prompt():
+    """Importing every layer loads neither ``importlib.resources`` nor the
+    archive and temporary-file modules it pulls in; loading a prompt does."""
+    code = ("import sys; sys.path.insert(0, 'src'); "
+            "import streamguard.cli, streamguard.ablation; "
+            "from streamguard import load_prompt; "
+            "mods = ('importlib.resources', 'tempfile', 'zipfile', 'bz2', 'lzma'); "
+            "print(*[m for m in mods if m in sys.modules]); "
+            "load_prompt('fast'); "
+            "print('importlib.resources' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\nTrue\n"

@@ -65,6 +65,15 @@ def test_ewp_window_is_intent_to_impact():
         compute_ewp([hz("zz", 1.0)], anns)
 
 
+def test_missing_annotation_names_the_first_unannotated_record():
+    anns = ann_set(make_ann(case_id="a"), make_ann(case_id="b"))
+    preds = [safe("a"), safe("zz"), safe("b"), safe("yy")]
+    for score in (case_errors, severity_confusion, build_report):
+        with pytest.raises(MissingAnnotation) as info:
+            score(preds, anns)
+        assert info.value.case_id == "zz"
+
+
 def test_ewp_rejects_duplicate_records():
     anns = ann_set(make_ann(case_id="a"))
     with pytest.raises(MetricsError):
