@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -36,35 +37,47 @@ class BackendTimeoutError(BackendError):
     """The query did not complete within the configured budget."""
 
 
+_PLACEHOLDERS = re.compile("(<Start>|<End>)")
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """A named prompt with optional <Start>/<End> placeholders.
 
-    The placeholders are found once, here, not on every ``render``: the fast
-    and slow templates have none, and they are rendered on every sample.
+    The text is split at the placeholders once, here, and ``render`` joins
+    the parts with the formatted times, not scanning the text on every call:
+    a window prompt is rendered once per window, and the fast and slow
+    templates, which have none, on every sample.
     """
 
     name: str
     text: str
 
     def __post_init__(self):
-        # Not fields: kept out of repr, == and hash.
-        object.__setattr__(self, "_has_start", "<Start>" in self.text)
-        object.__setattr__(self, "_has_end", "<End>" in self.text)
+        # Not fields: kept out of repr, == and hash.  The split keeps each
+        # placeholder as a part of its own, at the odd indices.
+        parts = tuple(_PLACEHOLDERS.split(self.text))
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_has_start", "<Start>" in parts)
+        object.__setattr__(self, "_has_end", "<End>" in parts)
 
     def render(self, frames: Sequence[Frame], pre_overlaid: bool,
                start: Optional[float] = None, end: Optional[float] = None) -> str:
         """The prompt for ``frames``; clean frames (not ``pre_overlaid``) carry
         no burned-in timestamps, so their times are listed after the text."""
         out = self.text
-        if self._has_start:
-            if start is None:
-                raise ValueError(f"prompt {self.name} needs a start time")
-            out = out.replace("<Start>", f"{start:.1f}")
-        if self._has_end:
-            if end is None:
-                raise ValueError(f"prompt {self.name} needs an end time")
-            out = out.replace("<End>", f"{end:.1f}")
+        if self._has_start or self._has_end:
+            times = {}
+            if self._has_start:
+                if start is None:
+                    raise ValueError(f"prompt {self.name} needs a start time")
+                times["<Start>"] = f"{start:.1f}"
+            if self._has_end:
+                if end is None:
+                    raise ValueError(f"prompt {self.name} needs an end time")
+                times["<End>"] = f"{end:.1f}"
+            # A text part is never a placeholder, so ``get`` keeps it as it is.
+            out = "".join(map(times.get, self._parts, self._parts))
         if not pre_overlaid:
             listing = ", ".join(f"{f.t:.1f}s" for f in frames)
             out = out + f"\n\nFrame timestamps (in order): {listing}\n"

@@ -56,7 +56,12 @@ def _load_json(path: str):
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
 
 
+@gc_paused()
 def _load_manifests(path: str) -> list:
+    """Decode a manifest file with the cyclic collector paused, as the read
+    side decodes its records.  The decode builds no cycles and calls no
+    backend; the collector is back on, as it was, before the caller's first
+    backend call."""
     raw = _load_json(path)
     entries = raw if isinstance(raw, list) else [raw]
     try:
@@ -132,8 +137,9 @@ def _write_csv(path: str, header, rows) -> None:
 #
 # The read-side commands (validate, metrics, errors, agreement) run with the
 # cyclic collector paused until their records are freed.  The commands that
-# call backends keep it on: a remote backend's urllib machinery and threads may
-# build cyclic garbage, and a pause would keep it alive for the whole run.
+# call backends keep it on, except while ``_load_manifests`` decodes: a remote
+# backend's urllib machinery and threads may build cyclic garbage, and a pause
+# would keep it alive for the whole run.
 
 @gc_paused()
 def cmd_validate(args) -> int:

@@ -128,6 +128,10 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     run.  Backend failures abort the case with a partial trace flagged
     ``aborted``; unparseable FastBrain output is treated as Yellow.  Each
     prompt is rendered here, from the manifest, for the frames it is sent with.
+
+    A FastBrain reply equal to the last one that parsed in this case reuses
+    that parse; its latency is still the current call's.  A reply that does
+    not parse is never kept, so each such sample logs and counts as Yellow.
     """
     fast_template = load_prompt("fast")
     slow_template = load_prompt("slow")
@@ -153,6 +157,10 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     pre_overlaid = manifest.pre_overlaid
     emit = events.append
     red, yellow, green = SafetyState.RED, SafetyState.YELLOW, SafetyState.GREEN
+    # The last FastBrain reply that parsed, and its state.  The first reply
+    # is always parsed: nothing equals a fresh ``object()``.
+    parsed_raw: object = object()
+    parsed_state = None
 
     def deliver_verdict(p: _PendingSlow) -> bool:
         """Record an arrived slow verdict; a DANGER verdict alerts, and True
@@ -190,7 +198,10 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
             emit(FrameSampled(t_next, rate))
             try:
                 raw, latency = fast_raw(render_fast((frame,), pre_overlaid), frame)
-                state, _reason = parse_fast_output(raw)
+                if raw != parsed_raw:
+                    parsed_state = parse_fast_output(raw)[0]
+                    parsed_raw = raw
+                state = parsed_state
             except FormatError as exc:
                 log.warning("fast output unparseable at t=%s (%s); treating as yellow",
                             t_next, exc)

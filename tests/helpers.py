@@ -1,15 +1,19 @@
 """Shared fixtures: annotation builders, scripted schedules, the per-metric
-functions the cross-metric identities check ``build_report`` against, and the
-published-row inverter used to reconstruct aggregate metrics."""
+functions the cross-metric identities check ``build_report`` against, the
+published-row inverter used to reconstruct aggregate metrics, and reference
+copies of the prompt render and the manifest decode."""
 
 from __future__ import annotations
 
+import math
+from operator import gt
 from typing import Optional, Sequence
 
 from streamguard.annotations import AnnotationSet, classify_phase
 from streamguard.backends import ScheduleRule, ScriptedBackend
 from streamguard.metrics import EmptyDataset, _join, _pred_map, build_report
 from streamguard.model import (
+    DECODE_ERRORS,
     CaseAnnotation,
     Frame,
     FrameManifest,
@@ -17,6 +21,9 @@ from streamguard.model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
+    SchemaError,
+    _number,
+    decode_error,
 )
 
 
@@ -157,3 +164,67 @@ def invert_row(hdr_pct: float, premature_pct: float, optimal_pct: float,
         preds.append(PredictionRecord(case_id=cid, verdict="safe"))
         idx += 1
     return preds, ann_set(*anns)
+
+
+# --- reference copies ---------------------------------------------------------
+# The straightforward forms of two hot paths, kept as the oracles their
+# differential tests compare the fast forms against.
+
+def reference_render(name: str, text: str, frames, pre_overlaid: bool,
+                     start: Optional[float] = None, end: Optional[float] = None) -> str:
+    """``PromptTemplate.render`` as two ``str.replace`` scans of the text."""
+    out = text
+    if "<Start>" in text:
+        if start is None:
+            raise ValueError(f"prompt {name} needs a start time")
+        out = out.replace("<Start>", f"{start:.1f}")
+    if "<End>" in text:
+        if end is None:
+            raise ValueError(f"prompt {name} needs an end time")
+        out = out.replace("<End>", f"{end:.1f}")
+    if not pre_overlaid:
+        listing = ", ".join(f"{f.t:.1f}s" for f in frames)
+        out = out + f"\n\nFrame timestamps (in order): {listing}\n"
+    return out
+
+
+def _reference_check_stream(case_id, times: tuple, pre_overlaid) -> None:
+    if not isinstance(case_id, str):
+        raise SchemaError(f"manifest case_id must be a string, got {case_id!r}")
+    if not case_id:
+        raise SchemaError("manifest case_id must be non-empty")
+    if not times:
+        raise SchemaError(f"manifest for {case_id} has no frames")
+    if not (all(map(math.isfinite, times)) and min(times) >= 0):
+        raise SchemaError(f"manifest for {case_id} has a frame time that is "
+                          "not finite and non-negative")
+    if any(map(gt, times, times[1:])):
+        raise SchemaError(f"manifest for {case_id} frames not time-ordered")
+    if not isinstance(pre_overlaid, bool):
+        raise SchemaError(f"manifest for {case_id}: pre_overlaid must be a boolean, "
+                          f"got {pre_overlaid!r}")
+
+
+def reference_manifest_decode(d) -> tuple:
+    """``FrameManifest.from_dict`` frame by frame, with every stream check:
+    ``(case_id, fps_native, times, paths, pre_overlaid)``, or the same error."""
+    try:
+        case_id = d["case_id"]
+        fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
+            else _number("fps_native", v)
+        entries = d["frames"]
+        try:
+            times = tuple([t if type(t := f["t"]) is float else _number("t", t)
+                           for f in entries])
+            paths = tuple([f.get("image_path", "") for f in entries])
+            if not all(isinstance(p, str) for p in paths):
+                raise SchemaError("image_path must be a string")
+        except DECODE_ERRORS:
+            for f in entries:
+                Frame.from_dict(f)
+            raise
+        pre_overlaid = d.get("pre_overlaid", True)
+    except DECODE_ERRORS as exc:
+        raise decode_error("manifest", d, exc) from exc
+    _reference_check_stream(case_id, times, pre_overlaid)
+    return case_id, fps_native, times, paths, pre_overlaid

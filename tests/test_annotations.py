@@ -12,7 +12,7 @@ from streamguard.annotations import (
     classify_phase,
     load_annotations,
 )
-from streamguard.cli import CliError, _load_predictions
+from streamguard.cli import CliError, _load_manifests, _load_predictions
 from streamguard.model import (
     _SHARED,
     DANGER_CATEGORIES,
@@ -21,12 +21,13 @@ from streamguard.model import (
     SEVERITY_CLAIMS,
     SEVERITY_LEVELS,
     CaseAnnotation,
+    FrameManifest,
     Phase,
     PredictionRecord,
     SchemaError,
 )
 
-from helpers import make_ann
+from helpers import grid_manifest, make_ann
 
 
 def _write(tmp_path, payload, name="anns.json"):
@@ -112,6 +113,38 @@ def test_loaders_pause_gc_and_restore_it(tmp_path, monkeypatch, enabled, fails):
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False] * 4
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_manifest_loader_pauses_gc_and_restores_it(tmp_path, monkeypatch, enabled, fails):
+    """The run-side commands decode their manifest file with the cyclic GC
+    off, and leave it as they found it, also when a manifest fails to decode."""
+    good = grid_manifest(case_id="a", duration=1.0).to_dict()
+    second = {**good, "case_id": "b"}
+    if fails:
+        second["frames"] = second["frames"][::-1]
+    path = _write(tmp_path, [good, second], name="manifests.json")
+    seen = []
+    decode = FrameManifest.from_dict
+
+    def from_dict(d):
+        seen.append(gc.isenabled())
+        return decode(d)
+
+    monkeypatch.setattr(FrameManifest, "from_dict", from_dict)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if fails:
+            with pytest.raises(CliError, match="^manifest_error: manifest for b frames not"):
+                _load_manifests(path)
+        else:
+            assert [m.case_id for m in _load_manifests(path)] == ["a", "b"]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 2
 
 
 # --- closed-set strings shared by decoded records ----------------------------

@@ -14,6 +14,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamguard import backends
 from streamguard.backends import (
@@ -37,7 +38,7 @@ from streamguard.parsing import (
     parse_slow_output,
 )
 
-from helpers import fast_script, grid_manifest
+from helpers import fast_script, grid_manifest, reference_render
 
 FAST_TEXT = load_prompt("fast").text
 SLOW_TEXT = load_prompt("slow").text
@@ -111,6 +112,37 @@ def test_clean_frame_window_prompt_points_at_the_listing(name):
             'one, its time in the "Frame timestamps" list at the end of this prompt.'
             ) in " ".join(text.split())
     assert text.endswith("\n\nFrame timestamps (in order): 0.5s, 1.0s\n")
+
+
+_BUNDLED = ("fast", "slow", "baseline_detect", "severity")
+# Pieces of synthetic templates: both placeholders, adjacent and repeated,
+# format and percent syntax, and near misses that must stay as written.
+_PIECES = ["<Start>", "<End>", "<Start><End>", "<End><Start>", "{}", "{0}", "{start}", "%",
+           "%s", "%.1f", "<Start", "Start>", "<END>", "<start>", "<<Start>>", "<End", "<",
+           ">", "text", " ", "\n", "é"]
+_TIMES = st.one_of(st.none(), st.sampled_from([0.0, -0.0, -1.25, 0.05, 0.25, 1e300, -1e300,
+                                               math.inf, -math.inf, math.nan]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150)
+@given(text=st.one_of(st.sampled_from(_BUNDLED).map(lambda n: load_prompt(n).text),
+                      st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)),
+       frame_times=st.lists(st.sampled_from([0.0, 0.5, 12.25]), max_size=3),
+       pre_overlaid=st.booleans(), start=_TIMES, end=_TIMES)
+def test_render_matches_two_replace_reference(text, frame_times, pre_overlaid, start, end):
+    """The split-once render gives what two ``str.replace`` scans give, or
+    the same ValueError, for the bundled and for synthetic templates."""
+    frames = [Frame(t=t) for t in frame_times]
+    prompt = PromptTemplate(name="t", text=text)
+    try:
+        expected = reference_render("t", text, frames, pre_overlaid, start=start, end=end)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            prompt.render(frames, pre_overlaid, start=start, end=end)
+        assert str(info.value) == str(exc)
+    else:
+        assert prompt.render(frames, pre_overlaid, start=start, end=end) == expected
 
 
 # --- scripted backend --------------------------------------------------------

@@ -2,11 +2,13 @@
 rates, single-flight dispatch, determinism, and failure handling."""
 
 import json
+import logging
 import math
 import random
 
 import pytest
 
+from streamguard import coordinator
 from streamguard.backends import BackendError, ScheduleRule, ScriptedBackend
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
@@ -22,6 +24,7 @@ from streamguard.model import (
     SlowVerdict,
 )
 from streamguard.annotations import classify_phase
+from streamguard.parsing import parse_fast_output
 
 from helpers import fast_script, grid_manifest, make_ann, slow_script
 
@@ -361,3 +364,118 @@ def test_real_clock_smoke():
     trace = run_case(manifest, fast, slow, CoordinatorConfig(clock="real"))
     assert trace.alert_source == AlertSource.SLOW
     assert trace.decision == BinaryDecision.INTERVENE
+
+
+# --- FastBrain reply reuse ---------------------------------------------------
+
+GREEN = json.dumps({"category": "green", "reason": "clear"})
+GARBAGE = "the scene looks fine"
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The replies ``run_case`` parses, in order."""
+    calls = []
+
+    def spy(raw):
+        calls.append(raw)
+        return parse_fast_output(raw)
+
+    monkeypatch.setattr(coordinator, "parse_fast_output", spy)
+    return calls
+
+
+class Recording:
+    """Wraps a FastBrain and keeps every reply it sends."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.sent = []
+
+    def fast_raw(self, prompt_text, frame):
+        raw, latency = self.backend.fast_raw(prompt_text, frame)
+        self.sent.append(raw)
+        return raw, latency
+
+
+class Replies:
+    """A FastBrain that sends ``replies`` in turn, then the last one again;
+    each reply is a new ``str`` object."""
+
+    def __init__(self, replies, latency=0.05):
+        self.replies = replies
+        self.latency = latency
+        self.sent = []
+
+    def fast_raw(self, prompt_text, frame):
+        reply = self.replies[min(len(self.sent), len(self.replies) - 1)]
+        reply = reply[:1] + reply[1:]
+        self.sent.append(reply)
+        return reply, self.latency
+
+
+def test_equal_replies_are_parsed_once_per_run(parsed):
+    fast = Recording(fast_script([(0.0, 3.0, "green"), (3.0, 5.0, "yellow"),
+                                  (5.0, 99.0, "green")]))
+    trace = run_case(grid_manifest(duration=8.0), fast, slow_script([]), CFG)
+    runs = [raw for i, raw in enumerate(fast.sent) if i == 0 or raw != fast.sent[i - 1]]
+    assert len(runs) == 3 < len(fast.sent) == len(trace.events_of(FastState))
+    assert parsed == runs
+
+
+def test_equal_but_distinct_replies_are_reused(parsed):
+    fast = Replies([GREEN])
+    trace = run_case(grid_manifest(duration=4.0), fast, slow_script([]), CFG)
+    assert len(fast.sent) == 5
+    assert len({id(raw) for raw in fast.sent}) == 5  # five objects, one text
+    assert parsed == [GREEN]
+    assert all(s.state is SafetyState.GREEN and s.fast_latency == 0.05
+               for s in trace.events_of(FastState))
+
+
+def test_unparseable_reply_between_equal_replies_is_parsed_every_time(parsed, caplog):
+    """A reply that fails to parse is not kept: each such sample is parsed,
+    logged and counted as Yellow, and the good reply around it is reused."""
+    fast = Replies([GREEN, GARBAGE, GARBAGE, GREEN, GARBAGE, GREEN])
+    with caplog.at_level(logging.WARNING, logger="streamguard.coordinator"):
+        trace = run_case(grid_manifest(duration=4.0), fast, slow_script([]), CFG)
+    green, yellow = SafetyState.GREEN, SafetyState.YELLOW
+    states = trace.events_of(FastState)[:6]
+    assert [s.state for s in states] == [green, yellow, yellow, green, yellow, green]
+    assert [s.fast_latency for s in states] == [0.05, 0.0, 0.0, 0.05, 0.0, 0.05]
+    assert parsed == [GREEN, GARBAGE, GARBAGE, GARBAGE]
+    assert sum("fast output unparseable" in r.getMessage() for r in caplog.records) == 3
+
+
+def test_replies_that_vary_are_each_parsed(parsed):
+    class Varying:
+        def fast_raw(self, prompt_text, frame):
+            return json.dumps({"category": "green", "reason": f"at {frame.t}"}), 0.05
+
+    trace = run_case(grid_manifest(duration=4.0), Varying(), slow_script([]), CFG)
+    assert len(parsed) == len(set(parsed)) == len(trace.events_of(FastState)) == 5
+
+
+class Suffixed:
+    """Sends each reply with a different trailing word, which the parser
+    ignores: no two replies are equal, so every one is parsed."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.n = 0
+
+    def fast_raw(self, prompt_text, frame):
+        raw, latency = self.backend.fast_raw(prompt_text, frame)
+        self.n += 1
+        return f"{raw} {self.n}", latency
+
+
+def test_reply_reuse_keeps_every_trace():
+    """Reusing a parse gives the trace that parsing every reply gives."""
+    rng = random.Random(23)
+    for i in range(40):
+        manifest, fast, slow = _random_case(rng)
+        if i % 4 == 0:
+            fast.malformed = ((round(rng.uniform(0, 2), 1), round(rng.uniform(2, 4), 1)),)
+        reused = run_case(manifest, fast, slow, CFG).to_dict()
+        assert run_case(manifest, Suffixed(fast), slow, CFG).to_dict() == reused

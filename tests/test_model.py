@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
@@ -45,7 +45,7 @@ from streamguard.model import (
     _EPS,
 )
 
-from helpers import fast_script, grid_manifest, make_ann, slow_script
+from helpers import fast_script, grid_manifest, make_ann, reference_manifest_decode, slow_script
 
 
 # --- KeyFrames ---------------------------------------------------------------
@@ -911,6 +911,81 @@ def test_manifest_rejects_non_string_or_empty_case_id(case_id, message):
     with pytest.raises(SchemaError) as info:
         FrameManifest(case_id=case_id, fps_native=10.0, frames=(Frame(t=0.0),))
     assert str(info.value) == message
+
+
+# Frame times the accept test must send to _check_stream, or take: NaN, both
+# infinities, negatives, -0.0, ints, bools, strings, null, an int too large
+# for a float, and the largest floats, whose sum overflows.
+_ODD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0, 7, True, False, "0.5", None,
+              10 ** 400, 1.79e308, 1.7976931348623157e308]
+_ODD_PATHS = ["", "é/b.jpg", None, 5, ["a.jpg"], "missing"]
+_NOT_FRAMES = [3, [0.5], "ab", None, {"image_path": "b.jpg"}]
+
+
+@st.composite
+def _manifest_dicts(draw):
+    times = sorted(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.7e308, 1.79e308]),
+                                           st.floats(0, 1e3)), min_size=1, max_size=5)))
+    if draw(st.integers(0, 2)):  # first, middle or last
+        i = draw(st.sampled_from([0, len(times) // 2, len(times) - 1]))
+        times[i] = draw(st.sampled_from(_ODD_TIMES))
+    if draw(st.integers(0, 5)) == 0:
+        times = draw(st.permutations(times))
+    frames = []
+    for t in times:
+        path = "a.jpg" if draw(st.integers(0, 7)) else draw(st.sampled_from(_ODD_PATHS))
+        frames.append({"t": t} if path == "missing" else {"t": t, "image_path": path})
+    if draw(st.integers(0, 9)) == 0:
+        frames[draw(st.integers(0, len(frames) - 1))] = draw(st.sampled_from(_NOT_FRAMES))
+    if draw(st.integers(0, 19)) == 0:
+        frames = draw(st.sampled_from([[], "ab", 5, {"t": 0.0}, None]))
+    d = {"case_id": "m1" if draw(st.integers(0, 3)) else draw(st.sampled_from(["", None, 7])),
+         "frames": frames}
+    if draw(st.booleans()):
+        d["fps_native"] = draw(st.sampled_from([10.0, 10, math.nan, "10", True]))
+    if draw(st.booleans()):
+        d["pre_overlaid"] = draw(st.sampled_from([True, False, True, False, 1, "yes", None]))
+    return d
+
+
+def _frames(*times):
+    return {"case_id": "m1", "frames": [{"t": t, "image_path": "a.jpg"} for t in times]}
+
+
+def _decoded(decode, d):
+    """The decoded values, with their types, or the error's class and text."""
+    try:
+        return repr(decode(d))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _manifest_values(d):
+    m = FrameManifest.from_dict(d)
+    return m.case_id, m.fps_native, m._times, m._paths, m.pre_overlaid
+
+
+@settings(max_examples=200)
+@given(_manifest_dicts())
+# Each condition of the accept test, failed alone; and accepted edge cases.
+@example(_frames(0.0, math.nan, 1.0))
+@example(_frames(math.nan, 1.0))
+@example(_frames(0.0, math.nan))
+@example(_frames(-0.5, 1.0))
+@example(_frames(-math.inf, 1.0))
+@example(_frames(0.0, math.inf))
+@example(_frames(1.0, 0.5))
+@example({**_frames(0.0, 1.0), "case_id": ""})
+@example({**_frames(0.0, 1.0), "pre_overlaid": 1})
+@example(_frames(-0.0, 0.0, 0.0))
+@example(_frames(1.79e308, 1.7976931348623157e308))  # finite times, a sum of inf
+@example(_frames(0.25))
+@example(_frames(0, True))
+def test_manifest_decode_matches_reference(d):
+    """The column decoder and its accept test take exactly the manifests the
+    frame-by-frame decoder with every stream check takes, with the same
+    values, and fail on the rest with the same error."""
+    assert _decoded(_manifest_values, d) == _decoded(reference_manifest_decode, d)
 
 
 # --- Trace events and DecisionTrace ------------------------------------------
