@@ -32,12 +32,10 @@ slow = ScriptedBackend(slow_responses=[
     ScheduleRule(0.5, 1.5, {"verdict": 1, "latency": 4.0}),  # too slow to matter
 ])
 
-trace = run_case(manifest, fast, slow, CoordinatorConfig(actuation_lag=0.5))
+trace = run_case(manifest, fast, slow, CoordinatorConfig())
 
 print(f"case: {trace.case_id}")
 for event in trace.events:
     print(f"  {event}")
-print(f"decision:        {trace.decision.name}")
 print(f"alert at:        {trace.alert_stream_time:.2f}s ({trace.alert_source.value})")
 print(f"end-to-end:      {trace.end_to_end_latency:.3f}s")
-print(f"physical stop:   {trace.physical_stop_time:.2f}s")

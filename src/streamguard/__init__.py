@@ -9,7 +9,7 @@ from .backends import (
     ScriptedBackend,
     load_prompt,
 )
-from .baseline import WindowPlan, build_windows, run_baseline_case
+from .baseline import build_windows, run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
 from .metrics import (
     ErrorType,
@@ -21,7 +21,6 @@ from .metrics import (
 from .agreement import agreement_table, cohens_kappa, icc_a1, keyframe_mae, lins_ccc
 from .model import (
     AlertSource,
-    BinaryDecision,
     CaseAnnotation,
     DecisionTrace,
     Frame,

@@ -61,13 +61,19 @@ def _load_manifests(path: str) -> list:
     """Decode a manifest file with the cyclic collector paused, as the read
     side decodes its records.  The decode builds no cycles and calls no
     backend; the collector is back on, as it was, before the caller's first
-    backend call."""
+    backend call.  A repeated ``case_id`` is an error, as in an annotation file."""
     raw = _load_json(path)
     entries = raw if isinstance(raw, list) else [raw]
     try:
-        return [FrameManifest.from_dict(e) for e in entries]
+        manifests = [FrameManifest.from_dict(e) for e in entries]
     except ModelError as exc:
         raise CliError(EXIT_IO, f"manifest_error: {exc}")
+    seen = set()
+    for m in manifests:
+        if m.case_id in seen:
+            raise CliError(EXIT_IO, f"manifest_error: duplicate case_id {m.case_id!r} in {path}")
+        seen.add(m.case_id)
+    return manifests
 
 
 def _make_backend(spec: str):
@@ -160,7 +166,6 @@ def _coordinator_config(args) -> CoordinatorConfig:
             clock=args.clock,
             gamma_low=args.fps_low,
             gamma_high=args.fps_high,
-            actuation_lag=args.actuation_lag,
         )
     except ValueError as exc:
         raise CliError(EXIT_IO, f"config_error: {exc}")
@@ -302,7 +307,6 @@ def _add_coordinator_flags(p) -> None:
     p.add_argument("--k", type=int, default=3, help="slow-query window size")
     p.add_argument("--fps-low", type=float, default=1.0)
     p.add_argument("--fps-high", type=float, default=5.0)
-    p.add_argument("--actuation-lag", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,9 +43,11 @@ class CoordinatorConfig:
     clock: str = "sim"  # "sim" | "real"
     gamma_low: float = 1.0
     gamma_high: float = 5.0
-    actuation_lag: float = 0.0
 
     def __post_init__(self):
+        # ``bool`` is an ``int``, and a float would fail only at the first slice.
+        if type(self.window_size) is not int:
+            raise ValueError(f"window_size must be an integer, got {self.window_size!r}")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if self.clock not in ("sim", "real"):
@@ -55,9 +57,6 @@ class CoordinatorConfig:
                 raise ValueError(f"sampling rates must be positive and finite, got {rate}")
             if round(_US * (1.0 / rate)) < 1:
                 raise ValueError(f"sampling rate {rate} gives an interval under 1 us")
-        if not (math.isfinite(self.actuation_lag) and self.actuation_lag >= 0):
-            raise ValueError(f"actuation_lag must be finite and non-negative, "
-                             f"got {self.actuation_lag}")
 
 
 class SimulatedClock:
@@ -247,6 +246,5 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
         end_to_end_latency=end_to_end,
         alert_stream_time=None if alert is None else alert.t_alert,
         alert_source=None if alert is None else alert.source,
-        physical_stop_time=None if alert is None else alert.t_alert + cfg.actuation_lag,
         aborted=aborted,
     )

@@ -167,11 +167,6 @@ class SafetyState(str, Enum):
     RED = "red"
 
 
-class BinaryDecision(int, Enum):
-    NOMINAL = 0
-    INTERVENE = 1
-
-
 class Phase(str, Enum):
     PREMATURE = "premature"
     OPTIMAL = "optimal"
@@ -799,7 +794,6 @@ class DecisionTrace:
     end_to_end_latency: Optional[float] = None
     alert_stream_time: Optional[float] = None
     alert_source: Optional[AlertSource] = None
-    physical_stop_time: Optional[float] = None
     aborted: bool = False
 
     def __post_init__(self):
@@ -809,10 +803,6 @@ class DecisionTrace:
             raise SchemaError("case_id must be non-empty")
         if not isinstance(self.aborted, bool):
             raise SchemaError(f"aborted must be a boolean, got {self.aborted!r}")
-
-    @property
-    def decision(self) -> BinaryDecision:
-        return BinaryDecision.INTERVENE if self.alert_stream_time is not None else BinaryDecision.NOMINAL
 
     def events_of(self, kind: type) -> list:
         return [ev for ev in self.events if isinstance(ev, kind)]
@@ -825,7 +815,6 @@ class DecisionTrace:
                 "end_to_end_latency": self.end_to_end_latency,
                 "alert_stream_time": self.alert_stream_time,
                 "alert_source": None if self.alert_source is None else self.alert_source.value,
-                "physical_stop_time": self.physical_stop_time,
                 "aborted": self.aborted,
             },
         }
@@ -846,7 +835,6 @@ class DecisionTrace:
                 end_to_end_latency=time_field("end_to_end_latency"),
                 alert_stream_time=time_field("alert_stream_time"),
                 alert_source=None if source is None else AlertSource(source),
-                physical_stop_time=time_field("physical_stop_time"),
                 aborted=summary.get("aborted", False),
             )
         except DECODE_ERRORS as exc:

@@ -16,7 +16,6 @@ from streamguard import cli
 PUBLIC_SURFACE = [
     "AlertSource",
     "AnnotationSet",
-    "BinaryDecision",
     "CaseAnnotation",
     "CoordinatorConfig",
     "DecisionTrace",
@@ -34,7 +33,6 @@ PUBLIC_SURFACE = [
     "SafetyState",
     "ScheduleRule",
     "ScriptedBackend",
-    "WindowPlan",
     "agreement_table",
     "build_report",
     "build_windows",
@@ -53,17 +51,17 @@ PUBLIC_SURFACE = [
 
 CLI_OPTIONS = {
     "validate": ["--annotations"],
-    "run": ["--actuation-lag", "--clock", "--fast", "--fps-high", "--fps-low", "--jobs", "--k",
-            "--manifest", "--out", "--slow"],
+    "run": ["--clock", "--fast", "--fps-high", "--fps-low", "--jobs", "--k", "--manifest",
+            "--out", "--slow"],
     "eval-baseline": ["--backend", "--manifest", "--out", "--prompt"],
     "metrics": ["--annotations", "--model", "--out", "--preds", "--scores"],
     "errors": ["--annotations", "--out", "--preds"],
     "agreement": ["--a", "--b", "--out"],
-    "ablate": ["--actuation-lag", "--annotations", "--clock", "--fast", "--fps", "--fps-high",
-               "--fps-low", "--k", "--manifest", "--out", "--slow"],
+    "ablate": ["--annotations", "--clock", "--fast", "--fps", "--fps-high", "--fps-low", "--k",
+               "--manifest", "--out", "--slow"],
 }
 
-COORDINATOR_FIELDS = ["window_size", "clock", "gamma_low", "gamma_high", "actuation_lag"]
+COORDINATOR_FIELDS = ["window_size", "clock", "gamma_low", "gamma_high"]
 
 # Each parameter, with its default where it has one.
 SIGNATURES = {

@@ -347,17 +347,23 @@ def test_unsamplable_rate_is_rejected(workdir, capsys):
     assert "sweep_error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lag", ["nan", "inf", "-1"])
-def test_run_bad_actuation_lag_is_config_error(workdir, capsys, lag):
-    out = workdir / "x.jsonl"
-    code = main(["run", "--manifest", str(workdir / "manifests.json"),
-                 "--fast", f"scripted:{workdir / 'fast.json'}",
-                 "--slow", f"scripted:{workdir / 'slow.json'}",
-                 f"--actuation-lag={lag}", "--out", str(out)])
-    assert code == EXIT_IO
-    assert capsys.readouterr().err.startswith(
-        "config_error: actuation_lag must be finite and non-negative")
-    assert not out.exists()
+def test_duplicate_manifest_case_id_is_manifest_error(workdir, capsys):
+    """A repeated case_id fails before any backend is built (the backend files
+    named here do not exist) and before any output is written."""
+    manifests = workdir / "dup.json"
+    manifests.write_text(json.dumps([grid_manifest(case_id=c, duration=2.0).to_dict()
+                                     for c in ("c0", "c1", "c0")]), encoding="utf-8")
+    missing = f"scripted:{workdir / 'missing.json'}"
+    out = workdir / "out"
+    for argv in (["run", "--fast", missing, "--slow", missing],
+                 ["eval-baseline", "--backend", missing],
+                 ["ablate", "--annotations", str(workdir / "anns.json"),
+                  "--fast", missing, "--slow", missing]):
+        code = main([*argv, "--manifest", str(manifests), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == \
+            f"manifest_error: duplicate case_id 'c0' in {manifests}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case_id", [None, 7, ""], ids=["null", "int", "empty"])

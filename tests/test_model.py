@@ -20,7 +20,6 @@ from streamguard.model import (
     SEVERITY_LEVELS,
     Alert,
     AlertSource,
-    BinaryDecision,
     CaseAnnotation,
     DeadlineError,
     DecisionTrace,
@@ -1044,11 +1043,9 @@ _M1 = {"case_id": "m1", "fps_native": 10.0, "frames": _GOOD_FRAMES}
      "trace c0: alert_stream_time must be a JSON number, got True"),
     (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"end_to_end_latency": "0.1"}},
      "trace c0: end_to_end_latency must be a JSON number, got '0.1'"),
-    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"physical_stop_time": False}},
-     "trace c0: physical_stop_time must be a JSON number, got False"),
 ], ids=["fps_string", "fps_true", "frame_time_true", "frame_time_string", "frame_string",
         "event_t_string", "event_rate_true", "window_time_string", "trace_event_string",
-        "alert_time_word", "alert_time_true", "latency_string", "stop_time_false"])
+        "alert_time_word", "alert_time_true", "latency_string"])
 def test_manifest_and_trace_decoders_take_json_numbers_only(decode, encoded, message):
     """Manifests, events and trace summaries read numbers as the records do:
     a string or a boolean is a SchemaError, not a float."""
@@ -1060,10 +1057,10 @@ def test_manifest_and_trace_decoders_take_json_numbers_only(decode, encoded, mes
 def test_manifest_and_trace_decoders_convert_json_integers():
     m = FrameManifest.from_dict({**_M1, "fps_native": 10, "frames": [{"t": 0}, {"t": 1}]})
     trace = DecisionTrace.from_dict({**_TRACE_JSON, "summary": {
-        "end_to_end_latency": 0, "alert_stream_time": 2, "physical_stop_time": 3}})
+        "end_to_end_latency": 0, "alert_stream_time": 2}})
     values = [m.fps_native, *(f.t for f in m.frames), trace.end_to_end_latency,
-              trace.alert_stream_time, trace.physical_stop_time]
-    assert values == [10.0, 0.0, 1.0, 0.0, 2.0, 3.0]
+              trace.alert_stream_time]
+    assert values == [10.0, 0.0, 1.0, 0.0, 2.0]
     assert all(type(v) is float for v in values)
     assert event_from_dict({"kind": "slow_dispatched", "trigger_t": 1,
                             "window_frame_times": [0, 1]}).window_frame_times == (0.0, 1.0)
@@ -1077,12 +1074,12 @@ def test_slow_verdict_cannot_precede_trigger():
 def test_trace_roundtrip_and_decision():
     trace = DecisionTrace(case_id="c", events=tuple(EVENTS[:6]),
                           end_to_end_latency=0.05, alert_stream_time=0.4,
-                          alert_source=AlertSource.FAST, physical_stop_time=0.4)
+                          alert_source=AlertSource.FAST)
     assert DecisionTrace.from_dict(trace.to_dict()) == trace
-    assert trace.decision == BinaryDecision.INTERVENE
+    assert trace.alert_stream_time is not None
 
     quiet = DecisionTrace(case_id="c", events=())
-    assert quiet.decision == BinaryDecision.NOMINAL
+    assert quiet.alert_stream_time is None
     assert DecisionTrace.from_dict(quiet.to_dict()) == quiet
 
 
@@ -1116,7 +1113,7 @@ def test_trace_to_prediction():
 
 # Timeline (a) of the golden decision timelines, exactly as written to --out:
 # the codec's key order and number formatting are part of the file format.
-GOLDEN_A_JSON = (
+_GOLDEN_A_EVENTS = (
     '{"case_id": "case-1", "events": ['
     '{"kind": "frame_sampled", "t": 0.0, "rate": 1.0}, '
     '{"kind": "fast_state", "t": 0.0, "state": "green", "fast_latency": 0.05}, '
@@ -1138,16 +1135,36 @@ GOLDEN_A_JSON = (
     '{"kind": "fast_state", "t": 2.2, "state": "red", "fast_latency": 0.05}, '
     '{"kind": "override", "t": 2.2}, '
     '{"kind": "alert", "t_alert": 2.1, "source": "fast"}], '
+)
+GOLDEN_A_JSON = _GOLDEN_A_EVENTS + (
+    '"summary": {"end_to_end_latency": 0.15000000000000008, "alert_stream_time": 2.1, '
+    '"alert_source": "fast", "aborted": false}}'
+)
+# The same trace as written while the summary still carried
+# "physical_stop_time", which repeated "alert_stream_time" (plus an
+# actuation lag that defaulted to 0).
+OLD_GOLDEN_A_JSON = _GOLDEN_A_EVENTS + (
     '"summary": {"end_to_end_latency": 0.15000000000000008, "alert_stream_time": 2.1, '
     '"alert_source": "fast", "physical_stop_time": 2.1, "aborted": false}}'
 )
 
 
-def test_golden_trace_bytes():
+def _golden_a_trace():
     manifest = grid_manifest(
         times=[0.0, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.1, 2.4, 3.0, 5.0])
     fast = fast_script([(0.0, 1.0, "green"), (1.0, 2.1, "yellow"),
                         (2.1, 99.0, "red")])
     slow = slow_script([(0.9, 1.1, 0, 5.0)])
-    trace = run_case(manifest, fast, slow, CoordinatorConfig())
-    assert json.dumps(trace.to_dict()) == GOLDEN_A_JSON
+    return run_case(manifest, fast, slow, CoordinatorConfig())
+
+
+def test_golden_trace_bytes():
+    assert json.dumps(_golden_a_trace().to_dict()) == GOLDEN_A_JSON
+
+
+def test_old_trace_with_physical_stop_time_loads():
+    """A trace file written before the key was dropped decodes to today's
+    trace, and re-encodes without the key."""
+    old = DecisionTrace.from_dict(json.loads(OLD_GOLDEN_A_JSON))
+    assert old == _golden_a_trace()
+    assert json.dumps(old.to_dict()) == GOLDEN_A_JSON
