@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import CaseAnnotation, ModelError, Phase, SchemaError, gc_paused
+from .model import CaseAnnotation, ModelError, Phase, SchemaError, decode_json_array, gc_paused
 
 
 class IoError(ModelError):
@@ -41,7 +41,9 @@ def load_annotations(path: str) -> AnnotationSet:
 
     Raises IoError on unreadable files, SchemaError on malformed entries,
     and the KeyFrames constructors' OrderingError / DeadlineError on
-    lifecycle violations.
+    lifecycle violations.  The array is decoded one case at a time
+    (``model.decode_json_array``), so the file's decoded JSON is never held
+    whole; a JSON error anywhere in the file wins over a case's error.
 
     The cyclic garbage collector is paused while the file is read and its
     cases built (``model.gc_paused``): the decode creates no reference
@@ -51,23 +53,25 @@ def load_annotations(path: str) -> AnnotationSet:
     on pays one collection after the load, at its first allocation, which
     walks every decoded case once.
     """
+    cases: dict[str, CaseAnnotation] = {}
+
+    def add(entry) -> None:
+        ann = CaseAnnotation.from_dict(entry)
+        if ann.case_id in cases:
+            raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
+        cases[ann.case_id] = ann
+
     with gc_paused():
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                text = fh.read()
+            if decode_json_array(text, add) is None:
+                json.loads(text)  # raises for malformed text
+                raise SchemaError(f"{path} must contain a JSON array of cases")
         except OSError as exc:
             raise IoError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON, or an integer too long to convert
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path} must contain a JSON array of cases")
-
-        cases: dict[str, CaseAnnotation] = {}
-        for entry in raw:
-            ann = CaseAnnotation.from_dict(entry)
-            if ann.case_id in cases:
-                raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
-            cases[ann.case_id] = ann
     return AnnotationSet(cases=cases)
 
 

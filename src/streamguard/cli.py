@@ -32,6 +32,7 @@ from .model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
+    decode_json_array,
     gc_paused,
 )
 
@@ -61,11 +62,19 @@ def _load_manifests(path: str) -> list:
     """Decode a manifest file with the cyclic collector paused, as the read
     side decodes its records.  The decode builds no cycles and calls no
     backend; the collector is back on, as it was, before the caller's first
-    backend call.  A repeated ``case_id`` is an error, as in an annotation file."""
-    raw = _load_json(path)
-    entries = raw if isinstance(raw, list) else [raw]
+    backend call.  A repeated ``case_id`` is an error, as in an annotation file.
+    An array is decoded one manifest at a time (``model.decode_json_array``);
+    a JSON error anywhere in the file wins over a manifest's error."""
     try:
-        manifests = [FrameManifest.from_dict(e) for e in entries]
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        manifests = decode_json_array(text, FrameManifest.from_dict)
+        if manifests is None:  # one manifest, not in an array
+            manifests = [FrameManifest.from_dict(json.loads(text))]
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"io_error: {exc}")
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+        raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
     except ModelError as exc:
         raise CliError(EXIT_IO, f"manifest_error: {exc}")
     seen = set()
@@ -176,6 +185,8 @@ def cmd_run(args) -> int:
     fast = _make_backend(args.fast)
     slow = _make_backend(args.slow)
     cfg = _coordinator_config(args)
+    if args.jobs < 1:
+        raise CliError(EXIT_IO, "config_error: --jobs must be at least 1")
 
     def one(manifest):
         return run_case(manifest, fast, slow, cfg)
@@ -194,9 +205,8 @@ def cmd_run(args) -> int:
                 fh.write(json.dumps(trace.to_dict()) + "\n")
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    mean_latency = sum(latencies) / len(latencies) if latencies else float("nan")
-    print(f"{len(traces)} cases, {alerts} alerts, mean end-to-end latency "
-          f"{mean_latency:.3f}s")
+    mean_latency = f"{sum(latencies) / len(latencies):.3f}s" if latencies else "n/a"
+    print(f"{len(traces)} cases, {alerts} alerts, mean end-to-end latency {mean_latency}")
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ encoding (snake_case field names).  The JSON dicts produced by
 from __future__ import annotations
 
 import gc
+import json
 import math
+import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -125,6 +127,66 @@ def gc_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# JSON whitespace, as ``json.loads`` skips it.
+_json_ws = re.compile(r"[ \t\n\r]*").match
+# The C scanner inside ``json.loads``: ``_scan_once(text, i)`` is the value
+# that starts at ``text[i]`` and the index after it, or StopIteration when no
+# value starts there.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_json_array(text: str, decode) -> Optional[list]:
+    """``[decode(v) for v in json.loads(text)]``, one element at a time.
+
+    Each element goes to ``decode`` as soon as it is scanned and is dropped
+    when ``decode`` returns, so the decoded array is never alive as a whole:
+    a load holds ``text`` and what ``decode`` has returned so far.  Returns
+    None if ``text`` is not an array (a caller's ``json.loads(text)`` then
+    gives the value, or the error).
+
+    The errors are the ones ``json.loads(text)`` would give.  Malformed text
+    raises ``json.loads(text)``'s own exception, wording and position
+    included; an exception from ``decode`` is re-raised only after
+    ``json.loads(text)`` has found the whole text valid, so a JSON error
+    anywhere in the text wins.
+    """
+    ws, scan = _json_ws, _scan_once
+    i = ws(text).end()
+    if not text.startswith("[", i):
+        return None
+    out = []
+    i = ws(text, i + 1).end()
+    more = not text.startswith("]", i)
+    while more:
+        try:
+            try:
+                value, i = scan(text, i)
+            except StopIteration:  # whitespace after a ", " separator, or no value
+                value, i = scan(text, ws(text, i).end())
+            if text.startswith(", ", i):
+                i += 2
+            else:
+                i = ws(text, i).end()
+                if text.startswith(",", i):
+                    i = ws(text, i + 1).end()
+                elif text.startswith("]", i):
+                    more = False
+                else:
+                    break
+        except (StopIteration, ValueError):  # no value, or a malformed one
+            break
+        try:
+            out.append(decode(value))
+        except Exception:
+            json.loads(text)  # a JSON error anywhere in the text wins
+            raise
+    else:  # ``i`` is at the closing bracket
+        if ws(text, i + 1).end() == len(text):
+            return out
+    json.loads(text)  # malformed: raises json's own error for it
+    raise AssertionError("json.loads read a text that decode_json_array turned down")
 
 
 def _slot_init(cls):

@@ -853,3 +853,113 @@ def test_backend_commands_keep_gc_on(workdir, monkeypatch):
     assert {name for name, _ in seen} == {"run_case", "run_baseline_case", "load_annotations",
                                           "CaseAnnotation", "sweep_fps"}
     assert all(on for name, on in seen if name != "CaseAnnotation"), seen
+
+
+# --- run's summary line and --jobs -------------------------------------------
+
+def test_run_without_alerts_prints_no_mean_latency(workdir, capsys):
+    """With no alert there is no latency to average: the summary says n/a."""
+    run = ["run", "--fast", f"scripted:{workdir / 'green.json'}",
+           "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "t.jsonl")]
+    (workdir / "green.json").write_text(json.dumps({"fast_schedule": []}), encoding="utf-8")
+    (workdir / "empty.json").write_text("[]", encoding="utf-8")
+    assert main([*run, "--manifest", str(workdir / "manifests.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "2 cases, 0 alerts, mean end-to-end latency n/a\n"
+    assert main([*run, "--manifest", str(workdir / "empty.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "0 cases, 0 alerts, mean end-to-end latency n/a\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_jobs_below_one_is_config_error(workdir, capsys, jobs):
+    out = workdir / "t.jsonl"
+    assert main(["run", "--manifest", str(workdir / "manifests.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--jobs", jobs, "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == "config_error: --jobs must be at least 1\n"
+    assert not out.exists()
+
+
+# --- which error a loaded file gives -----------------------------------------
+
+def _utf8_error(data: bytes) -> str:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError("valid UTF-8")
+
+
+@pytest.mark.parametrize("kind", ["annotations", "predictions", "manifest", "scripted", "remote"])
+def test_non_utf8_file_is_one_line_error(workdir, capsys, kind):
+    """A byte that is not UTF-8 is the file's one-line typed error, not a
+    ``UnicodeDecodeError`` traceback."""
+    bad = workdir / "bad.json"
+    bad.write_bytes(b'[{"case_id": "\xff"}]\n')
+    reason = _utf8_error(bad.read_bytes())
+    run = ["run", "--manifest", str(workdir / "manifests.json"),
+           "--fast", f"scripted:{workdir / 'fast.json'}",
+           "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    if kind == "annotations":
+        argv, code = ["validate", "--annotations", str(bad)], EXIT_DOMAIN
+        message = f"invalid: {bad} is not valid JSON: {reason}"
+    elif kind == "predictions":
+        argv = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
+                "--out", str(workdir / "m.csv")]
+        code, message = EXIT_IO, f"parse_error: {bad}: {reason}"
+    elif kind == "manifest":
+        argv, code = [*run[:2], str(bad), *run[3:]], EXIT_IO
+        message = f"parse_error: {bad}: {reason}"
+    else:
+        argv, code = [*run[:4], f"{kind}:{bad}", *run[5:]], EXIT_IO
+        message = f"backend_error: {bad}: {reason}"
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def _bad_location_case() -> str:
+    return json.dumps({**make_ann(case_id="a").to_dict(), "location": "garage"})
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("valid JSON")
+
+
+@pytest.mark.parametrize("tail, reason", [
+    ("", "Expecting ',' delimiter"), ("] x", "Extra data")])
+def test_json_error_after_a_bad_case_wins(tmp_path, capsys, tail, reason):
+    """A JSON error later in an annotation file wins over an earlier case's error."""
+    good = json.dumps(make_ann(case_id="b").to_dict())
+    text = f"[{_bad_location_case()}, {good}{tail}"
+    path = tmp_path / "anns.json"
+    path.write_text(text, encoding="utf-8")
+    assert _json_error(text).startswith(reason)
+    assert main(["validate", "--annotations", str(path)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"invalid: {path} is not valid JSON: {_json_error(text)}\n"
+
+
+def test_duplicate_case_wins_over_a_later_bad_case(tmp_path, capsys):
+    """Cases are checked in file order: a repeated case_id before a bad case is the error."""
+    good = json.dumps(make_ann(case_id="a").to_dict())
+    path = tmp_path / "anns.json"
+    path.write_text(f"[{good}, {good}, {_bad_location_case()}]", encoding="utf-8")
+    assert main(["validate", "--annotations", str(path)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"invalid: duplicate case_id 'a' in {path}\n"
+
+
+def test_manifest_json_error_wins_over_a_bad_manifest(workdir, capsys):
+    """A truncated manifest file is a parse_error even when its first
+    manifest's frames are out of order."""
+    first = grid_manifest(case_id="c0", duration=1.0).to_dict()
+    first["frames"] = first["frames"][::-1]
+    text = json.dumps([first, grid_manifest(case_id="c1", duration=1.0).to_dict()])[:-1]
+    bad = workdir / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["run", "--manifest", str(bad), "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--out", str(workdir / "x.jsonl")]) == EXIT_IO
+    assert capsys.readouterr().err == f"parse_error: {bad}: {_json_error(text)}\n"
