@@ -38,6 +38,6 @@ predictions = [
                      reasoning_text="a kettle rests on the counter, harmless"),
 ]
 
-report = build_report(predictions, annotations, with_strata=True)
+report = build_report(predictions, annotations)
 for key, value in report.row(model="demo").items():
     print(f"  {key:>20}: {value}")

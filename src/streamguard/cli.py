@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -123,9 +124,33 @@ def _load_predictions(path: str) -> list:
                     preds.append(PredictionRecord.from_dict(d))
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except (ValueError, ModelError) as exc:  # ValueError: bad JSON, or a too-long integer
-        raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
+    except (ValueError, ModelError) as exc:  # ValueError: bad JSON or UTF-8, or a too-long integer
+        raise CliError(EXIT_IO, f"parse_error: {path}: {_error_line(path, len(preds), exc)}")
     return preds
+
+
+def _error_line(path: str, n_read: int, exc: Exception) -> str:
+    """``line <n>: <exc>`` for the error that stopped reading a predictions
+    file after ``n_read`` records: a JSON or record error is on the next
+    non-blank line, and a UTF-8 error is found again line by line, so that
+    its position counts from the start of its line."""
+    if not os.path.isfile(path):  # a pipe cannot be read a second time
+        return str(exc)
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for n, line in enumerate(fh, 1):
+                if isinstance(exc, UnicodeDecodeError):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as line_exc:
+                        return f"line {n}: {line_exc}"
+                elif line.strip():
+                    if not n_read:
+                        return f"line {n}: {exc}"
+                    n_read -= 1
+    except OSError:
+        pass
+    return str(exc)
 
 
 def _load_annotation_set(path: str) -> AnnotationSet:

@@ -2,15 +2,17 @@
 asynchronous slow-path dispatch with fast-path override, trace emission.
 
 Under the simulated clock the run is a deterministic single-threaded event
-loop: sample times live on an integer microsecond grid and the slow worker
-is serialized with the frame loop.  Under the wall clock the slow query
-runs in a background thread while sampling continues.
+loop: sample times live on an integer microsecond grid, the slow worker is
+serialized with the frame loop, and no FastBrain latency delays a sample.
+Under the wall clock the slow query runs in a background thread while
+sampling continues.  The clock object (``_CLOCKS``) owns both choices.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +42,7 @@ _US = 1_000_000
 @dataclass(frozen=True)
 class CoordinatorConfig:
     window_size: int = 3
-    clock: str = "sim"  # "sim" | "real"
+    clock: str = "sim"  # a key of ``_CLOCKS``
     gamma_low: float = 1.0
     gamma_high: float = 5.0
 
@@ -50,7 +52,7 @@ class CoordinatorConfig:
             raise ValueError(f"window_size must be an integer, got {self.window_size!r}")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if self.clock not in ("sim", "real"):
+        if self.clock not in _CLOCKS:
             raise ValueError(f"unknown clock {self.clock!r}")
         for rate in (self.gamma_low, self.gamma_high):
             if not (math.isfinite(rate) and rate > 0):
@@ -72,29 +74,39 @@ class SimulatedClock:
         if t > self._now:
             self._now = t
 
+    def submit(self, fn, *args) -> Future:
+        """Call ``fn`` now; an exception from it raises here, at dispatch."""
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self) -> None:
+        pass
+
 
 class WallClock:
-    def __init__(self):
-        import time
+    """Real time: waiting sleeps, and the slow query runs on one worker thread."""
 
-        self._time = time
+    def __init__(self):
         self._origin = time.monotonic()
+        self._executor = ThreadPoolExecutor(max_workers=1)
 
     def now(self) -> float:
-        return self._time.monotonic() - self._origin
+        return time.monotonic() - self._origin
 
     def wait_until(self, t: float) -> None:
         delta = t - self.now()
         if delta > 0:
-            self._time.sleep(delta)
+            time.sleep(delta)
+
+    def submit(self, fn, *args) -> Future:
+        return self._executor.submit(fn, *args)
+
+    def shutdown(self) -> None:
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _completed(fn, *args) -> Future:
-    """``executor.submit`` for the sim clock: call ``fn`` now, return a finished
-    future.  An exception from ``fn`` raises here, at dispatch, not in the future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
+_CLOCKS = {"sim": SimulatedClock, "real": WallClock}
 
 
 @dataclass
@@ -134,9 +146,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     """
     fast_template = load_prompt("fast")
     slow_template = load_prompt("slow")
-    clock = SimulatedClock() if cfg.clock == "sim" else WallClock()
-    executor = ThreadPoolExecutor(max_workers=1) if cfg.clock == "real" else None
-    submit = _completed if executor is None else executor.submit
+    clock = _CLOCKS[cfg.clock]()
 
     events: list = []
     sampled_frames: list = []
@@ -223,7 +233,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                     emit(SlowDispatched(t_next, tuple(f.t for f in window)))
                     text = slow_template.render(window, pre_overlaid)
                     pending = _PendingSlow(trigger_t=t_next,
-                                           future=submit(slow.slow_raw, text, window))
+                                           future=clock.submit(slow.slow_raw, text, window))
             # Otherwise the state is Green.  A Green does not cancel an
             # in-flight query; a later DANGER verdict still alerts.
 
@@ -237,8 +247,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
         log.error("case %s aborted: %s", manifest.case_id, exc)
         aborted = True
     finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        clock.shutdown()
 
     return DecisionTrace(
         case_id=manifest.case_id,

@@ -13,9 +13,6 @@ from typing import Optional, Sequence
 from .annotations import AnnotationSet, classify_phase
 from .model import (
     CaseAnnotation,
-    DANGER_CATEGORIES,
-    DIFFICULTY_LEVELS,
-    LOCATIONS,
     Phase,
     PhaseScoreTable,
     PredictionRecord,
@@ -162,7 +159,6 @@ class MetricsReport:
     phase_fractions: dict  # Phase -> float
     wss: float
     error_fractions: dict = field(default_factory=dict)  # ErrorType -> float
-    strata: dict = field(default_factory=dict)  # dim -> value -> sub-report dict
 
     def row(self, model: str = "") -> dict:
         """The flat CSV/stdout row mirroring the main results table layout."""
@@ -183,56 +179,25 @@ class MetricsReport:
         return out
 
 
-_STRATA_DIMS = {
-    "danger_category": DANGER_CATEGORIES,
-    "severity": SEVERITY_LEVELS,
-    "difficulty": DIFFICULTY_LEVELS,
-    "location": LOCATIONS,
-}
-
-
-def _tally(rows: Sequence[tuple], scores: PhaseScoreTable) -> tuple:
-    """(hazard count, phase counts, WSS) over non-empty (annotation, hazard, phase) rows."""
-    counts = {phase: 0 for phase in Phase}
-    for _, _, phase in rows:
-        counts[phase] += 1
-    wss = sum(scores[phase] * n for phase, n in counts.items()) / len(rows)
-    return sum(hazard for _, hazard, _ in rows), counts, wss
-
-
 def build_report(preds: Sequence[PredictionRecord], anns: AnnotationSet,
-                 scores: Optional[PhaseScoreTable] = None,
-                 with_strata: bool = False) -> MetricsReport:
-    """Compute the full metric suite for one prediction set in one pass.
-
-    Each case is joined, phased, window-tested and error-classified once;
-    the whole-set figures and every stratum are counts over those results.
-    """
+                 scores: Optional[PhaseScoreTable] = None) -> MetricsReport:
+    """Compute the full metric suite for one prediction set in one pass:
+    each case is joined, phased, window-tested and error-classified once."""
     scores = scores or PhaseScoreTable.default()
     n_total = len(anns)
     if n_total < 1:
         raise EmptyDataset("annotation set is empty")
-    rows = []  # (annotation, hazard flag, phase) per case
-    in_window = 0
+    n_hazard = in_window = 0
+    counts = {phase: 0 for phase in Phase}
     errors = {e: 0 for e in ErrorType}
     for ann, pred in _join(preds, anns):
         hazard = pred is not None and pred.is_hazard
         kf = ann.key_frames
+        n_hazard += hazard
         in_window += hazard and kf.intent_onset <= pred.timestamp <= kf.impact
         errors[classify_error(pred, ann)] += 1
-        rows.append((ann, hazard, classify_phase(pred.timestamp if hazard else None, ann)))
-    n_hazard, counts, wss = _tally(rows, scores)
-
-    strata: dict = {}
-    if with_strata:
-        for dim, values in _STRATA_DIMS.items():
-            strata[dim] = {}
-            for value in values:
-                sub = [row for row in rows if getattr(row[0], dim) == value]
-                if sub:
-                    sub_hazard, _, sub_wss = _tally(sub, scores)
-                    strata[dim][value] = {"n": len(sub), "hdr": sub_hazard / len(sub),
-                                          "wss": sub_wss}
+        counts[classify_phase(pred.timestamp if hazard else None, ann)] += 1
+    wss = sum(scores[phase] * n for phase, n in counts.items()) / n_total
 
     return MetricsReport(
         n_total=n_total,
@@ -241,5 +206,4 @@ def build_report(preds: Sequence[PredictionRecord], anns: AnnotationSet,
         phase_fractions={phase: counts[phase] / n_total for phase in Phase},
         wss=wss,
         error_fractions={e: n / n_total for e, n in errors.items()},
-        strata=strata,
     )

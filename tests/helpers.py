@@ -1,11 +1,13 @@
-"""Shared fixtures: annotation builders, scripted schedules, the per-metric
-functions the cross-metric identities check ``build_report`` against, the
-published-row inverter used to reconstruct aggregate metrics, and reference
-copies of the prompt render and the manifest decode."""
+"""Shared fixtures: annotation builders, scripted schedules, a virtual wall
+clock, the per-metric functions the cross-metric identities check
+``build_report`` against, the published-row inverter used to reconstruct
+aggregate metrics, and reference copies of the prompt render and the
+manifest decode."""
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from operator import gt
 from typing import Optional, Sequence
 
@@ -75,6 +77,65 @@ def slow_script(rules) -> ScriptedBackend:
     return ScriptedBackend(slow_responses=[
         ScheduleRule(t0, t1, {"verdict": v, "latency": lat}) for t0, t1, v, lat in rules
     ])
+
+
+# --- virtual wall clock -------------------------------------------------------
+
+class VirtualWallClock:
+    """``coordinator.WallClock`` on virtual time, with no thread and no sleep.
+
+    Time moves only in ``wait_until``.  ``submit`` calls ``fn`` at once, as
+    the idle worker thread would start it, and its future completes when
+    virtual time reaches dispatch time plus the latency ``fn`` reports; an
+    exception from ``fn`` completes it at once.  ``result()`` on a future
+    still in flight waits until it is due.  Tests put it in place of
+    ``WallClock`` with ``monkeypatch.setitem(coordinator._CLOCKS, "real", ...)``.
+    """
+
+    def __init__(self):
+        self._now = 0.0
+        self._in_flight: list = []  # futures not yet due, in dispatch order
+        self.shutdowns = 0
+
+    def now(self) -> float:
+        return self._now
+
+    def wait_until(self, t: float) -> None:
+        if t > self._now:
+            self._now = t
+            self._complete_due()
+
+    def submit(self, fn, *args) -> Future:
+        future = _VirtualFuture(self)
+        try:
+            future.reply = fn(*args)
+        except Exception as exc:
+            future.set_exception(exc)
+        else:
+            future.due = self._now + future.reply[1]  # the reply's reported latency
+            self._in_flight.append(future)
+            self._complete_due()
+        return future
+
+    def shutdown(self) -> None:
+        self.shutdowns += 1
+
+    def _complete_due(self) -> None:
+        for future in [f for f in self._in_flight if f.due <= self._now]:
+            self._in_flight.remove(future)
+            if not future.cancelled():
+                future.set_result(future.reply)
+
+
+class _VirtualFuture(Future):
+    def __init__(self, clock: VirtualWallClock):
+        super().__init__()
+        self._clock = clock
+
+    def result(self, timeout=None):
+        if not self.done():
+            self._clock.wait_until(self.due)
+        return super().result(timeout)
 
 
 # --- per-metric functions ----------------------------------------------------

@@ -227,7 +227,7 @@ def test_prediction_closed_set_rejects_a_bad_value(tmp_path, field, kind, value)
     path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
     with pytest.raises(CliError) as info:
         _load_predictions(str(path))
-    assert str(info.value) == f"parse_error: {path}: {message}"
+    assert str(info.value) == f"parse_error: {path}: line 1: {message}"
 
 
 # --- classify_phase ----------------------------------------------------------

@@ -623,15 +623,66 @@ BAD_PREDICTION_LINES = {
 }
 
 
+def _preds_error(workdir, capsys, preds) -> str:
+    """The parse_error text after the path that ``metrics`` gives for ``preds``."""
+    assert main(["metrics", "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
+                 "--out", str(workdir / "m.csv")]) == EXIT_IO
+    err = capsys.readouterr().err
+    prefix = f"parse_error: {preds}: "
+    assert err.startswith(prefix) and err.endswith("\n")
+    return err[len(prefix):-1]
+
+
+def _preds_file(workdir, data: bytes):
+    preds = workdir / "preds.jsonl"
+    preds.write_bytes(data)
+    return preds
+
+
 @pytest.mark.parametrize("name", BAD_PREDICTION_LINES)
 def test_predictions_line_error_text(workdir, capsys, name):
     """Each bad line gives the same one-line parse_error as ``json.loads``."""
     line, message = BAD_PREDICTION_LINES[name]
-    preds = workdir / "preds.jsonl"
-    preds.write_text(line + "\n", encoding="utf-8")
-    assert main(["metrics", "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
-                 "--out", str(workdir / "m.csv")]) == EXIT_IO
-    assert capsys.readouterr().err == f"parse_error: {preds}: {message}\n"
+    preds = _preds_file(workdir, (line + "\n").encode())
+    assert _preds_error(workdir, capsys, preds) == f"line 1: {message}"
+
+
+_GOOD_LINES = "".join(f'{{"case_id": "c{i}", "verdict": "safe"}}\n' for i in range(500))
+
+
+def test_predictions_json_error_names_its_line(workdir, capsys):
+    bad = '{"case_id": "c1", "verdict": }'
+    preds = _preds_file(workdir, (_GOOD_LINES + bad + "\n").encode())
+    assert _preds_error(workdir, capsys, preds) == f"line 501: {_json_error(bad)}"
+
+
+def test_predictions_record_error_names_its_line(workdir, capsys):
+    """Blank lines count, and so does a CRLF line end."""
+    preds = _preds_file(workdir, b'\n{"case_id": "c0", "verdict": "safe"}\r\n  \r\n'
+                                 b'{"case_id": "c1", "verdict": "maybe"}\n')
+    assert _preds_error(workdir, capsys, preds) == (
+        "line 4: prediction c1: verdict must be 'safe' or 'hazard', got 'maybe'")
+
+
+def test_predictions_utf8_error_names_its_line(workdir, capsys):
+    """A bad byte past the reader's first decode chunk is placed in its line."""
+    bad = b'{"case_id": "c\xff", "verdict": "safe"}'
+    preds = _preds_file(workdir, (_GOOD_LINES * 2).encode() + bad + b"\n")
+    assert preds.stat().st_size > 35_000
+    assert _preds_error(workdir, capsys, preds) == f"line 1001: {_utf8_error(bad)}"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_predictions_error_from_a_pipe_names_no_line(workdir, capsys):
+    """A pipe is not read a second time to find the line."""
+    bad = '{"case_id": "c1", "verdict": }'
+    read_end, write_end = os.pipe()
+    os.write(write_end, (bad + "\n").encode())
+    os.close(write_end)
+    try:
+        assert _preds_error(workdir, capsys, f"/dev/fd/{read_end}") == _json_error(bad)
+    finally:
+        os.close(read_end)
 
 
 _HUGE = 10 ** 400  # a JSON integer that float() cannot hold
@@ -650,7 +701,7 @@ def test_overlarge_json_integer_is_typed_error(workdir, capsys, kind):
     elif kind == "predictions":
         bad.write_text(json.dumps({**_PRED, "timestamp": _HUGE}) + "\n", encoding="utf-8")
         argv, code = metrics, EXIT_IO
-        message = f"parse_error: {bad}: prediction c0: int too large to convert to float"
+        message = f"parse_error: {bad}: line 1: prediction c0: int too large to convert to float"
     elif kind == "manifest":
         bad.write_text(json.dumps([{"case_id": "c0", "frames": [{"t": 0.0}, {"t": _HUGE}]}]),
                        encoding="utf-8")
@@ -692,7 +743,7 @@ def test_overlong_json_integer_is_one_line_error(workdir, capsys, kind):
         bad.write_text(f'{{"case_id": "c0", "timestamp": {_LONG_INT}}}\n', encoding="utf-8")
         argv = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
                 "--out", str(workdir / "m.csv")]
-        code, message = EXIT_IO, f"parse_error: {bad}: {limit}"
+        code, message = EXIT_IO, f"parse_error: {bad}: line 1: {limit}"
     elif kind == "manifest":
         bad.write_text(f'[{{"case_id": "c0", "frames": [{{"t": {_LONG_INT}}}]}}]',
                        encoding="utf-8")
@@ -906,7 +957,7 @@ def test_non_utf8_file_is_one_line_error(workdir, capsys, kind):
     elif kind == "predictions":
         argv = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
                 "--out", str(workdir / "m.csv")]
-        code, message = EXIT_IO, f"parse_error: {bad}: {reason}"
+        code, message = EXIT_IO, f"parse_error: {bad}: line 1: {reason}"
     elif kind == "manifest":
         argv, code = [*run[:2], str(bad), *run[3:]], EXIT_IO
         message = f"parse_error: {bad}: {reason}"

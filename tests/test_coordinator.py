@@ -1,5 +1,6 @@
 """Dual-brain protocol: golden timelines, override dominance, sampling
-rates, single-flight dispatch, determinism, and failure handling."""
+rates, single-flight dispatch, determinism, failure handling, and the
+real-clock loop on virtual time."""
 
 import json
 import logging
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from streamguard import coordinator
-from streamguard.backends import BackendError, ScheduleRule, ScriptedBackend
+from streamguard.backends import BackendTimeoutError, ScriptedBackend
 from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
     AlertSource,
@@ -25,7 +26,7 @@ from streamguard.model import (
 from streamguard.annotations import classify_phase
 from streamguard.parsing import parse_fast_output
 
-from helpers import fast_script, grid_manifest, make_ann, slow_script
+from helpers import VirtualWallClock, fast_script, grid_manifest, make_ann, slow_script
 
 CFG = CoordinatorConfig()
 
@@ -197,6 +198,16 @@ def test_all_green_liveness(seconds):
     assert trace.end_to_end_latency is None
 
 
+def test_sim_clock_does_not_charge_fast_latency():
+    """A FastBrain slower than its sampling interval does not delay the
+    next sample under the sim clock: the 1 s idle grid holds at 1.5 s."""
+    manifest = grid_manifest(duration=4.0)
+    fast, slow = merged([(0.0, 99.0, "green", 1.5)])
+    trace = run_case(manifest, fast, slow, CFG)
+    assert sample_times(trace) == [0, 1_000_000, 2_000_000, 3_000_000, 4_000_000]
+    assert all(s.fast_latency == 1.5 for s in trace.events_of(FastState))
+
+
 def test_red_at_first_frame():
     manifest = grid_manifest(duration=2.0)
     fast, slow = merged([(0.0, 99.0, "red")])
@@ -256,16 +267,6 @@ def test_unparseable_slow_output_counts_as_no_danger():
     assert verdicts and verdicts[0].verdict == 0
     assert verdicts[0].arrival_t == pytest.approx(0.5)  # the backend's latency stands
     assert trace.alert_stream_time is None
-
-
-def test_unparseable_slow_output_keeps_latency_real_clock():
-    """The wall clock keeps the reported latency of a garbage reply too."""
-    manifest = grid_manifest(duration=1.0)
-    fast, _ = merged([(0.0, 0.1, "yellow")])
-    trace = run_case(manifest, fast, GarbageSlow(), CoordinatorConfig(clock="real"))
-    [verdict] = trace.events_of(SlowVerdict)
-    assert verdict.verdict == 0
-    assert verdict.arrival_t - verdict.trigger_t >= 0.5
 
 
 # --- randomized protocol properties ------------------------------------------
@@ -346,6 +347,85 @@ def test_reruns_are_bit_identical():
         first = json.dumps(run_case(manifest, fast, slow, CFG).to_dict(), sort_keys=True)
         second = json.dumps(run_case(manifest, fast, slow, CFG).to_dict(), sort_keys=True)
         assert first == second
+
+
+# --- the real-clock loop on virtual time ------------------------------------
+
+REAL = CoordinatorConfig(clock="real")
+
+
+@pytest.fixture
+def virtual_clocks(monkeypatch):
+    """Runs ``clock="real"`` on a ``VirtualWallClock``; the clocks the
+    cases built, in order."""
+    clocks = []
+
+    def make():
+        clocks.append(VirtualWallClock())
+        return clocks[-1]
+
+    monkeypatch.setitem(coordinator._CLOCKS, "real", make)
+    return clocks
+
+
+def test_randomized_protocol_properties_real_clock(virtual_clocks):
+    """Criterion 3's cases through the real-clock loop.  The decisions may
+    differ from the sim clock's: the loop sees a verdict only at its next
+    sample, so each verdict lands on a sample time or, once the stream has
+    ended, when its reply is due."""
+    rng = random.Random(7)
+    for _ in range(120):
+        manifest, fast, slow = _random_case(rng)
+        trace = run_case(manifest, fast, slow, REAL)
+        assert not trace.aborted
+        _check_protocol(trace, REAL, manifest)
+        samples = {ev.t for ev in trace.events_of(FrameSampled)}
+        last_sample = max(samples)
+        for verdict in trace.events_of(SlowVerdict):
+            assert verdict.arrival_t in samples or verdict.arrival_t > last_sample
+    assert len(virtual_clocks) == 120
+    assert all(clock.shutdowns == 1 for clock in virtual_clocks)
+
+
+def test_unparseable_slow_output_keeps_latency_real_clock(virtual_clocks):
+    """The real clock keeps the reported latency of a garbage reply too; the
+    0.5 s reply is seen at the next 5 Hz sample."""
+    manifest = grid_manifest(duration=1.0)
+    fast, _ = merged([(0.0, 99.0, "yellow")])
+    trace = run_case(manifest, fast, GarbageSlow(), REAL)
+    verdict = trace.events_of(SlowVerdict)[0]
+    assert verdict == SlowVerdict(trigger_t=0.0, arrival_t=0.6, verdict=0)
+
+
+@pytest.mark.parametrize("fast_rules,faults,outcome", [
+    ([(0.0, 1.5, "yellow"), (1.5, 99.0, "red")], {}, (AlertSource.FAST, False)),
+    ([(0.0, 1.5, "yellow")], {}, (None, False)),
+    ([(0.0, 1.5, "yellow")], {"timeout": [(1.5, 99.0)]}, (None, True)),
+], ids=["alert", "stream end", "abort"])
+def test_real_clock_shuts_down_on_every_exit(virtual_clocks, fast_rules, faults, outcome):
+    """The clock is shut down however the case ends, with or without a
+    slow reply still in flight."""
+    fast = fast_script(fast_rules, **faults)
+    trace = run_case(grid_manifest(duration=3.0), fast, slow_script([(0.0, 99.0, 0, 2.0)]), REAL)
+    assert (trace.alert_source, trace.aborted) == outcome
+    [clock] = virtual_clocks
+    assert clock.shutdowns == 1
+
+
+def test_slow_timeout_aborts_real_clock_case(virtual_clocks):
+    """A ``BackendTimeoutError`` from ``slow_raw`` in the worker aborts the
+    case when the loop next looks at the reply, as under ``WallClock``."""
+    manifest = grid_manifest(duration=3.0)
+    fast, _ = merged([(0.0, 99.0, "yellow")])
+    slow = ScriptedBackend(timeout=[(0.0, 99.0)])
+    with pytest.raises(BackendTimeoutError):
+        slow.slow_raw("", manifest.frames[:1])
+    trace = run_case(manifest, fast, slow, REAL)
+    assert trace.aborted
+    assert trace.alert_stream_time is None
+    # The reply has failed by the time the loop looks again, before its next sample.
+    assert sample_times(trace) == [0]
+    assert trace.events[-2:] == (SlowDispatched(0.0, (0.0,)), RateChange(0.0, 5.0))
 
 
 # --- wall-clock smoke test ---------------------------------------------------

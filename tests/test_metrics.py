@@ -19,16 +19,7 @@ from streamguard.metrics import (
     mentioned_entities,
     severity_confusion,
 )
-from streamguard.annotations import AnnotationSet, classify_phase
-from streamguard.model import (
-    DANGER_CATEGORIES,
-    DIFFICULTY_LEVELS,
-    LOCATIONS,
-    SEVERITY_LEVELS,
-    Phase,
-    PhaseScoreTable,
-    PredictionRecord,
-)
+from streamguard.model import Phase, PhaseScoreTable, PredictionRecord
 
 from helpers import ann_set, compute_ewp, compute_hdr, compute_pda, compute_wss, invert_row, \
     make_ann, phase_counts
@@ -188,45 +179,6 @@ def test_identities_hold_on_random_datasets():
         assert hdr == pytest.approx(n_hazard / len(anns))
 
 
-STRATA_DIMS = {"danger_category": DANGER_CATEGORIES, "severity": SEVERITY_LEVELS,
-               "difficulty": DIFFICULTY_LEVELS, "location": LOCATIONS}
-
-
-def test_strata_match_per_subset_reference():
-    """Each stratum equals the same figures computed on its own sub-set."""
-    rng = random.Random(17)
-    table = PhaseScoreTable({Phase.PREMATURE: 7.3, Phase.OPTIMAL: 97.1,
-                             Phase.SUBOPTIMAL: 41.7, Phase.IRREVERSIBLE: 13.3,
-                             Phase.MISSED: 0.1})
-    for _ in range(100):
-        preds, base = random_dataset(rng)
-        anns = ann_set(*[
-            make_ann(case_id=a.case_id, category=rng.choice(DANGER_CATEGORIES),
-                     severity=rng.choice(SEVERITY_LEVELS),
-                     difficulty=rng.choice(DIFFICULTY_LEVELS),
-                     location=rng.choice(LOCATIONS))
-            for a in base])
-        by_case = {p.case_id: p for p in preds}
-        report = build_report(preds, anns, scores=table, with_strata=True)
-        assert set(report.strata) == set(STRATA_DIMS)
-        for dim, values in STRATA_DIMS.items():
-            expected = {}
-            for value in values:
-                sub = AnnotationSet(cases={a.case_id: a for a in anns
-                                           if getattr(a, dim) == value})
-                if not len(sub):
-                    continue
-                sub_preds = [by_case[c] for c in sub.cases if c in by_case]
-                counts = phase_counts(sub_preds, sub)
-                n = len(sub)
-                expected[value] = {
-                    "n": n,
-                    "hdr": sum(1 for p in sub_preds if p.is_hazard) / n,
-                    "wss": sum(table[ph] * k for ph, k in counts.items()) / n,
-                }
-            assert report.strata[dim] == expected
-
-
 # --- error taxonomy ----------------------------------------------------------
 
 def test_classify_error_precedence():
@@ -332,16 +284,12 @@ def test_severity_confusion_empty():
 def test_build_report_row_shape():
     _, hdr, _, pre, opt, sub, irr, _, _ = ROWS[0]
     preds, anns = invert_row(hdr, pre, opt, sub, irr)
-    report = build_report(preds, anns, with_strata=True)
-    row = report.row(model="demo")
+    row = build_report(preds, anns).row(model="demo")
     assert row["model"] == "demo"
     assert row["n_total"] == 438
     assert set(k for k in row if k.startswith("p_")) == {
         "p_premature", "p_optimal", "p_suboptimal", "p_irreversible", "p_missed"}
     assert "err_over_reaction" in row
-    # strata exist for every dimension that appears in the data
-    assert report.strata["danger_category"]["C4"]["n"] == 438
-    assert report.strata["severity"]["L2"]["wss"] == pytest.approx(report.wss)
 
 
 def test_build_report_empty_annotations():
