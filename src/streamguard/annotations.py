@@ -6,7 +6,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import CaseAnnotation, ModelError, Phase, SchemaError, decode_json_array, gc_paused
+from .model import (JSON_ERRORS, CaseAnnotation, ModelError, Phase, SchemaError,
+                    decode_json_array, gc_paused)
 
 
 class IoError(ModelError):
@@ -43,7 +44,8 @@ def load_annotations(path: str) -> AnnotationSet:
     and the KeyFrames constructors' OrderingError / DeadlineError on
     lifecycle violations.  The array is decoded one case at a time
     (``model.decode_json_array``), so the file's decoded JSON is never held
-    whole; a JSON error anywhere in the file wins over a case's error.
+    whole; a JSON error anywhere in the file, nesting too deep to decode
+    included, wins over a case's error and raises SchemaError.
 
     The cyclic garbage collector is paused while the file is read and its
     cases built (``model.gc_paused``): the decode creates no reference
@@ -70,7 +72,7 @@ def load_annotations(path: str) -> AnnotationSet:
                 raise SchemaError(f"{path} must contain a JSON array of cases")
         except OSError as exc:
             raise IoError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+        except JSON_ERRORS as exc:
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return AnnotationSet(cases=cases)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .model import DECODE_ERRORS, Frame, SchemaError, _number, decode_error
+from .model import DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _number, decode_error
 from .parsing import MAX_REPLY_CHARS
 
 
@@ -446,7 +446,7 @@ class RemoteBackend:
             raise TransportError(f"{url}: reply body longer than {MAX_BODY_BYTES} bytes")
         try:
             text = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+        except (*JSON_ERRORS, LookupError, TypeError) as exc:
             raise TransportError(f"{url}: malformed reply body: {exc!r}") from exc
         if not isinstance(text, str):
             raise TransportError(f"{url}: reply content is {type(text).__name__}, not a string")

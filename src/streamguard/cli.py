@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +27,7 @@ from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
 from .metrics import ErrorType, MetricsError, build_report, case_errors
 from .model import (
+    JSON_ERRORS,
     FrameManifest,
     ModelError,
     Phase,
@@ -54,7 +54,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+    except JSON_ERRORS as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
 
 
@@ -65,7 +65,8 @@ def _load_manifests(path: str) -> list:
     backend; the collector is back on, as it was, before the caller's first
     backend call.  A repeated ``case_id`` is an error, as in an annotation file.
     An array is decoded one manifest at a time (``model.decode_json_array``);
-    a JSON error anywhere in the file wins over a manifest's error."""
+    a JSON error anywhere in the file, nesting too deep to decode included,
+    wins over a manifest's error."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -74,7 +75,7 @@ def _load_manifests(path: str) -> list:
             manifests = [FrameManifest.from_dict(json.loads(text))]
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+    except JSON_ERRORS as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
     except ModelError as exc:
         raise CliError(EXIT_IO, f"manifest_error: {exc}")
@@ -97,7 +98,7 @@ def _make_backend(spec: str):
         return RemoteBackend(EndpointConfig.from_file(path))
     except (OSError, ModelError) as exc:
         raise CliError(EXIT_IO, f"backend_error: {exc}")
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+    except JSON_ERRORS as exc:
         raise CliError(EXIT_IO, f"backend_error: {path}: {exc}")
 
 
@@ -107,12 +108,18 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _load_predictions(path: str) -> list:
-    """One record per non-blank line.  A line that ``_raw_decode`` does not
-    take whole goes to ``json.loads``, so a bad line fails with its error."""
+    """One record per non-blank line, in one pass over the file.  A line that
+    ``_raw_decode`` does not take whole goes to ``json.loads``, so a bad line
+    fails with its error.  The first error in the file, from a pipe too,
+    reads ``line <n>: <error>``: bad JSON, nesting too deep, a bad record, or
+    a bad UTF-8 byte, whose position counts from the start of its line."""
     preds = []
+    n = 0
     try:
-        with gc_paused(), open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with gc_paused(), open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for n, line in enumerate(fh, 1):
+                if not line.isascii():  # raise a bad byte's UTF-8 error
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 line = line.strip()
                 if line:
                     try:
@@ -124,33 +131,9 @@ def _load_predictions(path: str) -> list:
                     preds.append(PredictionRecord.from_dict(d))
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
-    except (ValueError, ModelError) as exc:  # ValueError: bad JSON or UTF-8, or a too-long integer
-        raise CliError(EXIT_IO, f"parse_error: {path}: {_error_line(path, len(preds), exc)}")
+    except (*JSON_ERRORS, ModelError) as exc:
+        raise CliError(EXIT_IO, f"parse_error: {path}: line {n}: {exc}")
     return preds
-
-
-def _error_line(path: str, n_read: int, exc: Exception) -> str:
-    """``line <n>: <exc>`` for the error that stopped reading a predictions
-    file after ``n_read`` records: a JSON or record error is on the next
-    non-blank line, and a UTF-8 error is found again line by line, so that
-    its position counts from the start of its line."""
-    if not os.path.isfile(path):  # a pipe cannot be read a second time
-        return str(exc)
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for n, line in enumerate(fh, 1):
-                if isinstance(exc, UnicodeDecodeError):
-                    try:
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    except UnicodeDecodeError as line_exc:
-                        return f"line {n}: {line_exc}"
-                elif line.strip():
-                    if not n_read:
-                        return f"line {n}: {exc}"
-                    n_read -= 1
-    except OSError:
-        pass
-    return str(exc)
 
 
 def _load_annotation_set(path: str) -> AnnotationSet:

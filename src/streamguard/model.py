@@ -61,6 +61,10 @@ class SchemaError(ModelError):
 # decoder whose constructor already names the case constructs outside the try.
 DECODE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, AttributeError, SchemaError)
 
+# What a failed JSON decode raises: ValueError for malformed text, bad UTF-8
+# or an integer too long to convert, RecursionError for nesting too deep.
+JSON_ERRORS = (ValueError, RecursionError)
+
 
 def decode_error(what: str, d, exc: Exception) -> SchemaError:
     """The one-line SchemaError for a JSON value ``d`` that did not decode as ``what``."""

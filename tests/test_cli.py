@@ -672,15 +672,27 @@ def test_predictions_utf8_error_names_its_line(workdir, capsys):
     assert _preds_error(workdir, capsys, preds) == f"line 1001: {_utf8_error(bad)}"
 
 
+def test_predictions_error_is_the_first_in_file_order(workdir, capsys):
+    """A JSON error on line 3 wins over a bad byte on line 5, though both are
+    in the reader's first decode chunk."""
+    good = [f'{{"case_id": "c{i}", "verdict": "safe"}}\n'.encode() for i in range(3)]
+    bad = '{"case_id": "c3", "verdict": }'
+    data = good[0] + good[1] + bad.encode() + b"\n" + good[2] + b'{"case_id": "c\xff"}\n'
+    assert len(data) < 8192
+    preds = _preds_file(workdir, data)
+    assert _preds_error(workdir, capsys, preds) == f"line 3: {_json_error(bad)}"
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_predictions_error_from_a_pipe_names_no_line(workdir, capsys):
-    """A pipe is not read a second time to find the line."""
+def test_predictions_error_from_a_pipe_names_its_line(workdir, capsys):
+    """A pipe is read in the same one pass as a file."""
     bad = '{"case_id": "c1", "verdict": }'
     read_end, write_end = os.pipe()
     os.write(write_end, (bad + "\n").encode())
     os.close(write_end)
     try:
-        assert _preds_error(workdir, capsys, f"/dev/fd/{read_end}") == _json_error(bad)
+        message = _preds_error(workdir, capsys, f"/dev/fd/{read_end}")
+        assert message == f"line 1: {_json_error(bad)}"
     finally:
         os.close(read_end)
 
@@ -753,6 +765,48 @@ def test_overlong_json_integer_is_one_line_error(workdir, capsys, kind):
         bad.write_text(f'{{"fast_schedule": [{{"t_start": {_LONG_INT}}}]}}', encoding="utf-8")
         argv, code = [*run[:4], f"scripted:{bad}", *run[5:]], EXIT_IO
         message = f"backend_error: {bad}: {limit}"
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+# Nested past the json module's limit on every supported Python: 3.12 and
+# later bound C recursion apart from the recursion limit, at up to 10,000 levels.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["annotations", "manifest", "predictions", "scores",
+                                  "scripted", "remote"])
+def test_deeply_nested_input_is_typed_error(workdir, capsys, kind):
+    """JSON nested too deep to decode is the file's one-line error, not a
+    ``RecursionError`` traceback."""
+    with pytest.raises(RecursionError) as info:
+        json.loads(_DEEP)
+    reason = str(info.value)
+    bad = workdir / "bad.json"
+    bad.write_text(_DEEP + "\n", encoding="utf-8")
+    metrics = ["metrics", "--preds", str(bad), "--annotations", str(workdir / "anns.json"),
+               "--out", str(workdir / "m.csv")]
+    run = ["run", "--manifest", str(workdir / "manifests.json"),
+           "--fast", f"scripted:{workdir / 'fast.json'}",
+           "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    if kind == "annotations":
+        argv, code = ["validate", "--annotations", str(bad)], EXIT_DOMAIN
+        message = f"invalid: {bad} is not valid JSON: {reason}"
+    elif kind == "manifest":
+        bad.write_text(f'[{{"case_id": "c0", "frames": {_DEEP}}}]', encoding="utf-8")
+        argv, code = [*run[:2], str(bad), *run[3:]], EXIT_IO
+        message = f"parse_error: {bad}: {reason}"
+    elif kind == "predictions":
+        argv, code = metrics, EXIT_IO
+        message = f"parse_error: {bad}: line 1: {reason}"
+    elif kind == "scores":
+        preds = workdir / "preds.jsonl"
+        preds.write_text(json.dumps(_PRED) + "\n", encoding="utf-8")
+        argv = [*metrics[:2], str(preds), *metrics[3:-2], "--scores", str(bad), *metrics[-2:]]
+        code, message = EXIT_IO, f"parse_error: {bad}: {reason}"
+    else:
+        argv, code = [*run[:4], f"{kind}:{bad}", *run[5:]], EXIT_IO
+        message = f"backend_error: {bad}: {reason}"
     assert main(argv) == code
     assert capsys.readouterr().err == message + "\n"
 
