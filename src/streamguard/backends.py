@@ -233,7 +233,10 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        if not isinstance(d, dict):  # name the file: --fast and --slow may both be scripted
+            raise decode_error(f"{path}: scripted backend", d, None)
+        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         def dump(rules):

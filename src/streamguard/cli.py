@@ -33,6 +33,7 @@ from .model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
+    decode_error,
     decode_json_array,
     gc_paused,
 )
@@ -66,13 +67,18 @@ def _load_manifests(path: str) -> list:
     backend call.  A repeated ``case_id`` is an error, as in an annotation file.
     An array is decoded one manifest at a time (``model.decode_json_array``);
     a JSON error anywhere in the file, nesting too deep to decode included,
-    wins over a manifest's error."""
+    wins over a manifest's error.  A value that is no JSON object names the file."""
+    def decode(d) -> FrameManifest:
+        if not isinstance(d, dict):
+            raise decode_error(f"{path}: manifest", d, None)
+        return FrameManifest.from_dict(d)
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        manifests = decode_json_array(text, FrameManifest.from_dict)
+        manifests = decode_json_array(text, decode)
         if manifests is None:  # one manifest, not in an array
-            manifests = [FrameManifest.from_dict(json.loads(text))]
+            manifests = [decode(json.loads(text))]
     except OSError as exc:
         raise CliError(EXIT_IO, f"io_error: {exc}")
     except JSON_ERRORS as exc:
@@ -112,7 +118,8 @@ def _load_predictions(path: str) -> list:
     ``_raw_decode`` does not take whole goes to ``json.loads``, so a bad line
     fails with its error.  The first error in the file, from a pipe too,
     reads ``line <n>: <error>``: bad JSON, nesting too deep, a bad record, or
-    a bad UTF-8 byte, whose position counts from the start of its line."""
+    a bad UTF-8 byte, whose position counts from the start of its line.  A
+    file with no record is an error too."""
     preds = []
     n = 0
     try:
@@ -133,6 +140,8 @@ def _load_predictions(path: str) -> list:
         raise CliError(EXIT_IO, f"io_error: {exc}")
     except (*JSON_ERRORS, ModelError) as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: line {n}: {exc}")
+    if not preds:  # an empty file would score every case as missed
+        raise CliError(EXIT_IO, f"parse_error: {path}: no prediction records")
     return preds
 
 

@@ -546,6 +546,36 @@ def test_malformed_input_file_is_typed_error(workdir, capsys, name):
     assert "Traceback" not in err
     assert err.startswith(prefix) and err.count("\n") == 1, err
 
+
+def test_whole_value_shape_error_names_the_file(workdir, capsys):
+    """With --fast and --slow both scripted, the error must say which file."""
+    bad = workdir / "bad.json"
+    bad.write_text("[1]", encoding="utf-8")
+    run = ["run", "--manifest", str(workdir / "manifests.json"),
+           "--fast", f"scripted:{workdir / 'fast.json'}",
+           "--slow", f"scripted:{bad}", "--out", str(workdir / "x.jsonl")]
+    assert main(run) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"backend_error: {bad}: scripted backend must be a JSON object, got list\n")
+    for content in ("[1]", "1"):  # an array element, and the whole value
+        bad.write_text(content, encoding="utf-8")
+        assert main([*run[:1], "--manifest", str(bad), *run[3:5], "--slow",
+                     f"scripted:{workdir / 'slow.json'}", *run[7:]]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"manifest_error: {bad}: manifest must be a JSON object, got int\n")
+
+
+@pytest.mark.parametrize("command", ["metrics", "errors"])
+@pytest.mark.parametrize("content", ["", "\n \n\t\n"], ids=["empty", "blank"])
+def test_predictions_file_without_records_is_refused(workdir, capsys, command, content):
+    """A file with no record would score every annotated case as missed."""
+    preds = workdir / "preds.jsonl"
+    preds.write_text(content, encoding="utf-8")
+    assert main([command, "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
+                 "--out", str(workdir / "out.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == f"parse_error: {preds}: no prediction records\n"
+    assert not (workdir / "out.csv").exists()
+
 @pytest.fixture()
 def scored_dir(tmp_path):
     """Nine cases covering every phase and every error type, one without a
