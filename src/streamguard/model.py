@@ -674,10 +674,8 @@ class FrameManifest:
 
         Each column is taken whole and then type-tested once; a column with a
         value of another type goes element by element, and a bad frame is
-        named by ``Frame.from_dict``.  An all-``float`` times column that is
-        ordered, starts at or above 0.0, ends below inf and has no NaN passes
-        without ``_check_stream``, which decides every other manifest with the
-        same errors.  ``__init__`` always calls ``_check_stream``.
+        named by ``Frame.from_dict``.  The stream checks are ``_check_stream``,
+        as in ``__init__``.
         """
         try:
             case_id = d["case_id"]
@@ -698,13 +696,7 @@ class FrameManifest:
             pre_overlaid = d.get("pre_overlaid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("manifest", d, exc) from exc
-        # Ordered, from at least 0.0 to below inf, with no NaN (which no
-        # comparison sees, but the sum does): every time is finite and
-        # non-negative.  A sum that overflows is inf, never NaN.
-        if not (type(case_id) is str and case_id and type(pre_overlaid) is bool
-                and times and times[0] >= 0.0 and times[-1] < math.inf
-                and not any(map(gt, times, times[1:])) and not math.isnan(sum(times))):
-            _check_stream(case_id, times, pre_overlaid)
+        _check_stream(case_id, times, pre_overlaid)
         # Bypasses __init__: ``frames`` stays unset until its first read.
         m = object.__new__(cls)
         vars(m).update(case_id=case_id, fps_native=fps_native, pre_overlaid=pre_overlaid,

@@ -6,9 +6,7 @@ manifest decode."""
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import Future
-from operator import gt
 from typing import Optional, Sequence
 
 from streamguard.annotations import AnnotationSet, classify_phase
@@ -24,6 +22,7 @@ from streamguard.model import (
     PhaseScoreTable,
     PredictionRecord,
     SchemaError,
+    _check_stream,
     _number,
     decode_error,
 )
@@ -249,25 +248,8 @@ def reference_render(name: str, text: str, frames, pre_overlaid: bool,
     return out
 
 
-def _reference_check_stream(case_id, times: tuple, pre_overlaid) -> None:
-    if not isinstance(case_id, str):
-        raise SchemaError(f"manifest case_id must be a string, got {case_id!r}")
-    if not case_id:
-        raise SchemaError("manifest case_id must be non-empty")
-    if not times:
-        raise SchemaError(f"manifest for {case_id} has no frames")
-    if not (all(map(math.isfinite, times)) and min(times) >= 0):
-        raise SchemaError(f"manifest for {case_id} has a frame time that is "
-                          "not finite and non-negative")
-    if any(map(gt, times, times[1:])):
-        raise SchemaError(f"manifest for {case_id} frames not time-ordered")
-    if not isinstance(pre_overlaid, bool):
-        raise SchemaError(f"manifest for {case_id}: pre_overlaid must be a boolean, "
-                          f"got {pre_overlaid!r}")
-
-
 def reference_manifest_decode(d) -> tuple:
-    """``FrameManifest.from_dict`` frame by frame, with every stream check:
+    """``FrameManifest.from_dict`` frame by frame, then the stream checks:
     ``(case_id, fps_native, times, paths, pre_overlaid)``, or the same error."""
     try:
         case_id = d["case_id"]
@@ -287,5 +269,5 @@ def reference_manifest_decode(d) -> tuple:
         pre_overlaid = d.get("pre_overlaid", True)
     except DECODE_ERRORS as exc:
         raise decode_error("manifest", d, exc) from exc
-    _reference_check_stream(case_id, times, pre_overlaid)
+    _check_stream(case_id, times, pre_overlaid)
     return case_id, fps_native, times, paths, pre_overlaid

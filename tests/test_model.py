@@ -912,9 +912,9 @@ def test_manifest_rejects_non_string_or_empty_case_id(case_id, message):
     assert str(info.value) == message
 
 
-# Frame times the accept test must send to _check_stream, or take: NaN, both
-# infinities, negatives, -0.0, ints, bools, strings, null, an int too large
-# for a float, and the largest floats, whose sum overflows.
+# Frame times the column decoder must convert, refuse or pass to the stream
+# checks: NaN, both infinities, negatives, -0.0, ints, bools, strings, null,
+# an int too large for a float, and the largest floats.
 _ODD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0, 7, True, False, "0.5", None,
               10 ** 400, 1.79e308, 1.7976931348623157e308]
 _ODD_PATHS = ["", "é/b.jpg", None, 5, ["a.jpg"], "missing"]
@@ -966,7 +966,7 @@ def _manifest_values(d):
 
 @settings(max_examples=200)
 @given(_manifest_dicts())
-# Each condition of the accept test, failed alone; and accepted edge cases.
+# Each stream check failed alone; and accepted edge cases.
 @example(_frames(0.0, math.nan, 1.0))
 @example(_frames(math.nan, 1.0))
 @example(_frames(0.0, math.nan))
@@ -981,9 +981,9 @@ def _manifest_values(d):
 @example(_frames(0.25))
 @example(_frames(0, True))
 def test_manifest_decode_matches_reference(d):
-    """The column decoder and its accept test take exactly the manifests the
-    frame-by-frame decoder with every stream check takes, with the same
-    values, and fail on the rest with the same error."""
+    """The column decoder takes exactly the manifests the frame-by-frame
+    decoder takes, with the same values, and fails on the rest with the same
+    error."""
     assert _decoded(_manifest_values, d) == _decoded(reference_manifest_decode, d)
 
 
