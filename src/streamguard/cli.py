@@ -59,15 +59,12 @@ def _load_json(path: str):
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
 
 
-@gc_paused()
 def _load_manifests(path: str) -> list:
-    """Decode a manifest file with the cyclic collector paused, as the read
-    side decodes its records.  The decode builds no cycles and calls no
-    backend; the collector is back on, as it was, before the caller's first
-    backend call.  A repeated ``case_id`` is an error, as in an annotation file.
-    An array is decoded one manifest at a time (``model.decode_json_array``);
-    a JSON error anywhere in the file, nesting too deep to decode included,
-    wins over a manifest's error.  A value that is no JSON object names the file."""
+    """Decode a manifest file.  A repeated ``case_id`` is an error, as in an
+    annotation file.  An array is decoded one manifest at a time
+    (``model.decode_json_array``); a JSON error anywhere in the file, nesting
+    too deep to decode included, wins over a manifest's error.  A value that
+    is no JSON object names the file."""
     def decode(d) -> FrameManifest:
         if not isinstance(d, dict):
             raise decode_error(f"{path}: manifest", d, None)
@@ -169,9 +166,8 @@ def _write_csv(path: str, header, rows) -> None:
 #
 # The read-side commands (validate, metrics, errors, agreement) run with the
 # cyclic collector paused until their records are freed.  The commands that
-# call backends keep it on, except while ``_load_manifests`` decodes: a remote
-# backend's urllib machinery and threads may build cyclic garbage, and a pause
-# would keep it alive for the whole run.
+# call backends keep it on: a remote backend's urllib machinery and threads may
+# build cyclic garbage, and a pause would keep it alive for the whole run.
 
 @gc_paused()
 def cmd_validate(args) -> int:
