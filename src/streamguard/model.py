@@ -333,11 +333,10 @@ class CaseAnnotation:
     is_valid: bool = True
 
     def __post_init__(self):
-        # One check per field, in the order the error texts need; a type test
-        # for the usual exact type runs first.  The closed sets stay tuples:
-        # an unhashable value must fail the test, not raise.
+        # One check per field, in the order the error texts need.  The closed
+        # sets stay tuples: an unhashable value must fail the test, not raise.
         case_id, difficulty, duration = self.case_id, self.difficulty, self.duration
-        if not (type(case_id) is str or isinstance(case_id, str)):
+        if not isinstance(case_id, str):
             raise SchemaError(f"case_id must be a string, got {case_id!r}")
         if not case_id:
             raise SchemaError("case_id must be non-empty")
@@ -353,16 +352,14 @@ class CaseAnnotation:
         if end > duration + _EPS:
             raise OrderingError(f"action_end {end} exceeds duration {duration} for case {case_id}")
         # After the action_end check, so a negative duration keeps that check's error.
-        if not (type(duration) is float and 0.0 <= duration < _INF
-                or isinstance(duration, (int, float)) and 0 <= duration < _INF):
+        if not (isinstance(duration, (int, float)) and 0 <= duration < _INF):
             raise SchemaError(f"case {case_id}: duration must be a finite non-negative number, "
                               f"got {duration!r}")
         entities = self.key_entities
         if not entities and difficulty in ("D1", "D2"):
             raise SchemaError(f"case {case_id}: key_entities required for {difficulty} cases")
         for e in entities:
-            if not (type(e) is str and e and e == e.lower()) \
-                    and (not isinstance(e, str) or e != e.lower() or not e):
+            if not isinstance(e, str) or e != e.lower() or not e:
                 raise SchemaError(f"case {case_id}: key_entities must be non-empty lowercase strings")
         if type(self.is_valid) is not bool:  # bool has no subclasses
             raise SchemaError(f"case {case_id}: is_valid must be a boolean, got {self.is_valid!r}")
