@@ -467,27 +467,26 @@ class PredictionRecord:
     parse_detail: str = ""
 
     def __post_init__(self):
-        # One check per field, in the order the error texts need; a type test
-        # for the usual exact type runs first.  The closed sets stay tuples:
-        # an unhashable value must fail the test, not raise.
+        # One check per field, in the order the error texts need.  The closed
+        # sets stay tuples: an unhashable value must fail the test, not raise.
         verdict, timestamp, claim = self.verdict, self.timestamp, self.severity_claim
-        if not (type(self.case_id) is str or isinstance(self.case_id, str)):
+        if not isinstance(self.case_id, str):
             raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
         if verdict not in ("safe", "hazard"):
             raise SchemaError(f"verdict must be 'safe' or 'hazard', got {verdict!r}")
-        if verdict == "hazard" and not (type(timestamp) is float and 0.0 <= timestamp < _INF) \
-                and (timestamp is None or not math.isfinite(timestamp) or timestamp < 0):
+        if verdict == "hazard" and (timestamp is None or not math.isfinite(timestamp)
+                                    or timestamp < 0):
             raise SchemaError(
                 f"hazard verdict requires a finite non-negative timestamp, got {timestamp!r}")
         if claim is not None and claim not in SEVERITY_CLAIMS:
             raise SchemaError(f"unknown severity_claim {claim!r}")
         if self.parse_status not in ("ok", "format_error"):
             raise SchemaError(f"unknown parse_status {self.parse_status!r}")
-        if not (type(self.reasoning_text) is str or isinstance(self.reasoning_text, str)):
+        if not isinstance(self.reasoning_text, str):
             raise SchemaError(f"reasoning_text must be a string, got {self.reasoning_text!r}")
-        if not (type(self.raw_output) is str or isinstance(self.raw_output, str)):
+        if not isinstance(self.raw_output, str):
             raise SchemaError(f"raw_output must be a string, got {self.raw_output!r}")
-        if not (type(self.parse_detail) is str or isinstance(self.parse_detail, str)):
+        if not isinstance(self.parse_detail, str):
             raise SchemaError(f"parse_detail must be a string, got {self.parse_detail!r}")
 
     @property

@@ -13,8 +13,6 @@ from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
     DEADLINE_OFFSET,
     DEADLINE_TOLERANCE,
-    SEVERITY_CLAIMS,
-    SEVERITY_LEVELS,
     Alert,
     AlertSource,
     CaseAnnotation,
@@ -445,10 +443,15 @@ def test_score_table_roundtrip():
 def test_prediction_hazard_needs_timestamp():
     with pytest.raises(SchemaError):
         PredictionRecord(case_id="c", verdict="hazard")
-    with pytest.raises(SchemaError):
-        PredictionRecord(case_id="c", verdict="hazard", timestamp=-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(SchemaError, match="^hazard verdict requires a finite non-negative"):
+            PredictionRecord(case_id="c", verdict="hazard", timestamp=bad)
     with pytest.raises(SchemaError):
         PredictionRecord(case_id="c", verdict="maybe")
+    # A Safe verdict's timestamp is not checked; a str subclass is text.
+    class Text(str):
+        pass
+    assert PredictionRecord("c", "safe", -0.5, None, Text("r"), Text("o"), "ok", Text("d"))
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -486,107 +489,6 @@ def test_prediction_roundtrip(hazard, ts, claim):
                            timestamp=ts if hazard else None, severity_claim=claim,
                            reasoning_text="a kettle", raw_output="x")
     assert PredictionRecord.from_dict(rec.to_dict()) == rec
-
-
-# --- Accept tests against the full checks -------------------------------------
-
-def _reference_prediction_checks(self):
-    """``PredictionRecord.__post_init__`` as it was before its straight-line
-    accept test: the reference that test must agree with."""
-    if not isinstance(self.case_id, str):
-        raise SchemaError(f"case_id must be a string, got {self.case_id!r}")
-    if self.verdict not in ("safe", "hazard"):
-        raise SchemaError(f"verdict must be 'safe' or 'hazard', got {self.verdict!r}")
-    if self.verdict == "hazard":
-        if self.timestamp is None or not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise SchemaError(
-                f"hazard verdict requires a finite non-negative timestamp, got {self.timestamp!r}"
-            )
-    if self.severity_claim is not None and self.severity_claim not in ("none",) + SEVERITY_LEVELS:
-        raise SchemaError(f"unknown severity_claim {self.severity_claim!r}")
-    if self.parse_status not in ("ok", "format_error"):
-        raise SchemaError(f"unknown parse_status {self.parse_status!r}")
-    if not (isinstance(self.reasoning_text, str) and isinstance(self.raw_output, str)
-            and isinstance(self.parse_detail, str)):
-        for name in ("reasoning_text", "raw_output", "parse_detail"):
-            v = getattr(self, name)
-            if not isinstance(v, str):
-                raise SchemaError(f"{name} must be a string, got {v!r}")
-
-
-def _raised(build):
-    """(exception class, message) of what ``build()`` raises, or None."""
-    try:
-        build()
-    except Exception as exc:  # any class: a TypeError must match too
-        return type(exc), str(exc)
-    return None
-
-
-class _EqualsAnything(str):
-    """A str that compares equal to every other value."""
-
-    def __eq__(self, other):
-        return True
-
-
-# Unhashable values go in every closed-set field: a membership test on a set
-# would raise TypeError where the tuple test gives a SchemaError.
-_CLOSED_JUNK = ["", "x", "Bedroom", None, 3, [], {}, ["bedroom"], {"L1": 1}]
-# Ints and bools stand in for floats; NaN, +-inf and -0.0 are drawn too.
-_NUMBER_JUNK = [math.nan, math.inf, -math.inf, -0.0, -1.0, 0, 5, True, False, "5", None]
-_TEXT_JUNK = [None, 5, b"x", ["x"], _EqualsAnything("x")]
-
-
-def _junk(name, values) -> list:
-    return [(name, v) for v in values]
-
-
-# (field, value) replacements, one or two drawn per example.  (None, None)
-# replaces nothing, so some examples keep every field valid.
-_PREDICTION_JUNK = [
-    *[(None, None)] * 8,
-    *_junk("case_id", [5, None, ["c0"], b"c0", _EqualsAnything("c0")]),
-    *_junk("verdict", ["Safe", "hazard ", *_CLOSED_JUNK, _EqualsAnything("safe")]),
-    *_junk("timestamp", _NUMBER_JUNK),
-    *_junk("severity_claim", ["l1", "None", *_CLOSED_JUNK]),
-    *_junk("parse_status", ["OK", "error", *_CLOSED_JUNK]),
-    *(pair for name in ("reasoning_text", "raw_output", "parse_detail")
-      for pair in _junk(name, _TEXT_JUNK)),
-]
-
-
-def _with_junk(draw, fields_: dict, junk: list) -> dict:
-    """``fields_`` with two draws from ``junk`` applied."""
-    for name, value in (draw(st.sampled_from(junk)), draw(st.sampled_from(junk))):
-        if name is not None:
-            fields_[name] = value
-    return fields_
-
-
-@st.composite
-def _prediction_fields(draw):
-    """A PredictionRecord's fields: valid, with up to two replaced from
-    ``_PREDICTION_JUNK``."""
-    text = st.sampled_from(["", "Part 1: a kettle"])
-    return _with_junk(draw, dict(
-        case_id=draw(st.sampled_from(["c0", ""])),
-        verdict=draw(st.sampled_from(["safe", "hazard"])),
-        timestamp=draw(st.floats(0, 30)),
-        severity_claim=draw(st.sampled_from([None, *SEVERITY_CLAIMS])),
-        reasoning_text=draw(text),
-        raw_output=draw(text),
-        parse_status=draw(st.sampled_from(["ok", "format_error"])),
-        parse_detail=draw(text),
-    ), _PREDICTION_JUNK)
-
-
-@settings(max_examples=1000)
-@given(_prediction_fields())
-def test_prediction_accept_test_matches_reference(fields_):
-    """Same accept/reject, exception class and message as the full checks."""
-    assert _raised(lambda: PredictionRecord(**fields_)) == \
-        _raised(lambda: _reference_prediction_checks(SimpleNamespace(**fields_)))
 
 
 @pytest.mark.parametrize("value", [
