@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (JSON_ERRORS, CaseAnnotation, ModelError, Phase, SchemaError,
-                    decode_json_array, gc_paused)
+                    decode_json_array)
 
 
 class IoError(ModelError):
@@ -46,14 +46,6 @@ def load_annotations(path: str) -> AnnotationSet:
     (``model.decode_json_array``), so the file's decoded JSON is never held
     whole; a JSON error anywhere in the file, nesting too deep to decode
     included, wins over a case's error and raises SchemaError.
-
-    The cyclic garbage collector is paused while the file is read and its
-    cases built (``model.gc_paused``): the decode creates no reference
-    cycles, so reference counting frees everything, and no collection runs
-    during the decode.  Called inside a read-side CLI command, which already
-    runs paused, the pause is a no-op.  A direct caller whose collector is
-    on pays one collection after the load, at its first allocation, which
-    walks every decoded case once.
     """
     cases: dict[str, CaseAnnotation] = {}
 
@@ -63,17 +55,16 @@ def load_annotations(path: str) -> AnnotationSet:
             raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
         cases[ann.case_id] = ann
 
-    with gc_paused():
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            if decode_json_array(text, add) is None:
-                json.loads(text)  # raises for malformed text
-                raise SchemaError(f"{path} must contain a JSON array of cases")
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-        except JSON_ERRORS as exc:
-            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if decode_json_array(text, add) is None:
+            json.loads(text)  # raises for malformed text
+            raise SchemaError(f"{path} must contain a JSON array of cases")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except JSON_ERRORS as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return AnnotationSet(cases=cases)
 
 

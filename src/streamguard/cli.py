@@ -120,7 +120,7 @@ def _load_predictions(path: str) -> list:
     preds = []
     n = 0
     try:
-        with gc_paused(), open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for n, line in enumerate(fh, 1):
                 if not line.isascii():  # raise a bad byte's UTF-8 error
                     line.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -105,9 +105,8 @@ def _integer(name: str, v) -> int:
 
 @contextmanager
 def gc_paused():
-    """Run a bulk decode, or a whole read-side command, with the cyclic
-    garbage collector off.  Works as a ``with`` block and, as
-    ``@gc_paused()``, as a decorator.
+    """Run a whole read-side CLI command, as ``@gc_paused()``, with the
+    cyclic garbage collector off.
 
     A decode allocates several tracked containers per record.  With the
     collector on, they start a collection every few hundred allocations;
@@ -115,14 +114,14 @@ def gc_paused():
     the oldest generation, full collections walk them all again.  The decode
     builds no reference cycles, so reference counting alone frees what it
     drops.  The collector is re-enabled on exit only if it was enabled on
-    entry, and nested pauses are no-ops.
+    entry.
 
     CPython counts tracked allocations minus frees towards the next
-    collection.  A pause that ends while the decoded records are still alive
-    leaves that count high, and the first allocation after it runs a
-    collection that walks every record once.  The read-side CLI commands
-    pause around their whole body instead, so their records are freed first
-    and re-enabling walks almost nothing.
+    collection.  A pause that ended while the decoded records were still
+    alive would leave that count high, and the first allocation after it
+    would run a collection that walks every record once.  Around the whole
+    command, the records are freed first and re-enabling walks almost
+    nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()

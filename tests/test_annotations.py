@@ -1,6 +1,5 @@
 """Annotation loading and temporal phase classification."""
 
-import gc
 import json
 
 import pytest
@@ -20,7 +19,6 @@ from streamguard.model import (
     LOCATIONS,
     SEVERITY_CLAIMS,
     SEVERITY_LEVELS,
-    CaseAnnotation,
     Phase,
     PredictionRecord,
     SchemaError,
@@ -74,44 +72,6 @@ def test_load_synthesizes_missing_deadline(tmp_path):
     del entry["key_frames"]["intervention_deadline"]
     anns = load_annotations(_write(tmp_path, [entry]))
     assert anns["a"].key_frames.intervention_deadline == pytest.approx(3.8)
-
-
-@pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-def test_loaders_pause_gc_and_restore_it(tmp_path, monkeypatch, enabled, fails):
-    """Both bulk decoders run with the cyclic GC off and leave it as they
-    found it, also when a later record fails to decode."""
-    good = make_ann(case_id="a").to_dict()
-    anns = _write(tmp_path, [good, {**good, "case_id": "b", "location": "garage" if fails
-                                    else good["location"]}])
-    preds = tmp_path / "preds.jsonl"
-    preds.write_text(json.dumps({"case_id": "a", "verdict": "safe"}) + "\n"
-                     + json.dumps({"case_id": "b", "verdict": "maybe" if fails else "safe"}),
-                     encoding="utf-8")
-    seen = []
-
-    def spy(decode):
-        def from_dict(d):
-            seen.append(gc.isenabled())
-            return decode(d)
-        return from_dict
-
-    for cls in (CaseAnnotation, PredictionRecord):
-        monkeypatch.setattr(cls, "from_dict", spy(cls.from_dict))
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        for load, path, error in ((load_annotations, anns, SchemaError),
-                                  (_load_predictions, str(preds), CliError)):
-            if fails:
-                with pytest.raises(error):
-                    load(path)
-            else:
-                assert len(load(path)) == 2
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False] * 4
 
 
 # --- closed-set strings shared by decoded records ----------------------------
