@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .model import DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _number, decode_error
+from .model import DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _json_object, _number, decode_error
 from .parsing import MAX_REPLY_CHARS
 
 
@@ -233,10 +233,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        if not isinstance(d, dict):  # name the file: --fast and --slow may both be scripted
-            raise decode_error(f"{path}: scripted backend", d, None)
-        return cls.from_dict(d)
+            return cls.from_dict(_json_object(path, "scripted backend", json.load(fh)))
 
     def to_dict(self) -> dict:
         def dump(rules):

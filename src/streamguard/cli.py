@@ -33,7 +33,7 @@ from .model import (
     Phase,
     PhaseScoreTable,
     PredictionRecord,
-    decode_error,
+    _json_object,
     decode_json_array,
     gc_paused,
 )
@@ -66,9 +66,7 @@ def _load_manifests(path: str) -> list:
     too deep to decode included, wins over a manifest's error.  A value that
     is no JSON object names the file."""
     def decode(d) -> FrameManifest:
-        if not isinstance(d, dict):
-            raise decode_error(f"{path}: manifest", d, None)
-        return FrameManifest.from_dict(d)
+        return FrameManifest.from_dict(_json_object(path, "manifest", d))
 
     try:
         with open(path, encoding="utf-8") as fh:

@@ -77,6 +77,15 @@ def decode_error(what: str, d, exc: Exception) -> SchemaError:
     return SchemaError(f"{what}: {exc}")
 
 
+def _json_object(path: str, what: str, d) -> dict:
+    """``d``, the JSON value of the file ``path`` or an element of its array,
+    if it is an object.  Otherwise the SchemaError names the file, so that
+    two files of one kind, such as ``--fast`` and ``--slow``, can be told apart."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: {what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 def _number(name: str, v) -> float:
     """The float for a decoded number field ``name`` whose value is not one.
 
