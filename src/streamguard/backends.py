@@ -47,7 +47,9 @@ class PromptTemplate:
     The text is split at the placeholders once, here, and ``render`` joins
     the parts with the formatted times, not scanning the text on every call:
     a window prompt is rendered once per window, and the fast and slow
-    templates, which have none, on every sample.
+    templates, which have none, on every sample.  A corpus benchmark pass
+    takes 0.654 s with the split and 0.706 s with two ``str.replace`` scans
+    per render, lower in 10 of 10 pairs (``BENCH_fastpath_ledger.json``).
     """
 
     name: str

@@ -143,6 +143,8 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     A FastBrain reply equal to the last one that parsed in this case reuses
     that parse; its latency is still the current call's.  A reply that does
     not parse is never kept, so each such sample logs and counts as Yellow.
+    A corpus benchmark pass takes 0.633 s with the reuse and 0.684 s parsing
+    every reply, lower in 10 of 10 pairs (``BENCH_fastpath_ledger.json``).
     """
     fast_template = load_prompt("fast")
     slow_template = load_prompt("slow")
