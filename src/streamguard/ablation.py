@@ -16,7 +16,9 @@ def sweep_fps(manifests: Sequence[FrameManifest], fast, slow, anns: AnnotationSe
     """Re-run the suite once per high-rate setting; one result row per rate.
 
     Every case runs against the same ``fast``/``slow`` backend pair.  Only
-    the post-trigger rate varies; the idle rate stays at its configured value.
+    the post-trigger rate varies; the idle rate stays at
+    ``coordinator.GAMMA_LOW``.  An empty list or a rate the coordinator
+    cannot sample raises ``ValueError`` before any case runs.
     """
     if not fps_list:
         raise ValueError("fps_list must be non-empty")

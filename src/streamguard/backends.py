@@ -193,8 +193,10 @@ class ScriptedBackend:
 
     DEFAULT_FAST_LATENCY = 0.05
 
-    # The FastBrain reply outside every rule: the world is nominal.
-    _NOMINAL_FAST = (json.dumps({"category": "green", "reason": ""}), DEFAULT_FAST_LATENCY)
+    # The replies outside every rule, each an empty rule's: the FastBrain sees
+    # a nominal world, and the SlowBrain finds no danger.
+    _NOMINAL_FAST = (_fast_text({}), DEFAULT_FAST_LATENCY)
+    _NO_DANGER_SLOW = (_slow_text({}), 1.0)
 
     def __init__(self, fast_schedule=(), slow_responses=(), baseline_responses=(),
                  malformed=(), timeout=()):
@@ -263,7 +265,7 @@ class ScriptedBackend:
         t = window[-1].t
         if _in_fault(self.timeout, t):
             raise BackendTimeoutError(f"scripted timeout at t={t}")
-        return _reply_at(self._slow, t, ("**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0))
+        return _reply_at(self._slow, t, self._NO_DANGER_SLOW)
 
     def baseline_raw(self, window_start: float, window_end: float,
                      frames: Sequence[Frame], prompt_text: str) -> tuple[str, float]:

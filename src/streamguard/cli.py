@@ -179,23 +179,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _coordinator_config(args) -> CoordinatorConfig:
-    try:
-        return CoordinatorConfig(
-            window_size=args.k,
-            clock=args.clock,
-            gamma_low=args.fps_low,
-            gamma_high=args.fps_high,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_IO, f"config_error: {exc}")
-
-
 def cmd_run(args) -> int:
     manifests = _load_manifests(args.manifest)
     fast = _make_backend(args.fast)
     slow = _make_backend(args.slow)
-    cfg = _coordinator_config(args)
+    try:
+        cfg = CoordinatorConfig(clock=args.clock, gamma_high=args.fps_high)
+    except ValueError as exc:
+        raise CliError(EXIT_IO, f"config_error: {exc}")
     if args.jobs < 1:
         raise CliError(EXIT_IO, "config_error: --jobs must be at least 1")
 
@@ -299,14 +290,13 @@ def cmd_ablate(args) -> int:
     anns = _load_annotation_set(args.annotations)
     fast = _make_backend(args.fast)
     slow = _make_backend(args.slow)
-    cfg = _coordinator_config(args)
     try:
         fps_list = [float(x) for x in args.fps.split(",") if x.strip()]
-    except ValueError as exc:
+        rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list,
+                                      CoordinatorConfig(clock=args.clock))
+    except ValueError as exc:  # sweep_fps checks every rate before it runs a case
         raise CliError(EXIT_IO, f"config_error: bad --fps list: {exc}")
-    try:
-        rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list, cfg)
-    except (ValueError, MetricsError) as exc:
+    except MetricsError as exc:
         raise CliError(EXIT_DOMAIN, f"sweep_error: {exc}")
     out_rows = [
         ("dual_brain", row["fps"], f"{row['hdr']:.4f}",
@@ -323,13 +313,6 @@ def cmd_ablate(args) -> int:
 
 # --- argument wiring ---------------------------------------------------------
 
-def _add_coordinator_flags(p) -> None:
-    p.add_argument("--clock", choices=["sim", "real"], default="sim")
-    p.add_argument("--k", type=int, default=3, help="slow-query window size")
-    p.add_argument("--fps-low", type=float, default=1.0)
-    p.add_argument("--fps-high", type=float, default=5.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="streamguard")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--fast", required=True, help="scripted:<path> | remote:<path>")
     p.add_argument("--slow", required=True, help="scripted:<path> | remote:<path>")
-    _add_coordinator_flags(p)
+    p.add_argument("--clock", choices=["sim", "real"], default="sim")
+    p.add_argument("--fps-high", type=float, default=5.0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
@@ -380,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", required=True)
     p.add_argument("--slow", required=True)
     p.add_argument("--fps", default="1,2,5,10")
-    _add_coordinator_flags(p)
+    p.add_argument("--clock", choices=["sim", "real"], default="sim")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -5,7 +5,7 @@ distribution, weighted safety score, error taxonomy, severity confusion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -158,7 +158,7 @@ class MetricsReport:
     ewp: Optional[float]
     phase_fractions: dict  # Phase -> float
     wss: float
-    error_fractions: dict = field(default_factory=dict)  # ErrorType -> float
+    error_fractions: dict  # ErrorType -> float
 
     def row(self, model: str = "") -> dict:
         """The flat CSV/stdout row mirroring the main results table layout."""
@@ -175,7 +175,7 @@ class MetricsReport:
             "wss": self.wss,
         }
         for err in ErrorType:
-            out[f"err_{err.value}"] = self.error_fractions.get(err, "")
+            out[f"err_{err.value}"] = self.error_fractions[err]
         return out
 
 

@@ -5,6 +5,7 @@ options, the coordinator's settings and the run-side entry points' parameters.""
 import argparse
 import dataclasses
 import inspect
+import re
 import subprocess
 import sys
 import types
@@ -51,17 +52,15 @@ PUBLIC_SURFACE = [
 
 CLI_OPTIONS = {
     "validate": ["--annotations"],
-    "run": ["--clock", "--fast", "--fps-high", "--fps-low", "--jobs", "--k", "--manifest",
-            "--out", "--slow"],
+    "run": ["--clock", "--fast", "--fps-high", "--jobs", "--manifest", "--out", "--slow"],
     "eval-baseline": ["--backend", "--manifest", "--out", "--prompt"],
     "metrics": ["--annotations", "--model", "--out", "--preds", "--scores"],
     "errors": ["--annotations", "--out", "--preds"],
     "agreement": ["--a", "--b", "--out"],
-    "ablate": ["--annotations", "--clock", "--fast", "--fps", "--fps-high", "--fps-low", "--k",
-               "--manifest", "--out", "--slow"],
+    "ablate": ["--annotations", "--clock", "--fast", "--fps", "--manifest", "--out", "--slow"],
 }
 
-COORDINATOR_FIELDS = ["window_size", "clock", "gamma_low", "gamma_high"]
+COORDINATOR_FIELDS = ["clock", "gamma_high"]
 
 # Each parameter, with its default where it has one.
 SIGNATURES = {
@@ -79,13 +78,27 @@ def test_public_surface():
     assert names == PUBLIC_SURFACE
 
 
-def test_cli_options():
+def _cli_options() -> dict:
+    """Each subcommand's options, sorted, as the parser defines them."""
     parser = cli.build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {name: sorted(opt for action in p._actions for opt in action.option_strings
-                            if opt not in ("-h", "--help"))
-               for name, p in sub.choices.items()}
-    assert options == CLI_OPTIONS
+    return {name: sorted(opt for action in p._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, p in sub.choices.items()}
+
+
+def test_cli_options():
+    assert _cli_options() == CLI_OPTIONS
+
+
+def test_readme_names_only_real_options():
+    """Every ``--option`` the README's "Command line" section names is an
+    option of some subcommand, so a removed flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named  # the section is found and names options
+    assert named <= {opt for opts in _cli_options().values() for opt in opts}
 
 
 def test_coordinator_config_fields():

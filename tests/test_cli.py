@@ -307,7 +307,7 @@ def test_run_zero_rate_is_config_error(workdir, capsys):
     code = main(["run", "--manifest", str(workdir / "manifests.json"),
                  "--fast", f"scripted:{workdir / 'fast.json'}",
                  "--slow", f"scripted:{workdir / 'slow.json'}",
-                 "--fps-low", "0", "--out", str(workdir / "x.jsonl")])
+                 "--fps-high", "0", "--out", str(workdir / "x.jsonl")])
     assert code == EXIT_IO
     assert "config_error" in capsys.readouterr().err
 
@@ -343,8 +343,43 @@ def test_unsamplable_rate_is_rejected(workdir, capsys):
     code = main(["ablate", "--manifest", str(workdir / "manifests.json"),
                  "--annotations", str(workdir / "anns.json"), *scripts,
                  "--fps", "1,inf", "--out", str(workdir / "s.csv")])
-    assert code == EXIT_DOMAIN
-    assert "sweep_error" in capsys.readouterr().err
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("config_error: bad --fps list: ")
+
+
+@pytest.mark.parametrize("fps", ["0", "nan", "1e7", "1,inf", "", ",", "x", "1e-320"])
+def test_ablate_bad_rate_is_config_error(workdir, capsys, fps):
+    """Every rate list the coordinator cannot sample, an empty one included,
+    is one configuration error, and no case runs."""
+    out = workdir / "s.csv"
+    code = main(["ablate", "--manifest", str(workdir / "manifests.json"),
+                 "--annotations", str(workdir / "anns.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--fps", fps, "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("config_error: bad --fps list: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--fps-low", "1"],
+                                  ["ablate", "--k", "3"], ["ablate", "--fps-low", "1"],
+                                  ["ablate", "--fps-high", "5"]])
+def test_fixed_protocol_options_are_usage_errors(workdir, capsys, argv):
+    """The window size and idle rate are constants, and ``ablate`` takes its
+    high rates from ``--fps`` alone; the old options are unknown to argparse."""
+    command, *extra = argv
+    scripts = ["--fast", f"scripted:{workdir / 'fast.json'}",
+               "--slow", f"scripted:{workdir / 'slow.json'}"]
+    if command == "ablate":
+        scripts += ["--annotations", str(workdir / "anns.json")]
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--manifest", str(workdir / "manifests.json"), *scripts, *extra,
+              "--out", str(workdir / "x.out")])
+    assert exc_info.value.code == EXIT_IO
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (workdir / "x.out").exists()
 
 
 def test_duplicate_manifest_case_id_is_manifest_error(workdir, capsys):

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from streamguard import coordinator
-from streamguard.backends import BackendTimeoutError, ScriptedBackend
-from streamguard.coordinator import CoordinatorConfig, run_case
+from streamguard.backends import BackendTimeoutError, ScriptedBackend, load_prompt
+from streamguard.coordinator import GAMMA_LOW, WINDOW_SIZE, CoordinatorConfig, run_case
 from streamguard.model import (
     AlertSource,
     FastState,
@@ -45,23 +45,24 @@ def sample_times(trace):
 # --- configuration -----------------------------------------------------------
 
 def test_config_rejects_bad_rates():
-    # inf and 1e7 round to a 0 us interval, which would never advance the clock
-    for kw in ({"gamma_low": 0.0}, {"gamma_high": -1.0}, {"gamma_high": math.inf},
-               {"gamma_high": math.nan}, {"gamma_high": 1e7}):
-        with pytest.raises(ValueError):
-            CoordinatorConfig(**kw)
+    # 1e7 rounds to a 0 us interval, which would never advance the clock, and
+    # 1e-320's interval overflows to inf
+    for rate in (0.0, -1.0, math.inf, math.nan, 1e-320):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CoordinatorConfig(gamma_high=rate)
+    with pytest.raises(ValueError, match="interval under 1 us"):
+        CoordinatorConfig(gamma_high=1e7)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="window_size must be >= 1"):
-        CoordinatorConfig(window_size=0)
-    # A float would fail only at the first slow dispatch, as a slice
-    # TypeError, and a bool would be read as 0 or 1.
-    for bad in (2.5, 3.0, True, False, "3", None):
-        with pytest.raises(ValueError, match="window_size must be an integer"):
-            CoordinatorConfig(window_size=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown clock"):
         CoordinatorConfig(clock="lamport")
+
+
+def test_slow_prompt_states_the_window_size():
+    """The slow prompt names the frames a query carries, so it must name the
+    window the coordinator sends."""
+    assert f"a sequence of {WINDOW_SIZE} frames" in load_prompt("slow").text
 
 
 # --- golden timeline: ambiguous approach, fast escalation --------------------
@@ -178,11 +179,13 @@ def test_green_does_not_cancel_pending_query():
 
 def test_window_size_limits_slow_context():
     manifest = grid_manifest(duration=6.0)
-    fast, slow = merged([(0.0, 2.05, "green"), (2.05, 99.0, "yellow")])
-    trace = run_case(manifest, fast, slow, CoordinatorConfig(window_size=2))
+    fast, slow = merged([(0.0, 3.05, "green"), (3.05, 99.0, "yellow")])
+    trace = run_case(manifest, fast, slow, CFG)
+    assert sample_times(trace)[:5] == [0, 1_000_000, 2_000_000, 3_000_000, 4_000_000]
     dispatch = trace.events_of(SlowDispatched)[0]
-    assert len(dispatch.window_frame_times) == 2
-    assert dispatch.window_frame_times == (2.0, 3.0)
+    # five frames are sampled by the first dispatch; the query carries the last three
+    assert dispatch.trigger_t == 4.0
+    assert dispatch.window_frame_times == (2.0, 3.0, 4.0)
 
 
 # --- liveness and degenerate inputs ------------------------------------------
@@ -297,7 +300,8 @@ def _check_protocol(trace, cfg, manifest):
     for a, b in zip(samples, samples[1:]):
         gap = round(b.t * _US) - round(a.t * _US)
         prior = states[round(a.t * _US)]
-        expected = _US if prior == SafetyState.GREEN else _US // 5
+        rate = GAMMA_LOW if prior == SafetyState.GREEN else cfg.gamma_high
+        expected = round(_US * (1.0 / rate))
         assert gap == expected, (a.t, b.t, prior)
 
     # (b) single flight: never two dispatches without a verdict/override between
@@ -323,21 +327,31 @@ def _check_protocol(trace, cfg, manifest):
     times = [ev.t for ev in trace.events]
     assert all(a <= b + 1e-9 for a, b in zip(times, times[1:]))
 
-    # (e) each slow window is 1..k time-ordered frames ending at the trigger frame
+    # (e) each slow window is 1..WINDOW_SIZE time-ordered frames ending at the trigger frame
     for d in trace.events_of(SlowDispatched):
         window = d.window_frame_times
-        assert 1 <= len(window) <= cfg.window_size
+        assert 1 <= len(window) <= WINDOW_SIZE
         assert all(a <= b for a, b in zip(window, window[1:]))
         assert window[-1] == manifest.latest_frame_at(d.trigger_t).t
 
 
-def test_randomized_protocol_properties():
+def _check_random_cases(cfg):
     rng = random.Random(7)
     for _ in range(120):
         manifest, fast, slow = _random_case(rng)
-        trace = run_case(manifest, fast, slow, CFG)
+        trace = run_case(manifest, fast, slow, cfg)
         assert not trace.aborted
-        _check_protocol(trace, CFG, manifest)
+        _check_protocol(trace, cfg, manifest)
+
+
+def test_randomized_protocol_properties():
+    _check_random_cases(CFG)
+
+
+@pytest.mark.parametrize("gamma_high", [2.0, 10.0])
+def test_randomized_protocol_properties_other_high_rates(gamma_high):
+    """``gamma_high`` is the one settable rate: the gaps follow it."""
+    _check_random_cases(CoordinatorConfig(gamma_high=gamma_high))
 
 
 def test_reruns_are_bit_identical():
