@@ -76,8 +76,9 @@ def run_baseline_case(manifest: FrameManifest, backend,
     the first window with the earliest hazard, or for a Safe case the last
     window that parsed.  Per-window format errors are logged; the case
     itself is a format error only when every window failed to parse.  Each
-    window's frames come from one ``manifest.frames_at`` walk over its frame
-    times.
+    window's frames are ``manifest.frames_at`` of its frame times, a lazy
+    ``Sequence[Frame]``: the prompt and the backend build only the frames
+    they read, and a scripted backend with a pre-overlaid prompt builds none.
     """
     prompt = load_prompt("severity" if with_severity else "baseline_detect")
     plan = build_windows(manifest.duration)

@@ -106,10 +106,15 @@ def _make_backend(spec: str):
 # ``json.loads`` without its whitespace scans: a stripped line has no JSON
 # whitespace at either end.
 _raw_decode = json.JSONDecoder().raw_decode
+# JSON's whitespace, the only kind a predictions line may have around its
+# value: ``str.strip()`` would also drop a form feed or a no-break space,
+# which ``json.loads`` refuses.
+_JSON_WS = " \t\r\n"
 
 
 def _load_predictions(path: str) -> list:
-    """One record per non-blank line, in one pass over the file.  A line that
+    """One record per line that is not blank, in one pass over the file.  Only
+    JSON whitespace is stripped, so only a line of it is blank.  A line that
     ``_raw_decode`` does not take whole goes to ``json.loads``, so a bad line
     fails with its error.  The first error in the file, from a pipe too,
     reads ``line <n>: <error>``: bad JSON, nesting too deep, a bad record, or
@@ -122,7 +127,7 @@ def _load_predictions(path: str) -> list:
             for n, line in enumerate(fh, 1):
                 if not line.isascii():  # raise a bad byte's UTF-8 error
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                line = line.strip()
+                line = line.strip(_JSON_WS)
                 if line:
                     try:
                         d, end = _raw_decode(line)

@@ -12,11 +12,12 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from inspect import signature
-from operator import attrgetter, gt, itemgetter
+from operator import attrgetter, gt
 from types import MemberDescriptorType
 from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
 
@@ -582,12 +583,6 @@ class Frame:
             raise decode_error("frame", d, exc) from exc
 
 
-# What ``FrameManifest.from_dict`` takes and type-tests its columns with.  The
-# paths stay a list comprehension: on CPython 3.11 ``methodcaller`` is slower.
-_frame_time = itemgetter("t")
-_FLOAT, _STR = frozenset({float}), frozenset({str})
-
-
 def _check_stream(case_id, times: tuple, pre_overlaid) -> None:
     """The manifest invariants, over the frame times as one column."""
     if not isinstance(case_id, str):
@@ -618,6 +613,8 @@ class FrameManifest:
 
     ``from_dict`` decodes straight into the columns and builds no ``Frame``:
     ``frames`` is built from them on its first read and then kept.
+    ``frames_at`` builds none either: its ``FrameWindow`` looks each frame up
+    in the columns when it is read.
     """
 
     case_id: str
@@ -655,32 +652,10 @@ class FrameManifest:
         i = max(bisect_right(self._times, t + _EPS) - 1, 0)
         return Frame(self._times[i], self._paths[i])
 
-    def frames_at(self, times) -> list[Frame]:
-        """``[self.latest_frame_at(t) for t in times]``, in one forward walk.
-
-        The first probe bisects the times column; each later one steps
-        forward while the next frame time is <= t + _EPS.  A probe that is
-        not >= the one before (lower, or NaN) bisects again, so any order of
-        ``times`` gives the same frames; non-decreasing probes, such as one
-        window's frame times, cost one bisect plus the walk.  A corpus
-        benchmark pass takes 0.633 s with the walk and 0.685 s with a bisect
-        per time, lower in 10 of 10 pairs (``BENCH_fastpath_ledger.json``).
-        """
-        col, paths = self._times, self._paths
-        last = len(col) - 1
-        out = []
-        i = 0
-        prev = math.nan  # compares false, so the first probe bisects
-        for t in times:
-            bound = t + _EPS
-            if t >= prev:
-                while i < last and col[i + 1] <= bound:
-                    i += 1
-            else:
-                i = max(bisect_right(col, bound) - 1, 0)
-            prev = t
-            out.append(Frame(col[i], paths[i]))
-        return out
+    def frames_at(self, times) -> "FrameWindow":
+        """``[self.latest_frame_at(t) for t in times]``, as a ``FrameWindow``
+        that looks each frame up only when it is read."""
+        return FrameWindow(self, times)
 
     def to_dict(self) -> dict:
         return {
@@ -692,12 +667,11 @@ class FrameManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameManifest":
-        """Decode straight into the two columns.
+        """Decode straight into the two columns, frame by frame.
 
-        Each column is taken whole and then type-tested once; a column with a
-        value of another type goes element by element, and a bad frame is
-        named by ``Frame.from_dict``.  The stream checks are ``_check_stream``,
-        as in ``__init__``.
+        A frame time that is not a float goes through ``_number``; on any bad
+        frame, ``Frame.from_dict`` names it.  The stream checks are
+        ``_check_stream``, as in ``__init__``.
         """
         try:
             case_id = d["case_id"]
@@ -705,11 +679,10 @@ class FrameManifest:
                 else _number("fps_native", v)
             entries = d["frames"]
             try:
-                times = tuple(map(_frame_time, entries))
-                if set(map(type, times)) != _FLOAT:
-                    times = tuple([t if type(t) is float else _number("t", t) for t in times])
+                times = tuple([t if type(t := f["t"]) is float else _number("t", t)
+                               for f in entries])
                 paths = tuple([f.get("image_path", "") for f in entries])
-                if set(map(type, paths)) != _STR and not all(isinstance(p, str) for p in paths):
+                if not all(isinstance(p, str) for p in paths):
                     raise SchemaError("image_path must be a string")
             except DECODE_ERRORS:
                 for f in entries:  # the per-frame decoder names the bad entry
@@ -724,6 +697,39 @@ class FrameManifest:
         vars(m).update(case_id=case_id, fps_native=fps_native, pre_overlaid=pre_overlaid,
                        _times=times, _paths=paths)
         return m
+
+
+class FrameWindow(Sequence):
+    """The frames a manifest holds at some probe times, each looked up only
+    when it is read: what ``FrameManifest.frames_at`` returns.
+
+    Item ``k`` is ``manifest.latest_frame_at(times[k])``, a new ``Frame``
+    on every read; a slice is the window of the sliced times, and iterating
+    looks each time up once.  A reader that never reads a frame, such as the
+    scripted backend or a prompt for pre-overlaid frames, builds none.  It
+    is not a list, and ``==`` is identity: compare ``list(window)``.
+
+    It pays: a long_stream benchmark pass takes 0.0635 s with it and 0.0709 s
+    building every window's frames in one forward walk, lower in 10 of 10
+    pairs (``BENCH_lazy_window.json``).
+    """
+
+    __slots__ = ("_manifest", "_times")
+
+    def __init__(self, manifest: FrameManifest, times):
+        self._manifest = manifest
+        self._times = tuple(times)
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return FrameWindow(self._manifest, self._times[k])
+        return self._manifest.latest_frame_at(self._times[k])
+
+    def __iter__(self):
+        return map(self._manifest.latest_frame_at, self._times)
 
 
 # --- Trace events ------------------------------------------------------------

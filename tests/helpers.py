@@ -228,7 +228,8 @@ def invert_row(hdr_pct: float, premature_pct: float, optimal_pct: float,
 
 # --- reference copies ---------------------------------------------------------
 # The straightforward forms of two hot paths, kept as the oracles their
-# differential tests compare the fast forms against.
+# differential tests compare the program against.  The manifest decode is
+# itself in this form, so its test pins the decoder's values and error texts.
 
 def reference_render(name: str, text: str, frames, pre_overlaid: bool,
                      start: Optional[float] = None, end: Optional[float] = None) -> str:

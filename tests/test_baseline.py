@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from streamguard import model
 from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend, load_prompt
 from streamguard.baseline import (
     WINDOW_FPS,
@@ -16,8 +17,9 @@ from streamguard.baseline import (
     build_windows,
     run_baseline_case,
 )
+from streamguard.model import FrameManifest
 
-from helpers import grid_manifest
+from helpers import grid_manifest, reference_render
 
 _EPS = 1e-9
 
@@ -250,3 +252,64 @@ def test_baseline_prompt_window_rendered():
         assert "<Start>" not in text and "<End>" not in text
         texts[template] = text
     assert "0.0s to 2.0s" in texts["baseline_detect"]
+
+
+@pytest.fixture()
+def lookups(monkeypatch):
+    """The times ``FrameManifest.latest_frame_at`` is called with, in order."""
+    seen = []
+    lookup = FrameManifest.latest_frame_at
+
+    def spy(self, t):
+        seen.append(t)
+        return lookup(self, t)
+
+    monkeypatch.setattr(FrameManifest, "latest_frame_at", spy)
+    return seen
+
+
+@pytest.mark.parametrize("with_severity", [False, True])
+def test_baseline_builds_no_frame_nothing_reads(lookups, monkeypatch, with_severity):
+    """A scripted backend ignores its frames and a pre-overlaid prompt lists
+    none, so no window frame is ever looked up or built."""
+    built = []
+    frame = model.Frame
+
+    def counting(*args):
+        built.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(model, "Frame", counting)
+    manifest = grid_manifest(duration=9.0)
+    assert manifest.pre_overlaid
+    pred = run_baseline_case(manifest, baseline_backend([(3.0, "Part 2: 3.4")]),
+                             with_severity=with_severity)
+    assert (pred.verdict, pred.timestamp) == ("hazard", 3.4)
+    assert lookups == [] and built == []
+
+
+@pytest.mark.parametrize("with_severity", [False, True])
+def test_baseline_prompt_lists_each_clean_frame(lookups, with_severity):
+    """For clean frames the prompt lists every frame of its window: each is
+    looked up once, and the text is the reference render over the frames
+    looked up eagerly."""
+    manifest = grid_manifest(duration=9.0, step=0.07)
+    manifest = FrameManifest(manifest.case_id, manifest.fps_native, manifest.frames,
+                             pre_overlaid=False)
+    template = load_prompt("severity" if with_severity else "baseline_detect")
+    sent = []
+
+    class Spy(ScriptedBackend):
+        def baseline_raw(self, window_start, window_end, frames, prompt_text):
+            sent.append(prompt_text)
+            return "Part 2: Safe", 0.5
+
+    run_baseline_case(manifest, Spy(), with_severity=with_severity)
+    windows = build_windows(manifest.duration).windows
+    planned = [t for w in windows for t in w.frame_times]
+    assert lookups == planned
+    assert sent == [
+        reference_render(template.name, template.text,
+                         [manifest.latest_frame_at(t) for t in w.frame_times], False,
+                         start=w.start, end=w.end)
+        for w in windows]

@@ -712,6 +712,18 @@ def test_predictions_line_error_text(workdir, capsys, name):
     assert _preds_error(workdir, capsys, preds) == f"line 1: {message}"
 
 
+
+@pytest.mark.parametrize("ws", "\x0b\x0c\x1c\x85\xa0\u2028\u3000",
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_predictions_line_strips_only_json_whitespace(workdir, capsys, ws):
+    """Whitespace that ``str.strip`` drops but JSON does not allow, around a
+    record or alone on a line, is that line's ``json.loads`` error, not a
+    record or a blank line."""
+    for line in (ws + _REC + ws, _REC + ws, ws):
+        preds = _preds_file(workdir, (_REC + "\n" + line + "\n").encode())
+        assert _preds_error(workdir, capsys, preds) == f"line 2: {_json_error(line)}"
+
+
 _GOOD_LINES = "".join(f'{{"case_id": "c{i}", "verdict": "safe"}}\n' for i in range(500))
 
 

@@ -601,7 +601,34 @@ def test_frames_at_matches_latest_frame_at(times, extra_probes, rng):
     window = sorted(rng.sample(probes, min(len(probes), 20)))
     for m in (built, FrameManifest.from_dict(built.to_dict())):
         for ts in (sorted(probes), shuffled, window, window[::-1], []):
-            assert m.frames_at(ts) == [m.latest_frame_at(t) for t in ts]
+            assert list(m.frames_at(ts)) == [m.latest_frame_at(t) for t in ts]
+
+
+@given(_frame_times(), st.lists(st.floats(-10, 2e4), max_size=10), st.randoms(), st.data())
+def test_frame_window_matches_eager_lookups(times, extra_probes, rng, data):
+    """``frames_at`` against the eager lookups it stands for: its length, every
+    index, negative ones too, slices and iteration."""
+    frames = tuple(Frame(t=t, image_path=f"{i}.jpg") for i, t in enumerate(times))
+    built = FrameManifest(case_id="c", fps_native=30.0, frames=frames)
+    probes = [times[0] - 1.0, times[-1] + 1.0, *extra_probes]
+    probes += [t + d for t in rng.sample(times, min(len(times), 20)) for d in (-_EPS, 0.0, _EPS)]
+    for m in (built, FrameManifest.from_dict(built.to_dict())):
+        for ts in (sorted(probes), rng.sample(probes, len(probes)), sorted(probes)[::-1]):
+            eager = [m.latest_frame_at(t) for t in ts]
+            window = m.frames_at(ts)
+            assert not hasattr(window, "__dict__")
+            assert len(window) == len(eager)
+            assert list(window) == eager
+            assert list(reversed(window)) == eager[::-1]
+            for k in range(-len(eager), len(eager)):
+                assert window[k] == eager[k], k
+            for k in (len(eager), -len(eager) - 1):
+                with pytest.raises(IndexError):
+                    window[k]
+            part = data.draw(st.slices(len(eager)))
+            assert type(window[part]) is type(window)
+            assert len(window[part]) == len(eager[part])
+            assert list(window[part]) == eager[part]
 
 
 def test_frames_at_any_order():
@@ -609,7 +636,7 @@ def test_frames_at_any_order():
                       frames=(Frame(0.5, "a"), Frame(1.0, "b"), Frame(1.0, "c"), Frame(2.0, "d")))
     ts = (0.0, 1.0, 2.5, 0.7, 1.0 - _EPS / 2, math.nan, 0.6)
     assert [f.image_path for f in m.frames_at(ts)] == ["a", "c", "d", "a", "c", "d", "a"]
-    assert m.frames_at(ts) == [m.latest_frame_at(t) for t in ts]
+    assert list(m.frames_at(ts)) == [m.latest_frame_at(t) for t in ts]
 
 
 def test_frame_is_a_slotted_value():
