@@ -104,7 +104,9 @@ def _make_backend(spec: str):
 
 
 # ``json.loads`` without its whitespace scans: a stripped line has no JSON
-# whitespace at either end.
+# whitespace at either end.  A score_bulk benchmark pass takes 1.015 s with
+# it and 1.060 s with ``json.loads`` for every line, lower in 10 of 10 pairs
+# (``BENCH_fastpath_ledger.json``).
 _raw_decode = json.JSONDecoder().raw_decode
 # JSON's whitespace, the only kind a predictions line may have around its
 # value: ``str.strip()`` would also drop a form feed or a no-break space,

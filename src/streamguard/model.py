@@ -709,7 +709,7 @@ class FrameWindow(Sequence):
     scripted backend or a prompt for pre-overlaid frames, builds none.  It
     is not a list, and ``==`` is identity: compare ``list(window)``.
 
-    It pays: a long_stream benchmark pass takes 0.0635 s with it and 0.0709 s
+    It pays: a long_stream benchmark pass takes 0.0635 s with it and 0.0708 s
     building every window's frames in one forward walk, lower in 10 of 10
     pairs (``BENCH_lazy_window.json``).
     """

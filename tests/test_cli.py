@@ -712,7 +712,6 @@ def test_predictions_line_error_text(workdir, capsys, name):
     assert _preds_error(workdir, capsys, preds) == f"line 1: {message}"
 
 
-
 @pytest.mark.parametrize("ws", "\x0b\x0c\x1c\x85\xa0\u2028\u3000",
                          ids=lambda c: f"U+{ord(c):04X}")
 def test_predictions_line_strips_only_json_whitespace(workdir, capsys, ws):
