@@ -9,7 +9,6 @@ Run with:  python3 demos/fps_sweep.py
 
 from streamguard import (
     CaseAnnotation,
-    CoordinatorConfig,
     Frame,
     FrameManifest,
     KeyFrames,
@@ -45,8 +44,7 @@ for i in range(10):
         key_entities=("cable",), duration=5.0,
     )
 
-rows = sweep_fps(manifests, fast, slow, AnnotationSet(cases=anns), [1.0, 2.0, 5.0, 10.0],
-                 CoordinatorConfig())
+rows = sweep_fps(manifests, fast, slow, AnnotationSet(cases=anns), [1.0, 2.0, 5.0, 10.0])
 print(f"{'rate (Hz)':>10}  {'hdr':>6}  {'wss':>7}  {'mean latency':>12}")
 for row in rows:
     latency = "-" if row["mean_latency"] is None else f"{row['mean_latency']:.3f}s"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from .annotations import AnnotationSet
@@ -12,18 +11,19 @@ from .model import FrameManifest
 
 
 def sweep_fps(manifests: Sequence[FrameManifest], fast, slow, anns: AnnotationSet,
-              fps_list: Sequence[float], cfg: CoordinatorConfig) -> list:
+              fps_list: Sequence[float]) -> list:
     """Re-run the suite once per high-rate setting; one result row per rate.
 
-    Every case runs against the same ``fast``/``slow`` backend pair.  Only
-    the post-trigger rate varies; the idle rate stays at
-    ``coordinator.GAMMA_LOW``.  An empty list or a rate the coordinator
-    cannot sample raises ``ValueError`` before any case runs.
+    Every case runs against the same ``fast``/``slow`` backend pair, on the
+    simulated clock: a sweep replays each stream once per rate, which the
+    wall clock would sleep through.  Only the post-trigger rate varies; the
+    idle rate stays at ``coordinator.GAMMA_LOW``.  An empty list or a rate
+    the coordinator cannot sample raises ``ValueError`` before any case runs.
     """
     if not fps_list:
         raise ValueError("fps_list must be non-empty")
     # Every rate is validated by its config before any suite runs.
-    configs = [replace(cfg, gamma_high=float(fps)) for fps in fps_list]
+    configs = [CoordinatorConfig(gamma_high=float(fps)) for fps in fps_list]
     if not manifests:
         raise EmptyDataset("no cases to sweep")
 

@@ -188,7 +188,9 @@ class ScriptedBackend:
     Each rule's reply text and latency are built once, at construction, so
     a query only finds the rule that holds its time; a rule or a fault
     interval that cannot be built, or that is not finite and non-empty, is
-    a ``SchemaError`` then.
+    a ``SchemaError`` then.  The backend keeps those replies and the fault
+    intervals, not the rules: the script it was built from is its one
+    written form.
     """
 
     DEFAULT_FAST_LATENCY = 0.05
@@ -200,15 +202,12 @@ class ScriptedBackend:
 
     def __init__(self, fast_schedule=(), slow_responses=(), baseline_responses=(),
                  malformed=(), timeout=()):
-        self.fast_schedule = tuple(fast_schedule)
-        self.slow_responses = tuple(slow_responses)
-        self.baseline_responses = tuple(baseline_responses)
         self.malformed = _intervals(malformed, "malformed")
         self.timeout = _intervals(timeout, "timeout")
-        self._fast = _replies(self.fast_schedule, "fast_schedule", _fast_text,
+        self._fast = _replies(fast_schedule, "fast_schedule", _fast_text,
                               self.DEFAULT_FAST_LATENCY)
-        self._slow = _replies(self.slow_responses, "slow_responses", _slow_text, 1.0)
-        self._baseline = _replies(self.baseline_responses, "baseline_responses",
+        self._slow = _replies(slow_responses, "slow_responses", _slow_text, 1.0)
+        self._baseline = _replies(baseline_responses, "baseline_responses",
                                   lambda p: str(p.get("raw", "Part 2: Safe")), 0.5)
 
     # -- construction ---------------------------------------------------------
@@ -238,18 +237,6 @@ class ScriptedBackend:
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(_json_object(path, "scripted backend", json.load(fh)))
-
-    def to_dict(self) -> dict:
-        def dump(rules):
-            return [{"t_start": r.t_start, "t_end": r.t_end, **r.payload} for r in rules]
-
-        return {
-            "fast_schedule": dump(self.fast_schedule),
-            "slow_responses": dump(self.slow_responses),
-            "baseline_responses": dump(self.baseline_responses),
-            "faults": {"malformed": [list(iv) for iv in self.malformed],
-                       "timeout": [list(iv) for iv in self.timeout]},
-        }
 
     # -- raw queries ----------------------------------------------------------
 

@@ -299,8 +299,7 @@ def cmd_ablate(args) -> int:
     slow = _make_backend(args.slow)
     try:
         fps_list = [float(x) for x in args.fps.split(",") if x.strip()]
-        rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list,
-                                      CoordinatorConfig(clock=args.clock))
+        rows = ablation_mod.sweep_fps(manifests, fast, slow, anns, fps_list)
     except ValueError as exc:  # sweep_fps checks every rate before it runs a case
         raise CliError(EXIT_IO, f"config_error: bad --fps list: {exc}")
     except MetricsError as exc:
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", required=True)
     p.add_argument("--slow", required=True)
     p.add_argument("--fps", default="1,2,5,10")
-    p.add_argument("--clock", choices=["sim", "real"], default="sim")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

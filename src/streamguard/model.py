@@ -96,9 +96,10 @@ def _number(name: str, v) -> float:
     An int converts.  A bool or a string is no number, though ``float()``
     reads ``true`` and ``"0.5"`` as one: it is a SchemaError naming the
     field.  A value that ``float()`` refuses keeps ``float()``'s error, and an
-    int too large for a float raises OverflowError.  The per-record decoders
-    call this only for a value whose type is not ``float``, so the usual
-    value costs one type test.
+    int too large for a float raises OverflowError.  The decoders that run
+    once per frame, event or record call this only for a value whose type is
+    not ``float``, so the usual value costs one type test; the ones that run
+    a few times per file call it for every value.
     """
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
@@ -463,15 +464,12 @@ class PhaseScoreTable:
             Phase.MISSED: 0.0,
         })
 
-    def to_dict(self) -> dict:
-        return {phase.value: score for phase, score in self.scores.items()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseScoreTable":
         if not isinstance(d, dict):
             raise SchemaError(f"score table must be an object, got {type(d).__name__}")
         try:
-            scores = {Phase(k): v if type(v) is float else _number(k, v) for k, v in d.items()}
+            scores = {Phase(k): _number(k, v) for k, v in d.items()}
         except (TypeError, ValueError, OverflowError, SchemaError) as exc:
             raise SchemaError(f"bad score table entry: {exc}") from exc
         return cls(scores)
@@ -519,11 +517,6 @@ class PredictionRecord:
         """True when this record counts as a cleanly parsed hazard prediction."""
         return self.parse_status == "ok" and self.verdict == "hazard"
 
-    @property
-    def effective_timestamp(self) -> Optional[float]:
-        """Hazard timestamp, or None for Safe / unparseable records."""
-        return self.timestamp if self.is_hazard else None
-
     def to_dict(self) -> dict:
         return {
             "case_id": self.case_id,
@@ -570,17 +563,6 @@ class Frame:
 
     t: float
     image_path: str = ""
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Frame":
-        try:
-            t = v if type(v := d["t"]) is float else _number("t", v)
-            image_path = d.get("image_path", "")
-            if not isinstance(image_path, str):
-                raise SchemaError(f"image_path must be a string, got {image_path!r}")
-            return cls(t=t, image_path=image_path)
-        except DECODE_ERRORS as exc:
-            raise decode_error("frame", d, exc) from exc
 
 
 def _check_stream(case_id, times: tuple, pre_overlaid) -> None:
@@ -667,27 +649,28 @@ class FrameManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameManifest":
-        """Decode straight into the two columns, frame by frame.
+        """Decode straight into the two columns, in one pass over the frames.
 
-        A frame time that is not a float goes through ``_number``; on any bad
-        frame, ``Frame.from_dict`` names it.  The stream checks are
-        ``_check_stream``, as in ``__init__``.
+        Each frame entry is read once: its ``t`` (through ``_number`` when it
+        is not a float), then its ``image_path``.  The first bad entry is the
+        ``frame`` the error names.  The stream checks are ``_check_stream``,
+        as in ``__init__``.
         """
         try:
             case_id = d["case_id"]
-            fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
-                else _number("fps_native", v)
-            entries = d["frames"]
-            try:
-                times = tuple([t if type(t := f["t"]) is float else _number("t", t)
-                               for f in entries])
-                paths = tuple([f.get("image_path", "") for f in entries])
-                if not all(isinstance(p, str) for p in paths):
-                    raise SchemaError("image_path must be a string")
-            except DECODE_ERRORS:
-                for f in entries:  # the per-frame decoder names the bad entry
-                    Frame.from_dict(f)
-                raise
+            fps_native = _number("fps_native", d.get("fps_native", 10.0))
+            times = []
+            paths = []
+            for f in d["frames"]:
+                try:
+                    times.append(t if type(t := f["t"]) is float else _number("t", t))
+                    if not isinstance(p := f.get("image_path", ""), str):
+                        raise SchemaError(f"image_path must be a string, got {p!r}")
+                except DECODE_ERRORS as exc:
+                    raise decode_error("frame", f, exc) from exc
+                paths.append(p)
+            times = tuple(times)
+            paths = tuple(paths)
             pre_overlaid = d.get("pre_overlaid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("manifest", d, exc) from exc
@@ -912,7 +895,7 @@ class DecisionTrace:
 
             def time_field(name):
                 v = summary.get(name)
-                return v if v is None or type(v) is float else _number(name, v)
+                return v if v is None else _number(name, v)
 
             source = summary.get("alert_source")
             return cls(

@@ -163,7 +163,8 @@ def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict
     """
     counts = {phase: 0 for phase in Phase}
     for ann, pred in _join(preds, anns):
-        counts[classify_phase(None if pred is None else pred.effective_timestamp, ann)] += 1
+        t = pred.timestamp if pred is not None and pred.is_hazard else None
+        counts[classify_phase(t, ann)] += 1
     return counts
 
 
@@ -228,8 +229,9 @@ def invert_row(hdr_pct: float, premature_pct: float, optimal_pct: float,
 
 # --- reference copies ---------------------------------------------------------
 # The straightforward forms of two hot paths, kept as the oracles their
-# differential tests compare the program against.  The manifest decode is
-# itself in this form, so its test pins the decoder's values and error texts.
+# differential tests compare the program against.  The manifest decode is the
+# two-pass form the one-pass decoder replaced: column comprehensions, then a
+# per-frame decoder that names the bad entry.
 
 def reference_render(name: str, text: str, frames, pre_overlaid: bool,
                      start: Optional[float] = None, end: Optional[float] = None) -> str:
@@ -249,9 +251,23 @@ def reference_render(name: str, text: str, frames, pre_overlaid: bool,
     return out
 
 
+def _reference_frame_decode(d) -> Frame:
+    """One frame entry, decoded alone; a bad one is named as the ``frame``."""
+    try:
+        t = v if type(v := d["t"]) is float else _number("t", v)
+        image_path = d.get("image_path", "")
+        if not isinstance(image_path, str):
+            raise SchemaError(f"image_path must be a string, got {image_path!r}")
+        return Frame(t=t, image_path=image_path)
+    except DECODE_ERRORS as exc:
+        raise decode_error("frame", d, exc) from exc
+
+
 def reference_manifest_decode(d) -> tuple:
-    """``FrameManifest.from_dict`` frame by frame, then the stream checks:
-    ``(case_id, fps_native, times, paths, pre_overlaid)``, or the same error."""
+    """``FrameManifest.from_dict`` as two passes: every frame's columns, and on
+    a failure ``_reference_frame_decode`` entry by entry to name the bad one;
+    then the stream checks.  ``(case_id, fps_native, times, paths,
+    pre_overlaid)``, or the same error."""
     try:
         case_id = d["case_id"]
         fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
@@ -265,7 +281,7 @@ def reference_manifest_decode(d) -> tuple:
                 raise SchemaError("image_path must be a string")
         except DECODE_ERRORS:
             for f in entries:
-                Frame.from_dict(f)
+                _reference_frame_decode(f)
             raise
         pre_overlaid = d.get("pre_overlaid", True)
     except DECODE_ERRORS as exc:

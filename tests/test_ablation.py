@@ -3,13 +3,10 @@
 import pytest
 
 from streamguard.ablation import sweep_fps
-from streamguard.coordinator import CoordinatorConfig
 from streamguard.metrics import EmptyDataset
 from streamguard.model import Phase
 
 from helpers import ann_set, fast_script, grid_manifest, make_ann, slow_script
-
-CFG = CoordinatorConfig()
 
 
 def burst_suite(n_cases=6):
@@ -34,7 +31,7 @@ def burst_suite(n_cases=6):
 
 def test_sweep_fps_burst_sensitivity():
     manifests, fast, slow, anns = burst_suite()
-    rows = sweep_fps(manifests, fast, slow, anns, [1.0, 5.0], CFG)
+    rows = sweep_fps(manifests, fast, slow, anns, [1.0, 5.0])
     by_fps = {row["fps"]: row for row in rows}
     assert by_fps[5.0]["wss"] > by_fps[1.0]["wss"]
     assert by_fps[5.0]["hdr"] == pytest.approx(1.0)
@@ -45,15 +42,15 @@ def test_sweep_fps_burst_sensitivity():
 
 def test_sweep_fps_row_order_matches_input():
     manifests, fast, slow, anns = burst_suite(2)
-    rows = sweep_fps(manifests, fast, slow, anns, [5.0, 1.0, 2.0], CFG)
+    rows = sweep_fps(manifests, fast, slow, anns, [5.0, 1.0, 2.0])
     assert [row["fps"] for row in rows] == [5.0, 1.0, 2.0]
 
 
 def test_sweep_fps_validation():
     manifests, fast, slow, anns = burst_suite(1)
     with pytest.raises(ValueError):
-        sweep_fps(manifests, fast, slow, anns, [], CFG)
+        sweep_fps(manifests, fast, slow, anns, [])
     with pytest.raises(ValueError):
-        sweep_fps(manifests, fast, slow, anns, [0.0], CFG)
+        sweep_fps(manifests, fast, slow, anns, [0.0])
     with pytest.raises(EmptyDataset):
-        sweep_fps([], fast, slow, anns, [5.0], CFG)
+        sweep_fps([], fast, slow, anns, [5.0])

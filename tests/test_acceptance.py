@@ -366,6 +366,6 @@ def test_criterion_8_fps_sweep():
         manifests.append(grid_manifest(case_id=cid, duration=5.0))
         anns.append(make_ann(case_id=cid, intent=1.0, deadline=1.5, pnr=1.7,
                              impact=2.0, end=2.5, duration=5.0))
-    rows = sweep_fps(manifests, fast, slow, ann_set(*anns), [1.0, 5.0], CoordinatorConfig())
+    rows = sweep_fps(manifests, fast, slow, ann_set(*anns), [1.0, 5.0])
     by_fps = {row["fps"]: row["wss"] for row in rows}
     assert by_fps[5.0] > by_fps[1.0], by_fps

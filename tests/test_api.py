@@ -57,7 +57,7 @@ CLI_OPTIONS = {
     "metrics": ["--annotations", "--model", "--out", "--preds", "--scores"],
     "errors": ["--annotations", "--out", "--preds"],
     "agreement": ["--a", "--b", "--out"],
-    "ablate": ["--annotations", "--clock", "--fast", "--fps", "--manifest", "--out", "--slow"],
+    "ablate": ["--annotations", "--fast", "--fps", "--manifest", "--out", "--slow"],
 }
 
 COORDINATOR_FIELDS = ["clock", "gamma_high"]

@@ -212,13 +212,24 @@ def test_scripted_faults():
         backend.fast_raw(FAST_TEXT, Frame(t=2.5))
 
 
-def _per_call_fast_raw(backend, t):
+def _probe_times(rules, faults) -> list:
+    """Every rule and fault edge, the floats either side of it, and times
+    before, between and after the rules."""
+    edges = {e for r in rules for e in (r.t_start, r.t_end)}
+    edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
+    times = {0.0, 1.75, 3.25, 10.0}
+    for e in edges:
+        times |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
+    return sorted(times)
+
+
+def _per_call_fast_raw(rules, faults, t):
     """``fast_raw`` as a formula that encodes the matching rule's reply on every call."""
-    if any(a <= t < b for a, b in backend.timeout):
+    if any(a <= t < b for a, b in faults.get("timeout", ())):
         raise BackendTimeoutError(f"scripted timeout at t={t}")
-    if any(a <= t < b for a, b in backend.malformed):
+    if any(a <= t < b for a, b in faults.get("malformed", ())):
         return "the scene looks fine", ScriptedBackend.DEFAULT_FAST_LATENCY
-    for rule in backend.fast_schedule:
+    for rule in rules:
         if rule.t_start <= t < rule.t_end:
             raw = json.dumps({"category": rule.payload.get("state", "green"),
                               "reason": rule.payload.get("reason", "")})
@@ -239,14 +250,9 @@ _FAST_RULES = [
 def test_scripted_fast_raw_matches_per_call_encoding(faults):
     """The encoded-once replies are the per-call formula's, at every rule and fault edge."""
     backend = ScriptedBackend(fast_schedule=_FAST_RULES, **faults)
-    edges = {e for r in _FAST_RULES for e in (r.t_start, r.t_end)}
-    edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
-    times = {0.0, 1.75, 3.25, 10.0}  # before, between and after the rules
-    for e in edges:
-        times |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
-    for t in sorted(times):
+    for t in _probe_times(_FAST_RULES, faults):
         try:
-            expected = _per_call_fast_raw(backend, t)
+            expected = _per_call_fast_raw(_FAST_RULES, faults, t)
         except BackendTimeoutError as exc:
             with pytest.raises(BackendTimeoutError, match=f"^{exc}$"):
                 backend.fast_raw(FAST_TEXT, Frame(t=t))
@@ -255,11 +261,11 @@ def test_scripted_fast_raw_matches_per_call_encoding(faults):
         assert got == expected and type(got[1]) is float, t
 
 
-def _per_call_slow_raw(backend, t):
+def _per_call_slow_raw(rules, faults, t):
     """``slow_raw`` as a formula that formats the matching rule's reply on every call."""
-    if any(a <= t < b for a, b in backend.timeout):
+    if any(a <= t < b for a, b in faults.get("timeout", ())):
         raise BackendTimeoutError(f"scripted timeout at t={t}")
-    for rule in backend.slow_responses:
+    for rule in rules:
         if rule.t_start <= t < rule.t_end:
             verdict = "DANGER" if int(rule.payload.get("verdict", 0)) else "SAFE"
             raw = f"**ANALYSIS**: scripted response\n**VERDICT**: {verdict}"
@@ -267,9 +273,9 @@ def _per_call_slow_raw(backend, t):
     return "**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0
 
 
-def _per_call_baseline_raw(backend, window_start):
+def _per_call_baseline_raw(rules, window_start):
     """``baseline_raw`` as a formula that converts the matching rule's reply on every call."""
-    for rule in backend.baseline_responses:
+    for rule in rules:
         if rule.t_start <= window_start < rule.t_end:
             return str(rule.payload.get("raw", "Part 2: Safe")), \
                 float(rule.payload.get("latency", 0.5))
@@ -300,17 +306,12 @@ def test_scripted_slow_and_baseline_raw_match_per_call_formatting(faults):
     every rule and fault edge; the rules are given out of order."""
     backend = ScriptedBackend(slow_responses=_SLOW_RULES[::-1],
                               baseline_responses=_BASELINE_RULES[::-1], **faults)
-    edges = {e for r in _SLOW_RULES + _BASELINE_RULES for e in (r.t_start, r.t_end)}
-    edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
-    times = {0.0, 1.75, 3.25, 10.0}  # before, between and after the rules
-    for e in edges:
-        times |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
-    for t in sorted(times):
+    for t in _probe_times(_SLOW_RULES + _BASELINE_RULES, faults):
         got = backend.baseline_raw(t, t + 2.0, (), "")
-        assert got == _per_call_baseline_raw(backend, t) and type(got[1]) is float, t
+        assert got == _per_call_baseline_raw(_BASELINE_RULES, t) and type(got[1]) is float, t
         window = (Frame(t=0.0), Frame(t=t))  # keyed on the last frame
         try:
-            expected = _per_call_slow_raw(backend, t)
+            expected = _per_call_slow_raw(_SLOW_RULES, faults, t)
         except BackendTimeoutError as exc:
             with pytest.raises(BackendTimeoutError, match=f"^{exc}$"):
                 backend.slow_raw(SLOW_TEXT, window)
@@ -324,16 +325,38 @@ def test_scripted_unencodable_fast_payload_rejected():
         ScriptedBackend(fast_schedule=[ScheduleRule(0.0, 1.0, {"state": {"red"}})])
 
 
-def test_scripted_dict_roundtrip(tmp_path):
-    backend = ScriptedBackend(
-        fast_schedule=[ScheduleRule(0.0, 1.0, {"state": "yellow", "reason": "x"})],
-        slow_responses=[ScheduleRule(0.0, 1.0, {"verdict": 1, "latency": 1.5})],
-        baseline_responses=[ScheduleRule(0.0, 0.1, {"raw": "Part 2: Safe"})],
-        malformed=[(3.0, 4.0)], timeout=[(5.0, 6.0)])
+def _answers(backend, t) -> list:
+    """What each of the three queries gives at stream time ``t``: the reply, or
+    the error's class and text."""
+    calls = (lambda: backend.fast_raw(FAST_TEXT, Frame(t=t)),
+             lambda: backend.slow_raw(SLOW_TEXT, (Frame(t=0.0), Frame(t=t))),
+             lambda: backend.baseline_raw(t, t + 2.0, (), ""))
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except BackendTimeoutError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("faults", [{}, {"malformed": [(0.0, 0.25), (3.75, 5.0)],
+                                         "timeout": [(0.75, 1.25), (4.25, 6.0)]}],
+                         ids=["clean", "faults"])
+def test_scripted_file_matches_constructor(tmp_path, faults):
+    """A script file answers every query as the constructor does on the same
+    rules and faults, at every rule and fault edge."""
+    rule_lists = {"fast_schedule": _FAST_RULES, "slow_responses": _SLOW_RULES,
+                  "baseline_responses": _BASELINE_RULES}
+    script = {key: [{"t_start": r.t_start, "t_end": r.t_end, **r.payload} for r in rules]
+              for key, rules in rule_lists.items()}
+    script["faults"] = {name: [list(iv) for iv in ivs] for name, ivs in faults.items()}
     path = tmp_path / "script.json"
-    path.write_text(json.dumps(backend.to_dict()), encoding="utf-8")
+    path.write_text(json.dumps(script), encoding="utf-8")
     loaded = ScriptedBackend.from_file(str(path))
-    assert loaded.to_dict() == backend.to_dict()
+    built = ScriptedBackend(**rule_lists, **faults)
+    for t in _probe_times(_FAST_RULES + _SLOW_RULES + _BASELINE_RULES, faults):
+        assert _answers(loaded, t) == _answers(built, t), t
 
 
 # --- endpoint config ---------------------------------------------------------

@@ -365,10 +365,11 @@ def test_ablate_bad_rate_is_config_error(workdir, capsys, fps):
 
 @pytest.mark.parametrize("argv", [["run", "--k", "3"], ["run", "--fps-low", "1"],
                                   ["ablate", "--k", "3"], ["ablate", "--fps-low", "1"],
-                                  ["ablate", "--fps-high", "5"]])
+                                  ["ablate", "--fps-high", "5"], ["ablate", "--clock", "real"]])
 def test_fixed_protocol_options_are_usage_errors(workdir, capsys, argv):
-    """The window size and idle rate are constants, and ``ablate`` takes its
-    high rates from ``--fps`` alone; the old options are unknown to argparse."""
+    """The window size and idle rate are constants, ``ablate`` takes its high
+    rates from ``--fps`` alone and always runs on the sim clock; the old
+    options are unknown to argparse."""
     command, *extra = argv
     scripts = ["--fast", f"scripted:{workdir / 'fast.json'}",
                "--slow", f"scripted:{workdir / 'slow.json'}"]

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
@@ -434,8 +435,10 @@ def test_score_table_range_check():
 
 
 def test_score_table_roundtrip():
+    """The default table, written as a ``--scores`` file would hold it, decodes back."""
     table = PhaseScoreTable.default()
-    assert PhaseScoreTable.from_dict(table.to_dict()) == table
+    encoded = json.loads(json.dumps({p.value: s for p, s in table.scores.items()}))
+    assert PhaseScoreTable.from_dict(encoded) == table
 
 
 # --- PredictionRecord --------------------------------------------------------
@@ -470,14 +473,11 @@ def test_prediction_rejects_non_string_fields(field, value, message):
     assert str(info.value) == message
 
 
-def test_prediction_effective_timestamp():
-    ok = PredictionRecord(case_id="c", verdict="hazard", timestamp=2.5)
-    assert ok.is_hazard and ok.effective_timestamp == 2.5
-    safe = PredictionRecord(case_id="c", verdict="safe")
-    assert not safe.is_hazard and safe.effective_timestamp is None
-    bad = PredictionRecord(case_id="c", verdict="hazard", timestamp=2.5,
-                           parse_status="format_error")
-    assert not bad.is_hazard and bad.effective_timestamp is None
+def test_prediction_is_hazard():
+    assert PredictionRecord(case_id="c", verdict="hazard", timestamp=2.5).is_hazard
+    assert not PredictionRecord(case_id="c", verdict="safe").is_hazard
+    assert not PredictionRecord(case_id="c", verdict="hazard", timestamp=2.5,
+                                parse_status="format_error").is_hazard
 
 
 @given(st.booleans(), st.one_of(st.none(), st.floats(0, 100)),
@@ -590,20 +590,6 @@ def test_latest_frame_at_matches_linear_scan(times, extra_probes):
     assert head.latest_frame_at(times[-1] + 1.0) == frames[0]
 
 
-@given(_frame_times(), st.lists(st.floats(-10, 2e4), max_size=10), st.randoms())
-def test_frames_at_matches_latest_frame_at(times, extra_probes, rng):
-    frames = tuple(Frame(t=t, image_path=f"{i}.jpg") for i, t in enumerate(times))
-    built = FrameManifest(case_id="c", fps_native=30.0, frames=frames)
-    probes = [times[0] - 1.0, times[-1] + 1.0, *extra_probes]
-    for t in times:
-        probes += [t, t - _EPS / 2, t + _EPS / 2, t - 2 * _EPS, t + 2 * _EPS]
-    shuffled = rng.sample(probes, len(probes))
-    window = sorted(rng.sample(probes, min(len(probes), 20)))
-    for m in (built, FrameManifest.from_dict(built.to_dict())):
-        for ts in (sorted(probes), shuffled, window, window[::-1], []):
-            assert list(m.frames_at(ts)) == [m.latest_frame_at(t) for t in ts]
-
-
 @given(_frame_times(), st.lists(st.floats(-10, 2e4), max_size=10), st.randoms(), st.data())
 def test_frame_window_matches_eager_lookups(times, extra_probes, rng, data):
     """``frames_at`` against the eager lookups it stands for: its length, every
@@ -612,16 +598,19 @@ def test_frame_window_matches_eager_lookups(times, extra_probes, rng, data):
     built = FrameManifest(case_id="c", fps_native=30.0, frames=frames)
     probes = [times[0] - 1.0, times[-1] + 1.0, *extra_probes]
     probes += [t + d for t in rng.sample(times, min(len(times), 20)) for d in (-_EPS, 0.0, _EPS)]
+    probes += [t + d for t in times for d in (-2 * _EPS, -_EPS / 2, _EPS / 2, 2 * _EPS)]
+    run = sorted(rng.sample(probes, min(len(probes), 20)))  # probes in order, as a window's
+    # Up to ~900 probes: a drawn seed shuffles them, as drawing each swap costs seconds.
+    shuffled = random.Random(rng.random()).sample(probes, len(probes))
     for m in (built, FrameManifest.from_dict(built.to_dict())):
-        for ts in (sorted(probes), rng.sample(probes, len(probes)), sorted(probes)[::-1]):
+        for ts in ([], sorted(probes), shuffled, sorted(probes)[::-1], run, run[::-1]):
             eager = [m.latest_frame_at(t) for t in ts]
             window = m.frames_at(ts)
             assert not hasattr(window, "__dict__")
             assert len(window) == len(eager)
             assert list(window) == eager
             assert list(reversed(window)) == eager[::-1]
-            for k in range(-len(eager), len(eager)):
-                assert window[k] == eager[k], k
+            assert [window[k] for k in range(-len(eager), len(eager))] == eager + eager
             for k in (len(eager), -len(eager) - 1):
                 with pytest.raises(IndexError):
                     window[k]
@@ -646,8 +635,6 @@ def test_frame_is_a_slotted_value():
     assert hash(f) == hash(Frame(1.5, "a.jpg"))
     assert repr(f) == "Frame(t=1.5, image_path='a.jpg')"
     assert replace(f, t=2.0) == Frame(2.0, "a.jpg")
-    assert Frame.from_dict({"t": 1.5, "image_path": "a.jpg"}) == f
-    assert Frame.from_dict({"t": 2}) == Frame(2.0, "")
     with pytest.raises(FrozenInstanceError):
         f.t = 0.0
 
@@ -700,6 +687,11 @@ _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.j
     ([_GOOD_FRAMES[0], {"image_path": "b.jpg"}], "manifest m1: missing field 't' in frame"),
     ([_GOOD_FRAMES[0], {"t": "abc"}],
      "manifest m1: frame: could not convert string to float: 'abc'"),
+    ([3, _GOOD_FRAMES[1]], "manifest m1: frame must be a JSON object, got int"),
+    ([{"t": "abc", "image_path": 5}, _GOOD_FRAMES[1]],
+     "manifest m1: frame: could not convert string to float: 'abc'"),
+    ([{"t": 0.0, "image_path": 5}, {"t": "abc"}],
+     "manifest m1: frame: image_path must be a string, got 5"),
     ("ab", "manifest m1: frame must be a JSON object, got str"),
     (5, "manifest m1: 'int' object is not iterable"),
     ([_GOOD_FRAMES[0], {"t": math.nan}],
@@ -708,10 +700,12 @@ _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.j
      "manifest for m1 has a frame time that is not finite and non-negative"),
     ([_GOOD_FRAMES[1], _GOOD_FRAMES[0]], "manifest for m1 frames not time-ordered"),
     ([], "manifest for m1 has no frames"),
-], ids=["frame_int", "frame_list", "missing_t", "string_t", "frames_string", "frames_int",
+], ids=["frame_int", "frame_list", "missing_t", "string_t", "first_frame_int",
+        "t_before_path", "first_bad_frame", "frames_string", "frames_int",
         "nan_t", "negative_t", "unordered", "empty"])
 def test_manifest_decode_error_text(frames, message):
-    """The decoder's column fast path keeps the per-frame decoder's messages."""
+    """A bad frame entry is named as the ``frame``: the first bad one, and within
+    it the ``t`` before the ``image_path``."""
     with pytest.raises(SchemaError) as info:
         FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
     assert str(info.value) == message
@@ -720,9 +714,6 @@ def test_manifest_decode_error_text(frames, message):
 @pytest.mark.parametrize("path", [None, 5, ["a.jpg"]], ids=["null", "int", "list"])
 def test_frame_rejects_non_string_image_path(path):
     """A path that is not a string never reaches a backend's ``open``."""
-    with pytest.raises(SchemaError) as info:
-        Frame.from_dict({"t": 0.0, "image_path": path})
-    assert str(info.value) == f"frame: image_path must be a string, got {path!r}"
     frames = [_GOOD_FRAMES[0], {"t": 0.5, "image_path": path}]
     with pytest.raises(SchemaError) as info:
         FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
@@ -859,7 +850,8 @@ _M1 = {"case_id": "m1", "fps_native": 10.0, "frames": _GOOD_FRAMES}
      "manifest m1: frame: t must be a JSON number, got True"),
     (FrameManifest.from_dict, {**_M1, "frames": [{"t": "0.5"}]},
      "manifest m1: frame: t must be a JSON number, got '0.5'"),
-    (Frame.from_dict, {"t": "0.5"}, "frame: t must be a JSON number, got '0.5'"),
+    (FrameManifest.from_dict, {**_M1, "frames": [{"t": "0.5"}, {"t": True}]},
+     "manifest m1: frame: t must be a JSON number, got '0.5'"),
     (event_from_dict, {"kind": "frame_sampled", "t": "1.5", "rate": 1.0},
      "t must be a JSON number, got '1.5'"),
     (event_from_dict, {"kind": "frame_sampled", "t": 1.5, "rate": True},
