@@ -10,7 +10,6 @@ Run with:  python3 demos/agreement_stats.py
 import random
 
 from streamguard import CaseAnnotation, KeyFrames
-from streamguard.annotations import AnnotationSet
 from streamguard.agreement import agreement_table
 
 rng = random.Random(7)
@@ -34,7 +33,7 @@ for i in range(15):
     set_a[f"case-{i}"] = one_pass(f"case-{i}", base, 0.0)
     set_b[f"case-{i}"] = one_pass(f"case-{i}", base, rng.choice([-0.03, 0.0, 0.03]))
 
-table = agreement_table(AnnotationSet(cases=set_a), AnnotationSet(cases=set_b))
+table = agreement_table(set_a, set_b)
 print(f"both-valid cases: {table['n_both_valid']}")
 print(f"{'field':>24}  {'ccc':>8}  {'icc_a1':>8}  {'mae_s':>8}")
 for field, stats in table["keyframes"].items():

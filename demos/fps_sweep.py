@@ -16,7 +16,6 @@ from streamguard import (
     ScriptedBackend,
 )
 from streamguard.ablation import sweep_fps
-from streamguard.annotations import AnnotationSet
 
 # Every case shares one backend pair: the scripts are keyed on stream time.
 fast = ScriptedBackend(fast_schedule=[
@@ -44,7 +43,7 @@ for i in range(10):
         key_entities=("cable",), duration=5.0,
     )
 
-rows = sweep_fps(manifests, fast, slow, AnnotationSet(cases=anns), [1.0, 2.0, 5.0, 10.0])
+rows = sweep_fps(manifests, fast, slow, anns, [1.0, 2.0, 5.0, 10.0])
 print(f"{'rate (Hz)':>10}  {'hdr':>6}  {'wss':>7}  {'mean latency':>12}")
 for row in rows:
     latency = "-" if row["mean_latency"] is None else f"{row['mean_latency']:.3f}s"

@@ -8,7 +8,6 @@ Run with:  python3 demos/metrics_report.py
 """
 
 from streamguard import CaseAnnotation, KeyFrames, PredictionRecord
-from streamguard.annotations import AnnotationSet
 from streamguard.metrics import build_report
 
 
@@ -23,10 +22,10 @@ def ann(case_id, difficulty="D1", entities=("kettle",)):
     )
 
 
-annotations = AnnotationSet(cases={a.case_id: a for a in [
+annotations = {a.case_id: a for a in [
     ann("early"), ann("timely"), ann("late"), ann("blind"),
     ann("misread", difficulty="D3"),
-]})
+]}
 
 predictions = [
     PredictionRecord(case_id="early", verdict="hazard", timestamp=2.0),

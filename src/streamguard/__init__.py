@@ -1,6 +1,6 @@
 """Dual-brain streaming safety coordinator and evaluation harness."""
 
-from .annotations import AnnotationSet, classify_phase, load_annotations
+from .annotations import classify_phase, load_annotations
 from .backends import (
     EndpointConfig,
     PromptTemplate,

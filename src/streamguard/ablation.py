@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .annotations import AnnotationSet
 from .coordinator import CoordinatorConfig, run_case
 from .metrics import EmptyDataset, build_report
 from .model import FrameManifest
 
 
-def sweep_fps(manifests: Sequence[FrameManifest], fast, slow, anns: AnnotationSet,
+def sweep_fps(manifests: Sequence[FrameManifest], fast, slow, anns: dict,
               fps_list: Sequence[float]) -> list:
     """Re-run the suite once per high-rate setting; one result row per rate.
 

@@ -11,8 +11,6 @@ from math import fsum
 from operator import attrgetter, mul, sub
 from typing import Sequence
 
-from .annotations import AnnotationSet
-
 
 class AgreementError(Exception):
     pass
@@ -109,15 +107,15 @@ KEYFRAME_FIELDS = ("intent_onset", "pnr", "intervention_deadline", "impact", "ac
 CATEGORICAL_FIELDS = ("danger_category", "severity", "difficulty")
 
 
-def agreement_table(set_a: AnnotationSet, set_b: AnnotationSet) -> dict:
+def agreement_table(set_a: dict, set_b: dict) -> dict:
     """Agreement statistics over the cases marked valid by both annotators.
 
-    Returns keyframe rows (ccc / icc_a1 / mae per field) and kappa per
-    categorical field, plus the size of the both-valid subset.
+    Each set maps ``case_id`` to ``CaseAnnotation``, as ``load_annotations``
+    returns it.  Returns keyframe rows (ccc / icc_a1 / mae per field) and
+    kappa per categorical field, plus the size of the both-valid subset.
     """
-    cases_a, cases_b = set_a.cases, set_b.cases
-    shared = sorted(cases_a.keys() & cases_b.keys())
-    valid = [(a, b) for a, b in zip(map(cases_a.get, shared), map(cases_b.get, shared))
+    shared = sorted(set_a.keys() & set_b.keys())
+    valid = [(a, b) for a, b in zip(map(set_a.get, shared), map(set_b.get, shared))
              if a.is_valid and b.is_valid]
     if not valid:
         raise EmptyInput("no cases are valid in both annotation sets")

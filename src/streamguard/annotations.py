@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .model import (JSON_ERRORS, CaseAnnotation, ModelError, Phase, SchemaError,
@@ -18,27 +17,12 @@ class DuplicateCaseError(ModelError):
     """Two cases in the same file share a case_id."""
 
 
-@dataclass(frozen=True)
-class AnnotationSet:
-    """All validated case annotations from one file."""
-
-    cases: dict  # case_id -> CaseAnnotation
-
-    def __len__(self) -> int:
-        return len(self.cases)
-
-    def __getitem__(self, case_id: str) -> CaseAnnotation:
-        return self.cases[case_id]
-
-    def __contains__(self, case_id: str) -> bool:
-        return case_id in self.cases
-
-    def __iter__(self):
-        return iter(self.cases.values())
-
-
-def load_annotations(path: str) -> AnnotationSet:
+def load_annotations(path: str) -> dict[str, CaseAnnotation]:
     """Load a JSON array of case annotations, validating every case.
+
+    Returns the cases keyed by ``case_id``, in file order: the plain dict
+    that ``build_report``, ``severity_confusion``, ``agreement_table`` and
+    ``sweep_fps`` take.  Its ``values()`` are the cases.
 
     Raises IoError on unreadable files, SchemaError on malformed entries,
     and the KeyFrames constructors' OrderingError / DeadlineError on
@@ -65,25 +49,29 @@ def load_annotations(path: str) -> AnnotationSet:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except JSON_ERRORS as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return AnnotationSet(cases=cases)
+    return cases
 
 
 def classify_phase(prediction: Optional[float], ann: CaseAnnotation) -> Phase:
     """Place a predicted hazard timestamp into its temporal phase.
 
-    Lower boundaries are inclusive: [intent, deadline] is Optimal,
-    (deadline, pnr] Suboptimal, (pnr, impact] Irreversible.  An absent
-    prediction, or one after impact, is Missed.
+    An absent prediction, or one after impact, is Missed.  Otherwise lower
+    boundaries are inclusive: before intent onset is Premature, [intent,
+    deadline] Optimal, (deadline, pnr] Suboptimal, (pnr, impact]
+    Irreversible.  Impact is tested first because the key frames' ordering
+    tolerance (1e-9) lets ``pnr`` and the deadline lie just past ``impact``:
+    an alert in that gap is still Missed.  So the three in-window phases are
+    exactly the alerts in EWP's ``[intent, impact]``.
     """
     if prediction is None:
         return Phase.MISSED
     kf = ann.key_frames
+    if prediction > kf.impact:
+        return Phase.MISSED
     if prediction < kf.intent_onset:
         return Phase.PREMATURE
     if prediction <= kf.intervention_deadline:
         return Phase.OPTIMAL
     if prediction <= kf.pnr:
         return Phase.SUBOPTIMAL
-    if prediction <= kf.impact:
-        return Phase.IRREVERSIBLE
-    return Phase.MISSED
+    return Phase.IRREVERSIBLE

@@ -11,12 +11,11 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from . import ablation as ablation_mod
 from .agreement import AgreementError, agreement_table
-from .annotations import AnnotationSet, IoError, load_annotations
+from .annotations import IoError, load_annotations
 from .backends import (
     BackendError,
     EndpointConfig,
@@ -25,7 +24,7 @@ from .backends import (
 )
 from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
-from .metrics import ErrorType, MetricsError, build_report, case_errors
+from .metrics import ErrorType, MetricsError, build_report
 from .model import (
     JSON_ERRORS,
     FrameManifest,
@@ -147,7 +146,7 @@ def _load_predictions(path: str) -> list:
     return preds
 
 
-def _load_annotation_set(path: str) -> AnnotationSet:
+def _load_annotation_set(path: str) -> dict:
     try:
         return load_annotations(path)
     except IoError as exc:
@@ -266,13 +265,12 @@ def cmd_errors(args) -> int:
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
     try:
-        errors = case_errors(preds, anns)
+        report = build_report(preds, anns)
     except MetricsError as exc:
         raise CliError(EXIT_DOMAIN, f"metric_error: {exc}")
     _write_csv(args.out, ("case_id", "error_type"),
-               [(case_id, err.value) for case_id, err in errors.items()])
-    counts = Counter(errors.values())
-    print("  ".join(f"{e.value}={counts[e] / len(errors):.4f}" for e in ErrorType))
+               [(case_id, err.value) for case_id, err in report.case_errors.items()])
+    print("  ".join(f"{e.value}={report.error_fractions[e]:.4f}" for e in ErrorType))
     return EXIT_OK
 
 

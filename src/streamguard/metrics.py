@@ -5,12 +5,12 @@ distribution, weighted safety score, error taxonomy, severity confusion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .annotations import AnnotationSet, classify_phase
+from .annotations import classify_phase
 from .model import (
     CaseAnnotation,
     Phase,
@@ -53,15 +53,15 @@ def _pred_map(preds: Sequence[PredictionRecord]) -> dict:
     return out
 
 
-def _join(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> list:
+def _join(preds: Sequence[PredictionRecord], anns: dict) -> list:
     """(annotation, record or None) per annotated case, in annotation order.
 
     Rejects a duplicate record and a record with no annotation.
     """
-    by_case, cases = _pred_map(preds), anns.cases
-    if not by_case.keys() <= cases.keys():
-        raise MissingAnnotation(next(c for c in by_case if c not in cases))
-    return [(ann, by_case.get(ann.case_id)) for ann in cases.values()]
+    by_case = _pred_map(preds)
+    if not by_case.keys() <= anns.keys():
+        raise MissingAnnotation(next(c for c in by_case if c not in anns))
+    return [(ann, by_case.get(ann.case_id)) for ann in anns.values()]
 
 
 def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> ErrorType:
@@ -107,13 +107,6 @@ def mentioned_entities(text: str, entities: Sequence[str]) -> list:
     return [entity for entity in entities if _entity_pattern(entity).search(lowered)]
 
 
-def case_errors(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
-    """Each annotated case's error type, keyed by case_id in annotation order."""
-    if len(anns) < 1:
-        raise EmptyDataset("annotation set is empty")
-    return {ann.case_id: classify_error(pred, ann) for ann, pred in _join(preds, anns)}
-
-
 @dataclass(frozen=True)
 class SeverityConfusion:
     """Counts of claimed vs annotated severity, with bias rates."""
@@ -125,7 +118,7 @@ class SeverityConfusion:
     exact_rate: float
 
 
-def severity_confusion(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> SeverityConfusion:
+def severity_confusion(preds: Sequence[PredictionRecord], anns: dict) -> SeverityConfusion:
     """5x4 confusion of severity claims (None/L1..L4) against truth (L1..L4)."""
     counts = {(c, t): 0 for c in SEVERITY_CLAIMS for t in SEVERITY_LEVELS}
     over = under = exact = n = 0
@@ -151,7 +144,13 @@ def severity_confusion(preds: Sequence[PredictionRecord], anns: AnnotationSet) -
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Everything one evaluated model produces for the summary table."""
+    """Everything one evaluated model produces for the summary table, and
+    the per-case error types that ``error_fractions`` counts.
+
+    ``case_errors`` maps each annotated ``case_id``, in annotation order, to
+    its ``classify_error`` result: the rows ``errors`` writes.  It is kept
+    out of ``repr``.
+    """
 
     n_total: int
     hdr: float
@@ -159,6 +158,7 @@ class MetricsReport:
     phase_fractions: dict  # Phase -> float
     wss: float
     error_fractions: dict  # ErrorType -> float
+    case_errors: dict = field(repr=False)  # case_id -> ErrorType
 
     def row(self, model: str = "") -> dict:
         """The flat CSV/stdout row mirroring the main results table layout."""
@@ -179,24 +179,32 @@ class MetricsReport:
         return out
 
 
-def build_report(preds: Sequence[PredictionRecord], anns: AnnotationSet,
+def build_report(preds: Sequence[PredictionRecord], anns: dict,
                  scores: Optional[PhaseScoreTable] = None) -> MetricsReport:
-    """Compute the full metric suite for one prediction set in one pass:
-    each case is joined, phased, window-tested and error-classified once."""
+    """Compute the full metric suite for one prediction set in one pass.
+
+    ``anns`` maps each ``case_id`` to its ``CaseAnnotation``, as
+    ``load_annotations`` returns it.  Each case is joined, phased and
+    error-classified once, and its error type is kept in the report's
+    ``case_errors``.  EWP's window ``[intent, impact]`` holds exactly the
+    Optimal, Suboptimal and Irreversible alerts (``classify_phase``), so it
+    is read from those three counts.
+    """
     scores = scores or PhaseScoreTable.default()
     n_total = len(anns)
     if n_total < 1:
         raise EmptyDataset("annotation set is empty")
-    n_hazard = in_window = 0
+    n_hazard = 0
     counts = {phase: 0 for phase in Phase}
     errors = {e: 0 for e in ErrorType}
+    case_errors = {}
     for ann, pred in _join(preds, anns):
         hazard = pred is not None and pred.is_hazard
-        kf = ann.key_frames
         n_hazard += hazard
-        in_window += hazard and kf.intent_onset <= pred.timestamp <= kf.impact
-        errors[classify_error(pred, ann)] += 1
+        case_errors[ann.case_id] = err = classify_error(pred, ann)
+        errors[err] += 1
         counts[classify_phase(pred.timestamp if hazard else None, ann)] += 1
+    in_window = counts[Phase.OPTIMAL] + counts[Phase.SUBOPTIMAL] + counts[Phase.IRREVERSIBLE]
     wss = sum(scores[phase] * n for phase, n in counts.items()) / n_total
 
     return MetricsReport(
@@ -206,4 +214,5 @@ def build_report(preds: Sequence[PredictionRecord], anns: AnnotationSet,
         phase_fractions={phase: counts[phase] / n_total for phase in Phase},
         wss=wss,
         error_fractions={e: n / n_total for e, n in errors.items()},
+        case_errors=case_errors,
     )

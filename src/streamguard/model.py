@@ -652,9 +652,10 @@ class FrameManifest:
         """Decode straight into the two columns, in one pass over the frames.
 
         Each frame entry is read once: its ``t`` (through ``_number`` when it
-        is not a float), then its ``image_path``.  The first bad entry is the
-        ``frame`` the error names.  The stream checks are ``_check_stream``,
-        as in ``__init__``.
+        is not a float), then its ``image_path``.  The error names the first
+        bad entry by its index in the array, from 0 (``frame 1``), never by
+        a key it holds.  The stream checks are ``_check_stream``, as in
+        ``__init__``.
         """
         try:
             case_id = d["case_id"]
@@ -667,7 +668,10 @@ class FrameManifest:
                     if not isinstance(p := f.get("image_path", ""), str):
                         raise SchemaError(f"image_path must be a string, got {p!r}")
                 except DECODE_ERRORS as exc:
-                    raise decode_error("frame", f, exc) from exc
+                    # ``len(paths)`` is this entry's index; an entry's own
+                    # ``case_id`` key must not name it, so a dict passes as {}.
+                    raise decode_error(f"frame {len(paths)}",
+                                       {} if isinstance(f, dict) else f, exc) from exc
                 paths.append(p)
             times = tuple(times)
             paths = tuple(paths)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Optional, Sequence
 
-from streamguard.annotations import AnnotationSet, classify_phase
+from streamguard.annotations import classify_phase
 from streamguard.backends import ScheduleRule, ScriptedBackend
 from streamguard.metrics import EmptyDataset, _join, _pred_map, build_report
 from streamguard.model import (
@@ -46,8 +46,9 @@ def make_ann(case_id="case-1", intent=3.6, deadline=3.8, pnr=4.0, impact=4.5,
     )
 
 
-def ann_set(*anns) -> AnnotationSet:
-    return AnnotationSet(cases={a.case_id: a for a in anns})
+def ann_set(*anns) -> dict:
+    """The annotations keyed by ``case_id``, in order, as ``load_annotations`` returns them."""
+    return {a.case_id: a for a in anns}
 
 
 def grid_manifest(case_id="case-1", duration=5.0, step=0.1, times=None) -> FrameManifest:
@@ -147,7 +148,7 @@ def compute_hdr(preds: Sequence[PredictionRecord], n_total: int) -> float:
     return sum(1 for p in preds if p.is_hazard) / n_total
 
 
-def compute_ewp(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> Optional[float]:
+def compute_ewp(preds: Sequence[PredictionRecord], anns: dict) -> Optional[float]:
     """Fraction of hazard alerts inside [intent onset, impact].
 
     Undefined (None) when there are no hazard predictions.
@@ -155,7 +156,7 @@ def compute_ewp(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> Optio
     return build_report(preds, anns).ewp
 
 
-def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
+def phase_counts(preds: Sequence[PredictionRecord], anns: dict) -> dict:
     """Per-phase case counts over the full annotation set.
 
     Every annotated case lands in exactly one phase; cases without a
@@ -168,12 +169,12 @@ def phase_counts(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict
     return counts
 
 
-def compute_pda(preds: Sequence[PredictionRecord], anns: AnnotationSet) -> dict:
+def compute_pda(preds: Sequence[PredictionRecord], anns: dict) -> dict:
     """Phase fractions over the annotation set; fractions sum to 1."""
     return build_report(preds, anns).phase_fractions
 
 
-def compute_wss(preds: Sequence[PredictionRecord], anns: AnnotationSet,
+def compute_wss(preds: Sequence[PredictionRecord], anns: dict,
                 scores: Optional[PhaseScoreTable] = None) -> float:
     """Mean phase score over all cases."""
     return build_report(preds, anns, scores).wss
@@ -251,16 +252,21 @@ def reference_render(name: str, text: str, frames, pre_overlaid: bool,
     return out
 
 
-def _reference_frame_decode(d) -> Frame:
-    """One frame entry, decoded alone; a bad one is named as the ``frame``."""
+def _reference_frame_decode(i: int, d) -> Frame:
+    """Frame entry ``i``, decoded alone; a bad one is named ``frame <i>``."""
+    what = f"frame {i}"
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(d).__name__}")
     try:
         t = v if type(v := d["t"]) is float else _number("t", v)
         image_path = d.get("image_path", "")
         if not isinstance(image_path, str):
             raise SchemaError(f"image_path must be a string, got {image_path!r}")
         return Frame(t=t, image_path=image_path)
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc} in {what}") from exc
     except DECODE_ERRORS as exc:
-        raise decode_error("frame", d, exc) from exc
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def reference_manifest_decode(d) -> tuple:
@@ -280,8 +286,8 @@ def reference_manifest_decode(d) -> tuple:
             if not all(isinstance(p, str) for p in paths):
                 raise SchemaError("image_path must be a string")
         except DECODE_ERRORS:
-            for f in entries:
-                _reference_frame_decode(f)
+            for i, f in enumerate(entries):
+                _reference_frame_decode(i, f)
             raise
         pre_overlaid = d.get("pre_overlaid", True)
     except DECODE_ERRORS as exc:

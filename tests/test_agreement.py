@@ -174,9 +174,8 @@ def test_agreement_table_shape_and_values():
 
 def test_agreement_table_filters_invalid_cases():
     set_a, set_b = two_annotation_sets()
-    cases_b = dict(set_b.cases)
-    cases_b["c0"] = make_ann(case_id="c0", is_valid=False)
-    table = agreement_table(set_a, ann_set(*cases_b.values()))
+    set_b["c0"] = make_ann(case_id="c0", is_valid=False)
+    table = agreement_table(set_a, set_b)
     assert table["n_both_valid"] == 11
 
 

@@ -38,7 +38,7 @@ def test_table_rows_are_the_per_statistic_values(n, seed):
     set_a, set_b = _annotations(rng, n), _annotations(rng, n)
     keyframes = agreement_table(set_a, set_b)["keyframes"]
     assert list(keyframes) == list(KEYFRAME_FIELDS)
-    ids = sorted(set_a.cases)  # the table's case order
+    ids = sorted(set_a)  # the table's case order
     for fld, stats in keyframes.items():
         xs = [getattr(set_a[cid].key_frames, fld) for cid in ids]
         ys = [getattr(set_b[cid].key_frames, fld) for cid in ids]

@@ -34,12 +34,12 @@ def _write(tmp_path, payload):
 
 
 def test_load_ok(tmp_path):
-    path = _write(tmp_path, [make_ann(case_id="a").to_dict(),
-                             make_ann(case_id="b").to_dict()])
-    anns = load_annotations(path)
-    assert len(anns) == 2
+    """The cases keyed by ``case_id``, in file order; ``.values()`` yields them."""
+    ids = ["b", "c", "a"]
+    anns = load_annotations(_write(tmp_path, [make_ann(case_id=c).to_dict() for c in ids]))
+    assert type(anns) is dict and list(anns) == ids
     assert "a" in anns and anns["b"].case_id == "b"
-    assert sorted(a.case_id for a in anns) == ["a", "b"]
+    assert [a.case_id for a in anns.values()] == ids
 
 
 def test_load_missing_file():
@@ -100,12 +100,12 @@ def _pred_entries():
 def test_decoded_annotations_share_the_closed_set_strings(tmp_path):
     entries = _ann_entries()
     anns = load_annotations(_write(tmp_path, entries))
-    for ann in anns:
+    for ann in anns.values():
         assert _same(LOCATIONS, ann.location)
         assert _same(DANGER_CATEGORIES, ann.danger_category)
         assert _same(SEVERITY_LEVELS, ann.severity)
         assert _same(DIFFICULTY_LEVELS, ann.difficulty)
-    assert [ann.to_dict() for ann in anns] == entries
+    assert [ann.to_dict() for ann in anns.values()] == entries
 
 
 def test_decoded_predictions_share_the_closed_set_strings(tmp_path):

@@ -16,7 +16,6 @@ from streamguard import cli
 
 PUBLIC_SURFACE = [
     "AlertSource",
-    "AnnotationSet",
     "CaseAnnotation",
     "CoordinatorConfig",
     "DecisionTrace",

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import streamguard.ablation as ablation
 import streamguard.cli as cli
 from streamguard.backends import ScriptedBackend, load_prompt
 from streamguard.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from streamguard.metrics import ErrorType
 from streamguard.model import CaseAnnotation, DecisionTrace, PredictionRecord
 
 from helpers import ann_set, grid_manifest, make_ann
@@ -428,7 +430,7 @@ def test_run_non_string_image_path_is_manifest_error(workdir, capsys):
                  "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(out)])
     assert code == EXIT_IO
     err = capsys.readouterr().err
-    assert err == "manifest_error: manifest c0: frame: image_path must be a string, got 5\n"
+    assert err == "manifest_error: manifest c0: frame 3: image_path must be a string, got 5\n"
     assert not out.exists()
 
 
@@ -674,6 +676,56 @@ def test_errors_output_pinned(scored_dir, capsys):
         "visual_omission=0.2222  reasoning_deficit=0.1111  no_error=0.2222\n")
 
 
+def _errors_agree_with_metrics(directory, capsys, anns):
+    """``errors``' rows are the annotated cases ``anns`` in order, and their
+    error types, counted, are ``metrics``' six ``err_*`` columns and
+    ``errors``' printed line."""
+    argv = ["--preds", str(directory / "preds.jsonl"),
+            "--annotations", str(directory / "anns.json"), "--out"]
+    assert main(["metrics", *argv, str(directory / "m.csv")]) == EXIT_OK
+    assert main(["errors", *argv, str(directory / "e.csv")]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[-1]
+    [row] = read_csv(directory / "m.csv")
+    errors = read_csv(directory / "e.csv")
+    assert [r["case_id"] for r in errors] == anns
+    n = len(errors)
+    fractions = {e: sum(r["error_type"] == e.value for r in errors) / n for e in ErrorType}
+    assert {e: float(row[f"err_{e.value}"]) for e in ErrorType} == fractions
+    assert printed == "  ".join(f"{e.value}={f:.4f}" for e, f in fractions.items())
+
+
+def test_errors_rows_are_what_metrics_counts(scored_dir, capsys):
+    _errors_agree_with_metrics(scored_dir, capsys, [f"c{i}" for i in range(9)])
+
+
+def test_errors_rows_are_what_metrics_counts_on_random_sets(tmp_path, capsys):
+    """Criterion 2's random sets, with every difficulty, format errors and
+    reasoning texts, in a shuffled annotation order."""
+    rng = random.Random(20250218)
+    for _ in range(40):
+        n = rng.randrange(1, 25)
+        ids = [f"c{i}" for i in range(n)]
+        rng.shuffle(ids)
+        anns, records = [], []
+        for cid in ids:
+            anns.append(make_ann(case_id=cid, difficulty=rng.choice(["D1", "D2", "D3"])).to_dict())
+            kind = rng.random()
+            text = rng.choice(["", "the kettle is fine", "all clear"])
+            if kind < 0.3:
+                records.append({"case_id": cid, "verdict": "safe", "reasoning_text": text})
+            elif kind < 0.85:
+                records.append({"case_id": cid, "verdict": "hazard",
+                                "timestamp": round(rng.uniform(0, 6), 3),
+                                "parse_status": rng.choice(["ok", "ok", "format_error"])})
+        if not records:  # a predictions file with no record is refused
+            continue
+        rng.shuffle(records)
+        (tmp_path / "anns.json").write_text(json.dumps(anns), encoding="utf-8")
+        (tmp_path / "preds.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        _errors_agree_with_metrics(tmp_path, capsys, ids)
+
+
 _REC = '{"case_id": "c0", "verdict": "safe"}'
 
 
@@ -796,7 +848,7 @@ def test_overlarge_json_integer_is_typed_error(workdir, capsys, kind):
                        encoding="utf-8")
         argv = ["run", "--manifest", str(bad), "--fast", f"scripted:{workdir / 'fast.json'}",
                 "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
-        code, message = EXIT_IO, "manifest_error: manifest c0: frame: int too large to convert to float"
+        code, message = EXIT_IO, "manifest_error: manifest c0: frame 1: int too large to convert to float"
     else:
         scores = workdir / "scores.json"
         scores.write_text(json.dumps({"premature": _HUGE, "optimal": 100, "suboptimal": 50,
@@ -946,8 +998,8 @@ def _gc_spies(monkeypatch) -> list:
 
     for cls in (CaseAnnotation, PredictionRecord):
         monkeypatch.setattr(cls, "from_dict", spy(cls.__name__, cls.from_dict))
-    for name in ("load_annotations", "_load_predictions", "build_report", "case_errors",
-                 "agreement_table", "run_case", "run_baseline_case"):
+    for name in ("load_annotations", "_load_predictions", "build_report", "agreement_table",
+                 "run_case", "run_baseline_case"):
         monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
     monkeypatch.setattr(ablation, "sweep_fps", spy("sweep_fps", ablation.sweep_fps))
     return seen
@@ -975,7 +1027,7 @@ def _read_side_argv(workdir, command):
         "metrics_ok": (["metrics", "--preds", str(preds), "--annotations", anns, "--out", out],
                        EXIT_OK, decoded | {"build_report"}),
         "errors_ok": (["errors", "--preds", str(preds), "--annotations", anns, "--out", out],
-                      EXIT_OK, decoded | {"case_errors"}),
+                      EXIT_OK, decoded | {"build_report"}),
         "agreement_ok": (["agreement", "--a", str(workdir / "a.json"),
                           "--b", str(workdir / "a.json"), "--out", out],
                          EXIT_OK, ann_load | {"agreement_table"}),
@@ -987,7 +1039,7 @@ def _read_side_argv(workdir, command):
         "metrics_domain": (["metrics", "--preds", str(ghost), "--annotations", anns,
                             "--out", out], EXIT_DOMAIN, decoded | {"build_report"}),
         "errors_domain": (["errors", "--preds", str(ghost), "--annotations", anns,
-                           "--out", out], EXIT_DOMAIN, decoded | {"case_errors"}),
+                           "--out", out], EXIT_DOMAIN, decoded | {"build_report"}),
     }[command]
 
 

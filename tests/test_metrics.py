@@ -14,7 +14,6 @@ from streamguard.metrics import (
     MissingAnnotation,
     SeverityConfusion,
     build_report,
-    case_errors,
     classify_error,
     mentioned_entities,
     severity_confusion,
@@ -59,7 +58,7 @@ def test_ewp_window_is_intent_to_impact():
 def test_missing_annotation_names_the_first_unannotated_record():
     anns = ann_set(make_ann(case_id="a"), make_ann(case_id="b"))
     preds = [safe("a"), safe("zz"), safe("b"), safe("yy")]
-    for score in (case_errors, severity_confusion, build_report):
+    for score in (severity_confusion, build_report):
         with pytest.raises(MissingAnnotation) as info:
             score(preds, anns)
         assert info.value.case_id == "zz"
@@ -99,6 +98,20 @@ def test_wss_weighted_mean():
                               Phase.SUBOPTIMAL: 40.0, Phase.IRREVERSIBLE: 20.0,
                               Phase.MISSED: 5.0})
     assert compute_wss(preds, anns, custom) == pytest.approx((90 + 40 + 20 + 5) / 4)
+
+
+def test_alert_just_past_impact_is_missed():
+    """The key frames' ordering tolerance lets pnr and the deadline lie just
+    past impact.  An alert in that gap is after impact: Missed, outside
+    EWP's window, so EWP times the hazard count is still Opt + Sub + Irr."""
+    ann = make_ann(case_id="a", intent=1.0, deadline=1.5 + 5e-10, pnr=1.7 + 5e-10,
+                   impact=1.7, end=2.0, duration=5.0)
+    pred = hz("a", 1.7 + 3e-10)
+    report = build_report([pred], ann_set(ann))
+    assert report.ewp == 0.0
+    assert report.phase_fractions[Phase.MISSED] == 1.0
+    assert report.case_errors == {"a": ErrorType.RESPONSE_LAG}
+    assert report.row()["err_response_lag"] == 1.0
 
 
 # --- published-row reconstruction --------------------------------------------
@@ -295,5 +308,3 @@ def test_build_report_row_shape():
 def test_build_report_empty_annotations():
     with pytest.raises(EmptyDataset):
         build_report([], ann_set())
-    with pytest.raises(EmptyDataset):
-        case_errors([], ann_set())

@@ -400,7 +400,7 @@ def test_decoders_convert_json_integers():
     (PredictionRecord.from_dict, {**_PRED_JSON, "timestamp": -10 ** 400},
      "prediction c0: int too large to convert to float"),
     (FrameManifest.from_dict, {"case_id": "m1", "frames": [{"t": 10 ** 400}]},
-     "manifest m1: frame: int too large to convert to float"),
+     "manifest m1: frame 0: int too large to convert to float"),
     (FrameManifest.from_dict, {"case_id": "m1", "fps_native": 10 ** 400, "frames": [{"t": 0}]},
      "manifest m1: int too large to convert to float"),
 ], ids=["key_frame", "duration", "timestamp", "frame_time", "fps_native"])
@@ -692,17 +692,17 @@ _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.j
 
 
 @pytest.mark.parametrize("frames,message", [
-    ([_GOOD_FRAMES[0], 3], "manifest m1: frame must be a JSON object, got int"),
-    ([_GOOD_FRAMES[0], [0.5]], "manifest m1: frame must be a JSON object, got list"),
-    ([_GOOD_FRAMES[0], {"image_path": "b.jpg"}], "manifest m1: missing field 't' in frame"),
+    ([_GOOD_FRAMES[0], 3], "manifest m1: frame 1 must be a JSON object, got int"),
+    ([_GOOD_FRAMES[0], [0.5]], "manifest m1: frame 1 must be a JSON object, got list"),
+    ([_GOOD_FRAMES[0], {"image_path": "b.jpg"}], "manifest m1: missing field 't' in frame 1"),
     ([_GOOD_FRAMES[0], {"t": "abc"}],
-     "manifest m1: frame: could not convert string to float: 'abc'"),
-    ([3, _GOOD_FRAMES[1]], "manifest m1: frame must be a JSON object, got int"),
+     "manifest m1: frame 1: could not convert string to float: 'abc'"),
+    ([3, _GOOD_FRAMES[1]], "manifest m1: frame 0 must be a JSON object, got int"),
     ([{"t": "abc", "image_path": 5}, _GOOD_FRAMES[1]],
-     "manifest m1: frame: could not convert string to float: 'abc'"),
+     "manifest m1: frame 0: could not convert string to float: 'abc'"),
     ([{"t": 0.0, "image_path": 5}, {"t": "abc"}],
-     "manifest m1: frame: image_path must be a string, got 5"),
-    ("ab", "manifest m1: frame must be a JSON object, got str"),
+     "manifest m1: frame 0: image_path must be a string, got 5"),
+    ("ab", "manifest m1: frame 0 must be a JSON object, got str"),
     (5, "manifest m1: 'int' object is not iterable"),
     ([_GOOD_FRAMES[0], {"t": math.nan}],
      "manifest for m1 has a frame time that is not finite and non-negative"),
@@ -710,12 +710,19 @@ _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.j
      "manifest for m1 has a frame time that is not finite and non-negative"),
     ([_GOOD_FRAMES[1], _GOOD_FRAMES[0]], "manifest for m1 frames not time-ordered"),
     ([], "manifest for m1 has no frames"),
+    ([*_GOOD_FRAMES, {"t": True}], "manifest m1: frame 2: t must be a JSON number, got True"),
+    ([_GOOD_FRAMES[0], {"case_id": "f1", "t": True}],
+     "manifest m1: frame 1: t must be a JSON number, got True"),
+    ([_GOOD_FRAMES[0], {"case_id": "f1"}], "manifest m1: missing field 't' in frame 1"),
+    ([*_GOOD_FRAMES, None], "manifest m1: frame 2 must be a JSON object, got NoneType"),
 ], ids=["frame_int", "frame_list", "missing_t", "string_t", "first_frame_int",
         "t_before_path", "first_bad_frame", "frames_string", "frames_int",
-        "nan_t", "negative_t", "unordered", "empty"])
+        "nan_t", "negative_t", "unordered", "empty", "third_frame", "frame_case_id",
+        "frame_case_id_missing_t", "frame_null"])
 def test_manifest_decode_error_text(frames, message):
-    """A bad frame entry is named as the ``frame``: the first bad one, and within
-    it the ``t`` before the ``image_path``."""
+    """A bad frame entry is named by its index from 0, never by a ``case_id``
+    it holds: the first bad one, and within it the ``t`` before the
+    ``image_path``."""
     with pytest.raises(SchemaError) as info:
         FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
     assert str(info.value) == message
@@ -727,7 +734,7 @@ def test_frame_rejects_non_string_image_path(path):
     frames = [_GOOD_FRAMES[0], {"t": 0.5, "image_path": path}]
     with pytest.raises(SchemaError) as info:
         FrameManifest.from_dict({"case_id": "m1", "fps_native": 10.0, "frames": frames})
-    assert str(info.value) == f"manifest m1: frame: image_path must be a string, got {path!r}"
+    assert str(info.value) == f"manifest m1: frame 1: image_path must be a string, got {path!r}"
 
 
 @pytest.mark.parametrize("case_id,message", [
@@ -751,7 +758,7 @@ def test_manifest_rejects_non_string_or_empty_case_id(case_id, message):
 _ODD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0, 7, True, False, "0.5", None,
               10 ** 400, 1.79e308, 1.7976931348623157e308]
 _ODD_PATHS = ["", "é/b.jpg", None, 5, ["a.jpg"], "missing"]
-_NOT_FRAMES = [3, [0.5], "ab", None, {"image_path": "b.jpg"}]
+_NOT_FRAMES = [3, [0.5], "ab", None, {"image_path": "b.jpg"}, {"case_id": "f1", "t": True}]
 
 
 @st.composite
@@ -857,11 +864,11 @@ _M1 = {"case_id": "m1", "fps_native": 10.0, "frames": _GOOD_FRAMES}
     (FrameManifest.from_dict, {**_M1, "fps_native": True},
      "manifest m1: fps_native must be a JSON number, got True"),
     (FrameManifest.from_dict, {**_M1, "frames": [{"t": 0.0}, {"t": True}]},
-     "manifest m1: frame: t must be a JSON number, got True"),
+     "manifest m1: frame 1: t must be a JSON number, got True"),
     (FrameManifest.from_dict, {**_M1, "frames": [{"t": "0.5"}]},
-     "manifest m1: frame: t must be a JSON number, got '0.5'"),
+     "manifest m1: frame 0: t must be a JSON number, got '0.5'"),
     (FrameManifest.from_dict, {**_M1, "frames": [{"t": "0.5"}, {"t": True}]},
-     "manifest m1: frame: t must be a JSON number, got '0.5'"),
+     "manifest m1: frame 0: t must be a JSON number, got '0.5'"),
     (event_from_dict, {"kind": "frame_sampled", "t": "1.5", "rate": 1.0},
      "t must be a JSON number, got '1.5'"),
     (event_from_dict, {"kind": "frame_sampled", "t": 1.5, "rate": True},
