@@ -42,7 +42,9 @@ def cohens_kappa(a: Sequence, b: Sequence) -> float:
     p_o = sum(1 for x, y in zip(a, b) if x == y) / n
     labels = set(a) | set(b)
     count_a, count_b = Counter(a), Counter(b)
-    p_e = sum((count_a[l] / n) * (count_b[l] / n) for l in labels)
+    # Exactly rounded, so the set's iteration order, which for str labels
+    # depends on the hash seed, cannot change the result's last bits.
+    p_e = fsum((count_a[l] / n) * (count_b[l] / n) for l in labels)
     if p_e >= 1.0 - 1e-12:
         # Both raters used a single identical label; agreement is perfect.
         return 1.0
@@ -113,10 +115,11 @@ def agreement_table(set_a: dict, set_b: dict) -> dict:
     Each set maps ``case_id`` to ``CaseAnnotation``, as ``load_annotations``
     returns it.  Returns keyframe rows (ccc / icc_a1 / mae per field) and
     kappa per categorical field, plus the size of the both-valid subset.
+    The cases are taken in set A's order: every sum is exactly rounded
+    (``math.fsum``), so no statistic depends on the order.
     """
-    shared = sorted(set_a.keys() & set_b.keys())
-    valid = [(a, b) for a, b in zip(map(set_a.get, shared), map(set_b.get, shared))
-             if a.is_valid and b.is_valid]
+    valid = [(a, b) for case_id, a in set_a.items()
+             if a.is_valid and (b := set_b.get(case_id)) is not None and b.is_valid]
     if not valid:
         raise EmptyInput("no cases are valid in both annotation sets")
     side_a, side_b = zip(*valid)

@@ -64,16 +64,20 @@ def _join(preds: Sequence[PredictionRecord], anns: dict) -> list:
     return [(ann, by_case.get(ann.case_id)) for ann in anns.values()]
 
 
-def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation) -> ErrorType:
+def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation,
+                   phase: Optional[Phase] = None) -> ErrorType:
     """Assign one case to the five-way error taxonomy.
 
     Precedence: format error, then premature alert, then late alert, then
-    the two Safe-verdict failure modes keyed on reasoning difficulty.
+    the two Safe-verdict failure modes keyed on reasoning difficulty.  A
+    caller that has phased a hazard record's alert passes that ``phase``;
+    otherwise it is ``classify_phase(pred.timestamp, ann)``.
     """
     if pred is not None and pred.parse_status == "format_error":
         return ErrorType.FORMAT_ERROR
     if pred is not None and pred.is_hazard:
-        phase = classify_phase(pred.timestamp, ann)
+        if phase is None:
+            phase = classify_phase(pred.timestamp, ann)
         if phase == Phase.PREMATURE:
             return ErrorType.OVER_REACTION
         if phase in (Phase.IRREVERSIBLE, Phase.MISSED):
@@ -201,9 +205,10 @@ def build_report(preds: Sequence[PredictionRecord], anns: dict,
     for ann, pred in _join(preds, anns):
         hazard = pred is not None and pred.is_hazard
         n_hazard += hazard
-        case_errors[ann.case_id] = err = classify_error(pred, ann)
+        phase = classify_phase(pred.timestamp if hazard else None, ann)
+        counts[phase] += 1
+        case_errors[ann.case_id] = err = classify_error(pred, ann, phase)
         errors[err] += 1
-        counts[classify_phase(pred.timestamp if hazard else None, ann)] += 1
     in_window = counts[Phase.OPTIMAL] + counts[Phase.SUBOPTIMAL] + counts[Phase.IRREVERSIBLE]
     wss = sum(scores[phase] * n for phase, n in counts.items()) / n_total
 

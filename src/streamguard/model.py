@@ -27,6 +27,7 @@ DEADLINE_OFFSET = 0.2
 DEADLINE_TOLERANCE = 0.05
 _EPS = 1e-9
 _INF = math.inf
+_DEADLINE_SLACK = DEADLINE_TOLERANCE + _EPS
 
 LOCATIONS = ("bedroom", "bathroom", "living_room", "dining_room", "study", "balcony")
 DANGER_CATEGORIES = ("C1", "C2", "C3", "C4")
@@ -42,6 +43,11 @@ DIFFICULTY_LEVELS = ("D1", "D2", "D3")
 # peak RSS, lower in 10 of 10 pairs (``BENCH_fastpath_ledger.json``).
 _SHARED = {s: s for s in (*LOCATIONS, *DANGER_CATEGORIES, *SEVERITY_CLAIMS, *DIFFICULTY_LEVELS,
                           "safe", "hazard", "ok", "format_error")}
+# An annotation's closed sets, each value mapped to its ``_SHARED`` copy: one
+# ``get`` both tests a str and swaps it.
+_LOCATION_OF, _CATEGORY_OF, _SEVERITY_OF, _DIFFICULTY_OF = (
+    {s: _SHARED[s] for s in values}
+    for values in (LOCATIONS, DANGER_CATEGORIES, SEVERITY_LEVELS, DIFFICULTY_LEVELS))
 
 
 class ModelError(Exception):
@@ -227,26 +233,33 @@ def _slot_init(cls):
     It pays: a score_bulk benchmark pass takes 1.020 s with it and 1.138 s
     with the generated ``__init__``, lower in 10 of 10 pairs
     (``BENCH_fastpath_ledger.json``).
+
+    The same store step, without ``__post_init__``, is the class's
+    ``_unchecked(*values)``: the instance for a decoder that has checked
+    every value itself.
     """
     fs = fields(cls)
     names = [f.name for f in fs]
     if not all(isinstance(vars(cls).get(n), MemberDescriptorType) for n in names):
         raise TypeError(f"{cls.__name__}: every field must be a slot")
     setters = [f"_set_{n}" for n in names]
-    body = "".join(f"        {s}(self, {n})\n" for s, n in zip(setters, names))
-    if hasattr(cls, "__post_init__"):
-        body += "        self.__post_init__()\n"
+    args = ", ".join(names)
+    store = "".join(f"        {s}(self, {n})\n" for s, n in zip(setters, names))
+    check = "        self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
     ns = {}
-    exec(f"def make({', '.join(setters)}):\n"
-         f"    def __init__(self, {', '.join(names)}):\n{body}"
-         f"    return __init__\n", globals(), ns)
-    init = ns["make"](*(vars(cls)[n].__set__ for n in names))
+    exec(f"def make(cls, new, {', '.join(setters)}):\n"
+         f"    def __init__(self, {args}):\n{store}{check}"
+         f"    def _unchecked({args}):\n        self = new(cls)\n{store}        return self\n"
+         f"    return __init__, _unchecked\n", globals(), ns)
+    init, unchecked = ns["make"](cls, object.__new__, *(vars(cls)[n].__set__ for n in names))
     init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
     init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     if signature(init) != signature(cls.__init__):
         raise TypeError(f"{cls.__name__}: cannot reproduce __init__{signature(cls.__init__)}")
     cls.__init__ = init
+    unchecked.__qualname__ = f"{cls.__qualname__}._unchecked"
+    cls._unchecked = staticmethod(unchecked)
     return cls
 
 
@@ -310,7 +323,7 @@ class KeyFrames:
                 "key frames must satisfy intent <= deadline <= pnr <= impact <= end, got "
                 f"{(intent, deadline, pnr, impact, end)}"
             )
-        if abs(deadline - (pnr - DEADLINE_OFFSET)) > DEADLINE_TOLERANCE + _EPS:
+        if abs(deadline - (pnr - DEADLINE_OFFSET)) > _DEADLINE_SLACK:
             raise DeadlineError(
                 f"deadline {deadline} not within {DEADLINE_TOLERANCE}s of "
                 f"pnr - {DEADLINE_OFFSET} = {pnr - DEADLINE_OFFSET}"
@@ -409,9 +422,54 @@ class CaseAnnotation:
 
         A known ``location``, ``danger_category``, ``severity`` or
         ``difficulty`` string is replaced by the module's own copy, so every
-        decoded case shares those strings instead of holding its own.  Any
-        other value is kept as decoded, for ``__post_init__`` to check.
+        decoded case shares those strings instead of holding its own.
+
+        A well-formed case is read once and checked by one straight-line
+        test: five float key frames in [0, inf), in order and meeting the
+        deadline rule, a float ``duration`` that covers ``action_end``, a
+        non-empty str ``case_id``, closed-set strings, a list of non-empty
+        lowercase str entities where the difficulty needs one, and a bool
+        ``is_valid``.  It is then built through the slots (``_unchecked``),
+        with no ``KeyFrames.from_dict``, ``__init__`` or ``__post_init__``.
+        A case that fails the test takes the checked way below, which raises
+        each error, so the test decides only how fast a case is built.
+
+        It pays: a score_bulk benchmark pass takes 0.976 s with it and 1.068 s
+        at the parent commit, lower in 10 of 10 pairs, of which the same
+        change's unsorted ``agreement_table`` walk is about 9 ms.  One check
+        function shared with ``__post_init__``, and no test, read 1.032
+        against 1.044 s, lower in 5 of 10 (``BENCH_direct_annotation.json``).
         """
+        if type(d) is dict and type(kf := d.get("key_frames")) is dict:
+            intent, pnr, deadline = (kf.get("intent_onset"), kf.get("pnr"),
+                                     kf.get("intervention_deadline"))
+            impact, end, duration = kf.get("impact"), kf.get("action_end"), d.get("duration")
+            case_id, entities = d.get("case_id"), d.get("key_entities")
+            location, category = d.get("location"), d.get("danger_category")
+            severity, difficulty = d.get("severity"), d.get("difficulty")
+            is_valid = d.get("is_valid", True)
+            # ``intent`` and ``deadline`` >= 0 bound the rest below, through
+            # the ordering and the deadline rule; ``duration`` bounds them above.
+            if (type(intent) is float and type(pnr) is float and type(deadline) is float
+                    and type(impact) is float and type(end) is float and type(duration) is float
+                    and 0.0 <= intent <= deadline + _EPS and 0.0 <= deadline <= pnr + _EPS
+                    and pnr <= impact + _EPS and impact <= end + _EPS and end <= duration + _EPS
+                    and duration < _INF
+                    and abs(deadline - (pnr - DEADLINE_OFFSET)) <= _DEADLINE_SLACK
+                    and type(case_id) is str and case_id
+                    and type(location) is str and (location := _LOCATION_OF.get(location))
+                    and type(category) is str and (category := _CATEGORY_OF.get(category))
+                    and type(severity) is str and (severity := _SEVERITY_OF.get(severity))
+                    and type(difficulty) is str and (difficulty := _DIFFICULTY_OF.get(difficulty))
+                    and type(entities) is list and (entities or difficulty == "D3")
+                    and type(is_valid) is bool):
+                for e in entities:
+                    if not (type(e) is str and e and e == e.lower()):
+                        break
+                else:
+                    return cls._unchecked(case_id, location, category, severity, difficulty,
+                                          KeyFrames._unchecked(intent, pnr, deadline, impact, end),
+                                          tuple(entities), duration, is_valid)
         try:
             entities = d.get("key_entities", [])
             if not isinstance(entities, list):

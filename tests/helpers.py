@@ -2,7 +2,7 @@
 clock, the per-metric functions the cross-metric identities check
 ``build_report`` against, the published-row inverter used to reconstruct
 aggregate metrics, and reference copies of the prompt render and the
-manifest decode."""
+manifest and annotation case decodes."""
 
 from __future__ import annotations
 
@@ -13,11 +13,14 @@ from streamguard.annotations import classify_phase
 from streamguard.backends import ScheduleRule, ScriptedBackend
 from streamguard.metrics import EmptyDataset, _join, _pred_map, build_report
 from streamguard.model import (
+    _SHARED,
     DECODE_ERRORS,
     CaseAnnotation,
+    DeadlineError,
     Frame,
     FrameManifest,
     KeyFrames,
+    OrderingError,
     Phase,
     PhaseScoreTable,
     PredictionRecord,
@@ -294,3 +297,24 @@ def reference_manifest_decode(d) -> tuple:
         raise decode_error("manifest", d, exc) from exc
     _check_stream(case_id, times, pre_overlaid)
     return case_id, fps_native, times, paths, pre_overlaid
+
+
+def reference_case_decode(d) -> CaseAnnotation:
+    """``CaseAnnotation.from_dict`` by the constructor path: the fields read
+    as decoded, ``KeyFrames.from_dict``, then ``CaseAnnotation(...)``, whose
+    ``__post_init__`` checks every value.  The same case, or the same error."""
+    try:
+        entities = d.get("key_entities", [])
+        if not isinstance(entities, list):
+            raise TypeError(f"key_entities must be a list of strings, got {entities!r}")
+        case_id = d["case_id"]
+        closed = [_SHARED.get(v, v) if type(v) is str else v
+                  for v in (d["location"], d["danger_category"], d["severity"], d["difficulty"])]
+        key_frames = KeyFrames.from_dict(d["key_frames"])
+        duration = v if type(v := d["duration"]) is float else _number("duration", v)
+        is_valid = d.get("is_valid", True)
+    except DECODE_ERRORS as exc:
+        raise decode_error("case", d, exc) from exc
+    except (OrderingError, DeadlineError) as exc:
+        raise type(exc)(f"case {d['case_id']}: {exc}") from exc
+    return CaseAnnotation(case_id, *closed, key_frames, tuple(entities), duration, is_valid)

@@ -118,6 +118,20 @@ def test_kappa_worked_example():
     assert cohens_kappa(a, b) == pytest.approx((0.8 - 0.52) / 0.48)
 
 
+def test_kappa_bits_do_not_depend_on_label_order():
+    """A one-to-one renaming of the labels changes the order in which their
+    set is walked, which for str labels depends on the hash seed; kappa keeps
+    every bit.  Small int labels hash to themselves, so here each renaming
+    walks the same counts in another fixed order."""
+    rng = random.Random(5)
+    for _ in range(100):
+        labels = list(range(12))
+        a = [rng.choice(labels) for _ in range(40)]
+        b = [x if rng.random() < 0.7 else rng.choice(labels) for x in a]
+        rename = rng.sample(labels, len(labels))
+        assert cohens_kappa([rename[x] for x in a], [rename[x] for x in b]) == cohens_kappa(a, b)
+
+
 def test_ccc_penalizes_location_shift():
     x = [1.0, 2.0, 3.0, 4.0]
     y = [v + 1.0 for v in x]  # perfectly correlated but biased
@@ -170,6 +184,14 @@ def test_agreement_table_shape_and_values():
     ys = [set_b[f"c{i}"].key_frames.pnr for i in range(12)]
     assert table["keyframes"]["pnr"]["mae"] == pytest.approx(oracle_mae(xs, ys))
     assert table["keyframes"]["pnr"]["ccc"] == pytest.approx(oracle_ccc(xs, ys))
+
+
+def test_agreement_table_does_not_depend_on_case_order():
+    """Set A is walked in its own order, and every statistic keeps its bits."""
+    set_a, set_b = two_annotation_sets(n=40)
+    ids = list(set_a)
+    random.Random(3).shuffle(ids)
+    assert agreement_table({c: set_a[c] for c in ids}, set_b) == agreement_table(set_a, set_b)
 
 
 def test_agreement_table_filters_invalid_cases():

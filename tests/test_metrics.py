@@ -7,6 +7,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamguard import metrics
+from streamguard.annotations import classify_phase
 from streamguard.metrics import (
     EmptyDataset,
     ErrorType,
@@ -263,6 +265,24 @@ def test_error_rates_sum_to_one():
     rates = build_report(preds, anns).error_fractions
     assert sum(rates.values()) == pytest.approx(1.0)
     assert set(rates) == set(ErrorType)
+
+
+def test_build_report_phases_each_case_once(monkeypatch):
+    """One ``classify_phase`` call per case serves both the phase counts and
+    the error type, which is the one ``classify_error`` finds on its own."""
+    preds, anns = random_dataset(random.Random(7), n_min=20)
+    phased = []
+
+    def spy(prediction, ann):
+        phased.append(ann.case_id)
+        return classify_phase(prediction, ann)
+
+    monkeypatch.setattr(metrics, "classify_phase", spy)
+    report = build_report(preds, anns)
+    assert phased == list(anns)
+    monkeypatch.undo()
+    by_case = {p.case_id: p for p in preds}
+    assert report.case_errors == {c: classify_error(by_case.get(c), a) for c, a in anns.items()}
 
 
 # --- severity confusion ------------------------------------------------------
