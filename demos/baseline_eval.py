@@ -7,7 +7,7 @@ to one prediction for the case.
 Run with:  python3 demos/baseline_eval.py
 """
 
-from streamguard import Frame, FrameManifest, ScheduleRule, ScriptedBackend
+from streamguard import Frame, FrameManifest, ScriptedBackend
 from streamguard.baseline import build_windows, run_baseline_case
 
 manifest = FrameManifest(
@@ -21,11 +21,11 @@ print("window plan:")
 for window in plan.windows:
     print(f"  [{window.start:.1f}, {window.end:.1f}]  ({len(window.frame_times)} frames)")
 
-backend = ScriptedBackend(baseline_responses=[
-    ScheduleRule(-0.01, 0.01, {"raw": "Part 1: robot idle near table.\nPart 2: Safe"}),
-    ScheduleRule(1.49, 1.51, {"raw": "Part 1: cup tips at the table edge.\nPart 2: 2.8"}),
-    ScheduleRule(2.99, 3.01, {"raw": "Part 1: liquid already spreading.\nPart 2: 3.1"}),
-])
+backend = ScriptedBackend({"baseline_responses": [
+    {"t_start": -0.01, "t_end": 0.01, "raw": "Part 1: robot idle near table.\nPart 2: Safe"},
+    {"t_start": 1.49, "t_end": 1.51, "raw": "Part 1: cup tips at the table edge.\nPart 2: 2.8"},
+    {"t_start": 2.99, "t_end": 3.01, "raw": "Part 1: liquid already spreading.\nPart 2: 3.1"},
+]})
 
 pred = run_baseline_case(manifest, backend)
 print(f"\naggregated verdict: {pred.verdict}  t={pred.timestamp}")

@@ -11,7 +11,6 @@ from streamguard import (
     CoordinatorConfig,
     Frame,
     FrameManifest,
-    ScheduleRule,
     ScriptedBackend,
     run_case,
 )
@@ -23,14 +22,14 @@ manifest = FrameManifest(
                  for i in range(51)),
 )
 
-fast = ScriptedBackend(fast_schedule=[
-    ScheduleRule(0.0, 1.0, {"state": "green", "reason": "robot idle"}),
-    ScheduleRule(1.0, 2.1, {"state": "yellow", "reason": "reaching toward kettle"}),
-    ScheduleRule(2.1, 99.0, {"state": "red", "reason": "contact imminent"}),
-])
-slow = ScriptedBackend(slow_responses=[
-    ScheduleRule(0.5, 1.5, {"verdict": 1, "latency": 4.0}),  # too slow to matter
-])
+fast = ScriptedBackend({"fast_schedule": [
+    {"t_start": 0.0, "t_end": 1.0, "state": "green", "reason": "robot idle"},
+    {"t_start": 1.0, "t_end": 2.1, "state": "yellow", "reason": "reaching toward kettle"},
+    {"t_start": 2.1, "t_end": 99.0, "state": "red", "reason": "contact imminent"},
+]})
+slow = ScriptedBackend({"slow_responses": [
+    {"t_start": 0.5, "t_end": 1.5, "verdict": 1, "latency": 4.0},  # too slow to matter
+]})
 
 trace = run_case(manifest, fast, slow, CoordinatorConfig())
 

@@ -12,20 +12,19 @@ from streamguard import (
     Frame,
     FrameManifest,
     KeyFrames,
-    ScheduleRule,
     ScriptedBackend,
 )
 from streamguard.ablation import sweep_fps
 
 # Every case shares one backend pair: the scripts are keyed on stream time.
-fast = ScriptedBackend(fast_schedule=[
-    ScheduleRule(0.0, 0.9, {"state": "green"}),
-    ScheduleRule(0.9, 1.3, {"state": "yellow"}),
-    ScheduleRule(1.3, 1.75, {"state": "red"}),
-    ScheduleRule(1.75, 99.0, {"state": "green"}),
-])
-slow = ScriptedBackend(slow_responses=[
-    ScheduleRule(0.0, 99.0, {"verdict": 0, "latency": 0.3})])
+fast = ScriptedBackend({"fast_schedule": [
+    {"t_start": 0.0, "t_end": 0.9, "state": "green"},
+    {"t_start": 0.9, "t_end": 1.3, "state": "yellow"},
+    {"t_start": 1.3, "t_end": 1.75, "state": "red"},
+    {"t_start": 1.75, "t_end": 99.0, "state": "green"},
+]})
+slow = ScriptedBackend({"slow_responses": [
+    {"t_start": 0.0, "t_end": 99.0, "verdict": 0, "latency": 0.3}]})
 
 manifests = []
 anns = {}

@@ -5,7 +5,6 @@ from .backends import (
     EndpointConfig,
     PromptTemplate,
     RemoteBackend,
-    ScheduleRule,
     ScriptedBackend,
     load_prompt,
 )

@@ -100,25 +100,16 @@ def load_prompt(name: str) -> PromptTemplate:
     return PromptTemplate(name=name, text=text)
 
 
-@dataclass(frozen=True)
-class ScheduleRule:
-    """One scripted reply, valid on the half-open interval [t_start, t_end)."""
-
-    t_start: float
-    t_end: float
-    payload: dict
-
-
-def _fast_text(payload: dict) -> str:
+def _fast_text(rule: dict) -> str:
     try:
-        return json.dumps({"category": payload.get("state", "green"),
-                           "reason": payload.get("reason", "")})
+        return json.dumps({"category": rule.get("state", "green"),
+                           "reason": rule.get("reason", "")})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"cannot encode the reply: {exc}") from None
 
 
-def _slow_text(payload: dict) -> str:
-    verdict = payload.get("verdict", 0)
+def _slow_text(rule: dict) -> str:
+    verdict = rule.get("verdict", 0)
     try:
         danger = int(verdict)
     except (TypeError, ValueError, OverflowError):
@@ -126,20 +117,39 @@ def _slow_text(payload: dict) -> str:
     return f"**ANALYSIS**: scripted response\n**VERDICT**: {'DANGER' if danger else 'SAFE'}"
 
 
-def _replies(rules: Sequence[ScheduleRule], label: str, reply: Callable[[dict], str],
+# The keys each list's rules may hold besides ``t_start`` and ``t_end``.
+_RULE_KEYS = {"fast_schedule": ("state", "reason", "latency"),
+              "slow_responses": ("verdict", "latency"),
+              "baseline_responses": ("raw", "latency")}
+
+
+def _check_keys(d: dict, known: Sequence[str], where: str) -> None:
+    """Refuse a key of ``d`` outside ``known``: a misspelled key would read
+    as absent, and drop its rules or faults without a word."""
+    for k in d:
+        if k not in known:
+            raise SchemaError(f"unknown key {k!r}{where} (known: {', '.join(known)})")
+
+
+def _replies(script: dict, label: str, reply: Callable[[dict], str],
              default_latency: float) -> tuple[tuple[float, float, str, float], ...]:
-    """Each rule's ``(t_start, t_end, raw_text, latency)``, checked and ordered by ``t_start``."""
+    """Each rule's ``(t_start, t_end, raw_text, latency)`` in the list ``label``
+    of ``script``, checked and ordered by ``t_start``."""
+    known = ("t_start", "t_end", *_RULE_KEYS[label])
     table = []
-    for r in rules:
+    for r in script.get(label, ()):
+        # The bounds before the key check: a rule that is no object fails there.
+        t_start, t_end = _number("t_start", r["t_start"]), _number("t_end", r["t_end"])
+        _check_keys(r, known, f" in a {label} rule")
         try:
-            if not -math.inf < r.t_start < r.t_end < math.inf:  # also rejects NaN
+            if not -math.inf < t_start < t_end < math.inf:  # also rejects NaN
                 raise SchemaError("interval must be finite and non-empty")
-            latency = _number("latency", r.payload.get("latency", default_latency))
+            latency = _number("latency", r.get("latency", default_latency))
             if not latency >= 0:  # also rejects NaN
                 raise SchemaError(f"latency must be non-negative, got {latency}")
-            table.append((r.t_start, r.t_end, reply(r.payload), latency))
+            table.append((t_start, t_end, reply(r), latency))
         except SchemaError as exc:
-            raise SchemaError(f"{label} rule [{r.t_start}, {r.t_end}): {exc}") from None
+            raise SchemaError(f"{label} rule [{t_start}, {t_end}): {exc}") from None
     table.sort(key=lambda row: row[0])
     for (a_start, a_end, *_), (b_start, b_end, *_) in zip(table, table[1:]):
         if b_start < a_end:
@@ -178,19 +188,35 @@ def _reply_at(table, t: float, default: tuple[str, float]) -> tuple[str, float]:
 class ScriptedBackend:
     """Deterministic backend mapping query times to canned raw outputs.
 
-    The script is a plain dict (see ``from_file``) with ``fast_schedule``,
-    ``slow_responses`` and optional ``baseline_responses`` rule lists, plus
-    optional ``malformed`` / ``timeout`` fault intervals.  Inside a
-    ``malformed`` interval the FastBrain reply does not parse; inside a
-    ``timeout`` interval a fast or a slow query raises
-    ``BackendTimeoutError``.  Baseline queries have no faults.
+    Its one written form is the script dict, the JSON object a script file
+    holds (``from_file``); the empty script, the default, gives the nominal
+    backend.  Every key is optional:
 
-    Each rule's reply text and latency are built once, at construction, so
-    a query only finds the rule that holds its time; a rule or a fault
-    interval that cannot be built, or that is not finite and non-empty, is
-    a ``SchemaError`` then.  The backend keeps those replies and the fault
-    intervals, not the rules: the script it was built from is its one
-    written form.
+    - ``fast_schedule``: rules with ``state`` (default Green), ``reason``
+      and ``latency`` (default ``DEFAULT_FAST_LATENCY``, 0.05 s);
+    - ``slow_responses``, keyed on a window's last frame: rules with
+      ``verdict``, any int-convertible value (default 0, SAFE), and
+      ``latency`` (default 1.0 s);
+    - ``baseline_responses``, keyed on a window's start: rules with ``raw``,
+      the reply text (default ``Part 2: Safe``), and ``latency`` (default
+      0.5 s);
+    - ``faults``: ``malformed`` and ``timeout`` lists of ``[start, end]``
+      intervals.  Inside a ``malformed`` interval the FastBrain reply does
+      not parse; inside a ``timeout`` interval a fast or a slow query raises
+      ``BackendTimeoutError``.  Baseline queries have no faults.
+
+    Each rule also holds ``t_start`` and ``t_end`` and is valid on
+    ``[t_start, t_end)``; the rules of one list must not overlap.  Outside
+    every rule the FastBrain sees a nominal world, the SlowBrain finds no
+    danger, and a baseline window reads ``Part 1: nothing notable.`` then
+    ``Part 2: Safe``, in 0.5 s.
+
+    Each rule's reply text and latency are built once, here, so a query
+    only finds the rule that holds its time.  An unknown key, a rule or a
+    fault interval that cannot be built, or one that is not finite and
+    non-empty, is a ``SchemaError`` prefixed ``scripted backend``.  The
+    faults are checked first, then the three lists in the order above, each
+    rule whole and in list order.  The script is read, never kept.
     """
 
     DEFAULT_FAST_LATENCY = 0.05
@@ -200,43 +226,26 @@ class ScriptedBackend:
     _NOMINAL_FAST = (_fast_text({}), DEFAULT_FAST_LATENCY)
     _NO_DANGER_SLOW = (_slow_text({}), 1.0)
 
-    def __init__(self, fast_schedule=(), slow_responses=(), baseline_responses=(),
-                 malformed=(), timeout=()):
-        self.malformed = _intervals(malformed, "malformed")
-        self.timeout = _intervals(timeout, "timeout")
-        self._fast = _replies(fast_schedule, "fast_schedule", _fast_text,
-                              self.DEFAULT_FAST_LATENCY)
-        self._slow = _replies(slow_responses, "slow_responses", _slow_text, 1.0)
-        self._baseline = _replies(baseline_responses, "baseline_responses",
-                                  lambda p: str(p.get("raw", "Part 2: Safe")), 0.5)
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScriptedBackend":
-        def rules(key):
-            return tuple(
-                ScheduleRule(_number("t_start", r["t_start"]), _number("t_end", r["t_end"]),
-                             {k: v for k, v in r.items() if k not in ("t_start", "t_end")})
-                for r in d.get(key, [])
-            )
-
+    def __init__(self, script: dict = {}):
         try:
-            faults = d.get("faults", {})
-            return cls(
-                fast_schedule=rules("fast_schedule"),
-                slow_responses=rules("slow_responses"),
-                baseline_responses=rules("baseline_responses"),
-                malformed=faults.get("malformed", []),
-                timeout=faults.get("timeout", []),
-            )
+            _check_keys(script, (*_RULE_KEYS, "faults"), "")
+            faults = script.get("faults", {})
+            # ``get`` before the key check: a ``faults`` that is no object fails there.
+            malformed, timeout = faults.get("malformed", ()), faults.get("timeout", ())
+            _check_keys(faults, ("malformed", "timeout"), " in faults")
+            self.malformed = _intervals(malformed, "malformed")
+            self.timeout = _intervals(timeout, "timeout")
+            self._fast = _replies(script, "fast_schedule", _fast_text, self.DEFAULT_FAST_LATENCY)
+            self._slow = _replies(script, "slow_responses", _slow_text, 1.0)
+            self._baseline = _replies(script, "baseline_responses",
+                                      lambda r: str(r.get("raw", "Part 2: Safe")), 0.5)
         except DECODE_ERRORS as exc:
-            raise decode_error("scripted backend", d, exc) from exc
+            raise decode_error("scripted backend", script, exc) from exc
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(_json_object(path, "scripted backend", json.load(fh)))
+            return cls(_json_object(path, "scripted backend", json.load(fh)))
 
     # -- raw queries ----------------------------------------------------------
 

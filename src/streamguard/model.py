@@ -97,15 +97,17 @@ def _json_object(path: str, what: str, d) -> dict:
 
 
 def _number(name: str, v) -> float:
-    """The float for a decoded number field ``name`` whose value is not one.
+    """The float for a decoded number field ``name``.
 
-    An int converts.  A bool or a string is no number, though ``float()``
-    reads ``true`` and ``"0.5"`` as one: it is a SchemaError naming the
-    field.  A value that ``float()`` refuses keeps ``float()``'s error, and an
-    int too large for a float raises OverflowError.  The decoders that run
-    once per frame, event or record call this only for a value whose type is
-    not ``float``, so the usual value costs one type test; the ones that run
-    a few times per file call it for every value.
+    A float is returned as it is, and an int converts.  A bool or a string
+    is no number, though ``float()`` reads ``true`` and ``"0.5"`` as one: it
+    is a SchemaError naming the field.  A value that ``float()`` refuses
+    keeps ``float()``'s error, and an int too large for a float raises
+    OverflowError.  The decoders that run once per frame, event or
+    prediction record call this only for a value whose type is not
+    ``float``, so the usual value costs one type test.  The others call it
+    for every value: those that run a few times per file, and the checked
+    path of ``CaseAnnotation.from_dict``, which a well-formed case skips.
     """
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
@@ -282,12 +284,6 @@ class AlertSource(str, Enum):
     SLOW = "slow"
 
 
-def _check_key_frame(name: str, v) -> None:
-    """The check for a key frame ``name`` whose value is not a float in [0, inf)."""
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-        raise SchemaError(f"key frame {name} must be a finite non-negative number, got {v!r}")
-
-
 @_slot_init
 @dataclass(frozen=True, slots=True)
 class KeyFrames:
@@ -300,23 +296,13 @@ class KeyFrames:
     action_end: float
 
     def __post_init__(self):
+        for f in fields(self):  # in field order, so the first bad one is named
+            v = getattr(self, f.name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+                raise SchemaError(f"key frame {f.name} must be a finite non-negative number, "
+                                  f"got {v!r}")
         intent, pnr, deadline = self.intent_onset, self.pnr, self.intervention_deadline
         impact, end = self.impact, self.action_end
-        # Each key frame in field order, so the first bad one is named; a float
-        # in [0, inf) passes on its type test alone.  That test pays: a
-        # score_bulk benchmark pass takes 1.020 s with it and 1.088 s calling
-        # ``_check_key_frame`` for every key frame, lower in 10 of 10 pairs
-        # (``BENCH_fastpath_ledger.json``).
-        if not (type(intent) is float and 0.0 <= intent < _INF):
-            _check_key_frame("intent_onset", intent)
-        if not (type(pnr) is float and 0.0 <= pnr < _INF):
-            _check_key_frame("pnr", pnr)
-        if not (type(deadline) is float and 0.0 <= deadline < _INF):
-            _check_key_frame("intervention_deadline", deadline)
-        if not (type(impact) is float and 0.0 <= impact < _INF):
-            _check_key_frame("impact", impact)
-        if not (type(end) is float and 0.0 <= end < _INF):
-            _check_key_frame("action_end", end)
         if (intent > deadline + _EPS or deadline > pnr + _EPS or pnr > impact + _EPS
                 or impact > end + _EPS):
             raise OrderingError(
@@ -341,16 +327,13 @@ class KeyFrames:
     @classmethod
     def from_dict(cls, d: dict) -> "KeyFrames":
         try:
-            intent = v if type(v := d["intent_onset"]) is float else _number("intent_onset", v)
-            pnr = v if type(v := d["pnr"]) is float else _number("pnr", v)
+            intent, pnr = _number("intent_onset", d["intent_onset"]), _number("pnr", d["pnr"])
             # Loaders may synthesize the deadline when the file omits it.
             if "intervention_deadline" in d:
-                v = d["intervention_deadline"]
-                deadline = v if type(v) is float else _number("intervention_deadline", v)
+                deadline = _number("intervention_deadline", d["intervention_deadline"])
             else:
                 deadline = max(pnr - DEADLINE_OFFSET, intent)
-            impact = v if type(v := d["impact"]) is float else _number("impact", v)
-            end = v if type(v := d["action_end"]) is float else _number("action_end", v)
+            impact, end = _number("impact", d["impact"]), _number("action_end", d["action_end"])
             return cls(intent, pnr, deadline, impact, end)
         except DECODE_ERRORS as exc:
             raise decode_error("key_frames", d, exc) from exc
@@ -480,7 +463,7 @@ class CaseAnnotation:
             severity = _SHARED.get(v, v) if type(v := d["severity"]) is str else v
             difficulty = _SHARED.get(v, v) if type(v := d["difficulty"]) is str else v
             key_frames = KeyFrames.from_dict(d["key_frames"])
-            duration = v if type(v := d["duration"]) is float else _number("duration", v)
+            duration = _number("duration", d["duration"])
             is_valid = d.get("is_valid", True)
         except DECODE_ERRORS as exc:
             raise decode_error("case", d, exc) from exc

@@ -10,7 +10,7 @@ from concurrent.futures import Future
 from typing import Optional, Sequence
 
 from streamguard.annotations import classify_phase
-from streamguard.backends import ScheduleRule, ScriptedBackend
+from streamguard.backends import ScriptedBackend
 from streamguard.metrics import EmptyDataset, _join, _pred_map, build_report
 from streamguard.model import (
     _SHARED,
@@ -63,23 +63,23 @@ def grid_manifest(case_id="case-1", duration=5.0, step=0.1, times=None) -> Frame
     return FrameManifest(case_id=case_id, fps_native=1.0 / step, frames=frames)
 
 
-def fast_script(rules, **kw) -> ScriptedBackend:
-    """rules: (t0, t1, state) or (t0, t1, state, latency) tuples."""
+def fast_script(rules, **faults) -> ScriptedBackend:
+    """rules: (t0, t1, state) or (t0, t1, state, latency) tuples; faults: the
+    script's ``malformed`` and ``timeout`` interval lists."""
     sched = []
     for rule in rules:
         t0, t1, state = rule[:3]
-        payload = {"state": state, "reason": f"scripted {state}"}
+        sched.append({"t_start": t0, "t_end": t1, "state": state, "reason": f"scripted {state}"})
         if len(rule) > 3:
-            payload["latency"] = rule[3]
-        sched.append(ScheduleRule(t0, t1, payload))
-    return ScriptedBackend(fast_schedule=sched, **kw)
+            sched[-1]["latency"] = rule[3]
+    return ScriptedBackend({"fast_schedule": sched, "faults": faults})
 
 
 def slow_script(rules) -> ScriptedBackend:
     """rules: (t0, t1, verdict, latency) tuples keyed on trigger time."""
-    return ScriptedBackend(slow_responses=[
-        ScheduleRule(t0, t1, {"verdict": v, "latency": lat}) for t0, t1, v, lat in rules
-    ])
+    return ScriptedBackend({"slow_responses": [
+        {"t_start": t0, "t_end": t1, "verdict": v, "latency": lat} for t0, t1, v, lat in rules
+    ]})
 
 
 # --- virtual wall clock -------------------------------------------------------

@@ -31,7 +31,6 @@ PUBLIC_SURFACE = [
     "PromptTemplate",
     "RemoteBackend",
     "SafetyState",
-    "ScheduleRule",
     "ScriptedBackend",
     "agreement_table",
     "build_report",

@@ -23,7 +23,6 @@ from streamguard.backends import (
     EndpointConfig,
     PromptTemplate,
     RemoteBackend,
-    ScheduleRule,
     ScriptedBackend,
     TransportError,
     load_prompt,
@@ -167,15 +166,15 @@ def test_scripted_rules_half_open():
 
 def test_scripted_overlap_rejected():
     with pytest.raises(SchemaError):
-        ScriptedBackend(fast_schedule=[
-            ScheduleRule(0.0, 2.0, {"state": "green"}),
-            ScheduleRule(1.0, 3.0, {"state": "red"}),
-        ])
+        ScriptedBackend({"fast_schedule": [
+            {"t_start": 0.0, "t_end": 2.0, "state": "green"},
+            {"t_start": 1.0, "t_end": 3.0, "state": "red"},
+        ]})
 
 
 def test_scripted_slow_keyed_on_trigger_time():
-    backend = ScriptedBackend(slow_responses=[
-        ScheduleRule(1.0, 2.0, {"verdict": 1, "latency": 2.2})])
+    backend = ScriptedBackend({"slow_responses": [
+        {"t_start": 1.0, "t_end": 2.0, "verdict": 1, "latency": 2.2}]})
     window = (Frame(t=0.6), Frame(t=0.8), Frame(t=1.0))
     raw, latency = backend.slow_raw(SLOW_TEXT, window)
     assert parse_slow_output(raw) == 1 and latency == pytest.approx(2.2)
@@ -189,22 +188,22 @@ def test_scripted_slow_keyed_on_trigger_time():
 def test_scripted_negative_latency_rejected(key):
     rule = {"t_start": 0.0, "t_end": 1.0, "latency": -0.5}
     with pytest.raises(SchemaError):
-        ScriptedBackend.from_dict({key: [rule]})
+        ScriptedBackend({key: [rule]})
     with pytest.raises(SchemaError):
-        ScriptedBackend.from_dict({key: [{**rule, "latency": float("nan")}]})
+        ScriptedBackend({key: [{**rule, "latency": float("nan")}]})
 
 
 @pytest.mark.parametrize("verdict", ["x", None, [1], "1.5"])
 def test_scripted_bad_verdict_rejected(verdict):
     rule = {"t_start": 0.0, "t_end": 1.0, "verdict": verdict}
     with pytest.raises(SchemaError, match=r"slow_responses rule \[0\.0, 1\.0\): verdict"):
-        ScriptedBackend.from_dict({"slow_responses": [rule]})
+        ScriptedBackend({"slow_responses": [rule]})
     for ok in (1, "1", True, 0.0):  # what slow_raw's int() accepted stays accepted
-        ScriptedBackend.from_dict({"slow_responses": [{**rule, "verdict": ok}]})
+        ScriptedBackend({"slow_responses": [{**rule, "verdict": ok}]})
 
 
 def test_scripted_faults():
-    backend = ScriptedBackend(malformed=[(0.0, 1.0)], timeout=[(2.0, 3.0)])
+    backend = ScriptedBackend({"faults": {"malformed": [(0.0, 1.0)], "timeout": [(2.0, 3.0)]}})
     raw, _ = backend.fast_raw(FAST_TEXT, Frame(t=0.5))
     with pytest.raises(FormatError):
         parse_fast_output(raw)
@@ -215,7 +214,7 @@ def test_scripted_faults():
 def _probe_times(rules, faults) -> list:
     """Every rule and fault edge, the floats either side of it, and times
     before, between and after the rules."""
-    edges = {e for r in rules for e in (r.t_start, r.t_end)}
+    edges = {e for r in rules for e in (r["t_start"], r["t_end"])}
     edges |= {e for ivs in faults.values() for iv in ivs for e in iv}
     times = {0.0, 1.75, 3.25, 10.0}
     for e in edges:
@@ -230,18 +229,18 @@ def _per_call_fast_raw(rules, faults, t):
     if any(a <= t < b for a, b in faults.get("malformed", ())):
         return "the scene looks fine", ScriptedBackend.DEFAULT_FAST_LATENCY
     for rule in rules:
-        if rule.t_start <= t < rule.t_end:
-            raw = json.dumps({"category": rule.payload.get("state", "green"),
-                              "reason": rule.payload.get("reason", "")})
-            return raw, float(rule.payload.get("latency", ScriptedBackend.DEFAULT_FAST_LATENCY))
+        if rule["t_start"] <= t < rule["t_end"]:
+            raw = json.dumps({"category": rule.get("state", "green"),
+                              "reason": rule.get("reason", "")})
+            return raw, float(rule.get("latency", ScriptedBackend.DEFAULT_FAST_LATENCY))
     return json.dumps({"category": "green", "reason": ""}), ScriptedBackend.DEFAULT_FAST_LATENCY
 
 
 _FAST_RULES = [
-    ScheduleRule(0.5, 1.0, {"state": "yellow"}),  # neither reason nor latency
-    ScheduleRule(1.0, 1.5, {"state": "red", "reason": 'flame "on" \\ é', "latency": 0.2}),
-    ScheduleRule(2.0, 3.0, {"reason": "no state given", "latency": 1}),
-    ScheduleRule(3.5, 4.0, {"state": "Green", "reason": "clear"}),
+    {"t_start": 0.5, "t_end": 1.0, "state": "yellow"},  # neither reason nor latency
+    {"t_start": 1.0, "t_end": 1.5, "state": "red", "reason": 'flame "on" \\ é', "latency": 0.2},
+    {"t_start": 2.0, "t_end": 3.0, "reason": "no state given", "latency": 1},
+    {"t_start": 3.5, "t_end": 4.0, "state": "Green", "reason": "clear"},
 ]
 
 
@@ -249,7 +248,7 @@ _FAST_RULES = [
                                          "timeout": [(2.5, 2.75)]}], ids=["clean", "faults"])
 def test_scripted_fast_raw_matches_per_call_encoding(faults):
     """The encoded-once replies are the per-call formula's, at every rule and fault edge."""
-    backend = ScriptedBackend(fast_schedule=_FAST_RULES, **faults)
+    backend = ScriptedBackend({"fast_schedule": _FAST_RULES, "faults": faults})
     for t in _probe_times(_FAST_RULES, faults):
         try:
             expected = _per_call_fast_raw(_FAST_RULES, faults, t)
@@ -266,36 +265,35 @@ def _per_call_slow_raw(rules, faults, t):
     if any(a <= t < b for a, b in faults.get("timeout", ())):
         raise BackendTimeoutError(f"scripted timeout at t={t}")
     for rule in rules:
-        if rule.t_start <= t < rule.t_end:
-            verdict = "DANGER" if int(rule.payload.get("verdict", 0)) else "SAFE"
+        if rule["t_start"] <= t < rule["t_end"]:
+            verdict = "DANGER" if int(rule.get("verdict", 0)) else "SAFE"
             raw = f"**ANALYSIS**: scripted response\n**VERDICT**: {verdict}"
-            return raw, float(rule.payload.get("latency", 1.0))
+            return raw, float(rule.get("latency", 1.0))
     return "**ANALYSIS**: scripted response\n**VERDICT**: SAFE", 1.0
 
 
 def _per_call_baseline_raw(rules, window_start):
     """``baseline_raw`` as a formula that converts the matching rule's reply on every call."""
     for rule in rules:
-        if rule.t_start <= window_start < rule.t_end:
-            return str(rule.payload.get("raw", "Part 2: Safe")), \
-                float(rule.payload.get("latency", 0.5))
+        if rule["t_start"] <= window_start < rule["t_end"]:
+            return str(rule.get("raw", "Part 2: Safe")), float(rule.get("latency", 0.5))
     return "Part 1: nothing notable.\nPart 2: Safe", 0.5
 
 
 _SLOW_RULES = [
-    ScheduleRule(0.5, 1.0, {"verdict": 1}),  # no latency
-    ScheduleRule(1.0, 1.5, {"verdict": "1", "latency": 2}),
-    ScheduleRule(2.0, 3.0, {"verdict": True, "latency": 0.3}),
-    ScheduleRule(3.5, 4.0, {"verdict": 0.0, "latency": 0.0}),
-    ScheduleRule(4.0, 4.5, {"verdict": 0, "latency": 1.5}),
-    ScheduleRule(5.0, 5.5, {}),  # neither verdict nor latency
+    {"t_start": 0.5, "t_end": 1.0, "verdict": 1},  # no latency
+    {"t_start": 1.0, "t_end": 1.5, "verdict": "1", "latency": 2},
+    {"t_start": 2.0, "t_end": 3.0, "verdict": True, "latency": 0.3},
+    {"t_start": 3.5, "t_end": 4.0, "verdict": 0.0, "latency": 0.0},
+    {"t_start": 4.0, "t_end": 4.5, "verdict": 0, "latency": 1.5},
+    {"t_start": 5.0, "t_end": 5.5},  # neither verdict nor latency
 ]
 
 _BASELINE_RULES = [
-    ScheduleRule(0.5, 1.0, {"raw": "Part 1: a cup tips.\nPart 2: 0.8"}),  # no latency
-    ScheduleRule(1.0, 1.5, {"raw": 2.5, "latency": 2}),  # not a string
-    ScheduleRule(2.0, 3.0, {"latency": 0.25}),  # no raw
-    ScheduleRule(3.5, 4.0, {"raw": "", "latency": 0.0}),
+    {"t_start": 0.5, "t_end": 1.0, "raw": "Part 1: a cup tips.\nPart 2: 0.8"},  # no latency
+    {"t_start": 1.0, "t_end": 1.5, "raw": 2.5, "latency": 2},  # not a string
+    {"t_start": 2.0, "t_end": 3.0, "latency": 0.25},  # no raw
+    {"t_start": 3.5, "t_end": 4.0, "raw": "", "latency": 0.0},
 ]
 
 
@@ -304,8 +302,8 @@ _BASELINE_RULES = [
 def test_scripted_slow_and_baseline_raw_match_per_call_formatting(faults):
     """The built-once slow and baseline replies are the per-call formulas', at
     every rule and fault edge; the rules are given out of order."""
-    backend = ScriptedBackend(slow_responses=_SLOW_RULES[::-1],
-                              baseline_responses=_BASELINE_RULES[::-1], **faults)
+    backend = ScriptedBackend({"slow_responses": _SLOW_RULES[::-1],
+                               "baseline_responses": _BASELINE_RULES[::-1], "faults": faults})
     for t in _probe_times(_SLOW_RULES + _BASELINE_RULES, faults):
         got = backend.baseline_raw(t, t + 2.0, (), "")
         assert got == _per_call_baseline_raw(_BASELINE_RULES, t) and type(got[1]) is float, t
@@ -322,7 +320,40 @@ def test_scripted_slow_and_baseline_raw_match_per_call_formatting(faults):
 
 def test_scripted_unencodable_fast_payload_rejected():
     with pytest.raises(SchemaError, match=r"fast_schedule rule \[0\.0, 1\.0\): cannot encode"):
-        ScriptedBackend(fast_schedule=[ScheduleRule(0.0, 1.0, {"state": {"red"}})])
+        ScriptedBackend({"fast_schedule": [{"t_start": 0.0, "t_end": 1.0, "state": {"red"}}]})
+
+
+def test_scripted_error_precedence():
+    """Of several errors, a script reports the first the constructor reads:
+    the top-level keys, then the faults (keys, ``malformed``, ``timeout``),
+    then the fast, slow and baseline lists, each rule whole and in list
+    order, and a list's overlaps after its rules."""
+    script = {
+        "typo": 1,
+        "faults": {"typo": 1, "malformed": [[1.0, 0.0]], "timeout": [[1.0, 0.0]]},
+        "fast_schedule": [{"t_start": 0.0, "t_end": 1.0, "latency": -1.0},
+                          {"t_start": 0.5, "t_end": 2.0, "typo": 1}],
+        "slow_responses": [{"t_start": "x", "t_end": 1.0}],
+        "baseline_responses": [{"t_start": 1.0, "t_end": 0.0}],
+    }
+    fast = script["fast_schedule"]
+    steps = [  # each error, and the edit that removes it
+        ("unknown key 'typo' (known", lambda: script.pop("typo")),
+        ("unknown key 'typo' in faults", lambda: script["faults"].pop("typo")),
+        ("malformed interval [1.0, 0.0]", lambda: script["faults"].pop("malformed")),
+        ("timeout interval [1.0, 0.0]", lambda: script.pop("faults")),
+        ("fast_schedule rule [0.0, 1.0): latency", lambda: fast[0].pop("latency")),
+        ("unknown key 'typo' in a fast_schedule rule", lambda: fast[1].pop("typo")),
+        ("fast_schedule rules overlap", lambda: script.pop("fast_schedule")),
+        ("could not convert string to float: 'x'", lambda: script.pop("slow_responses")),
+        ("baseline_responses rule [1.0, 0.0): interval", lambda: script.pop("baseline_responses")),
+    ]
+    for message, remove in steps:
+        with pytest.raises(SchemaError) as info:
+            ScriptedBackend(script)
+        assert str(info.value).startswith(f"scripted backend: {message}"), str(info.value)
+        remove()
+    assert ScriptedBackend(script).timeout == ()
 
 
 def _answers(backend, t) -> list:
@@ -344,17 +375,15 @@ def _answers(backend, t) -> list:
                                          "timeout": [(0.75, 1.25), (4.25, 6.0)]}],
                          ids=["clean", "faults"])
 def test_scripted_file_matches_constructor(tmp_path, faults):
-    """A script file answers every query as the constructor does on the same
-    rules and faults, at every rule and fault edge."""
-    rule_lists = {"fast_schedule": _FAST_RULES, "slow_responses": _SLOW_RULES,
-                  "baseline_responses": _BASELINE_RULES}
-    script = {key: [{"t_start": r.t_start, "t_end": r.t_end, **r.payload} for r in rules]
-              for key, rules in rule_lists.items()}
-    script["faults"] = {name: [list(iv) for iv in ivs] for name, ivs in faults.items()}
+    """A script file, where each fault interval is a JSON list, answers every
+    query as the constructor does on the same script dict with its intervals
+    as tuples, at every rule and fault edge."""
+    script = {"fast_schedule": _FAST_RULES, "slow_responses": _SLOW_RULES,
+              "baseline_responses": _BASELINE_RULES, "faults": faults}
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
     loaded = ScriptedBackend.from_file(str(path))
-    built = ScriptedBackend(**rule_lists, **faults)
+    built = ScriptedBackend(script)
     for t in _probe_times(_FAST_RULES + _SLOW_RULES + _BASELINE_RULES, faults):
         assert _answers(loaded, t) == _answers(built, t), t
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamguard import model
-from streamguard.backends import BackendTimeoutError, ScheduleRule, ScriptedBackend, load_prompt
+from streamguard.backends import BackendTimeoutError, ScriptedBackend, load_prompt
 from streamguard.baseline import (
     WINDOW_FPS,
     WINDOW_LENGTH,
@@ -26,9 +26,9 @@ _EPS = 1e-9
 
 def baseline_backend(rules):
     """rules: (window_start, raw_text) pairs keyed on the window start."""
-    return ScriptedBackend(baseline_responses=[
-        ScheduleRule(s - 0.01, s + 0.01, {"raw": raw}) for s, raw in rules
-    ])
+    return ScriptedBackend({"baseline_responses": [
+        {"t_start": s - 0.01, "t_end": s + 0.01, "raw": raw} for s, raw in rules
+    ]})
 
 
 # --- window planner ----------------------------------------------------------
@@ -221,7 +221,6 @@ def test_severity_prompt_asks_for_what_the_parser_reads():
 
 def test_baseline_backend_failure_propagates():
     manifest = grid_manifest(duration=2.0)
-    backend = ScriptedBackend(timeout=[(0.0, 99.0)])
 
     class TimingOut(ScriptedBackend):
         def baseline_raw(self, *a, **kw):

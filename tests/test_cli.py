@@ -585,6 +585,30 @@ def test_malformed_input_file_is_typed_error(workdir, capsys, name):
     assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("script,message", [
+    ({"fast_shedule": [{"t_start": 0, "t_end": 99, "state": "red"}]},
+     "unknown key 'fast_shedule' (known: fast_schedule, slow_responses, baseline_responses, "
+     "faults)"),
+    ({"faults": {"timeouts": [[0, 99]]}},
+     "unknown key 'timeouts' in faults (known: malformed, timeout)"),
+    ({"fast_schedule": [{"t_start": 0, "t_end": 99, "stat": "red"}]},
+     "unknown key 'stat' in a fast_schedule rule (known: t_start, t_end, state, reason, latency)"),
+    ({"slow_responses": [{"t_start": 0, "t_end": 99, "state": "red"}]},
+     "unknown key 'state' in a slow_responses rule (known: t_start, t_end, verdict, latency)"),
+    ({"baseline_responses": [{"t_start": 0, "t_end": 99, "verdict": 1}]},
+     "unknown key 'verdict' in a baseline_responses rule (known: t_start, t_end, raw, latency)"),
+], ids=["top_level", "faults", "fast_rule", "slow_rule", "baseline_rule"])
+def test_unknown_script_key_is_backend_error(workdir, capsys, script, message):
+    """A misspelled key would read as absent: its rules or faults would be
+    dropped, and the case could score as calm."""
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(script), encoding="utf-8")
+    argv = ["run", "--manifest", str(workdir / "manifests.json"), "--fast", f"scripted:{bad}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"backend_error: scripted backend: {message}\n"
+
+
 def test_whole_value_shape_error_names_the_file(workdir, capsys):
     """With --fast and --slow both scripted, the error must say which file."""
     bad = workdir / "bad.json"

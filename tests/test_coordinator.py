@@ -431,7 +431,7 @@ def test_slow_timeout_aborts_real_clock_case(virtual_clocks):
     case when the loop next looks at the reply, as under ``WallClock``."""
     manifest = grid_manifest(duration=3.0)
     fast, _ = merged([(0.0, 99.0, "yellow")])
-    slow = ScriptedBackend(timeout=[(0.0, 99.0)])
+    slow = ScriptedBackend({"faults": {"timeout": [(0.0, 99.0)]}})
     with pytest.raises(BackendTimeoutError):
         slow.slow_raw("", manifest.frames[:1])
     trace = run_case(manifest, fast, slow, REAL)
