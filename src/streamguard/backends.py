@@ -17,11 +17,12 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .model import DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _json_object, _number, decode_error
+from .model import (DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _check_keys, _json_object,
+                    _number, decode_error)
 from .parsing import MAX_REPLY_CHARS
 
 
@@ -121,14 +122,6 @@ def _slow_text(rule: dict) -> str:
 _RULE_KEYS = {"fast_schedule": ("state", "reason", "latency"),
               "slow_responses": ("verdict", "latency"),
               "baseline_responses": ("raw", "latency")}
-
-
-def _check_keys(d: dict, known: Sequence[str], where: str) -> None:
-    """Refuse a key of ``d`` outside ``known``: a misspelled key would read
-    as absent, and drop its rules or faults without a word."""
-    for k in d:
-        if k not in known:
-            raise SchemaError(f"unknown key {k!r}{where} (known: {', '.join(known)})")
 
 
 def _replies(script: dict, label: str, reply: Callable[[dict], str],
@@ -301,6 +294,7 @@ class EndpointConfig:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         try:
+            _check_keys(d, [f.name for f in fields(cls)], "")
             return cls(
                 base_url=d["base_url"],
                 model_name=d["model_name"],

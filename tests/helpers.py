@@ -275,9 +275,14 @@ def _reference_frame_decode(i: int, d) -> Frame:
 def reference_manifest_decode(d) -> tuple:
     """``FrameManifest.from_dict`` as two passes: every frame's columns, and on
     a failure ``_reference_frame_decode`` entry by entry to name the bad one;
-    then the stream checks.  ``(case_id, fps_native, times, paths,
-    pre_overlaid)``, or the same error."""
+    then the stream checks.  A key outside the four a manifest holds is
+    refused first.  ``(case_id, fps_native, times, paths, pre_overlaid)``,
+    or the same error."""
+    known = ("case_id", "fps_native", "frames", "pre_overlaid")
     try:
+        unknown = [k for k in d if k not in known]
+        if unknown:
+            raise SchemaError(f"unknown key {unknown[0]!r} (known: {', '.join(known)})")
         case_id = d["case_id"]
         fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
             else _number("fps_native", v)

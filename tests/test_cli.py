@@ -609,6 +609,32 @@ def test_unknown_script_key_is_backend_error(workdir, capsys, script, message):
     assert capsys.readouterr().err == f"backend_error: scripted backend: {message}\n"
 
 
+def test_unknown_manifest_key_is_manifest_error(workdir, capsys):
+    """A misspelled ``pre_overlaid`` would read as absent, and its default
+    would leave the frame times out of every prompt for clean frames."""
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps([{"case_id": "a", "fps_native": 10.0, "pre_overlayed": False,
+                                "frames": [{"t": 0.0}]}]), encoding="utf-8")
+    argv = ["run", "--manifest", str(bad), "--fast", f"scripted:{workdir / 'fast.json'}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "manifest_error: manifest a: unknown key 'pre_overlayed' "
+        "(known: case_id, fps_native, frames, pre_overlaid)\n")
+
+
+def test_unknown_endpoint_key_is_backend_error(workdir, capsys):
+    """A misspelled ``timeout`` or ``max_retries`` would leave its default."""
+    bad = workdir / "endpoint.json"
+    bad.write_text(json.dumps({**_ENDPOINT, "timout": 5, "max_retry": 0}), encoding="utf-8")
+    argv = ["run", "--manifest", str(workdir / "manifests.json"), "--fast", f"remote:{bad}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"backend_error: endpoint config {bad}: unknown key 'timout' (known: base_url, "
+        "model_name, auth_token_env_var_name, timeout, max_retries, image_mode)\n")
+
+
 def test_whole_value_shape_error_names_the_file(workdir, capsys):
     """With --fast and --slow both scripted, the error must say which file."""
     bad = workdir / "bad.json"

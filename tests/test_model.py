@@ -784,6 +784,8 @@ def _manifest_dicts(draw):
         d["fps_native"] = draw(st.sampled_from([10.0, 10, math.nan, "10", True]))
     if draw(st.booleans()):
         d["pre_overlaid"] = draw(st.sampled_from([True, False, True, False, 1, "yes", None]))
+    if draw(st.integers(0, 9)) == 0:  # a misspelled key, or one no manifest holds
+        d[draw(st.sampled_from(["pre_overlayed", "fps", "Frames", "", "image_path"]))] = False
     return d
 
 

@@ -1,10 +1,13 @@
 """The slotted records' ``__init__`` (the read-side records, ``Frame`` and the
 trace events), which stores each field through its slot descriptor, against
 what ``dataclass`` generates: ``object.__new__``, then ``object.__setattr__``
-per field, then ``__post_init__``."""
+per field, then ``__post_init__``; and their ``_unchecked``, which builds
+through a mutable twin of the slots and then takes the record's class."""
 
 import copy
+import gc
 import inspect
+import json
 import math
 import pickle
 from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field, fields, replace
@@ -12,6 +15,8 @@ from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field,
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamguard.annotations import load_annotations
+from streamguard.cli import _load_predictions
 from streamguard.model import (
     Alert,
     AlertSource,
@@ -152,20 +157,60 @@ def test_bad_arguments_are_type_errors(cls):
             cls(*args, **kwargs)
 
 
+def _unchecked_copy(record):
+    """``record`` built again through its class's ``_unchecked``."""
+    return type(record)._unchecked(*[getattr(record, f.name) for f in fields(record)])
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_records_stay_frozen_and_round_trip(cls):
-    for record in _GOOD[cls]:
+    """Both ways of building a record: the constructor and ``_unchecked``."""
+    for record in [*_GOOD[cls], *map(_unchecked_copy, _GOOD[cls])]:
         for f in fields(cls):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
             with pytest.raises(FrozenInstanceError):
                 delattr(record, f.name)
-        assert pickle.loads(pickle.dumps(record)) == record
-        assert copy.deepcopy(record) == record
-        assert replace(record) == record
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), replace(record)):
+            assert type(copied) is cls and copied == record
         other = _GOOD[cls][1 - _GOOD[cls].index(record)]
         changed = {f.name: getattr(other, f.name) for f in fields(cls)}
         assert replace(record, **changed) == other
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_unchecked_builds_the_record_the_constructor_builds(cls):
+    """A record built through the twin is exactly its class, holds the very
+    objects passed, and is equal, hashed and shown as the constructor's
+    record is (``test_records_stay_frozen_and_round_trip`` freezes and
+    copies it)."""
+    for record in _GOOD[cls]:
+        built = _unchecked_copy(record)
+        assert type(built) is cls and built.__class__ is cls
+        for f in fields(cls):
+            assert getattr(built, f.name) is getattr(record, f.name)
+        assert built == record and hash(built) == hash(record) and repr(built) == repr(record)
+        assert not hasattr(built, "__dict__")
+        assert gc.is_tracked(built) == gc.is_tracked(record)
+
+
+def test_decoded_records_are_exactly_their_class(tmp_path):
+    """What the bulk loaders return, on both paths of the annotation decode
+    (an int ``duration`` takes the checked one), and every prediction."""
+    cases = [make_ann(case_id="a").to_dict(), {**make_ann(case_id="b").to_dict(), "duration": 6}]
+    (tmp_path / "anns.json").write_text(json.dumps(cases), encoding="utf-8")
+    preds = [{"case_id": "a", "verdict": "safe"},
+             {"case_id": "b", "verdict": "hazard", "timestamp": 4, "severity_claim": "L2"}]
+    (tmp_path / "preds.jsonl").write_text("\n".join(map(json.dumps, preds)), encoding="utf-8")
+    anns = load_annotations(str(tmp_path / "anns.json"))
+    assert list(anns) == ["a", "b"]
+    for ann in anns.values():
+        assert type(ann) is CaseAnnotation and type(ann.key_frames) is KeyFrames
+        assert ann == make_ann(case_id=ann.case_id)
+    records = _load_predictions(str(tmp_path / "preds.jsonl"))
+    assert [type(r) for r in records] == [PredictionRecord, PredictionRecord]
+    assert records == [PredictionRecord("a", "safe"),
+                       PredictionRecord("b", "hazard", 4.0, "L2")]
 
 
 @pytest.mark.parametrize("cls", EVENTS, ids=lambda c: c.__name__)
@@ -219,8 +264,36 @@ def _no_slots():
     return C
 
 
-@pytest.mark.parametrize("make", [_factory, _not_init, _kw_only, _init_var, _no_slots],
-                         ids=["default_factory", "init_false", "kw_only", "init_var", "no_slots"])
-def test_slot_init_refuses_what_it_cannot_reproduce(make):
-    with pytest.raises(TypeError, match="^C: "):
+def _inherited_slots():
+    class Base:
+        __slots__ = ("extra",)
+
+    @dataclass(frozen=True, slots=True)
+    class C(Base):
+        x: int = 0
+    return C
+
+
+def _slots_not_the_layout():
+    """A class whose ``__slots__`` no longer names its layout: its twin
+    cannot be swapped for it."""
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: int = 0
+    C.__slots__ = ("x", "y")
+    return C
+
+
+_CANNOT_REPRODUCE = "cannot reproduce __init__"
+
+
+@pytest.mark.parametrize("make,reason", [
+    (_factory, _CANNOT_REPRODUCE), (_not_init, _CANNOT_REPRODUCE), (_kw_only, _CANNOT_REPRODUCE),
+    (_init_var, _CANNOT_REPRODUCE), (_no_slots, "every field must be a slot"),
+    (_inherited_slots, "a slotted record must derive from object alone"),
+    (_slots_not_the_layout, "cannot build through a twin of its slots"),
+], ids=["default_factory", "init_false", "kw_only", "init_var", "no_slots", "inherited_slots",
+        "slots_not_the_layout"])
+def test_slot_init_refuses_what_it_cannot_reproduce(make, reason):
+    with pytest.raises(TypeError, match=f"^C: {reason}"):
         _slot_init(make())
