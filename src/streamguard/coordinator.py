@@ -160,7 +160,10 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     rate = GAMMA_LOW
     step_us = round(_US * (1.0 / rate))
     t_next_us = 0
-    # Bound once per case: the loop below runs once per sampled frame.
+    # Bound once per case: the loop below runs once per sampled frame.  The
+    # events are built through their slots' twins: no event class but
+    # ``SlowVerdict`` has a ``__post_init__``, and it keeps its constructor.
+    frame_sampled, fast_state = FrameSampled._unchecked, FastState._unchecked
     latest_frame_at = manifest.latest_frame_at
     fast_raw = fast.fast_raw
     render_fast = fast_template.render
@@ -180,7 +183,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
         emit(SlowVerdict(p.trigger_t, p.arrival_t, p.verdict))
         if p.verdict != 1:
             return False
-        alert = Alert(p.arrival_t, AlertSource.SLOW)
+        alert = Alert._unchecked(p.arrival_t, AlertSource.SLOW)
         emit(alert)
         end_to_end = p.arrival_t - p.trigger_t
         return True
@@ -205,7 +208,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
 
             clock.wait_until(t_next)
             frame = latest_frame_at(t_next)
-            emit(FrameSampled(t_next, rate))
+            emit(frame_sampled(t_next, rate))
             try:
                 raw, latency = fast_raw(render_fast((frame,), pre_overlaid), frame)
                 if raw != parsed_raw:
@@ -216,22 +219,22 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                 log.warning("fast output unparseable at t=%s (%s); treating as yellow",
                             t_next, exc)
                 state, latency = yellow, 0.0
-            emit(FastState(t_next, state, latency))
+            emit(fast_state(t_next, state, latency))
             sampled_frames.append(frame)
 
             # The parser returns the enum members themselves, so ``is`` compares.
             if state is red:
                 if pending is not None:
-                    emit(Override(t_next))
+                    emit(Override._unchecked(t_next))
                     pending.future.cancel()  # a Red decision makes the verdict moot
-                alert = Alert(frame.t, AlertSource.FAST)
+                alert = Alert._unchecked(frame.t, AlertSource.FAST)
                 emit(alert)
                 end_to_end = (t_next - frame.t) + latency
                 break
             elif state is yellow:
                 if pending is None:
                     window = tuple(sampled_frames[-WINDOW_SIZE:])
-                    emit(SlowDispatched(t_next, tuple(f.t for f in window)))
+                    emit(SlowDispatched._unchecked(t_next, tuple(f.t for f in window)))
                     text = slow_template.render(window, pre_overlaid)
                     pending = _PendingSlow(trigger_t=t_next,
                                            future=clock.submit(slow.slow_raw, text, window))
@@ -242,7 +245,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
             if new_rate != rate:
                 rate = new_rate
                 step_us = round(_US * (1.0 / rate))
-                emit(RateChange(t_next, rate))
+                emit(RateChange._unchecked(t_next, rate))
             t_next_us += step_us
     except BackendError as exc:
         log.error("case %s aborted: %s", manifest.case_id, exc)

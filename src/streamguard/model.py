@@ -14,9 +14,8 @@ import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from inspect import signature
 from operator import attrgetter, gt
 from types import MemberDescriptorType
 from typing import ClassVar, Optional, get_args, get_origin, get_type_hints
@@ -228,72 +227,59 @@ def decode_json_array(text: str, decode) -> Optional[list]:
     raise AssertionError("json.loads read a text that decode_json_array turned down")
 
 
-def _slot_init(cls):
-    """Give a slotted dataclass an ``__init__`` that stores through the slots.
+def _slot_twin(cls):
+    """Give a slotted dataclass ``_unchecked``, a constructor that stores
+    through a mutable twin of its slots.  ``__init__`` stays the one that
+    ``dataclass`` generated.
 
-    The generated ``__init__`` of a frozen dataclass stores each field with
-    ``object.__setattr__(self, name, value)``, which looks the name up on the
-    type on every call.  This one calls each field's slot descriptor
-    ``__set__``, bound here once, in field order, then ``__post_init__`` if
-    the class has one: the same steps with the same parameters, defaults and
-    annotations.  A class whose generated ``__init__`` has another signature
-    (a field with ``default_factory``, ``init=False`` or ``kw_only``, or an
-    ``InitVar``) or a field without a slot raises TypeError here.
+    ``cls._unchecked(*values)`` is the instance holding ``values``, in field
+    order, built through a private twin: a class built here once, with the
+    same slots and no ``__setattr__`` of its own.  It allocates a twin,
+    stores each value with a plain ``self.<field> = <field>``, which CPython
+    turns into a direct slot write (the frozen class's ``__setattr__`` rules
+    that out on the class itself), then sets ``self.__class__ = cls``.
+    CPython lays slots out by name and allows that assignment only between
+    two identical layouts, so the result is an ordinary instance of ``cls``
+    and no twin escapes.  It runs no ``__post_init__``: the caller has
+    checked the values, or they are right by construction, and calls
+    ``__post_init__`` itself where the class has one.
 
-    It pays: a score_bulk benchmark pass takes 1.020 s with it and 1.138 s
-    with the generated ``__init__``, lower in 10 of 10 pairs
-    (``BENCH_fastpath_ledger.json``).
+    It pays: a ``CaseAnnotation`` builds in about 330 ns this way and 770 ns
+    through the slot descriptors, and a score_bulk benchmark pass takes
+    0.876 against 0.969 s, lower in 10 of 10 pairs (``BENCH_slot_twin.json``).
+    A ``Frame`` builds in about 260 ns this way and 430 ns through the
+    dataclass ``__init__``, a ``FastState`` in 270 against 550 ns (best of 5
+    x 1M calls, Python 3.11.7), so frame lookups, ``run_case`` and the event
+    decode build through it too.  An ``__init__`` that stored through the
+    slot descriptors (290 and 350 ns) was a third way to build each record,
+    and is gone: without it, corpus and long_stream benchmark passes read
+    no slower, lower in 6 of 10 pairs each (``BENCH_one_constructor.json``).
 
-    The class's ``_unchecked(*values)`` is the instance for a decoder that
-    has checked every value itself, built without ``__post_init__`` and
-    through a private mutable twin: a class built here once, with the same
-    slots and no ``__setattr__`` of its own.  It allocates a twin, stores
-    each value with a plain ``self.<field> = <field>``, which CPython turns
-    into a direct slot write (the frozen class's ``__setattr__`` rules that
-    out on the class itself), then sets ``self.__class__ = cls``.  CPython
-    lays slots out by name and allows that assignment only between two
-    identical layouts, so the result is an ordinary instance of ``cls`` and
-    no twin escapes.  A ``CaseAnnotation`` builds in about 330 ns this way
-    and 770 ns through the slot descriptors, and a score_bulk benchmark pass
-    takes 0.876 against 0.969 s, lower in 10 of 10 pairs
-    (``BENCH_slot_twin.json``).
-    ``__init__`` keeps the descriptors: ``type.__call__`` has already
-    allocated its instance, so it would take two class swaps, and with them
-    a ``Frame`` builds in about 320 ns against 260 ns.  A class with a base other than ``object``, whose inherited slots
-    the twin would not copy, or one whose twin cannot be swapped for it,
-    raises TypeError here.
+    A class with a field that is not a slot, with a base other than
+    ``object``, whose inherited slots the twin would not copy, or whose twin
+    cannot be swapped for it, raises TypeError here.
     """
-    fs = fields(cls)
-    names = [f.name for f in fs]
+    names = [f.name for f in fields(cls)]
     if not all(isinstance(vars(cls).get(n), MemberDescriptorType) for n in names):
         raise TypeError(f"{cls.__name__}: every field must be a slot")
     if cls.__bases__ != (object,):
         raise TypeError(f"{cls.__name__}: a slotted record must derive from object alone")
     twin = type(f"_{cls.__name__}Slots", (), {"__slots__": cls.__slots__})
-    setters = [f"_set_{n}" for n in names]
-    args = ", ".join(names)
-    store = "".join(f"        {s}(self, {n})\n" for s, n in zip(setters, names))
-    twin_store = "".join(f"        self.{n} = {n}\n" for n in names)
-    check = "        self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    store = "".join(f"        self.{n} = {n}\n" for n in names)
     ns = {}
-    exec(f"def make(cls, twin, new, {', '.join(setters)}):\n"
-         f"    def __init__(self, {args}):\n{store}{check}"
-         f"    def _unchecked({args}):\n        self = new(twin)\n{twin_store}"
+    exec(f"def make(cls, twin, new):\n"
+         f"    def _unchecked({', '.join(names)}):\n        self = new(twin)\n{store}"
          f"        self.__class__ = cls\n        return self\n"
-         f"    return __init__, _unchecked\n", globals(), ns)
-    init, unchecked = ns["make"](cls, twin, object.__new__,
-                                 *(vars(cls)[n].__set__ for n in names))
-    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
-    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    if signature(init) != signature(cls.__init__):
-        raise TypeError(f"{cls.__name__}: cannot reproduce __init__{signature(cls.__init__)}")
+         f"    return _unchecked\n", globals(), ns)
+    unchecked = ns["make"](cls, twin, object.__new__)
     try:
         unchecked(*names)
     except TypeError as exc:
         raise TypeError(f"{cls.__name__}: cannot build through a twin of its slots: {exc}") from None
-    cls.__init__ = init
     unchecked.__qualname__ = f"{cls.__qualname__}._unchecked"
+    unchecked.__doc__ = (f"The {cls.__name__} holding these field values, built through a twin "
+                         "of its slots.  The caller has checked the values, or they are right "
+                         "by construction, and runs ``__post_init__`` where the class has one.")
     cls._unchecked = staticmethod(unchecked)
     return cls
 
@@ -317,7 +303,7 @@ class AlertSource(str, Enum):
     SLOW = "slow"
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class KeyFrames:
     """The five annotated timestamps delimiting one hazard lifecycle."""
@@ -372,7 +358,7 @@ class KeyFrames:
             raise decode_error("key_frames", d, exc) from exc
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class CaseAnnotation:
     """Ground truth for one video case."""
@@ -549,7 +535,7 @@ class PhaseScoreTable:
         return cls(scores)
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """One model verdict for one case: Safe, or a hazard timestamp."""
@@ -614,8 +600,15 @@ class PredictionRecord:
 
         The record is built through its slots' twin (``_unchecked``), and
         then checked by ``__post_init__``, as ``__init__`` would check it.
+
+        A key that names no field is refused first: a misspelled
+        ``parse_status`` would read as ``"ok"`` and score a format error as a
+        clean verdict.  One subset test of the keys, in C, passes a good
+        record; ``_check_keys`` runs only to name the bad key.
         """
         try:
+            if not _PREDICTION_KEYS.issuperset(d):
+                _check_keys(d, _PREDICTION_FIELDS, "")
             case_id = d["case_id"]
             verdict = _SHARED.get(v, v) if type(v := d["verdict"]) is str else v
             timestamp = d.get("timestamp")
@@ -631,7 +624,13 @@ class PredictionRecord:
             raise decode_error("prediction", d, exc) from exc
 
 
-@_slot_init
+# The keys a prediction object may hold: ``PredictionRecord``'s fields, in
+# order for the error text and as a set for the subset test.
+_PREDICTION_FIELDS = tuple(f.name for f in fields(PredictionRecord))
+_PREDICTION_KEYS = frozenset(_PREDICTION_FIELDS)
+
+
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class Frame:
     """A single timestamped frame; the payload lives in an external file.
@@ -700,7 +699,7 @@ class FrameManifest:
         if name != "frames":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         # No lock: two first reads at once build equal tuples, and either one kept is right.
-        frames = tuple(map(Frame, self._times, self._paths))
+        frames = tuple(map(Frame._unchecked, self._times, self._paths))
         object.__setattr__(self, "frames", frames)
         return frames
 
@@ -712,10 +711,12 @@ class FrameManifest:
         """The last frame with timestamp <= t + _EPS (the first frame if none).
 
         A binary search over the times column, O(log n), that returns a new
-        ``Frame`` equal to ``frames[i]``, built from the two columns.
+        ``Frame`` equal to ``frames[i]``, built from the two columns through
+        ``Frame._unchecked``: the columns hold what a checked decode or the
+        manifest's own frames put there, and ``Frame`` has no ``__post_init__``.
         """
         i = max(bisect_right(self._times, t + _EPS) - 1, 0)
-        return Frame(self._times[i], self._paths[i])
+        return Frame._unchecked(self._times[i], self._paths[i])
 
     def frames_at(self, times) -> "FrameWindow":
         """``[self.latest_frame_at(t) for t in times]``, as a ``FrameWindow``
@@ -809,7 +810,7 @@ class FrameWindow(Sequence):
 # Slotted, like ``Frame``: the coordinator builds two or more per sample.
 # ``kind`` names the event on the wire; it is a class attribute, not a field.
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class FrameSampled:
     t: float
@@ -817,7 +818,7 @@ class FrameSampled:
     kind: ClassVar[str] = "frame_sampled"
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class FastState:
     t: float
@@ -826,7 +827,7 @@ class FastState:
     kind: ClassVar[str] = "fast_state"
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class SlowDispatched:
     trigger_t: float
@@ -838,7 +839,7 @@ class SlowDispatched:
         return self.trigger_t
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class SlowVerdict:
     trigger_t: float
@@ -857,14 +858,14 @@ class SlowVerdict:
         return self.arrival_t
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class Override:
     t: float
     kind: ClassVar[str] = "override"
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class Alert:
     t_alert: float
@@ -876,7 +877,7 @@ class Alert:
         return self.t_alert
 
 
-@_slot_init
+@_slot_twin
 @dataclass(frozen=True, slots=True)
 class RateChange:
     t: float
@@ -905,10 +906,15 @@ def _field_codec(name: str, tp) -> tuple:
 
 
 def _event_plan(cls) -> tuple:
-    """One event kind's (encode, decode): ``kind`` first, then the fields in order."""
+    """One event kind's (encode, decode): ``kind`` first, then the fields in order.
+
+    ``decode`` converts each field, builds the event through ``_unchecked``
+    and then runs ``__post_init__`` where the class has one (``SlowVerdict``),
+    so a decoded event is checked as a constructed one is, with the same errors.
+    """
     hints = get_type_hints(cls)
     codecs = [(f.name, *_field_codec(f.name, hints[f.name])) for f in fields(cls)]
-    kind = cls.kind
+    kind, build, check = cls.kind, cls._unchecked, getattr(cls, "__post_init__", None)
 
     def encode(ev) -> dict:
         d = {"kind": kind}
@@ -922,7 +928,10 @@ def _event_plan(cls) -> tuple:
         for name, _, dec in codecs:
             v = d[name]
             args.append(dec(v) if dec is not None else v if type(v) is float else _number(name, v))
-        return cls(*args)
+        ev = build(*args)
+        if check is not None:
+            check(ev)
+        return ev
 
     return encode, decode
 

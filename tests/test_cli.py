@@ -635,6 +635,23 @@ def test_unknown_endpoint_key_is_backend_error(workdir, capsys):
         "model_name, auth_token_env_var_name, timeout, max_retries, image_mode)\n")
 
 
+@pytest.mark.parametrize("command", ["metrics", "errors"])
+def test_unknown_prediction_key_is_parse_error(workdir, capsys, command):
+    """A misspelled ``parse_status`` would read as ``"ok"``, and score a
+    format error as a clean verdict."""
+    preds = workdir / "preds.jsonl"
+    preds.write_text('{"case_id": "c0", "verdict": "safe"}\n'
+                     '{"case_id": "c1", "verdict": "safe", "parse_stauts": "format_error"}\n',
+                     encoding="utf-8")
+    assert main([command, "--preds", str(preds), "--annotations", str(workdir / "anns.json"),
+                 "--out", str(workdir / "out.csv")]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"parse_error: {preds}: line 2: prediction c1: unknown key 'parse_stauts' (known: "
+        "case_id, verdict, timestamp, severity_claim, reasoning_text, raw_output, "
+        "parse_status, parse_detail)\n")
+    assert not (workdir / "out.csv").exists()
+
+
 def test_whole_value_shape_error_names_the_file(workdir, capsys):
     """With --fast and --slow both scripted, the error must say which file."""
     bad = workdir / "bad.json"

@@ -1,28 +1,28 @@
-"""The slotted records' ``__init__`` (the read-side records, ``Frame`` and the
-trace events), which stores each field through its slot descriptor, against
-what ``dataclass`` generates: ``object.__new__``, then ``object.__setattr__``
-per field, then ``__post_init__``; and their ``_unchecked``, which builds
-through a mutable twin of the slots and then takes the record's class."""
+"""The slotted records (the read-side records, ``Frame`` and the trace
+events): the ``__init__`` that ``dataclass`` generates, and ``_unchecked``,
+which builds through a mutable twin of the slots and then takes the record's
+class, as every decoder, frame lookup and ``run_case`` builds them."""
 
 import copy
 import gc
 import inspect
 import json
-import math
 import pickle
-from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from streamguard.annotations import load_annotations
 from streamguard.cli import _load_predictions
+from streamguard.coordinator import CoordinatorConfig, run_case
 from streamguard.model import (
     Alert,
     AlertSource,
     CaseAnnotation,
+    DecisionTrace,
     FastState,
     Frame,
+    FrameManifest,
     FrameSampled,
     KeyFrames,
     Override,
@@ -31,13 +31,13 @@ from streamguard.model import (
     SafetyState,
     SlowDispatched,
     SlowVerdict,
-    _slot_init,
+    _slot_twin,
 )
 
-from helpers import make_ann
+from helpers import fast_script, grid_manifest, make_ann, slow_script
 
-# ``str(inspect.signature(cls))`` with the generated ``__init__``, the same on
-# Python 3.10, 3.11, 3.12 and 3.13.
+# ``str(inspect.signature(cls))``: the ``__init__`` that ``dataclass``
+# generates, the same on Python 3.10, 3.11, 3.12 and 3.13.
 SIGNATURES = {
     Frame: "(t: 'float', image_path: 'str' = '') -> None",
     KeyFrames: "(intent_onset: 'float', pnr: 'float', intervention_deadline: 'float', "
@@ -61,8 +61,7 @@ SIGNATURES = {
 EVENTS = [FrameSampled, FastState, SlowDispatched, SlowVerdict, Override, Alert, RateChange]
 CLASSES = list(SIGNATURES)
 
-# Records whose fields start each drawn call, a few of which are then replaced
-# from ``_JUNK`` so that the checks in ``__post_init__`` reject some calls.
+# Two records of each class, built through the constructor.
 _GOOD = {
     Frame: [Frame(0.0), Frame(1.5, "a.jpg")],
     KeyFrames: [KeyFrames(3.6, 4.0, 3.8, 4.5, 5.0), KeyFrames(0.0, 0.2, 0.0, 0.2, 0.2)],
@@ -77,72 +76,12 @@ _GOOD = {
     Alert: [Alert(0.4, AlertSource.FAST), Alert(3.2, AlertSource.SLOW)],
     RateChange: [RateChange(1.0, 5.0), RateChange(2.0, 1.0)],
 }
-_JUNK = [None, -1.0, math.nan, math.inf, 0, 7, True, "", "x", "safe", "L1", [], {},
-         ("kettle",), ("Kettle",), KeyFrames(0.0, 0.2, 0.0, 0.2, 9.0)]
-
-
-def _reference(cls, *args, **kwargs):
-    """What the generated ``__init__`` does with arguments that bind."""
-    names = [f.name for f in fields(cls)]
-    values = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-    values.update(zip(names, args))
-    values.update(kwargs)
-    self = object.__new__(cls)
-    for name in names:
-        object.__setattr__(self, name, values[name])
-    if hasattr(cls, "__post_init__"):
-        self.__post_init__()
-    return self
-
-
-def _outcome(build):
-    """The record ``build()`` returns, or (exception class, message)."""
-    try:
-        return build()
-    except Exception as exc:  # any class: a TypeError must match too
-        return type(exc), str(exc)
-
-
-@st.composite
-def _calls(draw):
-    """(cls, args, kwargs, the object each field should hold)."""
-    cls = draw(st.sampled_from(CLASSES))
-    base = draw(st.sampled_from(_GOOD[cls]))
-    values = {f.name: getattr(base, f.name) for f in fields(cls)}
-    for _ in range(draw(st.integers(0, 2))):
-        values[draw(st.sampled_from(list(values)))] = draw(st.sampled_from(_JUNK))
-    # Any field with a default may be left out; positional ones come first.
-    given_ = [f.name for f in fields(cls) if f.default is MISSING or draw(st.booleans())]
-    prefix = 0
-    while prefix < len(given_) and given_[prefix] == fields(cls)[prefix].name:
-        prefix += 1
-    n_pos = draw(st.integers(0, prefix))
-    args = [values[n] for n in given_[:n_pos]]
-    kwargs = {n: values[n] for n in draw(st.permutations(given_[n_pos:]))}
-    expected = {f.name: values[f.name] if f.name in given_ else f.default for f in fields(cls)}
-    return cls, args, kwargs, expected
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_signature_is_the_generated_one(cls):
     assert str(inspect.signature(cls)) == SIGNATURES[cls]
     assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
-
-
-@settings(max_examples=1000)
-@given(_calls())
-def test_init_matches_reference(call):
-    """Positional, keyword and default calls: an equal record holding the very
-    objects passed, or the same exception class and message."""
-    cls, args, kwargs, expected = call
-    got = _outcome(lambda: cls(*args, **kwargs))
-    want = _outcome(lambda: _reference(cls, *args, **kwargs))
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert type(got) is cls and got == want
-        for name, value in expected.items():
-            assert getattr(got, name) is value
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -213,6 +152,56 @@ def test_decoded_records_are_exactly_their_class(tmp_path):
                        PredictionRecord("b", "hazard", 4.0, "L2")]
 
 
+def _as_constructed(record) -> bool:
+    """``record`` is exactly one of the record classes, no twin of one, and
+    equal, hashed and shown as the record its constructor builds from the
+    same field values."""
+    cls = type(record)
+    built = cls(*[getattr(record, f.name) for f in fields(cls)])
+    return (cls in CLASSES and record.__class__ is cls and record == built
+            and hash(record) == hash(built) and repr(record) == repr(built))
+
+
+def _traces() -> list:
+    """Two runs that emit every event kind between them: Green, then Yellow
+    with a slow query in flight, then Red, which overrides it; and Yellow
+    until a slow DANGER verdict alerts."""
+    escalation = run_case(
+        grid_manifest(times=[0.0, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.1, 2.4, 3.0, 5.0]),
+        fast_script([(0.0, 1.0, "green"), (1.0, 2.1, "yellow"), (2.1, 99.0, "red")]),
+        slow_script([(0.9, 1.1, 0, 5.0)]), CoordinatorConfig())
+    danger = run_case(grid_manifest(duration=6.0), fast_script([(0.0, 99.0, "yellow")]),
+                      slow_script([(0.0, 0.1, 1, 1.3)]), CoordinatorConfig())
+    return [escalation, danger]
+
+
+def test_run_and_decoded_events_are_exactly_their_class():
+    """Every event ``run_case`` emits, and every event ``DecisionTrace.from_dict``
+    decodes, is the event its constructor builds."""
+    traces = _traces()
+    assert {type(ev) for t in traces for ev in t.events} == set(EVENTS)
+    assert {t.events[-1] for t in traces} == {Alert(2.1, AlertSource.FAST),
+                                              Alert(1.3, AlertSource.SLOW)}
+    for trace in traces:
+        decoded = DecisionTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+        assert decoded == trace
+        for ev in (*trace.events, *decoded.events):
+            assert _as_constructed(ev), ev
+
+
+def test_looked_up_frames_are_exactly_frames():
+    """``latest_frame_at``, ``frames_at`` and a decoded manifest's ``frames``,
+    of a manifest built from frames and of the same one decoded."""
+    built = grid_manifest(duration=2.0)
+    decoded = FrameManifest.from_dict(built.to_dict())
+    probes = [-1.0, 0.0, 0.05, 0.1, 1.37, 2.0, 9.0]
+    for m in (built, decoded):
+        frames = [*map(m.latest_frame_at, probes), *m.frames_at(probes), *m.frames]
+        assert all(_as_constructed(f) for f in frames)
+        assert list(m.frames) == list(built.frames)
+        assert [f.t for f in m.frames_at(probes)] == [0.0, 0.0, 0.0, 0.1, 1.3, 2.0, 2.0]
+
+
 @pytest.mark.parametrize("cls", EVENTS, ids=lambda c: c.__name__)
 def test_events_are_slotted_and_kind_is_no_field(cls):
     """``kind`` names the event on the wire, from the class: no instance holds
@@ -223,38 +212,6 @@ def test_events_are_slotted_and_kind_is_no_field(cls):
         assert not hasattr(event, "__dict__")
         assert event.kind == cls.kind
         assert hash(event) == hash(replace(event))
-
-
-def _factory():
-    @dataclass(frozen=True, slots=True)
-    class C:
-        x: list = field(default_factory=list)
-    return C
-
-
-def _not_init():
-    @dataclass(frozen=True, slots=True)
-    class C:
-        x: int = field(default=0, init=False)
-    return C
-
-
-def _kw_only():
-    @dataclass(frozen=True, slots=True)
-    class C:
-        x: int = field(kw_only=True)
-    return C
-
-
-def _init_var():
-    @dataclass(frozen=True, slots=True)
-    class C:
-        x: int
-        y: InitVar[int] = 0
-
-        def __post_init__(self, y):
-            pass
-    return C
 
 
 def _no_slots():
@@ -284,16 +241,26 @@ def _slots_not_the_layout():
     return C
 
 
-_CANNOT_REPRODUCE = "cannot reproduce __init__"
-
-
 @pytest.mark.parametrize("make,reason", [
-    (_factory, _CANNOT_REPRODUCE), (_not_init, _CANNOT_REPRODUCE), (_kw_only, _CANNOT_REPRODUCE),
-    (_init_var, _CANNOT_REPRODUCE), (_no_slots, "every field must be a slot"),
+    (_no_slots, "every field must be a slot"),
     (_inherited_slots, "a slotted record must derive from object alone"),
     (_slots_not_the_layout, "cannot build through a twin of its slots"),
-], ids=["default_factory", "init_false", "kw_only", "init_var", "no_slots", "inherited_slots",
-        "slots_not_the_layout"])
+], ids=["no_slots", "inherited_slots", "slots_not_the_layout"])
 def test_slot_init_refuses_what_it_cannot_reproduce(make, reason):
+    """The three classes whose twin ``_slot_twin`` cannot build."""
     with pytest.raises(TypeError, match=f"^C: {reason}"):
-        _slot_init(make())
+        _slot_twin(make())
+
+
+def test_slot_twin_keeps_the_dataclass_init():
+    """The decorator adds ``_unchecked`` and replaces nothing."""
+    @dataclass(frozen=True, slots=True)
+    class C:
+        x: int
+        y: str = ""
+
+    before = dict(vars(C))
+    assert _slot_twin(C) is C
+    assert set(vars(C)) - set(before) == {"_unchecked"}
+    assert all(vars(C)[name] is value for name, value in before.items())
+    assert C._unchecked(1, "a") == C(1, "a")
