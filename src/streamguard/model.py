@@ -911,10 +911,15 @@ def _event_plan(cls) -> tuple:
     ``decode`` converts each field, builds the event through ``_unchecked``
     and then runs ``__post_init__`` where the class has one (``SlowVerdict``),
     so a decoded event is checked as a constructed one is, with the same errors.
+    It first refuses a key the event does not have.  Every field is read with
+    ``d[name]``, so an event of the right key count holds exactly its keys:
+    one comparison passes it, and ``_check_keys`` runs only to name the key.
     """
     hints = get_type_hints(cls)
     codecs = [(f.name, *_field_codec(f.name, hints[f.name])) for f in fields(cls)]
     kind, build, check = cls.kind, cls._unchecked, getattr(cls, "__post_init__", None)
+    known = ("kind", *(name for name, _, _ in codecs))
+    n_keys = len(known)
 
     def encode(ev) -> dict:
         d = {"kind": kind}
@@ -924,6 +929,8 @@ def _event_plan(cls) -> tuple:
         return d
 
     def decode(d: dict):
+        if len(d) != n_keys:
+            _check_keys(d, known, f" in event {kind!r}")
         args = []
         for name, _, dec in codecs:
             v = d[name]
@@ -989,8 +996,15 @@ class DecisionTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTrace":
+        """The trace for a decoded JSON object.  A key outside the trace's
+        own, or outside its summary's, is refused: a misspelled ``aborted``
+        would read as False and report an aborted case as a finished one."""
         try:
+            _check_keys(d, _TRACE_KEYS, "")
             summary = d.get("summary", {})
+            if not isinstance(summary, dict):
+                raise SchemaError(f"summary must be a JSON object, got {type(summary).__name__}")
+            _check_keys(summary, _SUMMARY_KEYS, " in summary")
 
             def time_field(name):
                 v = summary.get(name)
@@ -1014,3 +1028,10 @@ class DecisionTrace:
             return PredictionRecord(case_id=self.case_id, verdict="safe")
         return PredictionRecord(case_id=self.case_id, verdict="hazard",
                                 timestamp=self.alert_stream_time)
+
+
+_TRACE_KEYS = ("case_id", "events", "summary")
+# ``physical_stop_time`` is in summaries written by older versions, which
+# still load; its value is ignored.
+_SUMMARY_KEYS = ("end_to_end_latency", "alert_stream_time", "alert_source", "aborted",
+                 "physical_stop_time")

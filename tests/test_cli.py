@@ -1264,3 +1264,80 @@ def test_manifest_json_error_wins_over_a_bad_manifest(workdir, capsys):
                  "--slow", f"scripted:{workdir / 'slow.json'}",
                  "--out", str(workdir / "x.jsonl")]) == EXIT_IO
     assert capsys.readouterr().err == f"parse_error: {bad}: {_json_error(text)}\n"
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_main_reuses_one_parser(workdir, capsys):
+    main(["validate", "--annotations", str(workdir / "anns.json")])
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_repeated_call_leaves_no_cyclic_garbage(workdir, capsys):
+    """A built parser is some hundreds of cyclic objects; only the first call
+    in a process builds one, so a later call leaves nothing to collect."""
+    argv = ["validate", "--annotations", str(workdir / "anns.json")]
+    main(argv)
+    gc.collect()
+    assert main(argv) == EXIT_OK
+    assert gc.collect() == 0
+
+
+def test_subcommand_is_looked_up_per_call(workdir, monkeypatch, capsys):
+    """A ``cmd_*`` function replaced after the parser is built is the one
+    that runs: perfbench's tracer wraps them around a traced pass."""
+    argv = ["metrics", "--preds", str(workdir / "none.jsonl"),
+            "--annotations", str(workdir / "anns.json"), "--out", str(workdir / "row.csv")]
+    assert main(argv) == EXIT_IO
+    seen = []
+    monkeypatch.setattr(cli, "cmd_metrics", lambda args: seen.append(args.preds) or 7)
+    assert main(argv) == 7
+    assert seen == [argv[2]]
+
+
+def test_no_option_value_carries_over(workdir):
+    """``run --fps-high 2`` and then ``run`` with its defaults write what a
+    default ``run`` writes through a newly built parser."""
+    def run(*extra) -> bytes:
+        out = workdir / "traces.jsonl"
+        assert main(["run", "--manifest", str(workdir / "manifests.json"),
+                     "--fast", f"scripted:{workdir / 'fast.json'}",
+                     "--slow", f"scripted:{workdir / 'slow.json'}",
+                     *extra, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    cli._parser.cache_clear()
+    fresh = run()
+    assert run("--fps-high", "2") != fresh
+    assert run() == fresh
+
+
+def test_usage_error_leaves_no_state(workdir, capsys):
+    argv = ["validate", "--annotations", str(workdir / "anns.json")]
+    cli._parser.cache_clear()
+    assert main(argv) == EXIT_OK
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--annotations", str(workdir / "anns.json"), "--bogus", "1"])
+    assert info.value.code == EXIT_IO
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == alone
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--help"], ["metrics", "--preds", "x.jsonl"], ["nope"], [],
+    ["run", "--fps-high", "fast"]],
+    ids=["help", "run_help", "missing_option", "unknown_command", "no_command", "bad_value"])
+def test_reused_parser_prints_what_a_new_one_does(workdir, capsys, argv):
+    main(["validate", "--annotations", str(workdir / "anns.json")])  # the parser exists
+    capsys.readouterr()
+
+    def printed(parse):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        return info.value.code, capsys.readouterr()
+
+    assert printed(main) == printed(cli.build_parser().parse_args)

@@ -937,13 +937,36 @@ def test_trace_roundtrip_and_decision():
     ({"case_id": "c", "events": [], "summary": {"alert_source": "x"}},
      "trace c: 'x' is not a valid AlertSource"),
     ([1], "trace must be a JSON object, got list"),
+    ({"case_id": "c", "events": [], "sumary": {}},
+     "trace c: unknown key 'sumary' (known: case_id, events, summary)"),
+    ({"case_id": "c", "events": [], "summary": {"abortd": True}},
+     "trace c: unknown key 'abortd' in summary (known: end_to_end_latency, alert_stream_time, "
+     "alert_source, aborted, physical_stop_time)"),
+    ({"case_id": "c", "events": [{"kind": "override", "t": 1.0, "source": "fast"}]},
+     "trace c: unknown key 'source' in event 'override' (known: kind, t)"),
+    ({"case_id": "c", "events": [{"kind": "override", "time": 1.0}]},
+     "missing field 't' in trace c"),
+    ({"case_id": "c", "events": [{"kind": "alert", "t": 1.0, "source": "fast"}]},
+     "missing field 't_alert' in trace c"),
+    ({"case_id": "c", "events": [], "summary": ["aborted"]},
+     "trace c: summary must be a JSON object, got list"),
 ], ids=["case_id_null", "case_id_int", "case_id_empty", "missing_case_id", "missing_events",
-        "event_missing_field", "unknown_kind", "bad_source", "not_object"])
+        "event_missing_field", "unknown_kind", "bad_source", "not_object", "unknown_key",
+        "unknown_summary_key", "unknown_event_key", "renamed_event_field", "event_key_for_a_field",
+        "summary_not_object"])
 def test_trace_decode_error_text(encoded, message):
     """Every malformed trace is one SchemaError that names the trace."""
     with pytest.raises(SchemaError) as info:
         DecisionTrace.from_dict(encoded)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("event", EVENTS, ids=[ev.kind for ev in EVENTS])
+def test_event_with_an_extra_key_is_refused(event):
+    encoded = {**event_to_dict(event), "note": ""}
+    with pytest.raises(SchemaError) as info:
+        event_from_dict(encoded)
+    assert str(info.value).startswith(f"unknown key 'note' in event {event.kind!r} (known: kind, ")
 
 
 def test_trace_to_prediction():
