@@ -9,10 +9,6 @@ from .model import (JSON_ERRORS, CaseAnnotation, ModelError, Phase, SchemaError,
                     decode_json_array)
 
 
-class IoError(ModelError):
-    """The annotation file could not be read."""
-
-
 class DuplicateCaseError(ModelError):
     """Two cases in the same file share a case_id."""
 
@@ -24,12 +20,13 @@ def load_annotations(path: str) -> dict[str, CaseAnnotation]:
     that ``build_report``, ``severity_confusion``, ``agreement_table`` and
     ``sweep_fps`` take.  Its ``values()`` are the cases.
 
-    Raises IoError on unreadable files, SchemaError on malformed entries,
-    and the KeyFrames constructors' OrderingError / DeadlineError on
-    lifecycle violations.  The array is decoded one case at a time
-    (``model.decode_json_array``), so the file's decoded JSON is never held
-    whole; a JSON error anywhere in the file, nesting too deep to decode
-    included, wins over a case's error and raises SchemaError.
+    Raises OSError, as ``open`` raised it, on a file that cannot be opened
+    or read, SchemaError on malformed entries, and the KeyFrames
+    constructors' OrderingError / DeadlineError on lifecycle violations.
+    The array is decoded one case at a time (``model.decode_json_array``),
+    so the file's decoded JSON is never held whole; a JSON error anywhere
+    in the file, nesting too deep to decode included, wins over a case's
+    error and raises SchemaError.
     """
     cases: dict[str, CaseAnnotation] = {}
 
@@ -45,8 +42,6 @@ def load_annotations(path: str) -> dict[str, CaseAnnotation]:
         if decode_json_array(text, add) is None:
             json.loads(text)  # raises for malformed text
             raise SchemaError(f"{path} must contain a JSON array of cases")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     except JSON_ERRORS as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return cases

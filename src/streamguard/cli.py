@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import ablation as ablation_mod
 from .agreement import AgreementError, agreement_table
-from .annotations import IoError, load_annotations
+from .annotations import load_annotations
 from .backends import (
     BackendError,
     EndpointConfig,
@@ -53,8 +53,6 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
     except JSON_ERRORS as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
 
@@ -74,8 +72,6 @@ def _load_manifests(path: str) -> list:
         manifests = decode_json_array(text, decode)
         if manifests is None:  # one manifest, not in an array
             manifests = [decode(json.loads(text))]
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
     except JSON_ERRORS as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: {exc}")
     except ModelError as exc:
@@ -138,8 +134,6 @@ def _load_predictions(path: str) -> list:
                     if end != len(line):
                         d = json.loads(line)
                     preds.append(PredictionRecord.from_dict(d))
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
     except (*JSON_ERRORS, ModelError) as exc:
         raise CliError(EXIT_IO, f"parse_error: {path}: line {n}: {exc}")
     if not preds:  # an empty file would score every case as missed
@@ -147,24 +141,20 @@ def _load_predictions(path: str) -> list:
     return preds
 
 
-def _load_annotation_set(path: str) -> dict:
+def _load_annotation_set(path: str, label: str = "annotation_error") -> dict:
+    """The cases of an annotation file; a bad one is a domain error, ``<label>: ...``."""
     try:
         return load_annotations(path)
-    except IoError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
     except ModelError as exc:
-        raise CliError(EXIT_DOMAIN, f"annotation_error: {exc}")
+        raise CliError(EXIT_DOMAIN, f"{label}: {exc}")
 
 
 def _write_csv(path: str, header, rows) -> None:
     """Write the header row, then each row's values in header order."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -176,12 +166,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 @gc_paused()
 def cmd_validate(args) -> int:
-    try:
-        anns = load_annotations(args.annotations)
-    except IoError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
-    except ModelError as exc:
-        raise CliError(EXIT_DOMAIN, f"invalid: {exc}")
+    anns = _load_annotation_set(args.annotations, "invalid")
     print(f"{len(anns)} cases OK")
     return EXIT_OK
 
@@ -206,12 +191,9 @@ def cmd_run(args) -> int:
 
     latencies = [t.end_to_end_latency for t in traces if t.end_to_end_latency is not None]
     alerts = sum(1 for t in traces if t.alert_stream_time is not None)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for trace in traces:
-                fh.write(json.dumps(trace.to_dict()) + "\n")
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for trace in traces:
+            fh.write(json.dumps(trace.to_dict()) + "\n")
     mean_latency = f"{sum(latencies) / len(latencies):.3f}s" if latencies else "n/a"
     print(f"{len(traces)} cases, {alerts} alerts, mean end-to-end latency {mean_latency}")
     return EXIT_OK
@@ -220,36 +202,38 @@ def cmd_run(args) -> int:
 def cmd_eval_baseline(args) -> int:
     manifests = _load_manifests(args.manifest)
     backend = _make_backend(args.backend)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for manifest in manifests:
-                try:
-                    pred = run_baseline_case(manifest, backend,
-                                             with_severity=args.prompt == "severity")
-                except BackendError as exc:
-                    raise CliError(EXIT_IO, f"backend_error: case {manifest.case_id}: {exc}")
-                fh.write(json.dumps(pred.to_dict()) + "\n")
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"io_error: {exc}")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for manifest in manifests:
+            try:
+                pred = run_baseline_case(manifest, backend,
+                                         with_severity=args.prompt == "severity")
+            except BackendError as exc:
+                raise CliError(EXIT_IO, f"backend_error: case {manifest.case_id}: {exc}")
+            fh.write(json.dumps(pred.to_dict()) + "\n")
     print(f"{len(manifests)} cases evaluated -> {args.out}")
     return EXIT_OK
 
 
-@gc_paused()
-def cmd_metrics(args) -> int:
+def _report(args, scores_path=None):
+    """The report over ``--preds`` and ``--annotations``, loaded in that
+    order, then the ``scores_path`` table if one is given."""
     preds = _load_predictions(args.preds)
     anns = _load_annotation_set(args.annotations)
-    scores = PhaseScoreTable.default()
-    if args.scores:
+    scores = None  # build_report's default table
+    if scores_path:
         try:
-            scores = PhaseScoreTable.from_dict(_load_json(args.scores))
+            scores = PhaseScoreTable.from_dict(_load_json(scores_path))
         except ModelError as exc:
-            raise CliError(EXIT_IO, f"config_error: {args.scores}: {exc}")
+            raise CliError(EXIT_IO, f"config_error: {scores_path}: {exc}")
     try:
-        report = build_report(preds, anns, scores=scores)
+        return build_report(preds, anns, scores=scores)
     except MetricsError as exc:
         raise CliError(EXIT_DOMAIN, f"metric_error: {exc}")
-    row = report.row(model=args.model)
+
+
+@gc_paused()
+def cmd_metrics(args) -> int:
+    row = _report(args, args.scores).row(model=args.model)
     _write_csv(args.out, row, [row.values()])
     print("  ".join(f"{k}={_fmt(v)}" for k, v in row.items() if not k.startswith("err_")))
     return EXIT_OK
@@ -261,12 +245,7 @@ def _fmt(v) -> str:
 
 @gc_paused()
 def cmd_errors(args) -> int:
-    preds = _load_predictions(args.preds)
-    anns = _load_annotation_set(args.annotations)
-    try:
-        report = build_report(preds, anns)
-    except MetricsError as exc:
-        raise CliError(EXIT_DOMAIN, f"metric_error: {exc}")
+    report = _report(args)
     _write_csv(args.out, ("case_id", "error_type"),
                [(case_id, err.value) for case_id, err in report.case_errors.items()])
     print("  ".join(f"{e.value}={report.error_fractions[e]:.4f}" for e in ErrorType))
@@ -374,13 +353,21 @@ def main(argv=None) -> int:
     call (1.45 ms and 345 cyclic objects on a 2.1 GHz Xeon, Python 3.11), it
     parses a command line in 0.08 ms, into a fresh namespace each time.  Each
     ``cmd_*`` function is looked up by name per call, so one replaced on the
-    module later (perfbench's tracer wraps them) is the one that runs."""
+    module later (perfbench's tracer wraps them) is the one that runs.
+
+    This is the one place where an ``OSError`` becomes a message: a file
+    that any command cannot open, read or write is ``io_error: <the
+    error>``, exit 2.  ``_make_backend`` alone words its own, as a
+    ``backend_error``."""
     args = _parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        print(f"io_error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

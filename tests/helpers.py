@@ -255,8 +255,19 @@ def reference_render(name: str, text: str, frames, pre_overlaid: bool,
     return out
 
 
+_FRAME_ENTRY_KEYS = ("t", "image_path")
+
+
+def _unknown_key(d: dict, known: tuple) -> None:
+    """Refuse the first key of ``d`` outside ``known``, as the decoders do."""
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r} (known: {', '.join(known)})")
+
+
 def _reference_frame_decode(i: int, d) -> Frame:
-    """Frame entry ``i``, decoded alone; a bad one is named ``frame <i>``."""
+    """Frame entry ``i``, decoded alone; a bad one is named ``frame <i>``.
+    Its ``t``, then its ``image_path``, then any other key is refused."""
     what = f"frame {i}"
     if not isinstance(d, dict):
         raise SchemaError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -265,6 +276,7 @@ def _reference_frame_decode(i: int, d) -> Frame:
         image_path = d.get("image_path", "")
         if not isinstance(image_path, str):
             raise SchemaError(f"image_path must be a string, got {image_path!r}")
+        _unknown_key(d, _FRAME_ENTRY_KEYS)
         return Frame(t=t, image_path=image_path)
     except KeyError as exc:
         raise SchemaError(f"missing field {exc} in {what}") from exc
@@ -276,13 +288,11 @@ def reference_manifest_decode(d) -> tuple:
     """``FrameManifest.from_dict`` as two passes: every frame's columns, and on
     a failure ``_reference_frame_decode`` entry by entry to name the bad one;
     then the stream checks.  A key outside the four a manifest holds is
-    refused first.  ``(case_id, fps_native, times, paths, pre_overlaid)``,
+    refused first, and an entry with a key outside its two fails the
+    columns pass.  ``(case_id, fps_native, times, paths, pre_overlaid)``,
     or the same error."""
-    known = ("case_id", "fps_native", "frames", "pre_overlaid")
     try:
-        unknown = [k for k in d if k not in known]
-        if unknown:
-            raise SchemaError(f"unknown key {unknown[0]!r} (known: {', '.join(known)})")
+        _unknown_key(d, ("case_id", "fps_native", "frames", "pre_overlaid"))
         case_id = d["case_id"]
         fps_native = v if type(v := d.get("fps_native", 10.0)) is float \
             else _number("fps_native", v)
@@ -293,6 +303,8 @@ def reference_manifest_decode(d) -> tuple:
             paths = tuple([f.get("image_path", "") for f in entries])
             if not all(isinstance(p, str) for p in paths):
                 raise SchemaError("image_path must be a string")
+            if not all(set(f) <= set(_FRAME_ENTRY_KEYS) for f in entries):
+                raise SchemaError("unknown key in a frame")
         except DECODE_ERRORS:
             for i, f in enumerate(entries):
                 _reference_frame_decode(i, f)
@@ -304,11 +316,18 @@ def reference_manifest_decode(d) -> tuple:
     return case_id, fps_native, times, paths, pre_overlaid
 
 
+_CASE_FIELDS = ("case_id", "location", "danger_category", "severity", "difficulty",
+                "key_frames", "key_entities", "duration", "is_valid")
+
+
 def reference_case_decode(d) -> CaseAnnotation:
     """``CaseAnnotation.from_dict`` by the constructor path: the fields read
     as decoded, ``KeyFrames.from_dict``, then ``CaseAnnotation(...)``, whose
-    ``__post_init__`` checks every value.  The same case, or the same error."""
+    ``__post_init__`` checks every value.  A key outside the case's nine is
+    refused first; ``KeyFrames.from_dict`` refuses one outside its five.
+    The same case, or the same error."""
     try:
+        _unknown_key(d, _CASE_FIELDS)
         entities = d.get("key_entities", [])
         if not isinstance(entities, list):
             raise TypeError(f"key_entities must be a list of strings, got {entities!r}")

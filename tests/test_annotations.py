@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from streamguard.annotations import (
     DuplicateCaseError,
-    IoError,
     classify_phase,
     load_annotations,
 )
@@ -43,7 +42,7 @@ def test_load_ok(tmp_path):
 
 
 def test_load_missing_file():
-    with pytest.raises(IoError):
+    with pytest.raises(OSError):
         load_annotations("/nonexistent/anns.json")
 
 

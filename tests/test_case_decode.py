@@ -94,7 +94,7 @@ def _mutation(draw, d: dict) -> None:
     kind = draw(st.sampled_from([
         "negative_zero", "ordering_edge", "deadline_edge", "deadline_below_zero",
         "no_deadline", "not_a_float", "non_finite", "is_valid", "entities", "closed_set",
-        "unhashable", "case_id", "missing", "key_frames"]))
+        "unhashable", "case_id", "missing", "key_frames", "extra_key", "renamed_key"]))
     kf = d.get("key_frames")
     name = draw(st.sampled_from(CHAIN))
     holder = _holder(d, name)
@@ -146,6 +146,12 @@ def _mutation(draw, d: dict) -> None:
             d.pop(draw(st.sampled_from(sorted(d))))
         else:
             kf.pop(draw(st.sampled_from(sorted(kf))))
+    elif kind in ("extra_key", "renamed_key"):  # the key count's two sides
+        target = kf if isinstance(kf, dict) and draw(st.booleans()) else d
+        if kind == "renamed_key" and target:
+            target.pop(draw(st.sampled_from(sorted(target))))
+        target[draw(st.sampled_from(["is_vaild", "durration", "pnr_", "note", ""]))] = \
+            draw(st.sampled_from([False, 1.0, None]))
     else:
         d["key_frames"] = draw(st.sampled_from([[], None, "0.5", [kf]]))
 
@@ -172,6 +178,13 @@ def _variant(key_frames=None, well_formed=False, **fields) -> tuple:
     return json.dumps({**_BASE, "key_frames": kf, **fields}), well_formed
 
 
+def _renamed(key: str, new: str) -> tuple:
+    """A draw of ``_BASE`` with ``key`` renamed ``new``: the key count holds."""
+    d = dict(_BASE)
+    d[new] = d.pop(key)
+    return json.dumps(d), False
+
+
 def _outcome(decode, d):
     """The case ``decode(d)`` returns, or (exception class, message)."""
     try:
@@ -194,6 +207,10 @@ def _outcome(decode, d):
 @example(_variant(key_entities=["Kettle"]))
 @example(_variant(case_id=""))
 @example(_variant(severity="none"))  # a severity claim, not an annotated severity
+@example(_variant(is_vaild=False))
+@example(_variant({"note": 1.0}))
+@example(_renamed("duration", "durration"))
+@example(_renamed("is_valid", "is_vaild"))
 def test_decode_matches_the_constructor_path(draw):
     """An equal case holding the same shared strings, or the same error; and
     a well-formed case never runs a ``__post_init__``."""

@@ -652,6 +652,45 @@ def test_unknown_prediction_key_is_parse_error(workdir, capsys, command):
     assert not (workdir / "out.csv").exists()
 
 
+def test_unknown_annotation_key_is_invalid(workdir, capsys):
+    """A misspelled ``is_valid`` would read as true, and ``agreement`` would
+    count a case its annotator excluded."""
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps([{**make_ann(case_id="c0").to_dict(), "is_vaild": False}]),
+                   encoding="utf-8")
+    assert main(["validate", "--annotations", str(bad)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "invalid: case c0: unknown key 'is_vaild' (known: case_id, location, danger_category, "
+        "severity, difficulty, key_frames, key_entities, duration, is_valid)\n")
+
+
+def test_unknown_key_frame_key_is_annotation_error(workdir, capsys):
+    bad = workdir / "bad.json"
+    case = make_ann(case_id="c0").to_dict()
+    case["key_frames"]["pnr_s"] = 4.0
+    bad.write_text(json.dumps([case]), encoding="utf-8")
+    preds = workdir / "preds.jsonl"
+    preds.write_text(json.dumps(_PRED) + "\n", encoding="utf-8")
+    assert main(["metrics", "--preds", str(preds), "--annotations", str(bad),
+                 "--out", str(workdir / "row.csv")]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "annotation_error: case c0: key_frames: unknown key 'pnr_s' (known: intent_onset, pnr, "
+        "intervention_deadline, impact, action_end)\n")
+    assert not (workdir / "row.csv").exists()
+
+
+def test_unknown_frame_key_is_manifest_error(workdir, capsys):
+    """A misspelled ``image_path`` would leave a ``remote:`` prompt with no image."""
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps([{"case_id": "a", "frames": [{"t": 0.0, "image_pth": "x.jpg"}]}]),
+                   encoding="utf-8")
+    argv = ["run", "--manifest", str(bad), "--fast", f"scripted:{workdir / 'fast.json'}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "manifest_error: manifest a: frame 0: unknown key 'image_pth' (known: t, image_path)\n")
+
+
 def test_whole_value_shape_error_names_the_file(workdir, capsys):
     """With --fast and --slow both scripted, the error must say which file."""
     bad = workdir / "bad.json"
@@ -1341,3 +1380,77 @@ def test_reused_parser_prints_what_a_new_one_does(workdir, capsys, argv):
         return info.value.code, capsys.readouterr()
 
     assert printed(main) == printed(cli.build_parser().parse_args)
+
+
+# --- the io_error boundary -----------------------------------------------------
+#
+# ``main`` alone turns an ``OSError`` into its one line; every file role of
+# every command reaches it.  Backend files are ``backend_error``s instead.
+
+def _argv(workdir, command) -> dict:
+    """Each command's options, every file among them readable or writable."""
+    _read_side_argv(workdir, "agreement_ok")  # writes preds.jsonl and a.json
+    (workdir / "scores.json").write_text(json.dumps(
+        {"premature": 0, "optimal": 100, "suboptimal": 50, "irreversible": 25, "missed": 0}),
+        encoding="utf-8")
+    anns, manifest = str(workdir / "anns.json"), str(workdir / "manifests.json")
+    fast, slow = f"scripted:{workdir / 'fast.json'}", f"scripted:{workdir / 'slow.json'}"
+    preds, pair, out = (str(workdir / name) for name in ("preds.jsonl", "a.json", "out.csv"))
+    return {
+        "validate": {"--annotations": anns},
+        "run": {"--manifest": manifest, "--fast": fast, "--slow": slow, "--out": out},
+        "eval-baseline": {"--manifest": manifest,
+                          "--backend": f"scripted:{workdir / 'baseline.json'}", "--out": out},
+        "metrics": {"--preds": preds, "--annotations": anns,
+                    "--scores": str(workdir / "scores.json"), "--out": out},
+        "errors": {"--preds": preds, "--annotations": anns, "--out": out},
+        "agreement": {"--a": pair, "--b": pair, "--out": out},
+        "ablate": {"--manifest": manifest, "--annotations": anns, "--fast": fast,
+                   "--slow": slow, "--out": out},
+    }[command]
+
+
+_FILE_ROLES = [
+    ("validate", "--annotations"), ("run", "--manifest"), ("run", "--out"),
+    ("eval-baseline", "--manifest"), ("eval-baseline", "--out"), ("metrics", "--preds"),
+    ("metrics", "--annotations"), ("metrics", "--scores"), ("metrics", "--out"),
+    ("errors", "--preds"), ("errors", "--annotations"), ("errors", "--out"),
+    ("agreement", "--a"), ("agreement", "--b"), ("agreement", "--out"),
+    ("ablate", "--manifest"), ("ablate", "--annotations"), ("ablate", "--out")]
+
+
+def _open_error(path, mode: str) -> str:
+    """What ``open`` raises for ``path``, as its text."""
+    try:
+        open(path, mode, encoding="utf-8").close()
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} opened")
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory"])
+@pytest.mark.parametrize("command,option", _FILE_ROLES,
+                         ids=[f"{c}{o}" for c, o in _FILE_ROLES])
+def test_unusable_file_is_one_io_error_line(workdir, capsys, command, option, fault):
+    """A missing file or a directory where a file belongs, read or written:
+    exit 2, nothing on stdout, and ``io_error: <the OSError>`` alone on stderr."""
+    options = _argv(workdir, command)
+    options[option] = str(workdir / "missing" / "x.json") if fault == "missing" else str(workdir)
+    mode = "w" if option == "--out" else "r"
+    code = main([command, *(x for pair in options.items() for x in pair)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_IO, "")
+    assert captured.err == f"io_error: {_open_error(options[option], mode)}\n"
+
+
+def test_os_error_inside_a_command_is_one_io_error_line(workdir, monkeypatch, capsys):
+    """An ``OSError`` from deep in a command, here a prompt file that cannot
+    be read, is the same one line, not a traceback."""
+    def unreadable_prompt(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", "prompts/fast.txt")
+
+    monkeypatch.setattr(cli, "run_case", unreadable_prompt)
+    options = _argv(workdir, "run")
+    code = main(["run", *(x for pair in options.items() for x in pair)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_IO, "", "io_error: [Errno 2] No such file or directory: 'prompts/fast.txt'\n")

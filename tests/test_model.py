@@ -292,13 +292,22 @@ _KF_ORDER = "key frames must satisfy intent <= deadline <= pnr <= impact <= end,
     (5, SchemaError, "case must be a JSON object, got int"),
     ({**_CASE, "key_frames": [1]}, SchemaError,
      "case a1: key_frames must be a JSON object, got list"),
+    ({**_CASE, "is_vaild": False}, SchemaError,
+     "case a1: unknown key 'is_vaild' (known: case_id, location, danger_category, severity, "
+     "difficulty, key_frames, key_entities, duration, is_valid)"),
+    ({**_without("duration"), "durration": 6.0}, SchemaError,
+     "case a1: unknown key 'durration' (known: case_id, location, danger_category, severity, "
+     "difficulty, key_frames, key_entities, duration, is_valid)"),
+    (_kf(note=1.0), SchemaError,
+     "case a1: key_frames: unknown key 'note' (known: intent_onset, pnr, "
+     "intervention_deadline, impact, action_end)"),
 ], ids=["intent_nan", "pnr_inf", "deadline_negative", "impact_neg_inf", "end_string",
         "intent_null", "first_bad_field", "intent_after_deadline", "deadline_after_pnr",
         "pnr_after_impact", "impact_after_end", "deadline_tolerance", "location",
         "danger_category", "severity", "difficulty", "end_after_duration", "d1_no_entities",
         "d2_no_entities", "entity_upper", "entity_empty", "entity_int", "entities_string",
         "is_valid_int", "empty_case_id", "missing_location", "missing_pnr", "not_object",
-        "key_frames_list"])
+        "key_frames_list", "unknown_key", "renamed_key", "unknown_key_frame"])
 def test_annotation_decode_error_text(entry, error, message):
     """Every key-frame and case check keeps its exception type and text."""
     with pytest.raises(ModelError) as info:
@@ -715,10 +724,17 @@ _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.j
      "manifest m1: frame 1: t must be a JSON number, got True"),
     ([_GOOD_FRAMES[0], {"case_id": "f1"}], "manifest m1: missing field 't' in frame 1"),
     ([*_GOOD_FRAMES, None], "manifest m1: frame 2 must be a JSON object, got NoneType"),
+    ([{"t": 0.0, "image_pth": "x.jpg"}],
+     "manifest m1: frame 0: unknown key 'image_pth' (known: t, image_path)"),
+    ([_GOOD_FRAMES[0], {**_GOOD_FRAMES[1], "note": ""}],
+     "manifest m1: frame 1: unknown key 'note' (known: t, image_path)"),
+    ([{"t": 0.0, "note": ""}, {"t": "abc"}],
+     "manifest m1: frame 0: unknown key 'note' (known: t, image_path)"),
 ], ids=["frame_int", "frame_list", "missing_t", "string_t", "first_frame_int",
         "t_before_path", "first_bad_frame", "frames_string", "frames_int",
         "nan_t", "negative_t", "unordered", "empty", "third_frame", "frame_case_id",
-        "frame_case_id_missing_t", "frame_null"])
+        "frame_case_id_missing_t", "frame_null", "frame_unknown_key",
+        "second_frame_unknown_key", "unknown_key_before_later_frame"])
 def test_manifest_decode_error_text(frames, message):
     """A bad frame entry is named by its index from 0, never by a ``case_id``
     it holds: the first bad one, and within it the ``t`` before the
@@ -758,7 +774,9 @@ def test_manifest_rejects_non_string_or_empty_case_id(case_id, message):
 _ODD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0, 7, True, False, "0.5", None,
               10 ** 400, 1.79e308, 1.7976931348623157e308]
 _ODD_PATHS = ["", "é/b.jpg", None, 5, ["a.jpg"], "missing"]
-_NOT_FRAMES = [3, [0.5], "ab", None, {"image_path": "b.jpg"}, {"case_id": "f1", "t": True}]
+_NOT_FRAMES = [3, [0.5], "ab", None, {"image_path": "b.jpg"}, {"case_id": "f1", "t": True},
+               {"t": 0.5, "image_pth": "b.jpg"}, {"t": 0.5, "image_path": 5, "note": ""},
+               {"t": 0.5, "image_path": "b.jpg", "note": ""}, {"case_id": "f1", "t": 0.5}]
 
 
 @st.composite
@@ -822,6 +840,7 @@ def _manifest_values(d):
 @example(_frames(1.79e308, 1.7976931348623157e308))  # finite times, a sum of inf
 @example(_frames(0.25))
 @example(_frames(0, True))
+@example({"case_id": "m1", "frames": [{"t": 0.0, "image_pth": "a.jpg"}, {"t": "x"}]})
 def test_manifest_decode_matches_reference(d):
     """The column decoder takes exactly the manifests the frame-by-frame
     decoder takes, with the same values, and fails on the rest with the same
@@ -950,10 +969,13 @@ def test_trace_roundtrip_and_decision():
      "missing field 't_alert' in trace c"),
     ({"case_id": "c", "events": [], "summary": ["aborted"]},
      "trace c: summary must be a JSON object, got list"),
+    ({"case_id": "c", "events": [1]}, "trace c: event must be a JSON object, got int"),
+    ({"case_id": "c", "events": [["override", 1.0]]},
+     "trace c: event must be a JSON object, got list"),
 ], ids=["case_id_null", "case_id_int", "case_id_empty", "missing_case_id", "missing_events",
         "event_missing_field", "unknown_kind", "bad_source", "not_object", "unknown_key",
         "unknown_summary_key", "unknown_event_key", "renamed_event_field", "event_key_for_a_field",
-        "summary_not_object"])
+        "summary_not_object", "event_int", "event_list"])
 def test_trace_decode_error_text(encoded, message):
     """Every malformed trace is one SchemaError that names the trace."""
     with pytest.raises(SchemaError) as info:
