@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .model import (DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _check_keys, _json_object,
                     _number, decode_error)
-from .parsing import MAX_REPLY_CHARS
+from .parsing import _STATES, MAX_REPLY_CHARS
 
 
 class BackendError(Exception):
@@ -102,11 +102,17 @@ def load_prompt(name: str) -> PromptTemplate:
 
 
 def _fast_text(rule: dict) -> str:
+    """The FastBrain reply of one rule.  Its ``state`` must be one the reply
+    parser reads, matched as it matches: ``faults.malformed`` is the way to
+    script a reply that does not parse."""
+    state = rule.get("state", "green")
     try:
-        return json.dumps({"category": rule.get("state", "green"),
-                           "reason": rule.get("reason", "")})
+        text = json.dumps({"category": state, "reason": rule.get("reason", "")})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"cannot encode the reply: {exc}") from None
+    if not (isinstance(state, str) and state.strip().lower() in _STATES):
+        raise SchemaError(f"unknown state {state!r} (known: {', '.join(_STATES)})")
+    return text
 
 
 def _slow_text(rule: dict) -> str:
@@ -185,8 +191,9 @@ class ScriptedBackend:
     holds (``from_file``); the empty script, the default, gives the nominal
     backend.  Every key is optional:
 
-    - ``fast_schedule``: rules with ``state`` (default Green), ``reason``
-      and ``latency`` (default ``DEFAULT_FAST_LATENCY``, 0.05 s);
+    - ``fast_schedule``: rules with ``state``, green, yellow or red in any
+      case (default Green), ``reason`` and ``latency`` (default
+      ``DEFAULT_FAST_LATENCY``, 0.05 s);
     - ``slow_responses``, keyed on a window's last frame: rules with
       ``verdict``, any int-convertible value (default 0, SAFE), and
       ``latency`` (default 1.0 s);

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,23 @@ class WindowPlan:
     windows: tuple[Window, ...]
 
 
+def _window(start: float, duration: float) -> Window:
+    """The window from ``start``, clamped to ``duration``: its times ``start +
+    i / WINDOW_FPS`` that fall before the clamped end, or ``start`` alone."""
+    clamped = min(start + WINDOW_LENGTH, duration)
+    limit = clamped - _EPS
+    times = tuple([t for o in _OFFSETS if (t := start + o) < limit]) or (start,)
+    return Window(start=round(start, 9), end=round(clamped, 9), frame_times=times)
+
+
+def _unrounded_end(window: Window) -> float:
+    return window.start + WINDOW_LENGTH
+
+
+# The protocol's full windows, shared by every plan; see ``build_windows``.
+_grid: tuple[Window, ...] = ()
+
+
 def build_windows(duration: float) -> WindowPlan:
     """Plan overlapping windows covering [0, duration].
 
@@ -47,22 +65,37 @@ def build_windows(duration: float) -> WindowPlan:
     for any such time (a single frame) gets one window holding time 0.  The
     duration must be finite and non-negative: an infinite or NaN duration
     would plan windows without end.
+
+    Every window but the last is the same for every stream, so a plan is a
+    prefix of one module-level grid of full windows plus its final window,
+    built clamped to ``duration``.  Window k of the grid starts at
+    ``round(start_{k-1} + WINDOW_STRIDE, 9)``.  The grid is extended until a
+    window's unrounded end, ``start + WINDOW_LENGTH``, reaches ``duration -
+    _EPS``; one ``bisect_left`` on that end finds the plan's final window.
+    So the grid holds the full windows of the longest plan built in the
+    process: about 330 KiB for a 600 s stream, which that plan held anyway.
+    No lock: the grid is rebound in one assignment, and two racing
+    extensions build equal windows.  perfbench long_stream ``pass_s`` reads
+    0.0596 against 0.0626 s with a plan built whole per case, and corpus
+    0.490 against 0.506 s (medians of 10 pairs; traced
+    ``baseline.build_windows.self_s`` 0.07 against 3.35 ms and 3.0 against
+    18.3 ms).
     """
+    global _grid
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError(f"duration must be finite and non-negative, got {duration!r}")
 
-    windows = []
-    start = 0.0
-    while True:
-        end = start + WINDOW_LENGTH
-        clamped = min(end, duration)
-        limit = clamped - _EPS
-        times = tuple([t for o in _OFFSETS if (t := start + o) < limit]) or (start,)
-        windows.append(Window(start=round(start, 9), end=round(clamped, 9), frame_times=times))
-        if end >= duration - _EPS:
-            break
-        start = round(start + WINDOW_STRIDE, 9)
-    return WindowPlan(windows=tuple(windows))
+    target = duration - _EPS
+    grid = _grid
+    if not grid or _unrounded_end(grid[-1]) < target:
+        windows = list(grid) or [_window(0.0, math.inf)]
+        start = windows[-1].start
+        while start + WINDOW_LENGTH < target:
+            start = round(start + WINDOW_STRIDE, 9)
+            windows.append(_window(start, math.inf))
+        grid = _grid = tuple(windows)
+    k = bisect_left(grid, target, key=_unrounded_end)
+    return WindowPlan(windows=grid[:k] + (_window(grid[k].start, duration),))
 
 
 def run_baseline_case(manifest: FrameManifest, backend,

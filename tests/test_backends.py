@@ -323,6 +323,26 @@ def test_scripted_unencodable_fast_payload_rejected():
         ScriptedBackend({"fast_schedule": [{"t_start": 0.0, "t_end": 1.0, "state": {"red"}}]})
 
 
+@pytest.mark.parametrize("state", ["gren", None, "", "amber", 1, ["red"], "green!"])
+def test_scripted_unknown_fast_state_rejected(state):
+    """A state the reply parser cannot read is refused at load: scripted, it
+    made every sample of its rule an unparseable reply, read as Yellow."""
+    rule = {"t_start": 0.0, "t_end": 9.0, "state": state}
+    with pytest.raises(SchemaError) as info:
+        ScriptedBackend({"fast_schedule": [{"t_start": 10.0, "t_end": 11.0}, rule]})
+    assert str(info.value) == (f"scripted backend: fast_schedule rule [0.0, 9.0): "
+                               f"unknown state {state!r} (known: green, yellow, red)")
+
+
+@pytest.mark.parametrize("state", ["green", "Yellow", " RED ", "red\n"])
+def test_scripted_fast_state_is_matched_as_the_parser_matches(state):
+    """Any state the parser reads loads, spelled as written, and parses to its state."""
+    backend = ScriptedBackend({"fast_schedule": [{"t_start": 0.0, "t_end": 9.0, "state": state}]})
+    raw, _latency = backend.fast_raw(FAST_TEXT, Frame(t=1.0))
+    assert json.loads(raw)["category"] == state
+    assert parse_fast_output(raw)[0] is SafetyState(state.strip().lower())
+
+
 def test_scripted_error_precedence():
     """Of several errors, a script reports the first the constructor reads:
     the top-level keys, then the faults (keys, ``malformed``, ``timeout``),

@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from streamguard import model
+from streamguard import baseline, model
 from streamguard.backends import BackendTimeoutError, ScriptedBackend, load_prompt
 from streamguard.baseline import (
     WINDOW_FPS,
@@ -114,6 +116,129 @@ def _reference_windows(duration):
 @example(duration=600.0)  # a long stream
 def test_windows_match_reference_planner(duration):
     assert build_windows(duration) == _reference_windows(duration)
+
+
+def _expected(duration):
+    """The reference plan with the one-frame rule it predates: a stream too
+    short for any window time gets one window holding time 0."""
+    plan = _reference_windows(duration)
+    if plan.windows[-1].frame_times:
+        return plan
+    return WindowPlan(windows=(Window(0.0, round(duration, 9), (0.0,)),))
+
+
+def _duration_at_edge(end, ulps):
+    """The duration ``d`` whose ``d - _EPS`` lies ``ulps`` ulps above ``end``:
+    a window ending at ``end`` is the last one of its plan when ``ulps <= 0``."""
+    target = end
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    d = end + _EPS
+    for _ in range(64):
+        if d - _EPS == target:
+            return d
+        d = math.nextafter(d, math.inf if d - _EPS < target else -math.inf)
+    raise ValueError(f"no duration lands {ulps} ulps from {end}")
+
+
+# Window 2 ends at 5.0, and window 19 at 30.5 (its start is summed and
+# rounded 19 times).
+_EDGES = [_duration_at_edge(end, ulps) for end in (5.0, 30.5) for ulps in (0, -1, 1)]
+
+
+@pytest.fixture()
+def empty_grid(monkeypatch):
+    monkeypatch.setattr(baseline, "_grid", ())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(duration=st.floats(0.0, 40.0))
+@example(duration=_EDGES[0])
+@example(duration=_EDGES[1])
+@example(duration=_EDGES[2])
+@example(duration=_EDGES[3])
+@example(duration=_EDGES[4])
+@example(duration=_EDGES[5])
+@example(duration=0.0)
+def test_grid_plan_matches_reference_at_end_edges(monkeypatch, duration):
+    """A plan built from an empty grid, and from one grown past it, is the
+    reference plan, also where a window's end lies on ``duration - _EPS``."""
+    monkeypatch.setattr(baseline, "_grid", ())
+    assert build_windows(duration) == _expected(duration)
+    build_windows(60.0)
+    assert build_windows(duration) == _expected(duration)
+
+
+def test_duration_at_edge_lands_where_asked():
+    d, under, over = _EDGES[:3]
+    assert (d - _EPS, under - _EPS, over - _EPS) == (
+        5.0, math.nextafter(5.0, 0.0), math.nextafter(5.0, math.inf))
+    # On the edge and under it, the window ending at 5.0 is the last; over it,
+    # one more window starts at 4.5.
+    assert [len(build_windows(x).windows) for x in (d, under, over)] == [3, 3, 4]
+
+
+@pytest.mark.parametrize("order", ["longest_first", "longest_last"])
+def test_grid_plans_do_not_depend_on_order(empty_grid, order):
+    """The grid grows to the longest plan built and no further; every plan,
+    before or after that, is the reference plan."""
+    durations = [600.0, 599.99, 123.4, 30.0, 10.25, 5.0, 2.0, 1.0, 0.0]
+    if order == "longest_last":
+        durations.reverse()
+    for duration in durations:
+        assert build_windows(duration) == _expected(duration), duration
+    assert len(baseline._grid) == len(_reference_windows(600.0).windows) == 400
+
+
+def test_plans_share_their_leading_windows(empty_grid):
+    """Every window but a plan's last is the grid's own object, whichever plan
+    built it."""
+    short, long, again = build_windows(10.0), build_windows(600.0), build_windows(10.0)
+    assert len(short.windows) == 7
+    for a, b, c in zip(short.windows[:-1], long.windows, again.windows):
+        assert a is b is c
+    assert short.windows[-1] == again.windows[-1] and short.windows[-1] is not again.windows[-1]
+
+
+def _race(durations):
+    """Four threads, each planning every duration from its own offset at once,
+    from an empty grid; their ``(duration, plan)`` lists and the grid left."""
+    baseline._grid = ()
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def plan(i):
+        start.wait(timeout=10)
+        results[i].extend((d, build_windows(d)) for d in durations[i:] + durations[:i])
+
+    threads = [threading.Thread(target=plan, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    return results, baseline._grid
+
+
+def test_racing_threads_plan_the_reference(empty_grid):
+    """Four threads extending the same empty grid at once each get the
+    reference plans, and the grid they leave is a prefix of the full windows
+    of the longest plan."""
+    durations = [600.0, 3.3, 75.0, 0.0, 300.5, 9.99, 1.5, 450.0]
+    expected = {d: _expected(d) for d in durations}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the extension loop
+    try:
+        rounds = [_race(durations) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(switch)
+    for results, grid in rounds:
+        for got in results:
+            assert len(got) == len(durations)
+            assert all(plan == expected[d] for d, plan in got)
+        # A racing shorter extension may have been stored last.
+        assert 0 < len(grid) <= 400 and grid == _reference_windows(700.0).windows[:len(grid)]
 
 
 # --- per-case evaluation -----------------------------------------------------

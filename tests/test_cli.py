@@ -609,6 +609,23 @@ def test_unknown_script_key_is_backend_error(workdir, capsys, script, message):
     assert capsys.readouterr().err == f"backend_error: scripted backend: {message}\n"
 
 
+@pytest.mark.parametrize("state,shown", [("gren", "'gren'"), (None, "None")],
+                         ids=["misspelled", "null"])
+def test_unknown_fast_state_is_backend_error(workdir, capsys, state, shown):
+    """A state the FastBrain parser cannot read would make every sample of its
+    rule an unparseable reply, read as Yellow, in a run that exits 0."""
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"fast_schedule": [{"t_start": 0, "t_end": 9, "state": state}]}),
+                   encoding="utf-8")
+    argv = ["run", "--manifest", str(workdir / "manifests.json"), "--fast", f"scripted:{bad}",
+            "--slow", f"scripted:{workdir / 'slow.json'}", "--out", str(workdir / "x.jsonl")]
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and not (workdir / "x.jsonl").exists()
+    assert err == (f"backend_error: scripted backend: fast_schedule rule [0.0, 9.0): "
+                   f"unknown state {shown} (known: green, yellow, red)\n")
+
+
 def test_unknown_manifest_key_is_manifest_error(workdir, capsys):
     """A misspelled ``pre_overlaid`` would read as absent, and its default
     would leave the frame times out of every prompt for clean frames."""
