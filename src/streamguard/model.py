@@ -185,10 +185,11 @@ def decode_json_array(text: str, decode) -> Optional[list]:
     ``json.loads(text)`` has found the whole text valid, so a JSON error
     anywhere in the text wins.
 
-    One seed-7 score_bulk ``agreement`` peaks at 26.3 MiB under tracemalloc
-    with it and 40.8 MiB with ``json.loads``, and a score_bulk benchmark run
-    at 65.0 against 74.2 MB peak RSS, lower in 10 of 10 pairs
-    (``BENCH_fastpath_ledger.json``).
+    The manifest loader (``cli._load_manifests``) is its one caller.  One
+    load of the 438 seed-7 corpus manifests, in one file, peaks at 12.5 MiB
+    under tracemalloc with it and 27.9 MiB with ``json.loads``; the two
+    600 s long_stream manifests peak at 11.9 against 12.3 MiB
+    (``BENCH_one_scan_annotations.json``).
     """
     ws, scan = _json_ws, _scan_once
     i = ws(text).end()

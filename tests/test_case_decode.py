@@ -1,13 +1,16 @@
 """``CaseAnnotation.from_dict`` builds a well-formed case straight through its
 slots; every draw here, well-formed or mutated at a boundary, must decode as
-the constructor path (``helpers.reference_case_decode``) does."""
+the constructor path (``helpers.reference_case_decode``) does.  A file of
+such draws must load as a plain ``json.loads`` and ``from_dict`` per element
+load it, though ``load_annotations`` builds each case inside the JSON scan."""
 
 import json
 import math
 from contextlib import contextmanager
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from streamguard.annotations import DuplicateCaseError, load_annotations
 from streamguard.model import (
     _EPS,
     _SHARED,
@@ -16,9 +19,11 @@ from streamguard.model import (
     DEADLINE_TOLERANCE,
     DIFFICULTY_LEVELS,
     LOCATIONS,
+    JSON_ERRORS,
     SEVERITY_LEVELS,
     CaseAnnotation,
     KeyFrames,
+    SchemaError,
 )
 
 from helpers import reference_case_decode
@@ -230,3 +235,101 @@ def test_decode_matches_the_constructor_path(draw):
     for name in CLOSED:
         assert getattr(got, name) is _SHARED[getattr(want, name)]
     assert type(got.key_entities) is tuple
+
+
+def _reference_load(path: str) -> dict:
+    """``load_annotations`` the plain way: ``json.loads`` of the whole file,
+    then ``CaseAnnotation.from_dict`` on each element in order, with the
+    duplicate check."""
+    cases = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.loads(fh.read())
+        if not isinstance(value, list):
+            raise SchemaError(f"{path} must contain a JSON array of cases")
+        for d in value:
+            ann = CaseAnnotation.from_dict(d)
+            if ann.case_id in cases:
+                raise DuplicateCaseError(f"duplicate case_id {ann.case_id!r} in {path}")
+            cases[ann.case_id] = ann
+    except JSON_ERRORS as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    return cases
+
+
+def _load_outcome(load, path: str):
+    """The cases ``load(path)`` returns, in key order and by repr, or
+    (exception class, message)."""
+    try:
+        cases = load(path)
+    except Exception as exc:  # any class: a TypeError must match too
+        return type(exc), str(exc)
+    return type(cases), [(k, type(v), repr(v)) for k, v in cases.items()]
+
+
+def _nest(host: dict, inner: dict, where: str) -> None:
+    """Put the case-shaped object ``inner`` inside ``host``, where the
+    loader's hook meets it before ``host`` is decoded."""
+    if where == "key_entities":
+        host["key_entities"] = [inner]
+    elif where == "in_key_frames":
+        if isinstance(host.get("key_frames"), dict):
+            host["key_frames"]["note"] = inner
+    else:  # "location" or "key_frames"
+        host[where] = inner
+
+
+@st.composite
+def _files(draw) -> bytes:
+    """An annotation file: up to four drawn cases, one of them maybe holding
+    another, spelled as ``json.dumps`` spells it, maybe with a bad end."""
+    cases = [json.loads(draw(_draws())[0]) for _ in range(draw(st.integers(0, 4)))]
+    if cases and draw(st.booleans()):
+        _nest(cases[draw(st.integers(0, len(cases) - 1))], json.loads(draw(_draws())[0]),
+              draw(st.sampled_from(["location", "key_entities", "key_frames", "in_key_frames"])))
+    text = json.dumps(cases, **draw(st.sampled_from([{}, {"indent": 2},
+                                                     {"separators": (",", ":")}])))
+    end = draw(st.sampled_from(["as_is", "as_is", "as_is", "trailing", "cut", "bom"]))
+    if end == "trailing":
+        text += " x"
+    elif end == "cut":
+        text = text[:-1]
+    elif end == "bom":
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+def _file(value, **spelling) -> bytes:
+    return json.dumps(value, **spelling).encode("utf-8")
+
+
+_BAD = {**_BASE, "case_id": "b", "duration": "long"}
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_files())
+# A case-shaped object nested where the hook builds it first.
+@example(data=_file([{**_BASE, "location": _BASE}]))
+@example(data=_file([{**_BASE, "key_entities": ["kettle", _BASE]}]))
+@example(data=_file([{**_BASE, "key_frames": {**_BASE["key_frames"], "note": _BASE}}]))
+@example(data=_file([{**_BASE, "key_frames": _BASE}]))
+# The first duplicate or bad case in file order wins; a JSON error wins over both.
+@example(data=_file([_BASE, _BASE, _BAD]))
+@example(data=_file([_BASE, _BAD, _BASE]))
+@example(data=_file([_BAD, _BASE])[:-1])
+@example(data=_file(_BASE))
+@example(data=b"[]")
+@example(data=_file([{**_BASE, "duration": math.nan}]))
+@example(data=_file([_BASE, 1]))
+@example(data=_DEEP)
+@example(data="\ufeff".encode("utf-8") + _file([_BASE]))
+@example(data=_file([_BASE, {**_BASE, "case_id": "b"}], indent=2))
+@example(data=_file([_BASE]) + b" x")
+@example(data=b'[{"case_id": "\xff"}]')
+def test_load_matches_the_plain_reference(tmp_path, data):
+    """The same cases in the same order, or the same exception and text."""
+    path = tmp_path / "anns.json"
+    path.write_bytes(data)
+    assert _load_outcome(load_annotations, str(path)) == _load_outcome(_reference_load, str(path))

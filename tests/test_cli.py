@@ -253,6 +253,34 @@ def test_agreement_command_byte_stable(workdir, capsys):
     assert "n_both_valid=5" in capsys.readouterr().out
 
 
+def test_agreement_with_no_case_valid_in_both_is_domain_error(workdir, capsys):
+    """A case that one annotator excluded is in neither set's figures."""
+    (workdir / "b.json").write_text(json.dumps([
+        make_ann(case_id="c0", is_valid=False).to_dict(), make_ann(case_id="c1").to_dict()]),
+        encoding="utf-8")
+    (workdir / "a.json").write_text(json.dumps([make_ann(case_id="c0").to_dict()]),
+                                    encoding="utf-8")
+    out = workdir / "agree.csv"
+    assert main(["agreement", "--a", str(workdir / "a.json"), "--b", str(workdir / "b.json"),
+                 "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "agreement_error: no cases are valid in both "
+                                       "annotation sets\n")
+    assert not out.exists()
+
+
+def test_ablate_case_without_annotation_is_domain_error(workdir, capsys):
+    (workdir / "c0.json").write_text(json.dumps([make_ann(case_id="c0").to_dict()]),
+                                     encoding="utf-8")
+    out = workdir / "sweep.csv"
+    assert main(["ablate", "--manifest", str(workdir / "manifests.json"),
+                 "--annotations", str(workdir / "c0.json"),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--fps", "1,5", "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "sweep_error: no annotation for case 'c1'\n")
+    assert not out.exists()
+
+
 def test_ablate_command(workdir, capsys):
     out = workdir / "sweep.csv"
     code = main(["ablate", "--manifest", str(workdir / "manifests.json"),
@@ -624,6 +652,24 @@ def test_unknown_fast_state_is_backend_error(workdir, capsys, state, shown):
     assert out == "" and not (workdir / "x.jsonl").exists()
     assert err == (f"backend_error: scripted backend: fast_schedule rule [0.0, 9.0): "
                    f"unknown state {shown} (known: green, yellow, red)\n")
+
+
+def test_file_with_a_bom_is_its_one_line_json_error(workdir, capsys):
+    """``json.loads``'s own BOM error, for the annotation loader's one scan
+    and the manifest loader's array reader alike."""
+    bom = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    anns, manifests = workdir / "bom_anns.json", workdir / "bom_manifests.json"
+    anns.write_text("\ufeff" + (workdir / "anns.json").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+    manifests.write_text("\ufeff" + (workdir / "manifests.json").read_text(encoding="utf-8"),
+                         encoding="utf-8")
+    assert main(["validate", "--annotations", str(anns)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"invalid: {anns} is not valid JSON: {bom}\n")
+    assert main(["run", "--manifest", str(manifests),
+                 "--fast", f"scripted:{workdir / 'fast.json'}",
+                 "--slow", f"scripted:{workdir / 'slow.json'}",
+                 "--out", str(workdir / "x.jsonl")]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"parse_error: {manifests}: {bom}\n")
 
 
 def test_unknown_manifest_key_is_manifest_error(workdir, capsys):

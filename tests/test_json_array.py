@@ -1,5 +1,7 @@
 """``model.decode_json_array``: the element-at-a-time array reader that the
-annotation and manifest loaders use, checked against ``json.loads``."""
+manifest loader uses, checked against ``json.loads``; and the memory peak of
+the annotation loader, whose one ``json.loads`` scan builds each case as it
+closes it, so it holds no decoded array either."""
 
 import json
 import tracemalloc
