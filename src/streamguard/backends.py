@@ -144,8 +144,8 @@ def _replies(script: dict, label: str, reply: Callable[[dict], str],
             if not -math.inf < t_start < t_end < math.inf:  # also rejects NaN
                 raise SchemaError("interval must be finite and non-empty")
             latency = _number("latency", r.get("latency", default_latency))
-            if not latency >= 0:  # also rejects NaN
-                raise SchemaError(f"latency must be non-negative, got {latency}")
+            if not 0 <= latency < math.inf:  # also rejects NaN
+                raise SchemaError(f"latency must be finite and non-negative, got {latency}")
             table.append((t_start, t_end, reply(r), latency))
         except SchemaError as exc:
             raise SchemaError(f"{label} rule [{t_start}, {t_end}): {exc}") from None

@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
     alerts = sum(1 for t in traces if t.alert_stream_time is not None)
     with open(args.out, "w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace.to_dict()) + "\n")
+            fh.write(trace.to_json() + "\n")
     mean_latency = f"{sum(latencies) / len(latencies):.3f}s" if latencies else "n/a"
     print(f"{len(traces)} cases, {alerts} alerts, mean end-to-end latency {mean_latency}")
     return EXIT_OK

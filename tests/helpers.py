@@ -2,12 +2,14 @@
 clock, the per-metric functions the cross-metric identities check
 ``build_report`` against, the published-row inverter used to reconstruct
 aggregate metrics, and reference copies of the prompt render and the
-manifest and annotation case decodes."""
+manifest, annotation case and trace event decodes."""
 
 from __future__ import annotations
 
 from concurrent.futures import Future
-from typing import Optional, Sequence
+from dataclasses import fields
+from enum import Enum
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 from streamguard.annotations import classify_phase
 from streamguard.backends import ScriptedBackend
@@ -25,7 +27,10 @@ from streamguard.model import (
     PhaseScoreTable,
     PredictionRecord,
     SchemaError,
+    TraceEvent,
+    _check_keys,
     _check_stream,
+    _integer,
     _number,
     decode_error,
 )
@@ -232,10 +237,11 @@ def invert_row(hdr_pct: float, premature_pct: float, optimal_pct: float,
 
 
 # --- reference copies ---------------------------------------------------------
-# The straightforward forms of two hot paths, kept as the oracles their
+# The straightforward forms of the hot paths, kept as the oracles their
 # differential tests compare the program against.  The manifest decode is the
 # two-pass form the one-pass decoder replaced: column comprehensions, then a
-# per-frame decoder that names the bad entry.
+# per-frame decoder that names the bad entry.  The event decode is the loop
+# over the fields that the generated decoders replaced.
 
 def reference_render(name: str, text: str, frames, pre_overlaid: bool,
                      start: Optional[float] = None, end: Optional[float] = None) -> str:
@@ -342,3 +348,46 @@ def reference_case_decode(d) -> CaseAnnotation:
     except (OrderingError, DeadlineError) as exc:
         raise type(exc)(f"case {d['case_id']}: {exc}") from exc
     return CaseAnnotation(case_id, *closed, key_frames, tuple(entities), duration, is_valid)
+
+
+_EVENT_CLASSES = {cls.kind: cls for cls in get_args(TraceEvent)}
+
+
+def _reference_field_decoder(name: str, tp):
+    """The decoder for the event field ``name`` of declared type ``tp``, or
+    None for a float, whose one type test the loop makes inline."""
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    if get_origin(tp) is tuple:  # tuple[float, ...], the window's frame times
+        return lambda xs: tuple([x if type(x) is float else _number(name, x) for x in xs])
+    if tp is float:
+        return None
+    return lambda v: _integer(name, v)  # an int: the slow verdict
+
+
+def reference_event_decode(d):
+    """``event_from_dict`` as a loop over the event's fields, each converted
+    by its type's decoder in field order.  A key the event does not have is
+    refused first, but only when the key count is wrong; the event is built
+    through ``_unchecked`` and then checked by ``__post_init__`` where the
+    class has one.  The same event, or the same error."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"event must be a JSON object, got {type(d).__name__}")
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in _EVENT_CLASSES:
+        raise SchemaError(f"unknown event kind {kind!r}")
+    cls = _EVENT_CLASSES[kind]
+    hints = get_type_hints(cls)
+    codecs = [(f.name, _reference_field_decoder(f.name, hints[f.name])) for f in fields(cls)]
+    known = ("kind", *(name for name, _ in codecs))
+    if len(d) != len(known):
+        _check_keys(d, known, f" in event {kind!r}")
+    args = []
+    for name, dec in codecs:
+        v = d[name]
+        args.append(dec(v) if dec is not None else v if type(v) is float else _number(name, v))
+    ev = cls._unchecked(*args)
+    check = getattr(cls, "__post_init__", None)
+    if check is not None:
+        check(ev)
+    return ev

@@ -193,6 +193,17 @@ def test_scripted_negative_latency_rejected(key):
         ScriptedBackend({key: [{**rule, "latency": float("nan")}]})
 
 
+@pytest.mark.parametrize("key", ["fast_schedule", "slow_responses", "baseline_responses"])
+@pytest.mark.parametrize("latency", [-0.5, math.nan, math.inf, -math.inf])
+def test_scripted_latency_error_text(key, latency):
+    """A latency that is negative or not finite is refused in every rule list:
+    an infinite one would reach the trace as a token JSON readers refuse."""
+    with pytest.raises(SchemaError) as info:
+        ScriptedBackend({key: [{"t_start": 0.0, "t_end": 1.0, "latency": latency}]})
+    assert str(info.value) == (f"scripted backend: {key} rule [0.0, 1.0): latency must be "
+                               f"finite and non-negative, got {latency}")
+
+
 @pytest.mark.parametrize("verdict", ["x", None, [1], "1.5"])
 def test_scripted_bad_verdict_rejected(verdict):
     rule = {"t_start": 0.0, "t_end": 1.0, "verdict": verdict}

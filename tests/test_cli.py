@@ -552,6 +552,18 @@ MALFORMED_INPUTS = {
                                 {"fast_schedule": [{"t_start": 0, "t_end": 1, "latency": "0.5"}]},
                                 EXIT_IO, "backend_error: scripted backend: fast_schedule rule "
                                          "[0.0, 1.0): latency must be a JSON number, got '0.5'"),
+    "scripted_fast_latency_inf": ("scripted", {"fast_schedule": [
+        {"t_start": 0, "t_end": 1, "state": "red", "latency": math.inf}]}, EXIT_IO,
+        "backend_error: scripted backend: fast_schedule rule [0.0, 1.0): latency must be "
+        "finite and non-negative, got inf"),
+    "scripted_slow_latency_inf": ("scripted", {"slow_responses": [
+        {"t_start": 0, "t_end": 1, "verdict": 1, "latency": math.inf}]}, EXIT_IO,
+        "backend_error: scripted backend: slow_responses rule [0.0, 1.0): latency must be "
+        "finite and non-negative, got inf"),
+    "scripted_baseline_latency_nan": ("scripted", {"baseline_responses": [
+        {"t_start": 0, "t_end": 1, "latency": math.nan}]}, EXIT_IO,
+        "backend_error: scripted backend: baseline_responses rule [0.0, 1.0): latency must be "
+        "finite and non-negative, got nan"),
     "scripted_start_bool": ("scripted", {"fast_schedule": [{"t_start": True, "t_end": 1}]},
                             EXIT_IO, "backend_error: scripted backend: t_start must be a JSON "
                                      "number, got True"),

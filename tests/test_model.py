@@ -1050,6 +1050,17 @@ def test_golden_trace_bytes():
     assert json.dumps(_golden_a_trace().to_dict()) == GOLDEN_A_JSON
 
 
+def test_golden_trace_json_builds_no_dict(monkeypatch):
+    """``run`` writes ``to_json``: the golden bytes, written from the fields."""
+    trace = _golden_a_trace()
+
+    def refuse(self):
+        raise AssertionError("written through to_dict")
+
+    monkeypatch.setattr(DecisionTrace, "to_dict", refuse)
+    assert trace.to_json() == GOLDEN_A_JSON
+
+
 def test_old_trace_with_physical_stop_time_loads():
     """A trace file written before the key was dropped decodes to today's
     trace, and re-encodes without the key."""
