@@ -390,14 +390,18 @@ class RemoteBackend:
         if self.config.image_mode == "path":
             return {"type": "image_url", "image_url": {"url": frame.image_path}}
         import base64
+        import mimetypes
 
+        mime = mimetypes.guess_type(frame.image_path)[0]
+        if mime is None or not mime.startswith("image/"):
+            raise TransportError(f"cannot send {frame.image_path!r} as an image: "
+                                 f"its type is {mime}, not image/*")
         try:
             with open(frame.image_path, "rb") as fh:
                 payload = base64.b64encode(fh.read()).decode("ascii")
         except OSError as exc:
             raise TransportError(f"cannot read image {frame.image_path!r}: {exc}") from exc
-        return {"type": "image_url",
-                "image_url": {"url": f"data:image/jpeg;base64,{payload}"}}
+        return {"type": "image_url", "image_url": {"url": f"data:{mime};base64,{payload}"}}
 
     def _chat(self, prompt_text: str, frames: Sequence[Frame]) -> tuple[str, float]:
         content = [{"type": "text", "text": prompt_text}]

@@ -225,8 +225,8 @@ def decode_json_array(text: str, decode) -> Optional[list]:
     else:  # ``i`` is at the closing bracket
         if ws(text, i + 1).end() == len(text):
             return out
-    json.loads(text)  # malformed: raises json's own error for it
-    raise AssertionError("json.loads read a text that decode_json_array turned down")
+    # Malformed: json.loads raises its own error for it.
+    return [decode(v) for v in json.loads(text)]
 
 
 def _slot_twin(cls):
@@ -882,7 +882,7 @@ class SlowVerdict:
     def __post_init__(self):
         if self.arrival_t < self.trigger_t:
             raise SchemaError("slow verdict cannot arrive before its trigger")
-        if self.verdict not in (0, 1):
+        if type(self.verdict) is not int or self.verdict not in (0, 1):
             raise SchemaError(f"slow verdict must be 0 (SAFE) or 1 (DANGER), got {self.verdict!r}")
 
     @property
@@ -943,7 +943,9 @@ def _float_text(v) -> str:
 
 def _int_text(v) -> str:
     """An int's text.  A bool or a float, which json writes as ``true`` or
-    ``1.0``, is refused: ``SlowVerdict`` takes both."""
+    ``1.0``, is refused, and its trace goes through ``json.dumps``:
+    ``SlowVerdict`` refuses both, but a frozen field can still be set by
+    ``object.__setattr__``."""
     if type(v) is not int:
         raise TypeError(f"not an int: {v!r}")
     return repr(v)

@@ -106,6 +106,16 @@ def test_constant_identical_series():
     assert icc_a1(x, x) == 1.0
 
 
+def test_icc_denominator_below_its_floor_is_degenerate():
+    """Opposed series whose spread is some 1e-8 put the denominator under
+    the 1e-15 floor and the numerator above it; the same series at unit
+    scale give -3."""
+    x = [-3e-8, 0.0, 3e-8]
+    with pytest.raises(DegenerateVariance, match="icc denominator is zero"):
+        icc_a1(x, x[::-1])
+    assert icc_a1([-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]) == pytest.approx(-3.0)
+
+
 def test_kappa_single_shared_label():
     # chance agreement is total; defined as perfect rather than 0/0
     assert cohens_kappa(["a", "a"], ["a", "a"]) == 1.0

@@ -128,7 +128,8 @@ def test_http_stack_loads_only_with_a_remote_backend():
     code = ("import sys; sys.path.insert(0, 'src'); "
             "import streamguard.cli, streamguard.ablation; "
             "from streamguard import EndpointConfig, RemoteBackend; "
-            "stack = ('http.client', 'urllib.request', 'ssl', 'socket', 'email.parser', 'base64'); "
+            "stack = ('http.client', 'urllib.request', 'ssl', 'socket', 'email.parser', 'base64', "
+            "'mimetypes'); "
             "print(*[m for m in stack if m in sys.modules]); "
             "RemoteBackend(EndpointConfig(base_url='http://127.0.0.1:9', model_name='m')); "
             "print(*[m for m in ('urllib.request', 'http.client') if m in sys.modules])")

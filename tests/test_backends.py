@@ -1,6 +1,7 @@
 """Scripted backend semantics, prompt templates, endpoint config, and a
 round-trip against a local stub HTTP endpoint and its transport failures."""
 
+import base64
 import dataclasses
 import http.client
 import io
@@ -621,15 +622,15 @@ def test_missing_image_aborts_case(stub_server, tmp_path):
 class _ReplyHandler(BaseHTTPRequestHandler):
     """Answers every request with ``status``, ``body`` and, when set, a
     ``location`` header after ``delay`` seconds, counting the requests in
-    ``hits`` and keeping their Authorization headers in ``auth``.  Each test
-    serves a subclass."""
+    ``hits`` and keeping their Authorization headers in ``auth`` and their
+    bodies in ``bodies``.  Each test serves a subclass."""
 
-    status, body, delay, hits, location, auth = 200, b"", 0.0, 0, None, ()
+    status, body, delay, hits, location, auth, bodies = 200, b"", 0.0, 0, None, (), ()
 
     def do_POST(self):
         type(self).hits += 1
         type(self).auth += (self.headers.get("Authorization"),)
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).bodies += (self.rfile.read(int(self.headers.get("Content-Length", 0))),)
         time.sleep(self.delay)
         try:
             self.send_response(self.status)
@@ -656,7 +657,8 @@ def reply_server():
     def serve(status=200, body=b"", delay=0.0, location=None):
         handler = type("Handler", (_ReplyHandler,), {"status": status, "body": body,
                                                      "delay": delay, "hits": 0,
-                                                     "location": location, "auth": ()})
+                                                     "location": location, "auth": (),
+                                                     "bodies": ()})
         server = HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05}, daemon=True)
@@ -673,8 +675,9 @@ def reply_server():
 
 
 def _remote(url, **kw):
-    return RemoteBackend(EndpointConfig(base_url=url, model_name="m", image_mode="path",
-                                        **{"timeout": 5, "max_retries": 0, **kw}))
+    return RemoteBackend(EndpointConfig(base_url=url, model_name="m",
+                                        **{"timeout": 5, "max_retries": 0, "image_mode": "path",
+                                           **kw}))
 
 
 def _reply_body(content):
@@ -682,6 +685,37 @@ def _reply_body(content):
 
 
 _FRAME = Frame(t=0.0, image_path="f.jpg")
+
+
+def test_remote_sends_each_frame_base64_encoded(reply_server, tmp_path):
+    """In base64 mode the request body carries each frame's bytes, labelled
+    with the type its extension names."""
+    url, handler = reply_server(body=_reply_body("Verdict: 0"))
+    images = {"a.jpg": ("image/jpeg", b"\xff\xd8jpeg"), "b.png": ("image/png", b"\x89PNG\r\n")}
+    for name, (_, data) in images.items():
+        (tmp_path / name).write_bytes(data)
+    window = [Frame(t=float(i), image_path=str(tmp_path / name)) for i, name in enumerate(images)]
+    _remote(url, image_mode="base64").slow_raw(SLOW_TEXT, window)
+    [body] = handler.bodies
+    [message] = json.loads(body)["messages"]
+    assert message["content"] == [{"type": "text", "text": SLOW_TEXT}] + [
+        {"type": "image_url", "image_url": {"url": f"data:{mime};base64,"
+                                                   f"{base64.b64encode(data).decode()}"}}
+        for mime, data in images.values()]
+
+
+@pytest.mark.parametrize("name,mime", [("notes.txt", "text/plain"), ("frame", "None")])
+def test_remote_file_of_no_image_type_is_transport_error(reply_server, tmp_path, name, mime):
+    """A frame file whose extension names no image type is refused, naming
+    it, before any request is sent."""
+    url, handler = reply_server(body=_reply_body("Verdict: 0"))
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xd8jpeg")
+    with pytest.raises(TransportError) as info:
+        _remote(url, image_mode="base64").fast_raw(FAST_TEXT, Frame(t=0.0, image_path=str(path)))
+    assert str(info.value) == (f"cannot send {str(path)!r} as an image: its type is {mime}, "
+                               "not image/*")
+    assert handler.hits == 0
 
 
 def test_remote_http_error_is_retried_then_transport_error(reply_server):

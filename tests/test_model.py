@@ -697,6 +697,18 @@ def test_manifest_keeps_only_its_columns():
     assert set(vars(decoded)) == set(vars(m)) == columns | {"frames"}
 
 
+def test_manifest_lacks_every_other_name():
+    """Only ``frames`` is built on a miss; any other name missing is an
+    ``AttributeError``, so ``getattr`` with a default and ``hasattr`` work."""
+    decoded = FrameManifest.from_dict(grid_manifest(duration=1.0).to_dict())
+    assert getattr(decoded, "nosuch", None) is None
+    assert not hasattr(decoded, "nosuch")
+    with pytest.raises(AttributeError) as info:
+        decoded.nosuch
+    assert str(info.value) == "'FrameManifest' object has no attribute 'nosuch'"
+    assert "frames" not in vars(decoded)
+
+
 _GOOD_FRAMES = [{"t": 0.0, "image_path": "a.jpg"}, {"t": 0.5, "image_path": "b.jpg"}]
 
 
