@@ -75,15 +75,22 @@ def _ccc(mx: float, my: float, vx: float, vy: float, cov: float) -> float:
 def _icc(n: int, mx: float, my: float, vx: float, vy: float, cov: float) -> float:
     """ICC(A,1) of ``n`` pairs from their moments.  With k = 2 raters the
     two-way mean squares are rows n(vx + vy + 2cov) / 2(n - 1), error
-    n(vx + vy - 2cov) / 2(n - 1) and columns n(mx - my)^2 / 2."""
+    n(vx + vy - 2cov) / 2(n - 1) and columns n(mx - my)^2 / 2.
+
+    The denominator is vx + vy + (mx - my)^2 + 2cov / (n - 1), at least
+    (vx + vy)(n - 2) / (n - 1) + (mx - my)^2 since |cov| <= (vx + vy) / 2:
+    for n >= 3 it is zero only where both series are constant and equal,
+    as for ``_ccc``, so no floor that depends on the data's scale is
+    needed.  It can still round to zero where the squared deviations
+    underflow, at deviations of about 1e-160 and below."""
+    if vx + vy + (mx - my) ** 2 == 0.0:
+        return 1.0  # all observations identical
     ms_rows = n * (vx + vy + 2.0 * cov) / (2.0 * (n - 1))
     ms_err = n * (vx + vy - 2.0 * cov) / (2.0 * (n - 1))
     ms_cols = n * (mx - my) ** 2 / 2.0
     denom = ms_rows + ms_err + (2 / n) * (ms_cols - ms_err)
-    if abs(denom) < 1e-15:
-        if abs(ms_rows - ms_err) < 1e-15:
-            return 1.0  # all observations identical
-        raise DegenerateVariance("icc denominator is zero")
+    if denom <= 0.0:
+        raise DegenerateVariance("icc denominator underflows")
     return (ms_rows - ms_err) / denom
 
 

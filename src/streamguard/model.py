@@ -921,10 +921,10 @@ TraceEvent = FrameSampled | FastState | SlowDispatched | SlowVerdict | Override 
 
 
 # The JSON text of a field value, as ``json.dumps`` writes it (with its
-# default ``ensure_ascii``), for the one type each field expects.  Any other
-# value, including a float that is not finite, which json writes as
-# ``Infinity`` or ``NaN``, raises TypeError or KeyError; ``DecisionTrace.to_json``
-# then writes the trace through ``json.dumps`` instead.
+# default ``ensure_ascii``).  Each helper writes the one type its field
+# expects itself and hands any other value to ``json.dumps``, so a trace
+# holding one is written as json writes that value, or fails with json's
+# error for it.
 _str_text = encode_basestring_ascii
 # Each alert source's text, by identity (a str equal to a value is no
 # member), for the summary; ``_event_plan`` makes one such table per enum field.
@@ -932,43 +932,55 @@ _SOURCE_TEXT = {id(m): _str_text(m.value) for m in AlertSource}
 
 
 def _float_text(v) -> str:
-    """A finite float's text.  With its tests it takes about 265 ns, against
-    250 ns for ``float.__repr__`` alone and 210 ns for ``repr`` (Python
-    3.11.7): cheaper than scanning each written trace for ``inf`` and
-    ``nan``, which took about 0.26 ms for the two long_stream traces."""
+    """A float field's text.  A finite float's is its ``repr``: with its
+    tests that takes about 265 ns, against 250 ns for ``float.__repr__``
+    alone and 210 ns for ``repr`` (Python 3.11.7), cheaper than scanning
+    each written trace for ``inf`` and ``nan``, which took about 0.26 ms for
+    the two long_stream traces.  Any other value is written by
+    ``json.dumps``: a non-finite float as ``Infinity`` or ``NaN``, an int
+    (an API backend may report one as a latency) or a bool as itself, and a
+    float subclass through ``float.__repr__``."""
     if type(v) is float and v - v == 0.0:  # inf - inf and nan - nan are nan
         return repr(v)
-    raise TypeError(f"not a finite float: {v!r}")
+    return json.dumps(v)
 
 
 def _int_text(v) -> str:
-    """An int's text.  A bool or a float, which json writes as ``true`` or
-    ``1.0``, is refused, and its trace goes through ``json.dumps``:
-    ``SlowVerdict`` refuses both, but a frozen field can still be set by
-    ``object.__setattr__``."""
-    if type(v) is not int:
-        raise TypeError(f"not an int: {v!r}")
-    return repr(v)
+    """An int field's text.  Any other value is written by ``json.dumps``: a
+    bool as ``true`` and a float as ``1.0``.  ``SlowVerdict`` refuses both,
+    but a frozen field can still be set by ``object.__setattr__``."""
+    return repr(v) if type(v) is int else json.dumps(v)
 
 
 def _floats_text(xs) -> str:
-    """A tuple of floats' text, as a JSON array."""
+    """A tuple of floats' text, as a JSON array, each item through
+    ``_float_text``.  Any other value, a list say, is written by
+    ``json.dumps``."""
     if type(xs) is not tuple:
-        raise TypeError(f"not a tuple: {xs!r}")
+        return json.dumps(xs)
     return f"[{', '.join(map(_float_text, xs))}]"
 
 
-def _event_plan(cls) -> tuple:
-    """One event kind's ``(encode, text, decode)``, generated once from its
-    fields, as ``_slot_twin`` generates ``_unchecked``.
+def _enum_text(v) -> str:
+    """An enum field's text for a value missing from its identity table:
+    ``json.dumps`` of its ``value`` (a member of another enum), or the
+    AttributeError of a value that has none (a str)."""
+    return json.dumps(v.value)
 
-    ``encode`` is the event's dict: ``kind`` first, then the fields in
-    order, each enum by its value and the window times as a list.  ``text``
-    is the JSON text of that dict, written from the fields with no dict: a
-    template in field order, each float through ``_float_text`` and each
-    enum member by its text, from a table keyed by the member's identity.
-    A field with a default is left out of both where it equals it, and read
-    as it where it is absent.
+
+def _event_plan(cls) -> tuple:
+    """One event kind's ``(text, decode)``, generated once from its fields,
+    as ``_slot_twin`` generates ``_unchecked``.
+
+    ``text`` is the event's JSON text, written from the fields with no
+    dict: a template with ``kind`` first, then the fields in order, each
+    float through ``_float_text``, the window times through
+    ``_floats_text``, each int through ``_int_text`` and each enum member
+    by its text, from a table keyed by the member's identity (any other
+    value through ``_enum_text``).  It is the one trace encoder: a value of
+    a type other than the field's is written as ``json.dumps`` writes it.
+    A field with a default is left out where it equals it, and read as it
+    where it is absent.
 
     ``decode`` makes one inline type test per field, in field order: a
     float must be a float, else ``_number`` converts or names it, an int
@@ -986,65 +998,71 @@ def _event_plan(cls) -> tuple:
     """
     hints = get_type_hints(cls)
     kind, check = cls.kind, getattr(cls, "__post_init__", None)
-    env = {"kind": kind, "build": cls._unchecked, "check": check, "where": f" in event {kind!r}",
+    env = {"build": cls._unchecked, "check": check, "where": f" in event {kind!r}",
            "_check_keys": _check_keys, "_number": _number, "_integer": _integer,
-           "float_text": _float_text, "int_text": _int_text, "floats_text": _floats_text}
+           "float_text": _float_text, "int_text": _int_text, "floats_text": _floats_text,
+           "enum_text": _enum_text}
     names = [f.name for f in fields(cls)]
-    items, texts = ["'kind': kind"], [f'"kind": {json.dumps(kind)}']
-    puts, helpers, reads = [], [], []
+    texts, helpers, reads = [f'"kind": {json.dumps(kind)}'], [], []
     # The key count: "kind" and each field without a default, plus each one with a default present.
     n_keys = str(1 + sum(f.default is MISSING for f in fields(cls)))
     for f in fields(cls):
         n, tp = f.name, hints[f.name]
-        # The dict's value and the text of the field value ``{}``, and the
-        # field value decoded from the JSON value ``{}``, which is read once.
+        # The text of the field value ``{0}``, and the field value decoded
+        # from the JSON value ``{0}``, which is read once.
         if isinstance(tp, type) and issubclass(tp, Enum):
             env[f"of_{n}"], env[f"enum_{n}"] = {m.value: m for m in tp}, tp
             env[f"text_{n}"] = {id(m): _str_text(m.value) for m in tp}
-            item, text = "{}.value", f"text_{n}[id({{}})]"
-            read = f"(of_{n}.get(v) if type(v := {{}}) is str else None) or enum_{n}(v)"
+            text = f"text_{n}.get(id({{0}})) or enum_text({{0}})"
+            read = f"(of_{n}.get(v) if type(v := {{0}}) is str else None) or enum_{n}(v)"
         elif get_origin(tp) is tuple and get_args(tp) == (float, ...):
-            item, text = "list({})", "floats_text({})"
-            read = f"tuple([x if type(x) is float else _number({n!r}, x) for x in {{}}])"
+            text = "floats_text({0})"
+            read = f"tuple([x if type(x) is float else _number({n!r}, x) for x in {{0}}])"
         elif tp in (float, int):
-            item, text = "{}", f"{tp.__name__}_text({{}})"
-            read = (f"v if type(v := {{}}) is {tp.__name__} "
+            text = f"{tp.__name__}_text({{0}})"
+            read = (f"v if type(v := {{0}}) is {tp.__name__} "
                     f"else {'_number' if tp is float else '_integer'}({n!r}, v)")
         else:
             raise TypeError(f"{cls.__name__}.{n}: no JSON codec for {tp!r}")
         attr, key = f"ev.{n}", json.dumps(n)
         if f.default is MISSING:
-            items.append(f"{n!r}: {item.format(attr)}")
             texts.append(f"{key}: {{{text.format(attr)}}}")
             reads.append(f"    f_{n} = {read.format(f'd[{n!r}]')}\n")
         else:  # written only where it differs from its default, read as it where absent
             env[f"default_{n}"] = f.default
-            puts.append(f"    if {attr} != default_{n}:\n        d[{n!r}] = {item.format(attr)}\n")
             helpers.append(f"def put_{n}(v):\n    return f', {key}: {{{text.format('v')}}}' "
                            f"if v != default_{n} else ''\n")
             texts[-1] += f"{{put_{n}({attr})}}"
             reads.append(f"    f_{n} = {read.format(f'd.get({n!r}, default_{n})')}\n")
             n_keys += f" + ({n!r} in d)"
-    exec(f"def encode(ev):\n    d = {{{', '.join(items)}}}\n{''.join(puts)}    return d\n"
-         f"{''.join(helpers)}def text(ev):\n    return f'{{{{{', '.join(texts)}}}}}'\n"
+    exec(f"{''.join(helpers)}def text(ev):\n    return f'{{{{{', '.join(texts)}}}}}'\n"
          f"def decode(d):\n    if len(d) != {n_keys}:\n"
          f"        _check_keys(d, {('kind', *names)!r}, where)\n{''.join(reads)}"
          f"    ev = build({', '.join('f_' + n for n in names)})\n"
          + ("    check(ev)\n" if check is not None else "") + "    return ev\n", env)
-    return env["encode"], env["text"], env["decode"]
+    return env["text"], env["decode"]
 
 
 _EVENT_TYPES = {cls.kind: _event_plan(cls) for cls in get_args(TraceEvent)}
-# Each event class's ``text``, keyed by the class itself: a subclass, or an
-# object of another class with a ``kind``, goes through ``to_dict``.
-_EVENT_TEXT = {cls: _EVENT_TYPES[cls.kind][1] for cls in get_args(TraceEvent)}
 
 
-def event_to_dict(ev: TraceEvent) -> dict:
+class _EventText(dict):
+    """Each event class's ``text``, keyed by the class itself.  On a miss (a
+    subclass, or an object of another class with a ``kind``) the event is
+    written by its ``kind``, without storing the class."""
+
+    def __missing__(self, cls):
+        return _text_by_kind
+
+
+def _text_by_kind(ev) -> str:
     kind = getattr(ev, "kind", None)
     if kind not in _EVENT_TYPES:
         raise TypeError(f"unknown event {ev!r}")
     return _EVENT_TYPES[kind][0](ev)
+
+
+_EVENT_TEXT = _EventText({cls: _EVENT_TYPES[cls.kind][0] for cls in get_args(TraceEvent)})
 
 
 def event_from_dict(d: dict) -> TraceEvent:
@@ -1053,7 +1071,7 @@ def event_from_dict(d: dict) -> TraceEvent:
     kind = d.get("kind")
     if not isinstance(kind, str) or kind not in _EVENT_TYPES:
         raise SchemaError(f"unknown event kind {kind!r}")
-    return _EVENT_TYPES[kind][2](d)
+    return _EVENT_TYPES[kind][1](d)
 
 
 @dataclass(frozen=True)
@@ -1079,46 +1097,33 @@ class DecisionTrace:
         return [ev for ev in self.events if isinstance(ev, kind)]
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "events": [event_to_dict(ev) for ev in self.events],
-            "summary": {
-                "end_to_end_latency": self.end_to_end_latency,
-                "alert_stream_time": self.alert_stream_time,
-                "alert_source": None if self.alert_source is None else self.alert_source.value,
-                "aborted": self.aborted,
-            },
-        }
+        """The trace's JSON object: ``json.loads(self.to_json())``."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, written from the fields with no dict.
+        """The trace's JSON text, as ``json.dumps`` writes its object,
+        written from the fields with no dict.
 
-        Each event's text comes from its class's generated ``text``.  A value
-        that text would not write as json does (an int or a bool where a
-        float or the verdict is declared, a non-finite float, an enum value
-        that is no member) raises there, as does an object of any other
-        class in ``events``.  That trace goes through
-        ``json.dumps(self.to_dict())``, which gives json's own bytes or
-        ``to_dict``'s error.
+        Each event's text comes from its class's generated ``text``; an
+        object of any other class is written by its ``kind``, and one with
+        no known ``kind`` raises TypeError.  A value of a type other than
+        its field's (an int or a bool where a float is declared, a
+        non-finite float, an enum value that is no member) is written by
+        ``json.dumps``, or raises json's error.
 
         ``run`` writes each trace with it: the two seed-1 long_stream traces
-        take 1.45 ms this way and 3.70 ms through ``to_dict`` and
-        ``json.dumps`` (``BENCH_trace_codec.json``).
+        take 1.45 ms this way and 3.70 ms through a dict and ``json.dumps``
+        (``BENCH_trace_codec.json``).
         """
         text = _EVENT_TEXT
-        try:
-            events = ", ".join([text[type(ev)](ev) for ev in self.events])
-            latency, alert_t, source = (self.end_to_end_latency, self.alert_stream_time,
-                                        self.alert_source)
-            summary = (
+        events = ", ".join([text[type(ev)](ev) for ev in self.events])
+        latency, alert_t, source = (self.end_to_end_latency, self.alert_stream_time,
+                                    self.alert_source)
+        source = "null" if source is None else _SOURCE_TEXT.get(id(source)) or _enum_text(source)
+        return (f'{{"case_id": {_str_text(self.case_id)}, "events": [{events}], "summary": {{'
                 f'"end_to_end_latency": {"null" if latency is None else _float_text(latency)}, '
                 f'"alert_stream_time": {"null" if alert_t is None else _float_text(alert_t)}, '
-                f'"alert_source": {"null" if source is None else _SOURCE_TEXT[id(source)]}, '
-                f'"aborted": {"true" if self.aborted else "false"}')
-        except (KeyError, TypeError):
-            return json.dumps(self.to_dict())
-        return (f'{{"case_id": {_str_text(self.case_id)}, "events": [{events}], '
-                f'"summary": {{{summary}}}}}')
+                f'"alert_source": {source}, "aborted": {"true" if self.aborted else "false"}}}}}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTrace":

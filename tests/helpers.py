@@ -1,13 +1,14 @@
 """Shared fixtures: annotation builders, scripted schedules, a virtual wall
 clock, the per-metric functions the cross-metric identities check
 ``build_report`` against, the published-row inverter used to reconstruct
-aggregate metrics, and reference copies of the prompt render and the
-manifest, annotation case and trace event decodes."""
+aggregate metrics, and reference copies of the prompt render, the
+manifest, annotation case and trace event decodes, and the trace's JSON
+object."""
 
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from enum import Enum
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -391,3 +392,40 @@ def reference_event_decode(d):
     if check is not None:
         check(ev)
     return ev
+
+
+def reference_event_dict(ev) -> dict:
+    """An event's JSON object, by a plain walk over the fields of the class
+    its ``kind`` names: ``kind`` first, each enum field by its ``value`` and
+    each tuple as a list, and a field with a default left out where it
+    equals it.  An object with no known ``kind`` is a TypeError."""
+    kind = getattr(ev, "kind", None)
+    if kind not in _EVENT_CLASSES:
+        raise TypeError(f"unknown event {ev!r}")
+    cls = _EVENT_CLASSES[kind]
+    hints = get_type_hints(cls)
+    d = {"kind": kind}
+    for f in fields(cls):
+        v = getattr(ev, f.name)
+        if f.default is not MISSING and v == f.default:
+            continue
+        tp = hints[f.name]
+        d[f.name] = (v.value if isinstance(tp, type) and issubclass(tp, Enum)
+                     else list(v) if type(v) is tuple else v)
+    return d
+
+
+def reference_trace_dict(trace) -> dict:
+    """The trace's JSON object, by a plain walk: ``json.dumps`` of it is
+    what ``DecisionTrace.to_json`` must write, or fail with."""
+    source = trace.alert_source
+    return {
+        "case_id": trace.case_id,
+        "events": [reference_event_dict(ev) for ev in trace.events],
+        "summary": {
+            "end_to_end_latency": trace.end_to_end_latency,
+            "alert_stream_time": trace.alert_stream_time,
+            "alert_source": None if source is None else source.value,
+            "aborted": trace.aborted,
+        },
+    }

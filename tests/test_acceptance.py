@@ -31,13 +31,13 @@ from streamguard.model import (
     RateChange,
     SafetyState,
     SlowDispatched,
-    event_to_dict,
 )
 from streamguard.parsing import FormatError, parse_baseline_verdict, \
     parse_fast_output, parse_severity_verdict, parse_slow_output
 
 from helpers import ann_set, compute_ewp, compute_hdr, compute_pda, compute_wss, \
-    fast_script, grid_manifest, invert_row, make_ann, phase_counts, slow_script
+    fast_script, grid_manifest, invert_row, make_ann, phase_counts, reference_event_dict, \
+    slow_script
 import test_agreement as agr
 import test_coordinator as coord
 import test_parsing as parsing_corpus
@@ -153,7 +153,7 @@ def test_criterion_3_protocol_properties():
 # --- 4. golden decision timelines --------------------------------------------
 
 def _dump(events):
-    return [event_to_dict(ev) for ev in events]
+    return [reference_event_dict(ev) for ev in events]
 
 
 @criterion(4, "golden decision timelines match event for event", 5.0)

@@ -106,14 +106,26 @@ def test_constant_identical_series():
     assert icc_a1(x, x) == 1.0
 
 
-def test_icc_denominator_below_its_floor_is_degenerate():
-    """Opposed series whose spread is some 1e-8 put the denominator under
-    the 1e-15 floor and the numerator above it; the same series at unit
-    scale give -3."""
-    x = [-3e-8, 0.0, 3e-8]
-    with pytest.raises(DegenerateVariance, match="icc denominator is zero"):
-        icc_a1(x, x[::-1])
-    assert icc_a1([-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]) == pytest.approx(-3.0)
+def test_icc_is_the_same_at_every_scale():
+    """ICC(A,1) does not depend on the data's unit: opposed series, two
+    close raters and two equal constant series give one value each at every
+    scale from 1e-9 to 1e8, so no floor on the denominator may be absolute."""
+    opposed, x, y = [-3.0, 0.0, 3.0], [1.0, 2.0, 3.1], [1.1, 2.0, 2.9]
+    for e in range(-9, 9):
+        scale = 10.0 ** e
+        assert icc_a1([v * scale for v in opposed], [-v * scale for v in opposed]) == \
+            pytest.approx(-3.0, rel=1e-9)
+        assert icc_a1([v * scale for v in x], [v * scale for v in y]) == \
+            pytest.approx(0.9912587412587411, rel=1e-9)
+        assert icc_a1([scale] * 3, [scale] * 3) == 1.0
+
+
+def test_icc_denominator_that_underflows_is_degenerate():
+    """Deviations of some 1e-162 square to subnormals, and the denominator
+    rounds to zero although the series differ."""
+    with pytest.raises(DegenerateVariance, match="icc denominator underflows"):
+        icc_a1([0.0, 3.4603956107069935e-162, -1.1465960489865278e-162],
+               [0.0, 0.0, 2.7846462001746427e-162])
 
 
 def test_kappa_single_shared_label():

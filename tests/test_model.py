@@ -35,11 +35,11 @@ from streamguard.model import (
     SlowDispatched,
     SlowVerdict,
     event_from_dict,
-    event_to_dict,
     _EPS,
 )
 
-from helpers import fast_script, grid_manifest, make_ann, reference_manifest_decode, slow_script
+from helpers import fast_script, grid_manifest, make_ann, reference_event_dict, \
+    reference_manifest_decode, slow_script
 
 
 # --- KeyFrames ---------------------------------------------------------------
@@ -880,12 +880,12 @@ INT_VALUED = ({"kind": "rate_change", "t": 1, "new_rate": 5},
 
 
 @pytest.mark.parametrize("encoded, event",
-                         [(event_to_dict(ev), ev) for ev in EVENTS] + [INT_VALUED],
+                         [(reference_event_dict(ev), ev) for ev in EVENTS] + [INT_VALUED],
                          ids=[ev.kind for ev in EVENTS] + ["int_valued"])
 def test_event_roundtrip(encoded, event):
     decoded = event_from_dict(encoded)
     assert decoded == event
-    assert json.dumps(event_to_dict(decoded)) == json.dumps(event_to_dict(event))
+    assert json.dumps(reference_event_dict(decoded)) == json.dumps(reference_event_dict(event))
 
 
 _M1 = {"case_id": "m1", "fps_native": 10.0, "frames": _GOOD_FRAMES}
@@ -997,7 +997,7 @@ def test_trace_decode_error_text(encoded, message):
 
 @pytest.mark.parametrize("event", EVENTS, ids=[ev.kind for ev in EVENTS])
 def test_event_with_an_extra_key_is_refused(event):
-    encoded = {**event_to_dict(event), "note": ""}
+    encoded = {**reference_event_dict(event), "note": ""}
     with pytest.raises(SchemaError) as info:
         event_from_dict(encoded)
     assert str(info.value).startswith(f"unknown key 'note' in event {event.kind!r} (known: kind, ")
