@@ -7,7 +7,8 @@ MAE for the continuous key-frame timestamps.
 from __future__ import annotations
 
 from collections import Counter
-from math import fsum
+from itertools import chain, repeat
+from math import frexp, fsum, inf, ldexp
 from operator import attrgetter, mul, sub
 from typing import Sequence
 
@@ -21,10 +22,6 @@ class LengthMismatch(AgreementError):
 
 
 class EmptyInput(AgreementError):
-    pass
-
-
-class DegenerateVariance(AgreementError):
     pass
 
 
@@ -53,7 +50,17 @@ def cohens_kappa(a: Sequence, b: Sequence) -> float:
 
 def _moments(x: Sequence[float], y: Sequence[float]):
     """The means, population (1/n) variances and covariance of two paired
-    series, each sum exactly rounded by ``math.fsum``."""
+    series, each sum exactly rounded by ``math.fsum``.
+
+    They are in units of ``2**e``, where ``e`` is ``math.frexp``'s exponent
+    of the largest magnitude in either series: every value scaled by
+    ``2**-e`` is below 1 in magnitude, so no square overflows, and a
+    deviation of the largest value's order does not underflow.  CCC and
+    ICC are ratios of these moments, which the unit cancels from.  Scaling
+    by a power of two is exact, so a result whose inputs and moments are
+    normal floats in both units keeps every bit."""
+    e = -frexp(max(map(abs, chain(x, y))))[1]
+    x, y = list(map(ldexp, x, repeat(e))), list(map(ldexp, y, repeat(e)))
     n = len(x)
     mx, my = fsum(x) / n, fsum(y) / n
     dx = [v - mx for v in x]
@@ -81,16 +88,14 @@ def _icc(n: int, mx: float, my: float, vx: float, vy: float, cov: float) -> floa
     (vx + vy)(n - 2) / (n - 1) + (mx - my)^2 since |cov| <= (vx + vy) / 2:
     for n >= 3 it is zero only where both series are constant and equal,
     as for ``_ccc``, so no floor that depends on the data's scale is
-    needed.  It can still round to zero where the squared deviations
-    underflow, at deviations of about 1e-160 and below."""
+    needed.  ``_moments`` scales the series so that a nonzero denominator
+    does not underflow."""
     if vx + vy + (mx - my) ** 2 == 0.0:
         return 1.0  # all observations identical
     ms_rows = n * (vx + vy + 2.0 * cov) / (2.0 * (n - 1))
     ms_err = n * (vx + vy - 2.0 * cov) / (2.0 * (n - 1))
     ms_cols = n * (mx - my) ** 2 / 2.0
     denom = ms_rows + ms_err + (2 / n) * (ms_cols - ms_err)
-    if denom <= 0.0:
-        raise DegenerateVariance("icc denominator underflows")
     return (ms_rows - ms_err) / denom
 
 
@@ -107,9 +112,17 @@ def icc_a1(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def keyframe_mae(x: Sequence[float], y: Sequence[float]) -> float:
-    """Mean absolute difference between paired timestamps, in seconds."""
+    """Mean absolute difference between paired timestamps, in seconds.  One
+    whose differences sum beyond the float range (key frames some 1e308
+    apart) is an ``AgreementError``, not an infinite mean."""
     _paired(x, y, 1, "mae")
-    return fsum(map(abs, map(sub, x, y))) / len(x)
+    try:
+        total = fsum(map(abs, map(sub, x, y)))
+    except OverflowError:  # fsum's intermediate overflow
+        total = inf
+    if total == inf:
+        raise AgreementError("mae: the absolute differences sum beyond the float range")
+    return total / len(x)
 
 
 KEYFRAME_FIELDS = ("intent_onset", "pnr", "intervention_deadline", "impact", "action_end")

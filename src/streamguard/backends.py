@@ -13,6 +13,7 @@ them, so a process with scripted backends or none never loads them.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import re
@@ -25,17 +26,46 @@ from .model import (DECODE_ERRORS, JSON_ERRORS, Frame, SchemaError, _check_keys,
                     _number, decode_error)
 from .parsing import _STATES, MAX_REPLY_CHARS
 
+log = logging.getLogger(__name__)
+
 
 class BackendError(Exception):
-    """Base class for backend failures."""
+    """Base class for backend failures; ``reason`` names the class in the
+    abort reason that ``call_backend`` gives for one."""
+
+    reason = "backend_bug"
 
 
 class TransportError(BackendError):
     """The remote endpoint could not be reached or replied abnormally."""
 
+    reason = "transport"
+
 
 class BackendTimeoutError(BackendError):
     """The query did not complete within the configured budget."""
+
+    reason = "timeout"
+
+
+def call_backend(fn, *args):
+    """``fn(*args)``, a backend query's ``(raw, latency)``, or, if it raised,
+    the abort reason ``"<reason>: <message>"``: a ``BackendError``'s own
+    ``reason``, or ``backend_bug`` for any other exception, whose traceback
+    is logged at debug level.
+
+    Every backend call of ``run_case`` and ``run_baseline_case`` goes
+    through it, so a failure ends the case as a typed abort and never
+    escapes.  Only the call is covered: rendering the prompt and parsing the
+    reply are the caller's, and a bug there still raises.
+    """
+    try:
+        return fn(*args)
+    except BackendError as exc:
+        return f"{exc.reason}: {exc}"
+    except Exception as exc:
+        log.debug("backend call %r failed", fn, exc_info=True)
+        return f"{BackendError.reason}: {type(exc).__name__}: {exc}"
 
 
 _PLACEHOLDERS = re.compile("(<Start>|<End>)")

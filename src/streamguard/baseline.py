@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .backends import load_prompt
+from .backends import call_backend, load_prompt
 from .model import _EPS, FrameManifest, PredictionRecord
 from .parsing import FormatError, parse_baseline_verdict, parse_severity_verdict
 
@@ -112,6 +112,10 @@ def run_baseline_case(manifest: FrameManifest, backend,
     window's frames are ``manifest.frames_at`` of its frame times, a lazy
     ``Sequence[Frame]``: the prompt and the backend build only the frames
     they read, and a scripted backend with a pre-overlaid prompt builds none.
+
+    Each window's backend call goes through ``call_backend``.  The first
+    that fails ends the case: its record is Safe with ``parse_status``
+    ``"aborted"`` and ``parse_detail`` ``[start,end]:<abort reason>``.
     """
     prompt = load_prompt("severity" if with_severity else "baseline_detect")
     plan = build_windows(manifest.duration)
@@ -123,7 +127,12 @@ def run_baseline_case(manifest: FrameManifest, backend,
     for window in plan.windows:
         frames = manifest.frames_at(window.frame_times)
         text = prompt.render(frames, manifest.pre_overlaid, start=window.start, end=window.end)
-        raw, _latency = backend.baseline_raw(window.start, window.end, frames, text)
+        reply = call_backend(backend.baseline_raw, window.start, window.end, frames, text)
+        if type(reply) is str:
+            return PredictionRecord(case_id=manifest.case_id, verdict="safe",
+                                    parse_status="aborted",
+                                    parse_detail=f"[{window.start},{window.end}]:{reply}")
+        raw = reply[0]
         raws.append(raw)
         try:
             verdict = parse_baseline_verdict(raw, window.start, window.end)

@@ -17,12 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import ablation as ablation_mod
 from .agreement import AgreementError, agreement_table
 from .annotations import load_annotations
-from .backends import (
-    BackendError,
-    EndpointConfig,
-    RemoteBackend,
-    ScriptedBackend,
-)
+from .backends import EndpointConfig, RemoteBackend, ScriptedBackend
 from .baseline import run_baseline_case
 from .coordinator import CoordinatorConfig, run_case
 from .metrics import ErrorType, MetricsError, build_report
@@ -200,16 +195,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval_baseline(args) -> int:
+    """Write one record per case, an aborted one too; then, if a case was
+    aborted, fail with the first one's ``backend_error:``."""
     manifests = _load_manifests(args.manifest)
     backend = _make_backend(args.backend)
+    first_abort = None
     with open(args.out, "w", encoding="utf-8") as fh:
         for manifest in manifests:
-            try:
-                pred = run_baseline_case(manifest, backend,
-                                         with_severity=args.prompt == "severity")
-            except BackendError as exc:
-                raise CliError(EXIT_IO, f"backend_error: case {manifest.case_id}: {exc}")
+            pred = run_baseline_case(manifest, backend, with_severity=args.prompt == "severity")
+            if pred.parse_status == "aborted" and first_abort is None:
+                first_abort = pred
             fh.write(json.dumps(pred.to_dict()) + "\n")
+    if first_abort is not None:
+        raise CliError(EXIT_IO, f"backend_error: case {first_abort.case_id}: "
+                                f"{first_abort.parse_detail}")
     print(f"{len(manifests)} cases evaluated -> {args.out}")
     return EXIT_OK
 

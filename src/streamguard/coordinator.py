@@ -17,7 +17,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .backends import BackendError, load_prompt
+from .backends import call_backend, load_prompt
 from .model import (
     Alert,
     AlertSource,
@@ -74,7 +74,8 @@ class SimulatedClock:
             self._now = t
 
     def submit(self, fn, *args) -> Future:
-        """Call ``fn`` now; an exception from it raises here, at dispatch."""
+        """Call ``fn`` now, in the loop's thread; the future holds its result.
+        ``run_case`` submits only ``call_backend``, which does not raise."""
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -114,19 +115,26 @@ class _PendingSlow:
     future: Future
     arrival_t: Optional[float] = None
     verdict: Optional[int] = None
+    abort_reason: Optional[str] = None
 
     def resolve(self, now: float) -> bool:
-        """Fix arrival and verdict once the slow reply is in; False while it is not."""
+        """Fix arrival and verdict once the slow reply is in; False while it
+        is not.  A failed call (``call_backend``'s reason) arrives at once and
+        a reply that does not parse at its latency, each with no verdict and
+        the reason that aborts the case."""
         if self.arrival_t is not None:
             return True
         if not self.future.done():
             return False
-        raw, latency = self.future.result()
+        reply = self.future.result()
+        if type(reply) is str:
+            self.abort_reason, self.arrival_t = reply, now
+            return True
+        raw, latency = reply
         try:
             self.verdict = parse_slow_output(raw)
         except FormatError as exc:
-            log.warning("slow output unparseable (%s); treating as no-danger", exc)
-            self.verdict = 0
+            self.abort_reason = f"schema: {exc.reason}"
         self.arrival_t = max(now, self.trigger_t + latency)
         return True
 
@@ -135,9 +143,14 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     """Run the dual-brain protocol over one frame stream.
 
     Returns the full event trace; the first alert, fast or slow, ends the
-    run.  Backend failures abort the case with a partial trace flagged
-    ``aborted``; unparseable FastBrain output is treated as Yellow.  Each
-    prompt is rendered here, from the manifest, for the frames it is sent with.
+    run.  Each backend call goes through ``call_backend``, so a case ends in
+    one of two ways: a trace, or a partial trace flagged ``aborted`` with its
+    ``abort_reason``.  A failed FastBrain call aborts at once.  A failed
+    SlowBrain call, and a SlowBrain reply that does not parse (``schema:
+    <parser reason>``), abort when the loop takes in the reply, as a verdict
+    would be; no failure becomes a verdict.  Unparseable FastBrain output is
+    treated as Yellow.  Each prompt is rendered here, from the manifest, for
+    the frames it is sent with.
 
     A FastBrain reply equal to the last one that parsed in this case reuses
     that parse; its latency is still the current call's.  A reply that does
@@ -154,7 +167,7 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     pending: Optional[_PendingSlow] = None
     alert: Optional[Alert] = None
     end_to_end: Optional[float] = None
-    aborted = False
+    abort_reason: Optional[str] = None
     duration = manifest.duration
 
     rate = GAMMA_LOW
@@ -176,10 +189,13 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
     parsed_state = None
 
     def deliver_verdict(p: _PendingSlow) -> bool:
-        """Record an arrived slow verdict; a DANGER verdict alerts, and True
-        tells the caller that the alert ends the run."""
-        nonlocal alert, end_to_end
+        """Record an arrived slow verdict; a DANGER verdict alerts, and a
+        failed reply aborts.  True tells the caller that the run ends."""
+        nonlocal alert, end_to_end, abort_reason
         clock.wait_until(p.arrival_t)
+        if p.abort_reason is not None:
+            abort_reason = p.abort_reason
+            return True
         emit(SlowVerdict(p.trigger_t, p.arrival_t, p.verdict))
         if p.verdict != 1:
             return False
@@ -209,8 +225,12 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
             clock.wait_until(t_next)
             frame = latest_frame_at(t_next)
             emit(frame_sampled(t_next, rate))
+            reply = call_backend(fast_raw, render_fast((frame,), pre_overlaid), frame)
+            if type(reply) is str:
+                abort_reason = reply
+                break
+            raw, latency = reply
             try:
-                raw, latency = fast_raw(render_fast((frame,), pre_overlaid), frame)
                 if raw != parsed_raw:
                     parsed_state = parse_fast_output(raw)[0]
                     parsed_raw = raw
@@ -236,8 +256,8 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                     window = tuple(sampled_frames[-WINDOW_SIZE:])
                     emit(SlowDispatched._unchecked(t_next, tuple(f.t for f in window)))
                     text = slow_template.render(window, pre_overlaid)
-                    pending = _PendingSlow(trigger_t=t_next,
-                                           future=clock.submit(slow.slow_raw, text, window))
+                    pending = _PendingSlow(trigger_t=t_next, future=clock.submit(
+                        call_backend, slow.slow_raw, text, window))
             # Otherwise the state is Green.  A Green does not cancel an
             # in-flight query; a later DANGER verdict still alerts.
 
@@ -247,11 +267,10 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
                 step_us = round(_US * (1.0 / rate))
                 emit(RateChange._unchecked(t_next, rate))
             t_next_us += step_us
-    except BackendError as exc:
-        log.error("case %s aborted: %s", manifest.case_id, exc)
-        aborted = True
     finally:
         clock.shutdown()
+    if abort_reason is not None:
+        log.error("case %s aborted: %s", manifest.case_id, abort_reason)
 
     return DecisionTrace(
         case_id=manifest.case_id,
@@ -259,5 +278,6 @@ def run_case(manifest: FrameManifest, fast, slow, cfg: CoordinatorConfig) -> Dec
         end_to_end_latency=end_to_end,
         alert_stream_time=None if alert is None else alert.t_alert,
         alert_source=None if alert is None else alert.source,
-        aborted=aborted,
+        aborted=abort_reason is not None,
+        abort_reason=abort_reason,
     )

@@ -69,11 +69,13 @@ def classify_error(pred: Optional[PredictionRecord], ann: CaseAnnotation,
     """Assign one case to the five-way error taxonomy.
 
     Precedence: format error, then premature alert, then late alert, then
-    the two Safe-verdict failure modes keyed on reasoning difficulty.  A
-    caller that has phased a hazard record's alert passes that ``phase``;
-    otherwise it is ``classify_phase(pred.timestamp, ann)``.
+    the two Safe-verdict failure modes keyed on reasoning difficulty.  Every
+    ``parse_status`` but ``"ok"`` (``format_error``, ``aborted``) is a
+    format error: the model gave no usable output.  A caller that has phased
+    a hazard record's alert passes that ``phase``; otherwise it is
+    ``classify_phase(pred.timestamp, ann)``.
     """
-    if pred is not None and pred.parse_status == "format_error":
+    if pred is not None and pred.parse_status != "ok":
         return ErrorType.FORMAT_ERROR
     if pred is not None and pred.is_hazard:
         if phase is None:

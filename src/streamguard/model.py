@@ -42,7 +42,7 @@ DIFFICULTY_LEVELS = ("D1", "D2", "D3")
 # and 34.4 MiB without, and a score_bulk benchmark run at 65.0 against 71.3 MB
 # peak RSS, lower in 10 of 10 pairs (``BENCH_fastpath_ledger.json``).
 _SHARED = {s: s for s in (*LOCATIONS, *DANGER_CATEGORIES, *SEVERITY_CLAIMS, *DIFFICULTY_LEVELS,
-                          "safe", "hazard", "ok", "format_error")}
+                          "safe", "hazard", "ok", "format_error", "aborted")}
 # An annotation's closed sets, each value mapped to its ``_SHARED`` copy: one
 # ``get`` both tests a str and swaps it.
 _LOCATION_OF, _CATEGORY_OF, _SEVERITY_OF, _DIFFICULTY_OF = (
@@ -566,7 +566,7 @@ class PredictionRecord:
     severity_claim: Optional[str] = None  # "none" | "L1".."L4"
     reasoning_text: str = ""
     raw_output: str = ""
-    parse_status: str = "ok"  # "ok" | "format_error"
+    parse_status: str = "ok"  # "ok" | "format_error" | "aborted"
     parse_detail: str = ""
 
     def __post_init__(self):
@@ -583,7 +583,7 @@ class PredictionRecord:
                 f"hazard verdict requires a finite non-negative timestamp, got {timestamp!r}")
         if claim is not None and claim not in SEVERITY_CLAIMS:
             raise SchemaError(f"unknown severity_claim {claim!r}")
-        if self.parse_status not in ("ok", "format_error"):
+        if self.parse_status not in ("ok", "format_error", "aborted"):
             raise SchemaError(f"unknown parse_status {self.parse_status!r}")
         if not isinstance(self.reasoning_text, str):
             raise SchemaError(f"reasoning_text must be a string, got {self.reasoning_text!r}")
@@ -1084,6 +1084,7 @@ class DecisionTrace:
     alert_stream_time: Optional[float] = None
     alert_source: Optional[AlertSource] = None
     aborted: bool = False
+    abort_reason: Optional[str] = None  # ``call_backend``'s reason, or ``schema: ...``
 
     def __post_init__(self):
         if not isinstance(self.case_id, str):
@@ -1092,6 +1093,11 @@ class DecisionTrace:
             raise SchemaError("case_id must be non-empty")
         if not isinstance(self.aborted, bool):
             raise SchemaError(f"aborted must be a boolean, got {self.aborted!r}")
+        reason = self.abort_reason
+        if reason is not None and not isinstance(reason, str):
+            raise SchemaError(f"abort_reason must be a string, got {reason!r}")
+        if reason is not None and not self.aborted:
+            raise SchemaError("abort_reason is set on a trace that is not aborted")
 
     def events_of(self, kind: type) -> list:
         return [ev for ev in self.events if isinstance(ev, kind)]
@@ -1109,7 +1115,9 @@ class DecisionTrace:
         no known ``kind`` raises TypeError.  A value of a type other than
         its field's (an int or a bool where a float is declared, a
         non-finite float, an enum value that is no member) is written by
-        ``json.dumps``, or raises json's error.
+        ``json.dumps``, or raises json's error.  The summary ends with
+        ``abort_reason`` only where one is set, so every other trace is
+        written as it was before the field existed.
 
         ``run`` writes each trace with it: the two seed-1 long_stream traces
         take 1.45 ms this way and 3.70 ms through a dict and ``json.dumps``
@@ -1120,10 +1128,13 @@ class DecisionTrace:
         latency, alert_t, source = (self.end_to_end_latency, self.alert_stream_time,
                                     self.alert_source)
         source = "null" if source is None else _SOURCE_TEXT.get(id(source)) or _enum_text(source)
+        reason = self.abort_reason
+        tail = "" if reason is None else f', "abort_reason": {_str_text(reason)}'
         return (f'{{"case_id": {_str_text(self.case_id)}, "events": [{events}], "summary": {{'
                 f'"end_to_end_latency": {"null" if latency is None else _float_text(latency)}, '
                 f'"alert_stream_time": {"null" if alert_t is None else _float_text(alert_t)}, '
-                f'"alert_source": {source}, "aborted": {"true" if self.aborted else "false"}}}}}')
+                f'"alert_source": {source}, "aborted": {"true" if self.aborted else "false"}'
+                f'{tail}}}}}')
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTrace":
@@ -1149,12 +1160,19 @@ class DecisionTrace:
                 alert_stream_time=time_field("alert_stream_time"),
                 alert_source=None if source is None else AlertSource(source),
                 aborted=summary.get("aborted", False),
+                abort_reason=summary.get("abort_reason"),
             )
         except DECODE_ERRORS as exc:
             raise decode_error("trace", d, exc) from exc
 
     def to_prediction(self) -> PredictionRecord:
-        """Collapse this trace into the record the metrics pipeline consumes."""
+        """Collapse this trace into the record the metrics pipeline consumes.
+        An aborted trace is Safe with ``parse_status`` ``"aborted"`` and its
+        abort reason as ``parse_detail``: no usable output, never a clean
+        Safe."""
+        if self.aborted:
+            return PredictionRecord(case_id=self.case_id, verdict="safe", parse_status="aborted",
+                                    parse_detail=self.abort_reason or "")
         if self.alert_stream_time is None:
             return PredictionRecord(case_id=self.case_id, verdict="safe")
         return PredictionRecord(case_id=self.case_id, verdict="hazard",
@@ -1165,4 +1183,4 @@ _TRACE_KEYS = ("case_id", "events", "summary")
 # ``physical_stop_time`` is in summaries written by older versions, which
 # still load; its value is ignored.
 _SUMMARY_KEYS = ("end_to_end_latency", "alert_stream_time", "alert_source", "aborted",
-                 "physical_stop_time")
+                 "abort_reason", "physical_stop_time")

@@ -179,6 +179,8 @@ def _good_lines(start: int, stop: int) -> str:
 
 
 _NO_VERDICT = '{"case_id": "c1", "verdict": }'
+_ABORTED = json.dumps({"case_id": "c1", "verdict": "safe", "parse_status": "aborted",
+                       "parse_detail": "[0.0,2.0]:timeout: scripted timeout at t=0.0"})
 _BAD_LOCATION = json.dumps({**CASE, "location": "garage"})
 _GOOD = json.dumps(ANNS[1])
 
@@ -427,6 +429,19 @@ CASES = [
            files={"bad.json": _REC + '\n{"case_id": "c1", "verdict": "safe", '
                                      '"parse_stauts": "format_error"}\n'})
       for name in ["metrics", "errors"]),
+    # An aborted case gave no usable output: it counts as a format error,
+    # never as a clean Safe.
+    *(Case(f"aborted_prediction_is_format_error[{name}]", command(name, preds=BAD), EXIT_OK,
+           out=out, files={"bad.json": json.dumps(PRED) + "\n" + _ABORTED + "\n"})
+      for name, out in [
+          ("metrics", "model=  n_total=2  hdr=0.5000  ewp=1.0000  p_premature=0.0000  "
+                      "p_optimal=0.5000  p_suboptimal=0.0000  p_irreversible=0.0000  "
+                      "p_missed=0.5000  wss=50.0000\n"),
+          ("errors", "format_error=0.5000  over_reaction=0.0000  response_lag=0.0000  "
+                     "visual_omission=0.0000  reasoning_deficit=0.0000  no_error=0.5000\n")]),
+    bad("misspelled_aborted_status_is_parse_error", "predictions",
+        _ABORTED.replace('"aborted"', '"abort"') + "\n",
+        f"parse_error: {BAD}: line 1: prediction c1: unknown parse_status 'abort'"),
     # A file with no record would score every annotated case as missed.
     *(Case(f"predictions_file_without_records_is_refused[{name}-{cmd}]", command(cmd, preds=BAD),
            EXIT_IO, f"parse_error: {BAD}: no prediction records", files={"bad.json": content})
@@ -489,6 +504,17 @@ CASES = [
          command("agreement", a="{dir}/a.json", b=BAD), EXIT_DOMAIN,
          "agreement_error: no cases are valid in both annotation sets",
          files={"a.json": [CASE], "bad.json": [{**CASE, "is_valid": False}, ANNS[1]]}),
+    # Key frames 5e159 s apart square past the float range in seconds; the
+    # statistics are taken in units of the largest key frame.
+    Case("agreement_at_the_end_of_the_float_range", command("agreement", b=BAD), EXIT_OK,
+         out="n_both_valid=5  kappa[danger_category]=1.0000  kappa[severity]=1.0000  "
+             "kappa[difficulty]=1.0000\n",
+         files={"bad.json": [{**with_key_frames(f"k{i}", **dict.fromkeys(KEY_FRAMES, 5e159)),
+                              "duration": 1e160} for i in range(5)]}),
+    Case("agreement_mae_beyond_the_float_range_is_domain_error", command("agreement", b=BAD),
+         EXIT_DOMAIN, "agreement_error: mae: the absolute differences sum beyond the float range",
+         files={"bad.json": [{**with_key_frames(f"k{i}", **dict.fromkeys(KEY_FRAMES, 1.5e308)),
+                              "duration": 1.7e308} for i in range(5)]}),
     Case("ablate_case_without_annotation_is_domain_error",
          command("ablate", annotations=BAD, fps="1,5"), EXIT_DOMAIN,
          "sweep_error: no annotation for case 'c1'", files={"bad.json": [CASE]}),

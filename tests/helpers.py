@@ -95,10 +95,11 @@ class VirtualWallClock:
 
     Time moves only in ``wait_until``.  ``submit`` calls ``fn`` at once, as
     the idle worker thread would start it, and its future completes when
-    virtual time reaches dispatch time plus the latency ``fn`` reports; an
-    exception from ``fn`` completes it at once.  ``result()`` on a future
-    still in flight waits until it is due.  Tests put it in place of
-    ``WallClock`` with ``monkeypatch.setitem(coordinator._CLOCKS, "real", ...)``.
+    virtual time reaches dispatch time plus the latency ``fn`` reports; a
+    failed call's abort reason (``backends.call_backend``) completes it at
+    once.  ``result()`` on a future still in flight waits until it is due.
+    Tests put it in place of ``WallClock`` with
+    ``monkeypatch.setitem(coordinator._CLOCKS, "real", ...)``.
     """
 
     def __init__(self):
@@ -116,14 +117,11 @@ class VirtualWallClock:
 
     def submit(self, fn, *args) -> Future:
         future = _VirtualFuture(self)
-        try:
-            future.reply = fn(*args)
-        except Exception as exc:
-            future.set_exception(exc)
-        else:
-            future.due = self._now + future.reply[1]  # the reply's reported latency
-            self._in_flight.append(future)
-            self._complete_due()
+        future.reply = reply = fn(*args)
+        # A reply is due after its reported latency, a failure at once.
+        future.due = self._now + (0.0 if type(reply) is str else reply[1])
+        self._in_flight.append(future)
+        self._complete_due()
         return future
 
     def shutdown(self) -> None:
@@ -427,5 +425,6 @@ def reference_trace_dict(trace) -> dict:
             "alert_stream_time": trace.alert_stream_time,
             "alert_source": None if source is None else source.value,
             "aborted": trace.aborted,
+            **({} if trace.abort_reason is None else {"abort_reason": trace.abort_reason}),
         },
     }

@@ -3,11 +3,13 @@ oracle, plus degenerate-input behaviour and the summary table."""
 
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from streamguard.agreement import (
-    DegenerateVariance,
+    AgreementError,
     EmptyInput,
     KEYFRAME_FIELDS,
     LengthMismatch,
@@ -120,12 +122,49 @@ def test_icc_is_the_same_at_every_scale():
         assert icc_a1([scale] * 3, [scale] * 3) == 1.0
 
 
-def test_icc_denominator_that_underflows_is_degenerate():
-    """Deviations of some 1e-162 square to subnormals, and the denominator
-    rounds to zero although the series differ."""
-    with pytest.raises(DegenerateVariance, match="icc denominator underflows"):
-        icc_a1([0.0, 3.4603956107069935e-162, -1.1465960489865278e-162],
-               [0.0, 0.0, 2.7846462001746427e-162])
+def test_icc_of_deviations_that_would_square_to_subnormals():
+    """Deviations of some 1e-162 square to subnormals, where the ICC's
+    denominator rounded to zero; in the units of the largest value they do
+    not, and the ICC is its value at a scale 2**600 times larger."""
+    x = [0.0, 3.4603956107069935e-162, -1.1465960489865278e-162]
+    y = [0.0, 0.0, 2.7846462001746427e-162]
+    icc = icc_a1(x, y)
+    assert icc == icc_a1([math.ldexp(v, 600) for v in x], [math.ldexp(v, 600) for v in y])
+    assert -3.0 <= icc <= 1.0
+
+
+@pytest.mark.parametrize("x,y,ccc,icc", [
+    # Squares of these deviations overflow in seconds.
+    ([1e300, 2e300, 3e300], [1e300, 2e300, 3.5e300], 0.9523809523809524, 0.967741935483871),
+    # Squares of these underflow to zero, which read as perfect agreement.
+    ([1e-170, 2e-170, 3e-170], [3e-170, 0.0, 4e-170], 0.18181818181818188, 0.25),
+], ids=["huge", "tiny"])
+def test_ccc_and_icc_at_the_ends_of_the_float_range(x, y, ccc, icc):
+    assert (lins_ccc(x, y), icc_a1(x, y)) == (ccc, icc)
+
+
+_NORMAL = st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+
+
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(st.lists(_NORMAL, min_size=n, max_size=n),
+                                                     st.lists(_NORMAL, min_size=n, max_size=n))),
+       st.integers(-1000, 1000))
+def test_ccc_and_icc_keep_every_bit_at_every_power_of_two(pair, k):
+    """Scaling both series by ``2**k`` changes no bit of CCC or ICC
+    wherever the scaled inputs are normal floats."""
+    x, y = pair
+    xs, ys = [math.ldexp(v, k) for v in x], [math.ldexp(v, k) for v in y]
+    assume(all(v == 0 or sys.float_info.min <= abs(v) < math.inf for v in xs + ys))
+    assert lins_ccc(xs, ys) == lins_ccc(x, y)
+    assert icc_a1(xs, ys) == icc_a1(x, y)
+
+
+@pytest.mark.parametrize("x,y", [([1e308, 0.0], [-1e308, 0.0]), ([1.5e308, 1.5e308], [0.0, 0.0])],
+                         ids=["infinite_difference", "sum_overflows"])
+def test_mae_beyond_the_float_range_is_an_agreement_error(x, y):
+    with pytest.raises(AgreementError, match="mae: the absolute differences sum beyond the "
+                                             "float range"):
+        keyframe_mae(x, y)
 
 
 def test_kappa_single_shared_label():

@@ -485,6 +485,8 @@ def test_endpoint_config_from_file_takes_values_as_written(tmp_path, field, valu
 # --- remote backend against a stub server ------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Replies Yellow to every request, or SAFE to one with the slow prompt."""
+
     captured = []
 
     def do_POST(self):
@@ -493,8 +495,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).captured.append(
             {"path": self.path, "auth": self.headers.get("Authorization"),
              "body": body})
-        reply = {"choices": [{"message": {"content":
-                 '{"category": "yellow", "reason": "stub"}'}}]}
+        slow = body["messages"][0]["content"][0]["text"].startswith(SLOW_TEXT)
+        content = "**VERDICT**: SAFE" if slow else '{"category": "yellow", "reason": "stub"}'
+        reply = {"choices": [{"message": {"content": content}}]}
         payload = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

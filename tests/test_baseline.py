@@ -19,7 +19,7 @@ from streamguard.baseline import (
     build_windows,
     run_baseline_case,
 )
-from streamguard.model import FrameManifest
+from streamguard.model import FrameManifest, PredictionRecord
 
 from helpers import grid_manifest, reference_render
 
@@ -344,15 +344,21 @@ def test_severity_prompt_asks_for_what_the_parser_reads():
     assert (pred.verdict, pred.timestamp, pred.severity_claim) == ("hazard", 1.2, "L2")
 
 
-def test_baseline_backend_failure_propagates():
-    manifest = grid_manifest(duration=2.0)
+def test_baseline_backend_failure_aborts_the_case():
+    """The first window whose call fails ends the case as an aborted record
+    that names the window."""
+    manifest = grid_manifest(duration=5.0)
 
     class TimingOut(ScriptedBackend):
-        def baseline_raw(self, *a, **kw):
-            raise BackendTimeoutError("scripted")
+        def baseline_raw(self, window_start, *a, **kw):
+            if window_start >= 1.5:
+                raise BackendTimeoutError("scripted")
+            return super().baseline_raw(window_start, *a, **kw)
 
-    with pytest.raises(BackendTimeoutError):
-        run_baseline_case(manifest, TimingOut())
+    pred = run_baseline_case(manifest, TimingOut())
+    assert pred == PredictionRecord(case_id=manifest.case_id, verdict="safe",
+                                    parse_status="aborted",
+                                    parse_detail="[1.5,3.5]:timeout: scripted")
 
 
 def test_baseline_prompt_window_rendered():

@@ -287,8 +287,11 @@ def test_eval_baseline_unreachable_endpoint_is_backend_error(workdir, capsys):
                  "--backend", f"remote:{workdir / 'endpoint.json'}",
                  "--out", str(preds)])
     assert code == EXIT_IO
-    assert capsys.readouterr().err.startswith("backend_error: case c0: ")
-    assert preds.read_text() == ""  # the failed case is not scored as safe
+    assert capsys.readouterr().err.startswith("backend_error: case c0: [0.0,2.0]:transport: ")
+    # Every case has its record, and a failed one is aborted, never a clean Safe.
+    records = [json.loads(line) for line in preds.read_text().splitlines()]
+    assert [(r["case_id"], r["parse_status"]) for r in records] == [("c0", "aborted"),
+                                                                   ("c1", "aborted")]
 
 
 def test_run_infinite_frame_time_is_manifest_error(workdir):

@@ -10,10 +10,14 @@ import random
 import pytest
 
 from streamguard import coordinator
-from streamguard.backends import BackendTimeoutError, ScriptedBackend, load_prompt
+from streamguard.backends import (BackendTimeoutError, ScriptedBackend, TransportError,
+                                  load_prompt)
+from streamguard.baseline import run_baseline_case
 from streamguard.coordinator import GAMMA_LOW, WINDOW_SIZE, CoordinatorConfig, run_case
+from streamguard.metrics import ErrorType, classify_error
 from streamguard.model import (
     AlertSource,
+    DecisionTrace,
     FastState,
     FrameSampled,
     Override,
@@ -254,6 +258,7 @@ def test_backend_timeout_aborts_with_partial_trace():
     fast = fast_script([(0.0, 2.05, "green")], timeout=[(2.05, 99.0)])
     trace = run_case(manifest, fast, slow_script([]), CFG)
     assert trace.aborted
+    assert trace.abort_reason == "timeout: scripted timeout at t=3.0"
     assert len(trace.events_of(FastState)) == 3  # 0.0, 1.0, 2.0 succeeded
 
 
@@ -262,13 +267,15 @@ class GarbageSlow:
         return "total nonsense with no marker", 0.5
 
 
-def test_unparseable_slow_output_counts_as_no_danger():
+def test_unparseable_slow_output_aborts_the_case():
+    """A SlowBrain reply that does not parse is no verdict: it aborts the
+    case once the loop passes its arrival, the backend's 0.5 s latency."""
     manifest = grid_manifest(duration=3.0)
     fast, _ = merged([(0.0, 0.1, "yellow")])
     trace = run_case(manifest, fast, GarbageSlow(), CFG)
-    verdicts = trace.events_of(SlowVerdict)
-    assert verdicts and verdicts[0].verdict == 0
-    assert verdicts[0].arrival_t == pytest.approx(0.5)  # the backend's latency stands
+    assert trace.events_of(SlowVerdict) == []
+    assert (trace.aborted, trace.abort_reason) == (True, "schema: missing_verdict")
+    assert sample_times(trace) == [0, 200_000]  # the next sample, at 1.2 s, is past 0.5 s
     assert trace.alert_stream_time is None
 
 
@@ -402,13 +409,15 @@ def test_randomized_protocol_properties_real_clock(virtual_clocks):
 
 
 def test_unparseable_slow_output_keeps_latency_real_clock(virtual_clocks):
-    """The real clock keeps the reported latency of a garbage reply too; the
-    0.5 s reply is seen at the next 5 Hz sample."""
+    """The real clock keeps the reported latency of a garbage reply too: the
+    0.5 s reply is seen at the next 5 Hz sample, 0.6 s, and aborts the case
+    before the sample after it."""
     manifest = grid_manifest(duration=1.0)
     fast, _ = merged([(0.0, 99.0, "yellow")])
     trace = run_case(manifest, fast, GarbageSlow(), REAL)
-    verdict = trace.events_of(SlowVerdict)[0]
-    assert verdict == SlowVerdict(trigger_t=0.0, arrival_t=0.6, verdict=0)
+    assert trace.events_of(SlowVerdict) == []
+    assert (trace.aborted, trace.abort_reason) == (True, "schema: missing_verdict")
+    assert sample_times(trace) == [0, 200_000, 400_000, 600_000]
 
 
 @pytest.mark.parametrize("fast_rules,faults,outcome", [
@@ -436,10 +445,62 @@ def test_slow_timeout_aborts_real_clock_case(virtual_clocks):
         slow.slow_raw("", manifest.frames[:1])
     trace = run_case(manifest, fast, slow, REAL)
     assert trace.aborted
+    assert trace.abort_reason == "timeout: scripted timeout at t=0.0"
     assert trace.alert_stream_time is None
     # The reply has failed by the time the loop looks again, before its next sample.
     assert sample_times(trace) == [0]
     assert trace.events[-2:] == (SlowDispatched(0.0, (0.0,)), RateChange(0.0, 5.0))
+
+
+# --- fault injection -----------------------------------------------------------
+
+def _failing(stage, fault):
+    """An always-Yellow scripted backend whose ``stage`` query (``fast``,
+    ``slow`` or ``baseline``) raises ``fault``, or, for a str, replies with
+    it at once."""
+    backend = fast_script([(0.0, 99.0, "yellow")])
+
+    def query(*args):
+        if isinstance(fault, str):
+            return fault, 0.0
+        raise fault
+
+    setattr(backend, f"{stage}_raw", query)
+    return backend
+
+
+_ERRORS = [(TransportError("refused"), "transport: refused"),
+           (BackendTimeoutError("too slow"), "timeout: too slow"),
+           (RuntimeError("boom"), "backend_bug: RuntimeError: boom")]
+
+
+@pytest.mark.parametrize("stage,fault,reason", [
+    *(pytest.param(stage, fault, reason, id=f"{stage}-{type(fault).__name__}")
+      for stage in ("fast", "slow", "baseline") for fault, reason in _ERRORS),
+    pytest.param("slow", "no marker here", "schema: missing_verdict", id="slow-garbage"),
+])
+def test_backend_fault_ends_the_case_as_one_typed_abort(virtual_clocks, stage, fault, reason):
+    """A failure at any backend call, and a SlowBrain reply that does not
+    parse, end the case in one way: an aborted trace or record with a typed
+    reason, which scores as a format error.  Both clocks give one trace."""
+    manifest = grid_manifest(duration=3.0)
+    backend = _failing(stage, fault)
+    if stage == "baseline":
+        records = [run_baseline_case(manifest, backend)]
+        assert records[0].parse_detail == f"[0.0,2.0]:{reason}"
+    else:
+        sim, real = traces = [run_case(manifest, backend, backend, cfg) for cfg in (CFG, REAL)]
+        assert sim == real
+        for trace in traces:
+            assert (trace.aborted, trace.abort_reason) == (True, reason)
+            assert trace.alert_stream_time is None and not trace.events_of(SlowVerdict)
+            assert DecisionTrace.from_dict(json.loads(trace.to_json())) == trace
+        records = [trace.to_prediction() for trace in traces]
+    ann = make_ann(case_id=manifest.case_id)
+    for record in records:
+        assert (record.verdict, record.parse_status) == ("safe", "aborted")
+        assert record.parse_detail.endswith(reason)
+        assert classify_error(record, ann) is ErrorType.FORMAT_ERROR
 
 
 # --- wall-clock smoke test ---------------------------------------------------

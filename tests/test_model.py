@@ -364,6 +364,10 @@ def _verdict(v) -> dict:
      "trace c0: aborted must be a boolean, got 1"),
     (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": None}},
      "trace c0: aborted must be a boolean, got None"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"aborted": True, "abort_reason": 1}},
+     "trace c0: abort_reason must be a string, got 1"),
+    (DecisionTrace.from_dict, {**_TRACE_JSON, "summary": {"abort_reason": "timeout: t=1"}},
+     "trace c0: abort_reason is set on a trace that is not aborted"),
     (DecisionTrace.from_dict, _verdict("1"), "trace c0: verdict must be a JSON integer, got '1'"),
     (DecisionTrace.from_dict, _verdict(True), "trace c0: verdict must be a JSON integer, got True"),
     (DecisionTrace.from_dict, _verdict(1.7), "trace c0: verdict must be a JSON integer, got 1.7"),
@@ -379,7 +383,8 @@ def _verdict(v) -> dict:
      "bad score table entry: optimal must be a JSON number, got True"),
 ], ids=["pnr_string", "intent_true", "deadline_nan_string", "impact_false", "end_padded_string",
         "duration_string", "duration_true", "timestamp_string", "timestamp_true",
-        "aborted_string", "aborted_int", "aborted_null", "verdict_string", "verdict_true",
+        "aborted_string", "aborted_int", "aborted_null", "abort_reason_int",
+        "abort_reason_not_aborted", "verdict_string", "verdict_true",
         "verdict_float", "verdict_7", "verdict_negative", "verdict_2", "score_string",
         "score_true"])
 def test_decoders_take_json_numbers_and_booleans_only(decode, encoded, message):
@@ -972,7 +977,7 @@ def test_trace_roundtrip_and_decision():
      "trace c: unknown key 'sumary' (known: case_id, events, summary)"),
     ({"case_id": "c", "events": [], "summary": {"abortd": True}},
      "trace c: unknown key 'abortd' in summary (known: end_to_end_latency, alert_stream_time, "
-     "alert_source, aborted, physical_stop_time)"),
+     "alert_source, aborted, abort_reason, physical_stop_time)"),
     ({"case_id": "c", "events": [{"kind": "override", "t": 1.0, "source": "fast"}]},
      "trace c: unknown key 'source' in event 'override' (known: kind, t)"),
     ({"case_id": "c", "events": [{"kind": "override", "time": 1.0}]},
@@ -1009,6 +1014,15 @@ def test_trace_to_prediction():
     pred = trace.to_prediction()
     assert pred.verdict == "hazard" and pred.timestamp == 2.1
     assert DecisionTrace(case_id="c", events=()).to_prediction().verdict == "safe"
+
+
+@pytest.mark.parametrize("reason,detail", [("timeout: t=2.0", "timeout: t=2.0"), (None, "")])
+def test_aborted_trace_predicts_no_usable_output(reason, detail):
+    """An aborted trace is never a clean Safe: its record is ``aborted``,
+    with the abort reason, where one was written, as its detail."""
+    trace = DecisionTrace(case_id="c", events=(), aborted=True, abort_reason=reason)
+    assert trace.to_prediction() == PredictionRecord(
+        case_id="c", verdict="safe", parse_status="aborted", parse_detail=detail)
 
 
 # Timeline (a) of the golden decision timelines, exactly as written to --out:

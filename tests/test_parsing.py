@@ -469,6 +469,7 @@ _WORST_REPLIES = {
 }
 
 
+@pytest.mark.timing
 @pytest.mark.parametrize("name", _PARSERS)
 def test_worst_case_reply_at_the_cap_is_fast(name):
     """Each reply parses in under 0.25 s, taking the best of three tries so

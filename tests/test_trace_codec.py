@@ -52,10 +52,14 @@ EVENTS = st.one_of(
     st.builds(Alert, NUMBERS, st.sampled_from(AlertSource)),
     st.builds(RateChange, NUMBERS, NUMBERS),
 )
+# An abort reason is drawn only for an aborted trace, the only one that may hold it.
+ABORTS = st.just({"aborted": False}) | st.fixed_dictionaries(
+    {"aborted": st.just(True), "abort_reason": st.none() | st.text()})
 TRACES = st.builds(
-    DecisionTrace, case_id=st.text(min_size=1), events=st.lists(EVENTS, max_size=6).map(tuple),
+    lambda abort, **fields: DecisionTrace(**fields, **abort), ABORTS,
+    case_id=st.text(min_size=1), events=st.lists(EVENTS, max_size=6).map(tuple),
     end_to_end_latency=st.none() | NUMBERS, alert_stream_time=st.none() | NUMBERS,
-    alert_source=st.none() | st.sampled_from(AlertSource), aborted=st.booleans())
+    alert_source=st.none() | st.sampled_from(AlertSource))
 
 # One event of every kind, as the coordinator builds them.
 EVERY_KIND = (
@@ -89,6 +93,7 @@ def _outcome(call, arg):
 @given(TRACES)
 @example(DecisionTrace("c", EVERY_KIND, 0.15000000000000008, 2.1, AlertSource.SLOW))
 @example(DecisionTrace("c", ()))
+@example(DecisionTrace("c", EVERY_KIND[:2], aborted=True, abort_reason='timeout: "t" \\ é'))
 @example(DecisionTrace('quote " back \\ nl \n nul \x00 é 😀 \ud800', EVERY_KIND[:2]))
 @example(DecisionTrace("c", (FastState(1.0, SafetyState.RED, math.inf),), math.inf, 1.0))
 @example(DecisionTrace("c", (FrameSampled(math.nan, 1.0), SlowDispatched(0.0, (-math.inf,)))))
